@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
+use vusion_bench::json_quote;
 use vusion_cache::{Llc, LlcConfig};
 use vusion_core::{ContentAvlTree, ContentRbTree};
 use vusion_kernel::{Machine, MachineConfig};
@@ -252,13 +253,6 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
         bench(out, "scan_visit_100_pages_ksm", || {
             black_box(sys.policy.scan(&mut sys.machine));
         });
-        // Same workload at 4 shard threads: the steady-state scan skips
-        // every clean page and its pre-hash list is empty, so the knob
-        // must be free — the artifact records both medians side by side.
-        sys.policy.set_scan_threads(4);
-        bench(out, "scan_visit_100_pages_ksm_t4", || {
-            black_box(sys.policy.scan(&mut sys.machine));
-        });
         sys.machine.enable_tracing();
         black_box(sys.policy.scan(&mut sys.machine));
         metrics.push(("ksm", sys.metrics_snapshot().to_json()));
@@ -277,12 +271,6 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
         bench(out, "scan_full_pass_wpf_512", || {
-            black_box(sys.policy.scan(&mut sys.machine));
-        });
-        // 4-thread twin; the all-clean fast path never reaches the
-        // sharded stage, so this measures the knob's overhead-free case.
-        sys.policy.set_scan_threads(4);
-        bench(out, "scan_full_pass_wpf_512_t4", || {
             black_box(sys.policy.scan(&mut sys.machine));
         });
         sys.machine.enable_tracing();
@@ -319,10 +307,6 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
         bench(out, "scan_visit_100_pages_vusion", || {
             black_box(sys.policy.scan(&mut sys.machine));
         });
-        sys.policy.set_scan_threads(4);
-        bench(out, "scan_visit_100_pages_vusion_t4", || {
-            black_box(sys.policy.scan(&mut sys.machine));
-        });
         sys.machine.enable_tracing();
         black_box(sys.policy.scan(&mut sys.machine));
         metrics.push(("vusion", sys.metrics_snapshot().to_json()));
@@ -330,16 +314,14 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
     metrics
 }
 
-/// Thread-scaling curves for the sharded hashing stage: every iteration
-/// dirties all 512 candidate pages (one byte each, content unchanged —
-/// the write bumps the frame's generation, so every memoized hash goes
-/// cold), then runs one scan that must re-hash the lot. The workload is
-/// byte-identical across the curve; only the `scan_threads` knob moves,
-/// so the artifact records how the parallel pre-hash scales on the host
-/// it ran on. VUsion is omitted: its steady state write-protects the
-/// candidates, so a dirtying workload would measure the CoW fault path,
-/// not the hashing stage (which is the same shared code for all three).
-fn bench_scan_scaling(out: &mut Vec<BenchResult>) {
+/// Cold passes: every iteration dirties all 512 candidate pages (one
+/// byte each, content unchanged — the write bumps the frame's
+/// generation, so every memoized hash goes cold), then runs one scan
+/// that must re-hash the lot. VUsion is omitted: its steady state
+/// write-protects the candidates, so a dirtying workload would measure
+/// the CoW fault path, not the pre-hash (which is the same shared code
+/// for all three engines).
+fn bench_scan_cold(out: &mut Vec<BenchResult>) {
     use vusion_core::{Ksm, KsmConfig, Wpf, WpfConfig};
     use vusion_kernel::{FusionPolicy, System};
     // Re-writing page i's distinguishing value at a fixed offset keeps
@@ -351,11 +333,7 @@ fn bench_scan_scaling(out: &mut Vec<BenchResult>) {
             m.write(pid, va, (i % 251) as u8 + 1).expect("mapped");
         }
     }
-    for (threads, name) in [
-        (1usize, "scan_cold_visit_512_ksm_t1"),
-        (2, "scan_cold_visit_512_ksm_t2"),
-        (4, "scan_cold_visit_512_ksm_t4"),
-    ] {
+    {
         let mut m = Machine::new(MachineConfig::test_small());
         let pid = m.spawn("t").expect("spawn");
         m.mmap(pid, Vma::anon(VirtAddr(0x10000), 512, Protection::rw()));
@@ -370,17 +348,12 @@ fn bench_scan_scaling(out: &mut Vec<BenchResult>) {
             let value = (i % 251) as u8 + 1;
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
-        sys.policy.set_scan_threads(threads);
-        bench(out, name, || {
+        bench(out, "scan_cold_visit_512_ksm", || {
             dirty_all(&mut sys.machine, pid);
             black_box(sys.policy.scan(&mut sys.machine));
         });
     }
-    for (threads, name) in [
-        (1usize, "scan_cold_pass_512_wpf_t1"),
-        (2, "scan_cold_pass_512_wpf_t2"),
-        (4, "scan_cold_pass_512_wpf_t4"),
-    ] {
+    {
         let cfg = MachineConfig::test_small().with_reserved_top(256);
         let mut m = Machine::new(cfg);
         let pid = m.spawn("t").expect("spawn");
@@ -392,8 +365,7 @@ fn bench_scan_scaling(out: &mut Vec<BenchResult>) {
             let value = (i % 251) as u8 + 1;
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
-        sys.policy.set_scan_threads(threads);
-        bench(out, name, || {
+        bench(out, "scan_cold_pass_512_wpf", || {
             dirty_all(&mut sys.machine, pid);
             black_box(sys.policy.scan(&mut sys.machine));
         });
@@ -481,7 +453,7 @@ fn bench_scan_throttled(out: &mut Vec<BenchResult>) {
 
 /// Full-workspace static-contract pass (DESIGN.md §11): lex, parse, and
 /// cross-link every workspace source file, then run all rule families —
-/// including the workspace-wide snapshot/journal/shard fixpoints over
+/// including the workspace-wide snapshot/journal fixpoints over
 /// the cross-file call graph. The row keeps the analyzer honest as the
 /// tree grows: bench_gate holds `vlint_*` benches to a generous absolute
 /// wall-time ceiling instead of the scan_* ratio gate (the linter's cost
@@ -493,6 +465,27 @@ fn bench_vlint(out: &mut Vec<BenchResult>) {
         let findings = vlint::scan_root(root).expect("workspace sources readable");
         black_box(findings.len());
     });
+}
+
+/// The host the numbers were measured on, as a JSON object: the CPU
+/// model from `/proc/cpuinfo` (`"unknown"` where that is unreadable) and
+/// the parallelism the OS grants this process. Medians are only
+/// comparable between runs on matching hosts.
+fn host_facts() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!(
+        "{{\"cpu_model\": {}, \"available_parallelism\": {cores}}}",
+        json_quote(&model)
+    )
 }
 
 /// `git rev-parse --short HEAD`, or `"unknown"` outside a git checkout.
@@ -537,6 +530,7 @@ fn carry_baseline(old: &str) -> Option<String> {
 
 fn render_json(
     rev: &str,
+    host: &str,
     results: &[BenchResult],
     metrics: &[(&'static str, String)],
     baseline: Option<&str>,
@@ -545,6 +539,7 @@ fn render_json(
     s.push_str("{\n");
     s.push_str("  \"schema\": \"vusion-bench-micro/v1\",\n");
     s.push_str(&format!("  \"git_rev\": \"{rev}\",\n"));
+    s.push_str(&format!("  \"host\": {host},\n"));
     s.push_str(&format!("  \"samples\": {SAMPLES},\n"));
     s.push_str("  \"unit\": \"ns\",\n");
     s.push_str("  \"results\": [\n");
@@ -585,7 +580,7 @@ fn main() {
     bench_llc(&mut results);
     bench_fault_path(&mut results);
     let metrics = bench_engine_scans(&mut results);
-    bench_scan_scaling(&mut results);
+    bench_scan_cold(&mut results);
     bench_scan_throttled(&mut results);
     bench_vlint(&mut results);
 
@@ -609,7 +604,13 @@ fn main() {
     let baseline = std::fs::read_to_string(&path)
         .ok()
         .and_then(|old| carry_baseline(&old));
-    let json = render_json(&git_rev(repo_root), &results, &metrics, baseline.as_deref());
+    let json = render_json(
+        &git_rev(repo_root),
+        &host_facts(),
+        &results,
+        &metrics,
+        baseline.as_deref(),
+    );
     std::fs::write(&path, json).expect("write BENCH_micro.json");
     println!("wrote {path}");
 }

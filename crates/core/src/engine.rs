@@ -113,7 +113,6 @@ impl EngineKind {
                 m,
                 WpfConfig {
                     pass_period_ns: scan_period_ns * 16,
-                    ..Default::default()
                 },
             )?),
             EngineKind::VUsion => Box::new(VUsion::new(

@@ -25,8 +25,7 @@ use vusion_mem::{CrashSite, FrameId, VirtAddr, PAGE_SIZE};
 use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
 
 use crate::rbtree::{ContentRbTree, NodeId};
-use crate::scan_cache::{CandidateCache, DirtyTracker, HashIndex};
-use crate::shard::{self, ShardRunner};
+use crate::scan_cache::{self, CandidateCache, DirtyTracker, HashIndex};
 use crate::TagCounts;
 
 /// KSM tuning knobs.
@@ -41,10 +40,6 @@ pub struct KsmConfig {
     pub unmerge_on_read: bool,
     /// Figure 4 variant: merge only zero pages.
     pub zero_only: bool,
-    /// Worker threads for the shard-local (read-only) scan phase. A host
-    /// knob: never serialized, and every observable byte is identical at
-    /// any value.
-    pub scan_threads: usize,
 }
 
 impl Default for KsmConfig {
@@ -54,7 +49,6 @@ impl Default for KsmConfig {
             scan_period_ns: 20_000_000,
             unmerge_on_read: false,
             zero_only: false,
-            scan_threads: 1,
         }
     }
 }
@@ -107,9 +101,6 @@ pub struct Ksm {
     /// Dirty-driven pass list: pages whose mapping and content are
     /// unchanged since their last terminal decision are skipped.
     dirty: DirtyTracker,
-    /// Shard runner for the parallel pre-hash phase.
-    // vlint: allow(S001, host-only thread pool — worker count changes wall-clock time only)
-    runner: ShardRunner,
     /// Per-page content checksum from the previous encounter. Entries are
     /// evicted when their page leaves the candidate list (unmapped VMA,
     /// exited process), so the map is bounded by the candidate set.
@@ -144,7 +135,6 @@ impl Ksm {
             unstable_index: BTreeMap::new(),
             unstable_hashes: HashIndex::default(),
             dirty: DirtyTracker::default(),
-            runner: ShardRunner::new(cfg.scan_threads),
             checksums: BTreeMap::new(),
             candidates: CandidateCache::default(),
             cursor: 0,
@@ -689,9 +679,8 @@ impl FusionPolicy for Ksm {
         // Stable pages may have changed in place (Rowhammer — guests
         // cannot write them): re-sync that pre-filter before trusting it.
         self.stable_hashes.refresh(m.mem());
-        // Shard phase: pre-hash this wakeup's visit window in parallel
-        // off a read-only view, so the serial decide phase below hits the
-        // hash memo-cache exactly as a warmed single-threaded pass would.
+        // Pre-hash this wakeup's visit window, so the decide phase below
+        // hits the hash memo-cache on every page.
         let limit = match self.budget {
             Some(b) => b as usize,
             None => self.cfg.pages_per_scan,
@@ -707,9 +696,9 @@ impl FusionPolicy for Ksm {
                 }
             }
         }
-        shard::prehash_frames(m, &self.runner, &visit_frames);
-        // Serial decide/commit phase: every mutation, RNG draw, crash
-        // poll, and trace event happens here in canonical order.
+        scan_cache::prehash_frames(m, &visit_frames);
+        // Decide/commit phase: every mutation, RNG draw, crash poll, and
+        // trace event happens here in canonical order.
         for _ in 0..limit {
             if m.crash_now(CrashSite::MidScan) {
                 // The daemon dies between pages: work already done this
@@ -758,11 +747,6 @@ impl FusionPolicy for Ksm {
 
     fn scan_period_ns(&self) -> u64 {
         self.cfg.scan_period_ns
-    }
-
-    fn set_scan_threads(&mut self, threads: usize) {
-        self.cfg.scan_threads = threads.max(1);
-        self.runner.set_threads(threads);
     }
 
     fn set_scan_budget(&mut self, budget: Option<u64>) {

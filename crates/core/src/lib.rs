@@ -29,7 +29,6 @@ pub mod engine;
 pub mod ksm;
 pub mod rbtree;
 mod scan_cache;
-pub mod shard;
 pub mod vusion;
 pub mod wpf;
 
@@ -37,7 +36,6 @@ pub use avl::ContentAvlTree;
 pub use engine::{default_pool_frames, EngineKind};
 pub use ksm::{Ksm, KsmConfig, KsmStats};
 pub use rbtree::{ContentRbTree, NodeId};
-pub use shard::ShardRunner;
 pub use vusion::{VUsion, VUsionConfig, VUsionStats};
 pub use wpf::{Wpf, WpfConfig, WpfStats};
 

@@ -1,13 +1,16 @@
 //! Scan-path caching shared by the fusion engines: a content-hash index
-//! over a content tree's pages, and an incremental candidate list.
+//! over a content tree's pages, an incremental candidate list, the
+//! dirty-driven pass list, and the pre-hash that warms the hash memo
+//! before each pass's decide phase.
 //!
-//! Both are pure wall-clock optimizations. The hash index only ever
-//! answers "definitely not in the tree" (equal content implies equal
-//! hash; a hash collision merely wastes one authoritative tree descent),
-//! and the candidate cache reproduces exactly the list a fresh
-//! enumeration would build, because rebuilds are deterministic and every
-//! layout mutation bumps the machine's epoch. Neither changes a single
-//! simulated-cycle charge or merge decision.
+//! The index and the candidate cache are pure wall-clock optimizations.
+//! The hash index only ever answers "definitely not in the tree" (equal
+//! content implies equal hash; a hash collision merely wastes one
+//! authoritative tree descent), and the candidate cache reproduces
+//! exactly the list a fresh enumeration would build, because rebuilds
+//! are deterministic and every layout mutation bumps the machine's
+//! epoch. Neither changes a single simulated-cycle charge or merge
+//! decision.
 
 use std::collections::BTreeMap;
 
@@ -306,10 +309,33 @@ impl DirtyTracker {
     }
 }
 
+/// Pre-hashes `frames` for an imminent scan pass: every frame whose
+/// memoized hash is stale is hashed now, so the pass's decide phase hits
+/// the memo on every `hash_page`/`observed_hash`. Hash values are pure
+/// functions of content, so this moves host work, not behavior. A frame
+/// listed twice is hashed once: after the first visit it reads as cached.
+///
+/// The modeled cost of the hashing is charged through
+/// [`Machine::scan_cost_hashed`]. Returns the number of frames hashed.
+pub(crate) fn prehash_frames(m: &mut Machine, frames: &[FrameId]) -> usize {
+    let mem = m.mem();
+    let mut hashed = 0;
+    for &f in frames {
+        if !mem.has_cached_hash(f) {
+            mem.hash_page(f);
+            hashed += 1;
+        }
+    }
+    m.scan_cost_hashed(hashed);
+    hashed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vusion_mem::PhysAddr;
+    use vusion_kernel::MachineConfig;
+    use vusion_mem::{content_hash, PhysAddr, PAGE_SIZE};
+    use vusion_mmu::{Protection, Vma};
 
     #[test]
     fn hash_index_filters_and_tracks_membership() {
@@ -403,5 +429,39 @@ mod tests {
         assert!(loaded.is_clean(&mem, Pid(1), VirtAddr(0x1000), FrameId(0)));
         assert!(loaded.is_clean(&mem, Pid(2), VirtAddr(0x2000), FrameId(1)));
         assert!(!loaded.is_clean(&mem, Pid(1), VirtAddr(0x1000), FrameId(1)));
+    }
+
+    #[test]
+    fn prehash_seeds_exactly_the_stale_frames() {
+        let mut m = Machine::new(MachineConfig::test_small());
+        let pid = m.spawn("p").expect("spawn");
+        m.mmap(pid, Vma::anon(VirtAddr(0x10000), 8, Protection::rw()));
+        let mut frames = Vec::new();
+        for pg in 0..8u64 {
+            let va = VirtAddr(0x10000 + pg * PAGE_SIZE);
+            while let Err(fault) = m.write(pid, va, (pg as u8) + 1) {
+                assert!(m.default_fault(&fault), "demand-paging must resolve");
+            }
+            frames.push(m.leaf(pid, va).expect("leaf").pte.frame());
+        }
+        // Warm two frames through the normal memoized path.
+        let _ = m.mem().hash_page(frames[0]);
+        let _ = m.mem().hash_page(frames[1]);
+        // Duplicates in the input must not double-count.
+        let mut input = frames.clone();
+        input.push(frames[2]);
+        // First pass: all but the two warmed frames. Second pass: only
+        // the frame invalidated after the first.
+        for expected in [6, 1] {
+            assert_eq!(prehash_frames(&mut m, &input), expected);
+            for &f in &frames {
+                assert!(m.mem().has_cached_hash(f));
+                assert_eq!(m.mem().hash_page(f), content_hash(m.mem().page(f)));
+            }
+            // Invalidate one frame; the next prehash rehashes only it.
+            m.mem_mut()
+                .write_byte(PhysAddr(frames[2].0 * PAGE_SIZE + 7), 0x55);
+        }
+        assert_eq!(prehash_frames(&mut m, &frames), 1);
     }
 }

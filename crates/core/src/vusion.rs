@@ -39,8 +39,7 @@ use vusion_mem::{
 use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
 
 use crate::rbtree::{ContentRbTree, NodeId};
-use crate::scan_cache::{CandidateCache, HashIndex};
-use crate::shard::{self, ShardRunner};
+use crate::scan_cache::{self, CandidateCache, HashIndex};
 use crate::TagCounts;
 
 /// VUsion tuning knobs.
@@ -72,10 +71,6 @@ pub struct VUsionConfig {
     /// across scan rounds. Re-opens the cross-scan page-coloring channel of
     /// §7.1 decision (iii).
     pub ablate_rerandomize: bool,
-    /// Worker threads for the shard-local (read-only) pre-hash phase. A
-    /// host knob: never serialized, and every observable byte is identical
-    /// at any value.
-    pub scan_threads: usize,
 }
 
 impl Default for VUsionConfig {
@@ -90,7 +85,6 @@ impl Default for VUsionConfig {
             ablate_pcd: false,
             ablate_deferred_free: false,
             ablate_rerandomize: false,
-            scan_threads: 1,
         }
     }
 }
@@ -162,11 +156,6 @@ pub struct VUsion {
     ra_trace: Vec<u64>,
     tags: TagCounts,
     stats: VUsionStats,
-    /// Shard runner for the parallel pre-hash phase. VUsion has no
-    /// dirty-driven skip list: `scan_one`'s accessed-bit test-and-clear is
-    /// the working-set estimator and must run on every visit.
-    // vlint: allow(S001, host-only thread pool — worker count changes wall-clock time only)
-    runner: ShardRunner,
 }
 
 impl VUsion {
@@ -191,7 +180,6 @@ impl VUsion {
             ra_trace: Vec::new(),
             tags: TagCounts::default(),
             stats: VUsionStats::default(),
-            runner: ShardRunner::new(cfg.scan_threads),
         }
     }
 
@@ -855,16 +843,13 @@ impl FusionPolicy for VUsion {
             self.candidates.put_back(pages);
             return report;
         }
-        // Shard phase: pre-hash this wakeup's visit window in parallel off
-        // a read-only view, so the serial decide phase below hits the hash
-        // memo-cache exactly as a warmed single-threaded pass would. Huge
-        // and trapped mappings are left out — they are broken or skipped
-        // before any hash is taken.
+        // Pre-hash this wakeup's visit window, so the decide phase below
+        // hits the hash memo-cache on every page. Huge and trapped
+        // mappings are left out — they are broken or skipped before any
+        // hash is taken.
         // Steady-state fast-out: when every candidate is already under
         // management (fake- or real-merged, trapped), the window below
-        // would collect nothing — skip its per-page lookups. The test
-        // depends only on serial engine state, so the decision (and the
-        // trace) is identical at any thread count.
+        // would collect nothing — skip its per-page lookups.
         let limit = match self.budget {
             Some(b) => b as usize,
             None => self.cfg.pages_per_scan,
@@ -888,7 +873,7 @@ impl FusionPolicy for VUsion {
                 }
             }
         }
-        shard::prehash_frames(m, &self.runner, &visit_frames);
+        scan_cache::prehash_frames(m, &visit_frames);
         for _ in 0..limit {
             if m.crash_now(CrashSite::MidScan) {
                 // The daemon dies between pages: work already done this
@@ -953,11 +938,6 @@ impl FusionPolicy for VUsion {
 
     fn scan_period_ns(&self) -> u64 {
         self.cfg.scan_period_ns
-    }
-
-    fn set_scan_threads(&mut self, threads: usize) {
-        self.cfg.scan_threads = threads.max(1);
-        self.runner.set_threads(threads);
     }
 
     fn set_scan_budget(&mut self, budget: Option<u64>) {

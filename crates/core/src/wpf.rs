@@ -28,8 +28,7 @@ use vusion_mem::{
 use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
 
 use crate::avl::ContentAvlTree;
-use crate::scan_cache::{CandidateCache, DirtyTracker, HashIndex};
-use crate::shard::{self, ShardRunner};
+use crate::scan_cache::{self, CandidateCache, DirtyTracker, HashIndex};
 use crate::TagCounts;
 
 /// WPF tuning knobs.
@@ -38,17 +37,12 @@ pub struct WpfConfig {
     /// Full-pass period in ns. Windows uses 15 minutes; scaled experiments
     /// configure seconds.
     pub pass_period_ns: u64,
-    /// Worker threads for the shard-local (read-only) hashing stage. A
-    /// host knob: never serialized, and every observable byte is identical
-    /// at any value.
-    pub scan_threads: usize,
 }
 
 impl Default for WpfConfig {
     fn default() -> Self {
         Self {
             pass_period_ns: 900_000_000_000,
-            scan_threads: 1,
         }
     }
 }
@@ -108,9 +102,6 @@ pub struct Wpf {
     /// *completed* pass. When every current candidate is clean and no
     /// tree page changed, the whole pass is a provable no-op.
     dirty: DirtyTracker,
-    /// Shard runner for the parallel hashing stage.
-    // vlint: allow(S001, host-only thread pool — worker count changes wall-clock time only)
-    runner: ShardRunner,
     /// Suspended pass, if the previous wakeup's budget ran out mid-stage.
     pass: Option<PassState>,
     /// Per-wake page budget granted by the pressure governor. Never
@@ -143,7 +134,6 @@ impl Wpf {
             stats: WpfStats::default(),
             last_pass_frames: Vec::new(),
             dirty: DirtyTracker::default(),
-            runner: ShardRunner::new(cfg.scan_threads),
             pass: None,
             budget: None,
             defer_zero: false,
@@ -310,11 +300,10 @@ impl Wpf {
             None => usize::MAX,
         };
         let end = start.saturating_add(limit).min(cands.len());
-        // Shard phase: hash this wakeup's window in parallel off a
-        // read-only view; the serial stage below then hits the memo cache
-        // exactly as a warmed single-threaded pass would.
+        // Pre-hash this wakeup's window; the stage below then hits the
+        // memo cache on every page.
         let frames: Vec<FrameId> = cands[start..end].iter().map(|&(_, _, f)| f).collect();
-        shard::prehash_frames(m, &self.runner, &frames);
+        scan_cache::prehash_frames(m, &frames);
         for &(pid, va, frame) in &cands[start..end] {
             report.pages_scanned += 1;
             report.budget_used += 1;
@@ -740,11 +729,6 @@ impl FusionPolicy for Wpf {
 
     fn scan_period_ns(&self) -> u64 {
         self.cfg.pass_period_ns
-    }
-
-    fn set_scan_threads(&mut self, threads: usize) {
-        self.cfg.scan_threads = threads.max(1);
-        self.runner.set_threads(threads);
     }
 
     fn set_scan_budget(&mut self, budget: Option<u64>) {

@@ -34,10 +34,7 @@ pub mod system;
 pub use clock::{CostModel, SimClock};
 pub use journal::{JournalEvent, JournalEventKind};
 pub use khugepaged::{Khugepaged, KhugepagedStats};
-pub use machine::{
-    AccessKind, FaultReason, Machine, MachineConfig, MachineStats, PageFault, Pid,
-    LOGICAL_SCAN_SHARDS,
-};
+pub use machine::{AccessKind, FaultReason, Machine, MachineConfig, MachineStats, PageFault, Pid};
 pub use policy::{FusionPolicy, NoFusion, ScanReport};
 pub use pressure::{
     PressureBand, PressureConfig, PressureDecision, PressureGovernor, PressureStats,

@@ -24,12 +24,10 @@ use crate::process::Process;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub usize);
 
-/// Number of *logical* shards scan cost is attributed across. Fixed (not
-/// the worker-thread count) so the per-shard breakdown in the metrics
-/// snapshot is byte-identical at any `--threads` value: work items are
-/// partitioned by `index % LOGICAL_SCAN_SHARDS` over the deterministic
-/// serial enumeration, independent of which OS thread hashed them.
-pub const LOGICAL_SCAN_SHARDS: usize = 8;
+/// Number of *logical* shards the scan pre-hash cost is split across in
+/// the `scan.shard_cost_ns.*` metrics: the `i`-th page hashed in a call
+/// to [`Machine::scan_cost_hashed`] is charged to shard `i % 8`.
+const LOGICAL_SCAN_SHARDS: usize = 8;
 
 /// Kind of memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,10 +231,11 @@ pub struct Machine {
     /// (every hook is a single branch) and excluded from snapshots — it
     /// describes a run, not machine state.
     obs: Obs,
-    /// Cumulative scan cost per *logical* shard (see
+    /// Cumulative scan pre-hash cost per *logical* shard (see
     /// [`LOGICAL_SCAN_SHARDS`]). Accumulated unconditionally — it is plain
-    /// integer addition, costs nothing observable, and snapshots carry it
-    /// so restore+replay reproduces the same attribution.
+    /// integer addition and costs nothing observable. Snapshots do not
+    /// carry it: like the tracer it is observability state, and
+    /// [`Machine::restore_state`] resets it to zero.
     scan_shard_cost: [u64; LOGICAL_SCAN_SHARDS],
 }
 
@@ -534,18 +533,17 @@ impl Machine {
         }
     }
 
-    /// Attributes the scan cost of a sharded (parallel) phase: one entry
-    /// per shard, in shard-enumeration order, folded into a single total
-    /// before it reaches the tracer. The fold is a sum — permutation
-    /// invariant — and the per-shard work sets are fixed by the serial
-    /// partition (`index % threads`), so the attributed value is identical
-    /// at any thread count and the trace stays byte-stable.
-    pub fn scan_cost_shards(&mut self, per_shard: &[u64]) {
-        for (i, &ns) in per_shard.iter().enumerate() {
-            self.scan_shard_cost[i % LOGICAL_SCAN_SHARDS] += ns;
+    /// Attributes the modeled cost of a scan pre-hash that hashed `pages`
+    /// 4 KiB pages: 64 cache lines at LLC-hit latency per page. The `i`-th
+    /// page is charged to logical shard `i % 8`, so shard `l` receives
+    /// `ceil((pages - l) / 8)` pages' worth, and the total goes to the
+    /// open trace span like any other [`Machine::scan_cost`].
+    pub fn scan_cost_hashed(&mut self, pages: usize) {
+        let per_page = 64 * self.cfg.costs.llc_hit;
+        for (l, cost) in self.scan_shard_cost.iter_mut().enumerate() {
+            *cost += pages.saturating_sub(l).div_ceil(LOGICAL_SCAN_SHARDS) as u64 * per_page;
         }
-        let total: u64 = per_shard.iter().sum();
-        self.scan_cost(total);
+        self.scan_cost(pages as u64 * per_page);
     }
 
     /// Cumulative scan cost attributed to each logical shard since

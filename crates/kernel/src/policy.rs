@@ -116,15 +116,6 @@ pub trait FusionPolicy {
         let _ = on;
     }
 
-    /// Sets the number of worker threads the engine may use for the
-    /// shard-local (read-only) phase of a scan pass. A host-execution
-    /// knob, not simulated state: it is never serialized, and traces,
-    /// metrics, and snapshots are byte-identical at any value. Stateless
-    /// policies ignore it.
-    fn set_scan_threads(&mut self, threads: usize) {
-        let _ = threads;
-    }
-
     /// Serializes the engine's complete scan/merge state into a snapshot.
     /// Stateless policies keep the default no-op; real engines implement
     /// `vusion_snapshot::EngineState` and delegate here.
@@ -184,10 +175,6 @@ impl<P: FusionPolicy + ?Sized> FusionPolicy for Box<P> {
 
     fn scan_period_ns(&self) -> u64 {
         (**self).scan_period_ns()
-    }
-
-    fn set_scan_threads(&mut self, threads: usize) {
-        (**self).set_scan_threads(threads)
     }
 
     fn set_scan_budget(&mut self, budget: Option<u64>) {

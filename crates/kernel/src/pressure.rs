@@ -12,8 +12,7 @@
 //! governor's own serialized state: no RNG, no wall clock, no host reads.
 //! A sample taken before a scan wakeup in a live run is re-taken with the
 //! same inputs when the journal replays that wakeup, so traces, metrics,
-//! and snapshots stay byte-identical across restore + replay and across
-//! any scan-shard thread count.
+//! and snapshots stay byte-identical across restore + replay.
 //!
 //! The ladder (DESIGN.md §14) has three rungs, entered in order as the
 //! band escalates and unwound on de-escalation:

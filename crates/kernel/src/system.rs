@@ -109,14 +109,6 @@ impl<P: FusionPolicy> System<P> {
         self
     }
 
-    /// Sets the engine's scan-shard thread count (see
-    /// [`FusionPolicy::set_scan_threads`]): a host-execution knob that
-    /// never changes traces, metrics, or snapshots.
-    // vlint: allow(J001, host-only — worker count changes wall-clock time, never simulation state)
-    pub fn set_scan_threads(&mut self, threads: usize) {
-        self.policy.set_scan_threads(threads);
-    }
-
     /// Driver counters.
     pub fn stats(&self) -> SystemStats {
         self.stats

@@ -40,7 +40,7 @@ pub use fault::{
 };
 pub use frame::{FrameInfo, FrameState, PageType};
 pub use linear::LinearAllocator;
-pub use phys::{content_hash, FrameInfoMut, FrameReadView, PhysMemory};
+pub use phys::{content_hash, FrameInfoMut, PhysMemory};
 pub use random_pool::RandomPool;
 
 /// A frame allocator: the interface fusion engines use to obtain backing

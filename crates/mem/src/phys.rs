@@ -447,53 +447,14 @@ impl PhysMemory {
     }
 
     /// Whether the frame's memoized content hash is valid at its current
-    /// write generation (i.e. [`hash_page`] would be a cache hit). Shard
-    /// planners use this to collect only the frames that actually need
-    /// rehashing.
+    /// write generation (i.e. [`hash_page`] would be a cache hit). The
+    /// scan pre-hash uses this to hash, and charge for, only the frames
+    /// whose content changed since they were last hashed.
     ///
     /// [`hash_page`]: PhysMemory::hash_page
     pub fn has_cached_hash(&self, frame: FrameId) -> bool {
         let i = self.idx(frame);
         self.data[i].is_none() || self.cached_hash(i).is_some()
-    }
-
-    /// Seeds the memoized content hash of `frame` at its current write
-    /// generation. The caller asserts `hash == content_hash(self.page(frame))`
-    /// — shard workers compute hashes off a [`FrameReadView`] (which cannot
-    /// touch the single-threaded memo cells) and the serial merge phase
-    /// deposits them here, in enumeration order, so the subsequent scan
-    /// logic hits the cache exactly as a single-threaded pass would.
-    pub fn seed_hash(&self, frame: FrameId, hash: u64) {
-        let i = self.idx(frame);
-        debug_assert_eq!(
-            hash,
-            match &self.data[i] {
-                None => ZERO_PAGE_HASH,
-                Some(b) => content_hash(b.as_slice()),
-            },
-            "seeded hash does not match frame content"
-        );
-        if self.data[i].is_none() {
-            return; // lazy-zero frames bypass the cache entirely
-        }
-        let mut c = self.cache[i].get();
-        c.hash = hash;
-        c.hash_gen = self.info[i].write_gen;
-        c.hash_valid = true;
-        self.cache[i].set(c);
-    }
-
-    /// A read-only, thread-shareable view of frame contents and metadata.
-    ///
-    /// [`PhysMemory`] itself is `!Sync` (the memo cells), so parallel scan
-    /// shards borrow this view instead: it exposes exactly the pure
-    /// functions of frame content (bytes, hash, zero-ness, write
-    /// generation) and nothing that could observe or mutate memo state.
-    pub fn read_view(&self) -> FrameReadView<'_> {
-        FrameReadView {
-            data: &self.data,
-            info: &self.info,
-        }
     }
 
     /// Flips one bit of physical memory (a Rowhammer-induced fault). Returns
@@ -554,69 +515,6 @@ impl PhysMemory {
                 (c > 0).then_some((t, c))
             })
             .collect()
-    }
-}
-
-/// Read-only shard view over frame contents and metadata.
-///
-/// Holds only shared slices, so it is `Send + Sync` and can be borrowed by
-/// scoped worker threads. Every method is a pure function of the frames'
-/// current bytes — no memoization, no counters, no RNG — which is what
-/// makes the sharded scan phase trivially deterministic: workers may run
-/// in any interleaving and still compute the same values a serial pass
-/// would.
-#[derive(Clone, Copy)]
-pub struct FrameReadView<'a> {
-    data: &'a [Option<Box<[u8; PAGE_SIZE as usize]>>],
-    info: &'a [FrameInfo],
-}
-
-impl FrameReadView<'_> {
-    /// Total number of frames in the view.
-    pub fn frame_count(&self) -> usize {
-        self.info.len()
-    }
-
-    /// Index of `frame`, validated against the frame count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` is out of range — the simulator's bus fault.
-    fn idx(&self, frame: FrameId) -> usize {
-        let i = frame.0 as usize;
-        assert!(i < self.info.len(), "frame {i} out of range");
-        i
-    }
-
-    /// The 4096 content bytes of a frame.
-    pub fn page(&self, frame: FrameId) -> &[u8; PAGE_SIZE as usize] {
-        match &self.data[self.idx(frame)] {
-            Some(b) => b,
-            None => &ZERO_PAGE,
-        }
-    }
-
-    /// The frame's current write generation.
-    pub fn write_gen(&self, frame: FrameId) -> u64 {
-        self.info[self.idx(frame)].write_gen
-    }
-
-    /// FNV-1a hash of the frame's content, computed fresh (no memo cells
-    /// are reachable from a view). Always equals
-    /// `content_hash(self.page(frame))`.
-    pub fn hash_page(&self, frame: FrameId) -> u64 {
-        match &self.data[self.idx(frame)] {
-            None => ZERO_PAGE_HASH,
-            Some(b) => content_hash(b.as_slice()),
-        }
-    }
-
-    /// Whether the frame is all zeroes.
-    pub fn is_zero(&self, frame: FrameId) -> bool {
-        match &self.data[self.idx(frame)] {
-            None => true,
-            Some(b) => page_is_zero(b),
-        }
     }
 }
 
@@ -933,39 +831,19 @@ mod tests {
     }
 
     #[test]
-    fn read_view_is_sync_and_matches_memoized_values() {
-        fn assert_sync<T: Sync + Send>(_: &T) {}
-        let mut m = PhysMemory::new(4);
-        m.write_byte(PhysAddr(5), 9);
-        m.write_byte(PhysAddr(PAGE_SIZE + 1), 3);
-        let view = m.read_view();
-        assert_sync(&view);
-        for f in 0..4u64 {
-            let f = FrameId(f);
-            assert_eq!(view.hash_page(f), m.hash_page(f));
-            assert_eq!(view.is_zero(f), m.is_zero(f));
-            assert_eq!(view.write_gen(f), m.info(f).write_gen);
-            assert_eq!(view.page(f), m.page(f));
-        }
-        assert_eq!(view.frame_count(), m.frame_count());
-    }
-
-    #[test]
-    fn seed_hash_populates_the_memo_cache() {
+    fn has_cached_hash_tracks_the_memo_cache() {
         let mut m = PhysMemory::new(2);
         m.write_byte(PhysAddr(7), 0x42);
         assert!(!m.has_cached_hash(FrameId(0)));
-        let h = m.read_view().hash_page(FrameId(0));
-        m.seed_hash(FrameId(0), h);
+        let h = m.hash_page(FrameId(0));
         assert!(m.has_cached_hash(FrameId(0)));
-        assert_eq!(m.hash_page(FrameId(0)), h);
-        // A later write invalidates the seeded value like any other.
+        assert_eq!(h, content_hash(m.page(FrameId(0))));
+        // A later write invalidates the memoized value like any other.
         m.write_byte(PhysAddr(8), 1);
         assert!(!m.has_cached_hash(FrameId(0)));
         assert_eq!(m.hash_page(FrameId(0)), content_hash(m.page(FrameId(0))));
         // Lazy-zero frames are always "cached" (the hash is a constant).
         assert!(m.has_cached_hash(FrameId(1)));
-        m.seed_hash(FrameId(1), ZERO_PAGE_HASH);
         assert_eq!(m.hash_page(FrameId(1)), ZERO_PAGE_HASH);
     }
 

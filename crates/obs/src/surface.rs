@@ -6,8 +6,8 @@
 //! module records exactly those observables, per page class, as plain
 //! integer counters keyed by the simulated clock's latencies, so the
 //! resulting artifact is a canonical, diffable JSON document:
-//! byte-identical across runs, scan-thread counts, and snapshot
-//! restore+replay (asserted by `tests/trace_determinism.rs`).
+//! byte-identical across runs and snapshot restore+replay (asserted by
+//! `tests/trace_determinism.rs`).
 //!
 //! The recorder lives inside [`crate::Obs`] behind its own enable flag:
 //! when off (the default) every hook is a single branch, and no

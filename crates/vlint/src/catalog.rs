@@ -57,12 +57,13 @@ pub const RULES: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "T001",
-        summary: "host threads only via the approved shard runner (crates/core/src/shard.rs)",
+        summary: "host threads only in the campaign orchestrator's whole-run fan-out (crates/campaign/src/lib.rs)",
         rationale: "Ad-hoc std::thread use reintroduces scheduling order as a hidden input. The \
-                    shard runner pre-partitions work and reduces in enumeration order, so worker \
-                    count changes wall-clock time and nothing else.",
+                    campaign orchestrator is the one approved spawn: each worker owns complete \
+                    deterministic runs, pre-partitioned by enumeration index, and reports merge \
+                    in enumeration order, so worker count changes wall-clock time only.",
         bad: "let h = std::thread::spawn(move || scan(frames));",
-        ok: "let hashes = runner.run(&frames, |_, &f| view.hash_page(f));",
+        ok: "for f in &frames { hashes.push(mem.hash_page(*f)); }",
     },
     RuleDoc {
         id: "W001",
@@ -164,18 +165,6 @@ pub const RULES: &[RuleDoc] = &[
                     `// vlint: allow(J001, host-only — why)`.",
         bad: "impl Machine {\n    pub fn hammer(&mut self, b: u8) { self.poke(b); }\n}",
         ok: "impl Machine {\n    pub fn hammer(&mut self, b: u8) {\n        self.record(|| JournalEvent::Hammer { b });\n        self.poke(b);\n    }\n}",
-    },
-    RuleDoc {
-        id: "R001",
-        summary: "no RNG draw, crash poll, or frame mutation reachable from shard read-phase closures",
-        rationale: "The parallel scan phase runs closures over a read-only FrameReadView; every \
-                    observable effect — RNG draw, crash poll, frame mutation, trace event — \
-                    belongs in the serial commit phase, in enumeration order. An effect \
-                    reachable from a shard closure executes in scheduling order, so artifacts \
-                    would differ by thread count. Proven by fixpoint reachability over the \
-                    workspace call graph (the cross-file generalization of T001).",
-        bad: "let out = self.runner.run(&frames, |_, &f| self.rng.next_u64() ^ f.0);",
-        ok: "let hashes = self.runner.run(&frames, |_, &f| view.hash_page(f));\nlet salt = self.rng.next_u64(); // serial phase: after the join",
     },
     RuleDoc {
         id: "V001",

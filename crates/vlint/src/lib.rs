@@ -11,8 +11,8 @@
 //! * **D-rules** — determinism: no wall-clock time, no randomized-order
 //!   hash collections, no environment reads, no platform-conditional
 //!   compilation inside the simulation crates.
-//! * **T-rules** — threading: host threads stay behind the approved
-//!   shard runner (`crates/core/src/shard.rs`) and the campaign driver;
+//! * **T-rules** — threading: host threads stay behind the campaign
+//!   orchestrator's whole-run fan-out (`crates/campaign/src/lib.rs`);
 //!   ad-hoc `std::thread` use would make artifacts depend on scheduling.
 //! * **W-rules** — write-gen coherence: code in `vusion-mem` that can
 //!   reach mutable frame contents must bump the frame's write generation
@@ -41,11 +41,8 @@
 //!   `System`/`Machine` that reaches simulation state appends a journal
 //!   event (or is reachable from one that does), so replay reconstructs
 //!   every mutation from the event stream.
-//! * **R-rules** — RNG/shard discipline: no RNG draw, crash poll, or
-//!   frame mutation is reachable from the parallel read phase's
-//!   `FrameReadView` closures; effects belong in the serial commit phase.
 //!
-//! The first seven families are per-file token passes. The S/J/R
+//! The first seven families are per-file token passes. The S/J
 //! families (and W's transitive check) run on a workspace level: a
 //! lightweight item parser ([`parser`]) recovers structs, impl blocks,
 //! and methods, and a cross-file symbol table and name-based call graph
@@ -109,8 +106,6 @@ pub struct Families {
     pub s: bool,
     /// Journal-coverage rules.
     pub j: bool,
-    /// RNG/shard-discipline rules.
-    pub r: bool,
 }
 
 impl Families {
@@ -125,7 +120,6 @@ impl Families {
         o: true,
         s: true,
         j: true,
-        r: true,
     };
 }
 
@@ -142,7 +136,6 @@ fn family_enabled(fam: Families, rule: &str) -> bool {
         Some(b'O') => fam.o,
         Some(b'S') => fam.s,
         Some(b'J') => fam.j,
-        Some(b'R') => fam.r,
         _ => true,
     }
 }
@@ -201,9 +194,6 @@ pub fn families_for(rel: &str) -> Families {
         // Journal coverage polices the kernel's public mutator surface
         // (`System`/`Machine` live there).
         j: rel.starts_with("crates/kernel/src/"),
-        // Shard-phase discipline rides the determinism scope: the crates
-        // whose artifacts must be byte-identical at any thread count.
-        r: in_scope(DETERMINISM_SCOPE),
     }
 }
 
@@ -503,7 +493,6 @@ pub fn analyze_files(files: &[(String, String, Families)]) -> Vec<Finding> {
     rules::write_gen(&ws, &mut findings);
     rules::snapshot_coverage(&ws, &mut findings);
     rules::journal_coverage(&ws, &mut findings);
-    rules::shard_discipline(&ws, &mut findings);
 
     let fam_of: BTreeMap<&str, Families> = files
         .iter()

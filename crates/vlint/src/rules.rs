@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Kind, Token};
 use crate::workspace::{self, WorkspaceCtx};
-use crate::{matching_brace, FileCtx, Finding};
+use crate::{FileCtx, Finding};
 
 fn push(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, line: u32, rule: &'static str, msg: String) {
     out.push(Finding {
@@ -174,13 +174,12 @@ pub(crate) fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 // T — threading
 // ---------------------------------------------------------------------
 
-/// T001: host threads in a determinism crate. Engine-side parallelism
-/// goes through the approved shard runner (`crates/core/src/shard.rs`,
-/// which carries the one allow annotation), whose pre-partitioned work
-/// and enumeration-order reduction keep every artifact byte-identical at
-/// any worker count; ad-hoc `std::thread` use reintroduces scheduling
-/// order as a hidden input. The campaign driver's whole-run fan-out
-/// (each worker owns entire deterministic runs) is baselined.
+/// T001: host threads in a determinism crate. The one approved spawn is
+/// the campaign orchestrator's whole-run fan-out
+/// (`crates/campaign/src/lib.rs`, which carries the allow annotation):
+/// each worker owns entire deterministic runs and reports merge in
+/// enumeration order. Any other `std::thread` use would reintroduce
+/// scheduling order as a hidden input.
 pub(crate) fn threading(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let toks = &ctx.tokens;
     for i in 0..toks.len() {
@@ -195,9 +194,9 @@ pub(crate) fn threading(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 out,
                 t.line,
                 "T001",
-                "`std::thread` spawns host threads in a determinism crate; scan \
-                 parallelism goes through the shard runner (crates/core/src/shard.rs) \
-                 so artifacts stay byte-identical at any worker count"
+                "`std::thread` spawns host threads in a determinism crate; only the \
+                 campaign orchestrator's whole-run fan-out (crates/campaign/src/lib.rs) may, \
+                 so artifacts never depend on scheduling"
                     .to_string(),
             );
             continue;
@@ -214,10 +213,10 @@ pub(crate) fn threading(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                     t.line,
                     "T001",
                     format!(
-                        "`thread::{}` spawns host threads in a determinism crate; scan \
-                         parallelism goes through the shard runner \
-                         (crates/core/src/shard.rs) so artifacts stay byte-identical \
-                         at any worker count",
+                        "`thread::{}` spawns host threads in a determinism crate; only \
+                         the campaign orchestrator's whole-run fan-out \
+                         (crates/campaign/src/lib.rs) may, so artifacts never depend \
+                         on scheduling",
                         m.text
                     ),
                 );
@@ -831,144 +830,6 @@ pub(crate) fn journal_coverage(ws: &WorkspaceCtx<'_, '_>, out: &mut Vec<Finding>
     }
 }
 
-// ---------------------------------------------------------------------
-// R — RNG/shard discipline
-// ---------------------------------------------------------------------
-
-/// Token index one past the `)` matching the `(` at `open`.
-fn matching_paren(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < tokens.len() {
-        if tokens[i].is_punct('(') {
-            depth += 1;
-        } else if tokens[i].is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    tokens.len()
-}
-
-/// The RNG draw surface: any of these reachable from a shard read-phase
-/// closure makes artifacts depend on thread count. (`sample` is absent on
-/// purpose — it collides with `PressureGovernor::sample`.)
-const RNG_NAMES: &[&str] = &[
-    "next_u64",
-    "next_u32",
-    "seed_from_u64",
-    "splitmix64",
-    "random_range",
-    "random_bool",
-    "fill_bytes",
-    "gen_range",
-];
-
-/// R001: no RNG draw, crash poll, or frame mutation reachable from the
-/// parallel read phase — the closures handed to the shard runner
-/// (`<runner>.run(...)`) execute in scheduling order, so any observable
-/// effect inside them would differ by thread count. Effects belong in the
-/// serial commit phase, in enumeration order. This is the cross-file
-/// generalization of T001: proven by fixpoint reachability over the
-/// workspace call graph, not by spotting a literal RNG token in the
-/// closure.
-pub(crate) fn shard_discipline(ws: &WorkspaceCtx<'_, '_>, out: &mut Vec<Finding>) {
-    // name -> what makes it an effect.
-    let mut effects: BTreeMap<String, &'static str> = BTreeMap::new();
-    for &n in RNG_NAMES {
-        effects.insert(n.to_string(), "draws from the RNG");
-    }
-    for n in &ws.nodes {
-        if n.in_test || workspace::is_opaque(&n.name) {
-            continue;
-        }
-        if n.takes_mut_self && (n.writes_gen || n.touches_data) {
-            effects
-                .entry(n.name.clone())
-                .or_insert("mutates frame state");
-        }
-        if n.name.contains("crash") {
-            effects
-                .entry(n.name.clone())
-                .or_insert("polls the crash injector");
-        }
-    }
-
-    for f in ws.files.iter() {
-        if !f.fam.r {
-            continue;
-        }
-        let toks = &f.tokens;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.kind != Kind::Ident
-                || !t.text.contains("runner")
-                || f.in_test_code(t.line)
-                || !(toks.get(i + 1).is_some_and(|n| n.is_punct('.'))
-                    && toks.get(i + 2).is_some_and(|n| n.is_ident("run"))
-                    && toks.get(i + 3).is_some_and(|n| n.is_punct('(')))
-            {
-                continue;
-            }
-            let args_end = matching_paren(toks, i + 3);
-            let mut j = i + 4;
-            while j < args_end {
-                if !toks[j].is_punct('|') {
-                    j += 1;
-                    continue;
-                }
-                let pipe_line = toks[j].line;
-                // Closure params run to the closing `|`.
-                let mut k = j + 1;
-                while k < args_end && !toks[k].is_punct('|') {
-                    k += 1;
-                }
-                k += 1; // one past the closing `|`
-                        // Body: a braced block, or an expression up to the
-                        // argument list's next depth-0 comma (or its `)`).
-                let body_end = if toks.get(k).is_some_and(|n| n.is_punct('{')) {
-                    matching_brace(toks, k)
-                } else {
-                    let mut depth = 0i32;
-                    let mut e = k;
-                    while e < args_end - 1 {
-                        let t = &toks[e];
-                        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                            depth += 1;
-                        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                            depth -= 1;
-                        } else if t.is_punct(',') && depth == 0 {
-                            break;
-                        }
-                        e += 1;
-                    }
-                    e
-                };
-                let seeds = workspace::call_names(&toks[k..body_end]);
-                let (reached, parent) = ws.closure(&seeds);
-                if let Some(effect) = reached.iter().find(|r| effects.contains_key(r.as_str())) {
-                    out.push(Finding {
-                        file: f.rel.to_string(),
-                        line: pipe_line,
-                        rule: "R001",
-                        message: format!(
-                            "shard read-phase closure reaches `{}`, which {}; effects execute \
-                             in scheduling order here — move them to the serial commit phase \
-                             (after the runner joins)",
-                            ws.chain(&parent, effect),
-                            effects[effect.as_str()]
-                        ),
-                    });
-                }
-                j = body_end.max(j + 1);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{analyze_source, Families};
@@ -1168,26 +1029,6 @@ impl Machine {
     }
     pub fn record(&mut self, b: u8) { self.log.push(b) }
     fn poke(&mut self, b: u8) { self.data[0] = b; self.info.write_gen = 1; }
-}";
-        assert!(rules(good).is_empty());
-    }
-
-    #[test]
-    fn r001_proves_reachability_into_shard_closures() {
-        let bad = "
-impl Scanner {
-    fn draw(&mut self) -> u64 { self.rng.next_u64() }
-    fn scan(&mut self, frames: &[u64]) {
-        let out = self.runner.run(frames, |_, &f| self.draw() ^ f);
-    }
-}";
-        assert_eq!(rules(bad), vec![("R001", 5)]);
-        let good = "
-impl Scanner {
-    fn scan(&mut self, frames: &[u64]) {
-        let hashes = self.runner.run(frames, |_, &f| view.hash_page(f));
-        let salt = self.rng.next_u64();
-    }
 }";
         assert!(rules(good).is_empty());
     }

@@ -111,12 +111,6 @@ fn j001_journal_coverage() {
 }
 
 #[test]
-fn r001_shard_read_phase_discipline() {
-    check("r001_bad.rs", &[("R001", 26), ("R001", 30)]);
-    check("r001_ok.rs", &[]);
-}
-
-#[test]
 fn v001_allow_annotations() {
     // A reasonless allow is itself a finding — and suppresses nothing.
     check("allow_bad.rs", &[("D002", 3), ("V001", 3), ("D002", 6)]);

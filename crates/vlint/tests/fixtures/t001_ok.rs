@@ -1,15 +1,15 @@
 //! T001 true negatives: thread-flavored vocabulary without host threads.
 
-struct ShardRunner {
+struct CampaignConfig {
     threads: usize,
 }
 
-impl ShardRunner {
+impl CampaignConfig {
     fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
 }
 
 fn panic_label() -> &'static str {
-    "shard worker thread panicked"
+    "campaign worker thread panicked"
 }

@@ -15,7 +15,7 @@
 //! * every VUsion channel scores under the leakage threshold (the
 //!   Share-XOR-Randomize defense claim), and
 //! * every `surface_<engine>.json` artifact is byte-identical across a
-//!   repeated run and scan-thread counts 1/2/4/7, and
+//!   freshly recorded journal and its replay, and
 //! * a surface-disabled control run emits no `surface.*` metrics keys.
 //!
 //! Output: the leakage report on stdout, plus `bench_logs/surface_<engine>.json`
@@ -29,8 +29,7 @@ use vusion::diffsurface::{self, WorkloadJournal};
 use vusion::prelude::*;
 
 fn main() -> ExitCode {
-    // The report proper (thread count 1 is the canonical artifact).
-    let report = diffsurface::run(1);
+    let report = diffsurface::run();
     let violations = report.violations();
     if !violations.is_empty() {
         for v in &violations {
@@ -39,19 +38,17 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Determinism: a fresh journal + replay at several thread counts
-    // must reproduce every artifact byte for byte.
+    // Determinism: a fresh journal + replay must reproduce every
+    // artifact byte for byte.
     let journal = WorkloadJournal::record();
-    for threads in [1, 2, 4, 7] {
-        for base in &report.engines {
-            let again = diffsurface::replay_engine(base.engine, &journal, threads);
-            if again.surface_json != base.surface_json {
-                eprintln!(
-                    "{}: surface artifact differs at {threads} scan threads",
-                    base.engine.slug()
-                );
-                return ExitCode::FAILURE;
-            }
+    for base in &report.engines {
+        let again = diffsurface::replay_engine(base.engine, &journal);
+        if again.surface_json != base.surface_json {
+            eprintln!(
+                "{}: surface artifact differs on a fresh record + replay",
+                base.engine.slug()
+            );
+            return ExitCode::FAILURE;
         }
     }
 

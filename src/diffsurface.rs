@@ -25,7 +25,7 @@
 //! [`LEAKAGE_THRESHOLD`] (both probe phases trap identically — the
 //! Same Behavior defense). Everything is driven by the simulated clock,
 //! so the emitted `surface_<engine>.json` artifacts and the report are
-//! byte-identical across runs and scan-thread counts.
+//! byte-identical across runs.
 
 use vusion_core::EngineKind;
 use vusion_kernel::{FusionPolicy, JournalEvent, MachineConfig, Pid, SideChannelSurface, System};
@@ -310,12 +310,11 @@ fn profiles(s: &SideChannelSurface) -> [Vec<u64>; 4] {
     [fault, llc, dram, tlb]
 }
 
-/// Replays the journal into one engine with the surface recorder on and
-/// `threads` scan shards, scoring each channel across the two probe
-/// phases. Returns the engine's full surface artifact and scores.
-pub fn replay_engine(kind: EngineKind, journal: &WorkloadJournal, threads: usize) -> EngineSurface {
+/// Replays the journal into one engine with the surface recorder on,
+/// scoring each channel across the two probe phases. Returns the
+/// engine's full surface artifact and scores.
+pub fn replay_engine(kind: EngineKind, journal: &WorkloadJournal) -> EngineSurface {
     let mut sys = kind.build_system(config());
-    sys.set_scan_threads(threads);
     sys.machine.enable_surface();
     sys.replay(&journal.events[..journal.setup_end]);
     let at_setup = sys.machine.obs().surface().clone();
@@ -351,13 +350,12 @@ pub fn replay_engine(kind: EngineKind, journal: &WorkloadJournal, threads: usize
 }
 
 /// Records the workload once and replays it against KSM, WPF, and
-/// VUsion. `threads` sets each engine's scan-shard worker count — a
-/// host knob the artifacts must not depend on.
-pub fn run(threads: usize) -> DiffSurfaceReport {
+/// VUsion.
+pub fn run() -> DiffSurfaceReport {
     let journal = WorkloadJournal::record();
     let engines = [EngineKind::Ksm, EngineKind::Wpf, EngineKind::VUsion]
         .into_iter()
-        .map(|kind| replay_engine(kind, &journal, threads))
+        .map(|kind| replay_engine(kind, &journal))
         .collect();
     DiffSurfaceReport { engines }
 }
@@ -384,7 +382,7 @@ mod tests {
 
     #[test]
     fn report_reproduces_the_papers_claims() {
-        let report = run(1);
+        let report = run();
         assert!(
             report.violations().is_empty(),
             "violations: {:?}",
@@ -404,22 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_are_identical_across_thread_counts() {
+    fn artifacts_are_identical_across_replays() {
+        let base = run();
         let journal = WorkloadJournal::record();
-        let base: Vec<_> = [EngineKind::Ksm, EngineKind::Wpf, EngineKind::VUsion]
-            .into_iter()
-            .map(|k| replay_engine(k, &journal, 1))
-            .collect();
-        for threads in [2, 7] {
-            for b in &base {
-                let again = replay_engine(b.engine, &journal, threads);
-                assert_eq!(
-                    again.surface_json,
-                    b.surface_json,
-                    "{} surface changed at {threads} threads",
-                    b.engine.slug()
-                );
-            }
+        for b in &base.engines {
+            let again = replay_engine(b.engine, &journal);
+            assert_eq!(
+                again.surface_json,
+                b.surface_json,
+                "{} surface changed on a fresh record + replay",
+                b.engine.slug()
+            );
         }
     }
 }

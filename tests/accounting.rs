@@ -439,3 +439,48 @@ fn memory_returns_after_total_unmerge() {
         );
     }
 }
+
+/// Sums of the `scan.shard_cost_ns.{0..7}` counters, one per logical
+/// shard, as the metrics snapshot reports them.
+fn shard_costs(sys: &System<Ksm>) -> [u64; 8] {
+    let snap = sys.metrics_snapshot();
+    std::array::from_fn(|l| snap.counters[&format!("scan.shard_cost_ns.{l}")])
+}
+
+/// The scan pre-hash charges `64 × llc_hit` for every frame it hashes,
+/// split over eight logical shards by hash order (shard `l` owns the
+/// frames at positions ≡ l mod 8), and charges nothing when every
+/// visited frame's hash is already memoized.
+#[test]
+fn prehash_charges_each_hashed_frame_once() {
+    const N: u64 = 37; // not a multiple of 8: the shard split is uneven
+    let mut m = Machine::new(MachineConfig::test_small());
+    let pid = m.spawn("p").expect("spawn");
+    m.mmap(pid, Vma::anon(VirtAddr(BASE), N, Protection::rw()));
+    m.madvise_mergeable(pid, VirtAddr(BASE), N);
+    let ksm = Ksm::new(KsmConfig {
+        pages_per_scan: 64,
+        ..Default::default()
+    });
+    let mut sys = System::new(m, ksm);
+    for pg in 0..N {
+        // Unique, non-zero content: every page is a cold, distinct frame.
+        sys.write_page(
+            pid,
+            VirtAddr(BASE + pg * PAGE_SIZE),
+            &[pg as u8 + 1; PAGE_SIZE as usize],
+        );
+    }
+    let per_page = 64 * sys.machine.costs().llc_hit;
+    let before = shard_costs(&sys);
+    sys.force_scans(1);
+    let after = shard_costs(&sys);
+    let added: Vec<u64> = (0..8).map(|l| after[l] - before[l]).collect();
+    assert_eq!(added.iter().sum::<u64>(), N * per_page, "one wake's total");
+    for (l, &ns) in added.iter().enumerate() {
+        let owned = (N - l as u64).div_ceil(8);
+        assert_eq!(ns, owned * per_page, "logical shard {l}");
+    }
+    sys.force_scans(1);
+    assert_eq!(shard_costs(&sys), after, "a warm wake must charge nothing");
+}

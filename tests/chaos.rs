@@ -643,9 +643,8 @@ fn chaos_runs_are_deterministic() {
         ..FaultPlan::NONE
     };
     for kind in [EngineKind::Ksm, EngineKind::VUsion] {
-        let image = |threads: usize| {
+        let image = || {
             let mut run = ChaosRun::start(kind, "repro", plan, 0x5eed);
-            run.sys.set_scan_threads(threads);
             let mut rng = StdRng::seed_from_u64(0x5eed);
             for _ in 0..ROUNDS {
                 run.churn(&mut rng);
@@ -665,25 +664,11 @@ fn chaos_runs_are_deterministic() {
             }
             (stats.injected_faults, stats.oom_events, bytes)
         };
-        // Repeat runs match, and the scan-shard worker count changes
-        // nothing: fault injection draws from the serial decide phase.
-        let a = image(1);
-        let b = image(1);
+        let a = image();
+        let b = image();
         assert_eq!(a.0, b.0, "{kind:?}: injection counts diverged");
         assert_eq!(a.1, b.1, "{kind:?}: OOM counts diverged");
         assert_eq!(a.2, b.2, "{kind:?}: final memory images diverged");
-        for threads in [2, 4, 7] {
-            let t = image(threads);
-            assert_eq!(
-                (a.0, a.1),
-                (t.0, t.1),
-                "{kind:?} @{threads} threads: injection counts diverged"
-            );
-            assert_eq!(
-                a.2, t.2,
-                "{kind:?} @{threads} threads: final memory images diverged"
-            );
-        }
     }
 }
 
@@ -757,10 +742,6 @@ fn snapshot_restore_resumes_identically() {
         let frozen = run.sys.snapshot();
         let mut twin = run.kind.build_system(run.cfg);
         twin.restore(&frozen).expect("restore into a fresh system");
-        // The worker count is host-side only — never serialized, so the
-        // twin may resume under a different one and still match bytes.
-        run.sys.set_scan_threads(4);
-        twin.set_scan_threads(7);
         let pids = run.pids.clone();
         let mut ra = StdRng::seed_from_u64(seed ^ 2);
         let mut rb = StdRng::seed_from_u64(seed ^ 2);
@@ -797,11 +778,8 @@ fn crash_recovery_restores_byte_identical_state() {
                     .with_crash_plan(CrashPlan::at(site, after));
                 let label = format!("{kind:?}/{site:?}+{after}/seed {seed}");
 
-                // X: the crashed run — scanning on 2 shard workers, so
-                // the crash points (polled in the serial phase) land at
-                // the exact spots a single-threaded run would hit.
+                // X: the crashed run.
                 let mut x = ChaosRun::setup(kind.build_system(cfg), kind, cfg, "crash", seed);
-                x.sys.set_scan_threads(2);
                 x.arm_crashes();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
                 for _ in 0..2 {
@@ -819,11 +797,9 @@ fn crash_recovery_restores_byte_identical_state() {
                     z.churn(&mut rng);
                 }
 
-                // Y: restore X's base snapshot, replay X's journal —
-                // recovering on 7 workers a run crashed on 2, judged
-                // against a single-threaded control.
+                // Y: restore X's base snapshot, replay X's journal,
+                // judged against the never-crashed control.
                 let mut y = kind.build_system(cfg);
-                y.set_scan_threads(7);
                 y.restore(&x.base_snapshot).expect("restore base snapshot");
                 y.replay(x.sys.machine.journal());
                 assert!(

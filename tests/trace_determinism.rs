@@ -14,11 +14,9 @@ const PAGES: u64 = 32;
 
 /// Builds a traced system and drives the standard mixed workload:
 /// duplicate writes, scans, then reads and partial writes (CoW + CoA
-/// unmerges), then more scans. `threads` sets the scan-shard worker
-/// count — a host-execution knob that must never reach any artifact.
-fn traced_run(kind: EngineKind, seed: u64, threads: usize) -> (Vec<u8>, String, String, Vec<u8>) {
+/// unmerges), then more scans.
+fn traced_run(kind: EngineKind, seed: u64) -> (Vec<u8>, String, String, Vec<u8>) {
     let mut sys = kind.build_system(MachineConfig::test_small().with_seed(seed));
-    sys.set_scan_threads(threads);
     sys.machine.enable_tracing();
     let pids: Vec<Pid> = (0..2)
         .map(|i| sys.machine.spawn(&format!("p{i}")).expect("spawn"))
@@ -65,8 +63,8 @@ fn identical_runs_produce_identical_artifacts() {
         EngineKind::VUsion,
         EngineKind::VUsionThp,
     ] {
-        let a = traced_run(kind, 0xfeed, 1);
-        let b = traced_run(kind, 0xfeed, 1);
+        let a = traced_run(kind, 0xfeed);
+        let b = traced_run(kind, 0xfeed);
         assert!(!a.0.is_empty(), "{kind:?}: trace must record events");
         assert_eq!(a.0, b.0, "{kind:?}: trace buffers diverged");
         assert_eq!(a.1, b.1, "{kind:?}: Chrome trace JSON diverged");
@@ -75,41 +73,12 @@ fn identical_runs_produce_identical_artifacts() {
     }
 }
 
-/// The scan-shard worker count is pure host parallelism (DESIGN.md §13):
-/// trace bytes, Chrome JSON, metrics, and the serialized system state
-/// must be byte-identical at every thread count, for every engine — the
-/// parallel phase computes only pure functions of page contents, and all
-/// RNG draws, crash polls, and mutations stay in the serial phase.
-#[test]
-fn artifacts_identical_across_thread_counts() {
-    for kind in [
-        EngineKind::NoFusion,
-        EngineKind::Ksm,
-        EngineKind::Wpf,
-        EngineKind::VUsion,
-        EngineKind::VUsionThp,
-    ] {
-        let one = traced_run(kind, 0xfeed, 1);
-        assert!(!one.0.is_empty(), "{kind:?}: trace must record events");
-        for threads in [2, 4, 7] {
-            let t = traced_run(kind, 0xfeed, threads);
-            assert_eq!(one.0, t.0, "{kind:?} @{threads} threads: trace diverged");
-            assert_eq!(
-                one.1, t.1,
-                "{kind:?} @{threads} threads: Chrome JSON diverged"
-            );
-            assert_eq!(one.2, t.2, "{kind:?} @{threads} threads: metrics diverged");
-            assert_eq!(one.3, t.3, "{kind:?} @{threads} threads: snapshot diverged");
-        }
-    }
-}
-
 /// A different seed must actually change something (guards against the
 /// artifacts being trivially constant).
 #[test]
 fn different_seed_changes_the_trace() {
-    let a = traced_run(EngineKind::VUsion, 1, 1);
-    let b = traced_run(EngineKind::VUsion, 2, 1);
+    let a = traced_run(EngineKind::VUsion, 1);
+    let b = traced_run(EngineKind::VUsion, 2);
     assert_ne!(
         a.0, b.0,
         "VUsion trace must depend on the seed (rerandomization)"
@@ -139,17 +108,13 @@ fn phase2<P: FusionPolicy>(sys: &mut System<P>, pids: &[Pid]) {
 
 /// The trace of the live post-snapshot phase must equal the trace of the
 /// same phase re-executed via restore + journal replay: observability is
-/// part of the replay contract, not a bystander. The live run scans with
-/// 4 shard workers and the replay with 7 — the knob is not part of the
-/// snapshot, so replay on a machine with a different thread count must
-/// still converge byte for byte.
+/// part of the replay contract, not a bystander.
 #[test]
 fn trace_survives_snapshot_restore_replay() {
     for kind in [EngineKind::Ksm, EngineKind::VUsion] {
         // Live run: set up, snapshot, then a traced phase 2.
         let cfg = MachineConfig::test_small().with_seed(0xabcd);
         let mut sys = kind.build_system(cfg);
-        sys.set_scan_threads(4);
         let pids: Vec<Pid> = (0..2)
             .map(|i| sys.machine.spawn(&format!("p{i}")).expect("spawn"))
             .collect();
@@ -179,10 +144,8 @@ fn trace_survives_snapshot_restore_replay() {
         let journal = sys.machine.journal().to_vec();
         assert!(!live_trace.is_empty(), "{kind:?}: phase 2 must trace");
 
-        // Replayed run: fresh system, restore, trace, replay the journal —
-        // under a different worker count than the live run.
+        // Replayed run: fresh system, restore, trace, replay the journal.
         let mut replayed = kind.build_system(cfg);
-        replayed.set_scan_threads(7);
         replayed.restore(&snapshot).expect("restore");
         replayed.machine.enable_tracing();
         replayed.replay(&journal);
@@ -233,7 +196,7 @@ fn hog_memory<P: FusionPolicy>(sys: &mut System<P>) {
 /// Like [`traced_run`], with the pressure governor armed over an
 /// OOM-burst fault plan: escalations, rung executions, throttled budgets
 /// and suspended cursors are all part of the run.
-fn governed_run(kind: EngineKind, seed: u64, threads: usize) -> (Vec<u8>, String, String, Vec<u8>) {
+fn governed_run(kind: EngineKind, seed: u64) -> (Vec<u8>, String, String, Vec<u8>) {
     let plan = FaultPlan {
         alloc_every_nth: 3,
         alloc_fail_prob: 0.25,
@@ -244,7 +207,6 @@ fn governed_run(kind: EngineKind, seed: u64, threads: usize) -> (Vec<u8>, String
             .with_seed(seed)
             .with_fault_plan(plan),
     );
-    sys.set_scan_threads(threads);
     sys.set_pressure_governor(tight_governor())
         .expect("tight governor config validates");
     sys.machine.enable_tracing();
@@ -286,11 +248,11 @@ fn governed_run(kind: EngineKind, seed: u64, threads: usize) -> (Vec<u8>, String
 
 /// Governor-active determinism: escalations, rung spans, throttled scan
 /// budgets and parked cursors must all be byte-identical across repeat
-/// runs and across every scan-shard thread count.
+/// runs.
 #[test]
-fn governed_artifacts_identical_across_thread_counts() {
+fn governed_artifacts_identical_across_runs() {
     for kind in [EngineKind::Ksm, EngineKind::Wpf, EngineKind::VUsion] {
-        let one = governed_run(kind, 0x6e55, 1);
+        let one = governed_run(kind, 0x6e55);
         assert!(!one.0.is_empty(), "{kind:?}: governed run must trace");
         assert!(
             one.1.contains("pressure_escalation"),
@@ -300,18 +262,8 @@ fn governed_artifacts_identical_across_thread_counts() {
             one.2.contains("\"pressure.samples\""),
             "{kind:?}: enabled governor must fold pressure.* metrics"
         );
-        let again = governed_run(kind, 0x6e55, 1);
+        let again = governed_run(kind, 0x6e55);
         assert_eq!(one, again, "{kind:?}: repeat governed runs diverged");
-        for threads in [2, 4, 7] {
-            let t = governed_run(kind, 0x6e55, threads);
-            assert_eq!(one.0, t.0, "{kind:?} @{threads} threads: trace diverged");
-            assert_eq!(
-                one.1, t.1,
-                "{kind:?} @{threads} threads: Chrome JSON diverged"
-            );
-            assert_eq!(one.2, t.2, "{kind:?} @{threads} threads: metrics diverged");
-            assert_eq!(one.3, t.3, "{kind:?} @{threads} threads: snapshot diverged");
-        }
     }
 }
 
@@ -321,7 +273,7 @@ fn governed_artifacts_identical_across_thread_counts() {
 #[test]
 fn disabled_governor_records_no_pressure_artifacts() {
     for kind in [EngineKind::Ksm, EngineKind::Wpf, EngineKind::VUsion] {
-        let (trace, chrome, metrics, _) = traced_run(kind, 0x0ff0, 1);
+        let (trace, chrome, metrics, _) = traced_run(kind, 0x0ff0);
         assert!(!trace.is_empty(), "{kind:?}: run must trace");
         assert!(
             !chrome.contains("pressure"),
@@ -337,8 +289,7 @@ fn disabled_governor_records_no_pressure_artifacts() {
 /// Restore + replay across a snapshot taken mid-escalation, with a scan
 /// pass suspended on a parked cursor: the governor band, the AIMD budget,
 /// and the engine's in-flight pass state all travel through the snapshot,
-/// so the replayed delta must trace and meter byte-identically — on a
-/// different worker count than the live run.
+/// so the replayed delta must trace and meter byte-identically.
 #[test]
 fn governed_trace_survives_restore_replay_mid_escalation() {
     let plan = FaultPlan {
@@ -351,7 +302,6 @@ fn governed_trace_survives_restore_replay_mid_escalation() {
             .with_seed(0x6e5d)
             .with_fault_plan(plan);
         let mut sys = kind.build_system(cfg);
-        sys.set_scan_threads(4);
         sys.set_pressure_governor(tight_governor())
             .expect("tight governor config validates");
         let pids: Vec<Pid> = (0..2)
@@ -411,7 +361,6 @@ fn governed_trace_survives_restore_replay_mid_escalation() {
         assert!(!live_trace.is_empty(), "{kind:?}: phase 2 must trace");
 
         let mut replayed = kind.build_system(cfg);
-        replayed.set_scan_threads(7);
         replayed.restore(&snapshot).expect("restore");
         replayed.machine.enable_tracing();
         replayed.replay(&journal);
@@ -430,9 +379,8 @@ fn governed_trace_survives_restore_replay_mid_escalation() {
 
 /// Like [`traced_run`], with the side-channel surface recorder armed:
 /// returns the canonical surface JSON artifact and the metrics snapshot.
-fn surfaced_run(kind: EngineKind, seed: u64, threads: usize) -> (String, String) {
+fn surfaced_run(kind: EngineKind, seed: u64) -> (String, String) {
     let mut sys = kind.build_system(MachineConfig::test_small().with_seed(seed));
-    sys.set_scan_threads(threads);
     sys.machine.enable_tracing();
     sys.machine.enable_surface();
     let pids: Vec<Pid> = (0..2)
@@ -466,10 +414,10 @@ fn surfaced_run(kind: EngineKind, seed: u64, threads: usize) -> (String, String)
 }
 
 /// The surface artifact is a canonical byte string: identical across
-/// repeat runs and across every scan-shard worker count, for every
-/// engine, and it actually records fault/transition activity.
+/// repeat runs for every engine, and it actually records
+/// fault/transition activity.
 #[test]
-fn surface_artifact_identical_across_runs_and_thread_counts() {
+fn surface_artifact_identical_across_runs() {
     for kind in [
         EngineKind::NoFusion,
         EngineKind::Ksm,
@@ -477,7 +425,7 @@ fn surface_artifact_identical_across_runs_and_thread_counts() {
         EngineKind::VUsion,
         EngineKind::VUsionThp,
     ] {
-        let (surface, metrics) = surfaced_run(kind, 0xfeed, 1);
+        let (surface, metrics) = surfaced_run(kind, 0xfeed);
         assert!(
             surface.starts_with("{\"schema\":\"vusion-surface/v1\""),
             "{kind:?}: surface JSON missing schema header"
@@ -486,23 +434,12 @@ fn surface_artifact_identical_across_runs_and_thread_counts() {
             metrics.contains("surface.fault."),
             "{kind:?}: surfaced run must fold surface.* metrics"
         );
-        let again = surfaced_run(kind, 0xfeed, 1);
+        let again = surfaced_run(kind, 0xfeed);
         assert_eq!(surface, again.0, "{kind:?}: repeat surface runs diverged");
         assert_eq!(
             metrics, again.1,
             "{kind:?}: repeat surface metrics diverged"
         );
-        for threads in [2, 4, 7] {
-            let t = surfaced_run(kind, 0xfeed, threads);
-            assert_eq!(
-                surface, t.0,
-                "{kind:?} @{threads} threads: surface diverged"
-            );
-            assert_eq!(
-                metrics, t.1,
-                "{kind:?} @{threads} threads: metrics diverged"
-            );
-        }
     }
 }
 
@@ -511,7 +448,7 @@ fn surface_artifact_identical_across_runs_and_thread_counts() {
 #[test]
 fn disabled_surface_records_no_artifacts() {
     for kind in [EngineKind::Ksm, EngineKind::Wpf, EngineKind::VUsion] {
-        let (trace, _, metrics, _) = traced_run(kind, 0x0ff0, 1);
+        let (trace, _, metrics, _) = traced_run(kind, 0x0ff0);
         assert!(!trace.is_empty(), "{kind:?}: run must trace");
         assert!(
             !metrics.contains("surface."),
@@ -521,15 +458,14 @@ fn disabled_surface_records_no_artifacts() {
 }
 
 /// The surface of the live post-snapshot phase must equal the surface of
-/// the same phase re-executed via restore + journal replay, on a
-/// different scan-worker count — the recorder observes only replayed
-/// machine events, so it is part of the replay contract too.
+/// the same phase re-executed via restore + journal replay — the
+/// recorder observes only replayed machine events, so it is part of the
+/// replay contract too.
 #[test]
 fn surface_survives_snapshot_restore_replay() {
     for kind in [EngineKind::Ksm, EngineKind::VUsion] {
         let cfg = MachineConfig::test_small().with_seed(0xabcd);
         let mut sys = kind.build_system(cfg);
-        sys.set_scan_threads(4);
         let pids: Vec<Pid> = (0..2)
             .map(|i| sys.machine.spawn(&format!("p{i}")).expect("spawn"))
             .collect();
@@ -558,7 +494,6 @@ fn surface_survives_snapshot_restore_replay() {
         let journal = sys.machine.journal().to_vec();
 
         let mut replayed = kind.build_system(cfg);
-        replayed.set_scan_threads(7);
         replayed.restore(&snapshot).expect("restore");
         replayed.machine.enable_surface();
         replayed.replay(&journal);
