@@ -2,7 +2,8 @@
 //! trees (KSM's red-black tree, WPF's AVL tree), the scan-path tree lookup
 //! (hash-prefiltered find + insert, the shape every engine runs per page),
 //! the allocators (buddy / linear / randomized pool), LLC accesses, the
-//! end-to-end fault path, and full engine scans (KSM / WPF / VUsion).
+//! end-to-end fault path, full engine scans (KSM / WPF / VUsion), and a
+//! whole-system snapshot plus restore.
 //!
 //! Plain self-timed harness (no external benchmark framework): each case
 //! runs warm-up passes, then records per-sample wall-clock times and
@@ -451,6 +452,27 @@ fn bench_scan_throttled(out: &mut Vec<BenchResult>) {
     }
 }
 
+/// One `System::snapshot` plus one `System::restore` of the image simbench's
+/// `traced_replay` workload seals: three small guests of distinct families
+/// booted on a `guest_2g_scaled` KSM host (about 11.6 MB sealed). The
+/// restore target is a second system of the same config, built once
+/// outside the timing.
+fn bench_snapshot(out: &mut Vec<BenchResult>) {
+    use vusion_core::EngineKind;
+    use vusion_workloads::images::ImageSpec;
+    let cfg = MachineConfig::guest_2g_scaled();
+    let mut sys = EngineKind::Ksm.build_system(cfg);
+    for family in 0..3 {
+        ImageSpec::small(family, family + 1).boot(&mut sys, &format!("vm{family}"));
+    }
+    let mut target = EngineKind::Ksm.build_system(cfg);
+    bench(out, "snapshot_save_restore_3vm", || {
+        let snap = sys.snapshot();
+        target.restore(&snap).expect("restore");
+        black_box(&target);
+    });
+}
+
 /// Full-workspace static-contract pass (DESIGN.md §11): lex, parse, and
 /// cross-link every workspace source file, then run all rule families —
 /// including the workspace-wide snapshot/journal fixpoints over
@@ -582,6 +604,7 @@ fn main() {
     let metrics = bench_engine_scans(&mut results);
     bench_scan_cold(&mut results);
     bench_scan_throttled(&mut results);
+    bench_snapshot(&mut results);
     bench_vlint(&mut results);
 
     // Zero-cost-when-off: every scan bench above runs without a governor

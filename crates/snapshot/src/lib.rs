@@ -20,10 +20,10 @@
 //! A sealed snapshot is
 //!
 //! ```text
-//! "VSNP" | version: u32 LE | payload bytes... | fnv1a64(header+payload): u64 LE
+//! "VSNP" | version: u32 LE | payload bytes... | xxh64(header+payload, seed 0): u64 LE
 //! ```
 //!
-//! The trailing FNV-1a checksum covers magic, version and payload, so a
+//! The trailing XXH64 checksum covers magic, version and payload, so a
 //! truncated or bit-flipped bundle is rejected before any field decodes.
 //! Inside the payload, all integers are little-endian; `usize` travels as
 //! `u64`; `f64` travels as its IEEE-754 bit pattern; strings and blobs are
@@ -40,7 +40,9 @@ use std::fmt;
 /// (`surface_tail`) in their sealed wire format.
 /// v4: the journal event vocabulary gained `Clflush` (wire tag 13), so a
 /// v3 reader would reject journals recorded by v4 code.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: the seal's trailing checksum is XXH64 (seed 0) instead of FNV-1a;
+/// the payload layout is unchanged.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic bytes opening every sealed snapshot or failure bundle.
 pub const MAGIC: &[u8; 4] = b"VSNP";
@@ -57,7 +59,7 @@ pub enum SnapshotError {
         /// Version found in the stream.
         found: u32,
     },
-    /// The trailing FNV-1a checksum does not match the content.
+    /// The trailing XXH64 checksum does not match the content.
     ChecksumMismatch,
     /// A field decoded to a value that cannot describe a real machine
     /// (unknown enum tag, mismatched geometry, out-of-range index, ...).
@@ -80,7 +82,9 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over a byte slice; the checksum sealing every snapshot.
+/// FNV-1a over a byte slice: the identity digest of traces, campaign
+/// labels and failure-bundle signatures. Its values are pinned by those
+/// artifacts, so it must never change.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -273,13 +277,97 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Seals a payload: magic + version + payload + trailing FNV-1a checksum.
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn le64(b: &[u8]) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(&b[..8]);
+    u64::from_le_bytes(a)
+}
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+fn xxh64_merge(acc: u64, v: u64) -> u64 {
+    (acc ^ xxh64_round(0, v))
+        .wrapping_mul(PRIME64_1)
+        .wrapping_add(PRIME64_4)
+}
+
+/// XXH64 with seed 0, after the published xxHash specification: four
+/// independent lanes over 32-byte stripes, then the 8-, 4- and 1-byte
+/// tails, then the avalanche. Each round folds 8 bytes into one lane and
+/// the four lanes do not wait on each other, where FNV-1a spends one
+/// dependent multiply per byte — which made it most of the cost of
+/// sealing a multi-megabyte snapshot.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let mut rest = stripes.remainder();
+    let mut acc = if bytes.len() >= 32 {
+        let mut v = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            PRIME64_1.wrapping_neg(),
+        ];
+        for s in stripes {
+            v[0] = xxh64_round(v[0], le64(&s[0..]));
+            v[1] = xxh64_round(v[1], le64(&s[8..]));
+            v[2] = xxh64_round(v[2], le64(&s[16..]));
+            v[3] = xxh64_round(v[3], le64(&s[24..]));
+        }
+        let acc = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(acc, |acc, &lane| xxh64_merge(acc, lane))
+    } else {
+        PRIME64_5
+    };
+    acc = acc.wrapping_add(bytes.len() as u64);
+    while rest.len() >= 8 {
+        acc = (acc ^ xxh64_round(0, le64(rest)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+        rest = &rest[8..];
+    }
+    if rest.len() >= 4 {
+        let mut a = [0u8; 4];
+        a.copy_from_slice(&rest[..4]);
+        acc = (acc ^ u64::from(u32::from_le_bytes(a)).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        acc = (acc ^ u64::from(b).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(PRIME64_2);
+    acc ^= acc >> 29;
+    acc = acc.wrapping_mul(PRIME64_3);
+    acc ^ (acc >> 32)
+}
+
+/// Seals a payload: magic + version + payload + trailing XXH64 checksum.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(payload);
-    let sum = fnv1a64(&out);
+    let sum = xxh64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -301,7 +389,7 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     }
     let mut sb = [0u8; 8];
     sb.copy_from_slice(tail);
-    if fnv1a64(body) != u64::from_le_bytes(sb) {
+    if xxh64(body) != u64::from_le_bytes(sb) {
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(&body[8..])
@@ -400,6 +488,59 @@ mod tests {
         assert_eq!(unseal(&bad), Err(SnapshotError::ChecksumMismatch));
         // Truncation.
         assert_eq!(unseal(&sealed[..10]), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn xxh64_matches_reference_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // Three stripes and a 4-byte tail.
+        let bytes: Vec<u8> = (0..100u8).collect();
+        assert_eq!(xxh64(&bytes), 0x6AC1_E580_3216_6597);
+        // One stripe, then an 8-, a 4- and three 1-byte tails.
+        assert_eq!(xxh64(&bytes[..47]), 0x0D98_83A0_3E7B_FBB8);
+    }
+
+    #[test]
+    fn seal_layout_is_pinned() {
+        let mut want = b"VSNP\x05\x00\x00\x00abc".to_vec();
+        want.extend_from_slice(&[0x50, 0x15, 0x68, 0x40, 0x30, 0x81, 0xfe, 0xc9]);
+        assert_eq!(seal(b"abc"), want);
+    }
+
+    #[test]
+    fn unseal_rejects_every_bit_flip_and_prefix() {
+        let mut flips = 0;
+        for len in [0usize, 1, 7, 24, 31, 32, 33, 100, 300] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let sealed = seal(&payload);
+            assert_eq!(unseal(&sealed), Ok(&payload[..]));
+            for pos in 0..sealed.len() {
+                for bit in 0..8 {
+                    let want = match pos {
+                        0..=3 => SnapshotError::BadMagic,
+                        4..=7 => SnapshotError::BadVersion {
+                            found: FORMAT_VERSION ^ (1 << (8 * (pos - 4) + bit)),
+                        },
+                        _ => SnapshotError::ChecksumMismatch,
+                    };
+                    let mut bad = sealed.clone();
+                    bad[pos] ^= 1 << bit;
+                    assert_eq!(unseal(&bad), Err(want), "len {len} byte {pos} bit {bit}");
+                    flips += 1;
+                }
+            }
+            for cut in 0..sealed.len() {
+                let want = if cut < 16 {
+                    SnapshotError::Truncated
+                } else {
+                    SnapshotError::ChecksumMismatch
+                };
+                assert_eq!(unseal(&sealed[..cut]), Err(want), "len {len} cut {cut}");
+            }
+        }
+        assert_eq!(flips, 5376);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Repro bundles are loaded from disk — often from a CI artifact that
 //! survived an upload, a download, and a workstation copy. Decoding must
 //! therefore be total: truncated, bit-flipped, or plain wrong input
-//! yields a typed error, never a panic or a silently-wrong bundle.
+//! yields a typed error, never a panic or a silently-wrong bundle. The
+//! snapshot inside restores through `System::restore`, which must refuse
+//! the same damage and leave the system it restores into untouched.
 
 use vusion::prelude::*;
 use vusion::repro::{latest_bundle, Bundle};
+use vusion_snapshot::SnapshotError;
 
 /// A real captured bundle to mutate.
 fn sample_bundle() -> Bundle {
@@ -63,6 +66,88 @@ fn bit_flips_never_panic_and_never_decode() {
                 "bit {bit} of byte {pos} flipped but the bundle still decoded"
             );
         }
+    }
+}
+
+/// A booted VUsion system on `test_small`: one process with two
+/// identical pages among distinct ones, scanned until they fuse, so the
+/// snapshot carries engine merge state. `extra_scans` gives a second
+/// system of the same config a different state.
+fn scanned_system(extra_scans: usize) -> System<Box<dyn FusionPolicy>> {
+    let mut sys = EngineKind::VUsion.build_system(MachineConfig::test_small().with_seed(0xb0b));
+    let pid = sys.machine.spawn("p0").expect("spawn");
+    sys.machine
+        .mmap(pid, Vma::anon(VirtAddr(0x10000), 4, Protection::rw()));
+    sys.machine.madvise_mergeable(pid, VirtAddr(0x10000), 4);
+    for (i, fill) in [3u8, 3, 5, 7].into_iter().enumerate() {
+        let va = VirtAddr(0x10000 + i as u64 * PAGE_SIZE);
+        sys.write_page(pid, va, &[fill; PAGE_SIZE as usize]);
+    }
+    sys.force_scans(14 + extra_scans);
+    assert_eq!(sys.policy.pages_saved(), 1, "the twin pages fused");
+    sys
+}
+
+/// Restores `bytes` into `target`, which must refuse them and keep its
+/// own snapshot byte for byte.
+fn refuse(
+    target: &mut System<Box<dyn FusionPolicy>>,
+    before: &[u8],
+    bytes: &[u8],
+) -> SnapshotError {
+    let err = target
+        .restore(bytes)
+        .expect_err("corrupt snapshot restored");
+    assert!(
+        target.snapshot() == before,
+        "failed restore ({err}) changed the target"
+    );
+    err
+}
+
+#[test]
+fn restore_rejects_bit_flipped_snapshots_untouched() {
+    let snap = scanned_system(0).snapshot();
+    let mut target = scanned_system(1);
+    let before = target.snapshot();
+    assert_ne!(before, snap, "the target must start from different state");
+    // Every header byte, then a spread across payload and checksum: the
+    // header checks name the field, the checksum catches every other flip
+    // before any field decodes.
+    for pos in (0..8).chain((61..snap.len()).step_by(61)) {
+        for bit in [0, 3, 7] {
+            let mut corrupt = snap.clone();
+            corrupt[pos] ^= 1 << bit;
+            let err = refuse(&mut target, &before, &corrupt);
+            match pos {
+                0..=3 => assert_eq!(err, SnapshotError::BadMagic),
+                4..=7 => assert!(matches!(err, SnapshotError::BadVersion { .. })),
+                _ => assert_eq!(
+                    err,
+                    SnapshotError::ChecksumMismatch,
+                    "bit {bit} of byte {pos}"
+                ),
+            }
+        }
+    }
+    target.restore(&snap).expect("intact snapshot restores");
+    assert!(target.snapshot() == snap);
+}
+
+#[test]
+fn restore_rejects_truncated_snapshots_untouched() {
+    let snap = scanned_system(0).snapshot();
+    let mut target = scanned_system(1);
+    let before = target.snapshot();
+    // Exhaustive over the header region, sampled across the body.
+    for len in (0..snap.len().min(256)).chain((256..snap.len()).step_by(97)) {
+        let err = refuse(&mut target, &before, &snap[..len]);
+        let want = if len < 16 {
+            SnapshotError::Truncated
+        } else {
+            SnapshotError::ChecksumMismatch
+        };
+        assert_eq!(err, want, "truncation to {len} bytes");
     }
 }
 
