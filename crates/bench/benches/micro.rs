@@ -149,12 +149,26 @@ fn bench_trees(out: &mut Vec<BenchResult>) {
 
 fn bench_page_ops(out: &mut Vec<BenchResult>) {
     let mem = seeded_mem();
+    // Memo hits: the warm-up passes hash each frame once, so the samples
+    // time the write-generation lookup, not FNV-1a.
     bench(out, "hash_page_512_frames", || {
         let mut acc = 0u64;
         for f in 0..512u64 {
             acc ^= mem.hash_page(FrameId(f));
         }
         black_box(acc);
+    });
+    // Cold hashing: every iteration dirties the 512 frames, then one
+    // `hash_stale` call (the scan pre-hash) hashes all of them.
+    let mut cold = seeded_mem();
+    let frames: Vec<FrameId> = (0..512u64).map(FrameId).collect();
+    let mut round = 0u64;
+    bench(out, "hash_stale_cold_512_frames", || {
+        round += 1;
+        for f in &frames {
+            cold.write_u64(PhysAddr(f.0 * 4096 + 8), round);
+        }
+        black_box(cold.hash_stale(black_box(&frames)));
     });
     bench(out, "is_zero_512_frames", || {
         let mut n = 0usize;

@@ -310,22 +310,16 @@ impl DirtyTracker {
 }
 
 /// Pre-hashes `frames` for an imminent scan pass: every frame whose
-/// memoized hash is stale is hashed now, so the pass's decide phase hits
-/// the memo on every `hash_page`/`observed_hash`. Hash values are pure
-/// functions of content, so this moves host work, not behavior. A frame
-/// listed twice is hashed once: after the first visit it reads as cached.
+/// memoized hash is stale is hashed now (four at a time, by
+/// [`PhysMemory::hash_stale`]), so the pass's decide phase hits the memo
+/// on every `hash_page`/`observed_hash`. Hash values are pure functions
+/// of content, so this moves host work, not behavior. A frame listed
+/// twice is hashed once.
 ///
 /// The modeled cost of the hashing is charged through
 /// [`Machine::scan_cost_hashed`]. Returns the number of frames hashed.
 pub(crate) fn prehash_frames(m: &mut Machine, frames: &[FrameId]) -> usize {
-    let mem = m.mem();
-    let mut hashed = 0;
-    for &f in frames {
-        if !mem.has_cached_hash(f) {
-            mem.hash_page(f);
-            hashed += 1;
-        }
-    }
+    let hashed = m.mem().hash_stale(frames);
     m.scan_cost_hashed(hashed);
     hashed
 }
@@ -454,8 +448,8 @@ mod tests {
         // the frame invalidated after the first.
         for expected in [6, 1] {
             assert_eq!(prehash_frames(&mut m, &input), expected);
+            assert_eq!(m.mem().hash_stale(&frames), 0, "every frame is warm");
             for &f in &frames {
-                assert!(m.mem().has_cached_hash(f));
                 assert_eq!(m.mem().hash_page(f), content_hash(m.mem().page(f)));
             }
             // Invalidate one frame; the next prehash rehashes only it.

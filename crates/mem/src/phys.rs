@@ -33,6 +33,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// value would silently move the §5.2 attack's timing curves. The loop is
 /// merely restructured to load memory 32 bytes at a time as four `u64`
 /// lanes and fold the bytes from registers.
+///
+/// One chain is bound by multiply latency: every byte waits for the
+/// previous byte's multiply. [`PhysMemory::hash_stale`] therefore hashes
+/// cold frames four pages at a time, one independent chain per page
+/// advanced in lockstep, so the multiplies of different pages overlap;
+/// each chain still yields exactly this function's value.
 pub fn content_hash(bytes: &[u8]) -> u64 {
     #[inline(always)]
     fn fold_word(mut h: u64, word: u64) -> u64 {
@@ -89,6 +95,24 @@ const fn zero_page_hash() -> u64 {
 const ZERO_PAGE_HASH: u64 = zero_page_hash();
 
 const ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
+/// Pages [`PhysMemory::hash_stale`] hashes per batch: four independent
+/// chains keep four multiplies in flight where one chain keeps one.
+const HASH_LANES: usize = 4;
+
+/// FNV-1a of [`HASH_LANES`] pages at once: one independent byte-at-a-time
+/// chain per page, advanced in lockstep so the chains' multiplies overlap.
+/// Lane `l` of the result is exactly `content_hash(pages[l])`.
+fn content_hash_lanes(pages: [&[u8; PAGE_SIZE as usize]; HASH_LANES]) -> [u64; HASH_LANES] {
+    let mut h = [FNV_INIT; HASH_LANES];
+    for i in 0..PAGE_SIZE as usize {
+        for (h, page) in h.iter_mut().zip(pages) {
+            *h ^= u64::from(page[i]);
+            *h = h.wrapping_mul(FNV_PRIME);
+        }
+    }
+    h
+}
 
 /// Wide all-zero check of a materialized page: 32 bytes per iteration,
 /// OR-folding four `u64` lanes (4096 is a multiple of 32, so there is no
@@ -446,15 +470,49 @@ impl PhysMemory {
         }
     }
 
-    /// Whether the frame's memoized content hash is valid at its current
-    /// write generation (i.e. [`hash_page`] would be a cache hit). The
-    /// scan pre-hash uses this to hash, and charge for, only the frames
-    /// whose content changed since they were last hashed.
+    /// Memoizes `hash` as frame `i`'s content hash at its current write
+    /// generation.
+    fn memoize_hash(&self, i: usize, hash: u64) {
+        let mut c = self.cache[i].get();
+        c.hash = hash;
+        c.hash_gen = self.info[i].write_gen;
+        c.hash_valid = true;
+        self.cache[i].set(c);
+    }
+
+    /// Hashes every distinct frame of `frames` whose memoized hash is
+    /// stale, so later [`hash_page`] calls on them are memo hits, and
+    /// returns how many frames it hashed. Lazy-zero frames (never written,
+    /// or zeroed) count as cached: their hash is a constant. The stale
+    /// frames are hashed four at a time by independent FNV-1a chains,
+    /// which overlap the multiplies one chain would wait on; every stored
+    /// value equals `content_hash(self.page(frame))`.
     ///
     /// [`hash_page`]: PhysMemory::hash_page
-    pub fn has_cached_hash(&self, frame: FrameId) -> bool {
-        let i = self.idx(frame);
-        self.data[i].is_none() || self.cached_hash(i).is_some()
+    pub fn hash_stale(&self, frames: &[FrameId]) -> usize {
+        let mut stale: Vec<(usize, &[u8; PAGE_SIZE as usize])> = frames
+            .iter()
+            .filter_map(|&f| {
+                let i = self.idx(f);
+                match &self.data[i] {
+                    Some(page) if self.cached_hash(i).is_none() => Some((i, &**page)),
+                    _ => None,
+                }
+            })
+            .collect();
+        stale.sort_unstable_by_key(|&(i, _)| i);
+        stale.dedup_by_key(|&mut (i, _)| i);
+        let mut batches = stale.chunks_exact(HASH_LANES);
+        for batch in &mut batches {
+            let hashes = content_hash_lanes(std::array::from_fn(|l| batch[l].1));
+            for (&(i, _), h) in batch.iter().zip(hashes) {
+                self.memoize_hash(i, h);
+            }
+        }
+        for &(i, page) in batches.remainder() {
+            self.memoize_hash(i, content_hash(page));
+        }
+        stale.len()
     }
 
     /// Flips one bit of physical memory (a Rowhammer-induced fault). Returns
@@ -666,22 +724,14 @@ mod tests {
         // The chunked implementation must reproduce byte-at-a-time FNV-1a
         // exactly: WPF's sort order (and the §5.2 attack) depends on the
         // values, not just on hash equality.
-        let reference = |bytes: &[u8]| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        };
         let mut page = [0u8; PAGE_SIZE as usize];
         for (i, b) in page.iter_mut().enumerate() {
             *b = (i as u8).wrapping_mul(31).wrapping_add(7);
         }
-        assert_eq!(content_hash(&page), reference(&page));
+        assert_eq!(content_hash(&page), bytewise_reference(&page));
         // Lengths that exercise the non-multiple-of-8 remainder path.
         for len in [0usize, 1, 7, 8, 9, 63, 100] {
-            assert_eq!(content_hash(&page[..len]), reference(&page[..len]));
+            assert_eq!(content_hash(&page[..len]), bytewise_reference(&page[..len]));
         }
         assert_eq!(content_hash(&ZERO_PAGE), ZERO_PAGE_HASH);
     }
@@ -830,20 +880,106 @@ mod tests {
         assert!(page_is_zero(&ZERO_PAGE));
     }
 
+    /// Byte-at-a-time FNV-1a, straight from the definition.
+    fn bytewise_reference(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Eight deterministic xorshift-filled pages; page 5 is all zero.
+    fn seeded_pages() -> Vec<[u8; PAGE_SIZE as usize]> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        (0..8)
+            .map(|p| {
+                let mut page = [0u8; PAGE_SIZE as usize];
+                if p != 5 {
+                    for chunk in page.chunks_exact_mut(8) {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        chunk.copy_from_slice(&state.to_le_bytes());
+                    }
+                }
+                page
+            })
+            .collect()
+    }
+
     #[test]
-    fn has_cached_hash_tracks_the_memo_cache() {
+    fn lane_hash_matches_bytewise_reference() {
+        let pages = seeded_pages();
+        for batch in pages.chunks_exact(HASH_LANES) {
+            let hashes = content_hash_lanes(std::array::from_fn(|l| &batch[l]));
+            for (page, h) in batch.iter().zip(hashes) {
+                assert_eq!(h, bytewise_reference(page));
+            }
+        }
+        assert_eq!(bytewise_reference(&pages[5]), ZERO_PAGE_HASH);
+    }
+
+    #[test]
+    fn hash_stale_hashes_each_distinct_stale_frame_once() {
+        const FRAMES: u64 = 12;
+        let pages = seeded_pages();
+        for len in 0..=9usize {
+            let mut m = PhysMemory::new(FRAMES as usize);
+            // Frames 0..8 are written; frames 8..12 never are.
+            for (f, page) in pages.iter().enumerate() {
+                m.write_page(FrameId(f as u64), page);
+            }
+            // Frame 5 is written back to zeroes: materialized, zero content.
+            m.write_byte(PhysAddr(5 * PAGE_SIZE + 9), 1);
+            m.write_byte(PhysAddr(5 * PAGE_SIZE + 9), 0);
+            // Written and never-written frames interleaved, with repeats.
+            let input: Vec<FrameId> = (0..len as u64)
+                .map(|k| FrameId((k * 5) % FRAMES))
+                .chain((0..len as u64 / 3).map(|k| FrameId((k * 5) % FRAMES)))
+                .collect();
+            let mut distinct_written: Vec<u64> =
+                input.iter().map(|f| f.0).filter(|&f| f < 8).collect();
+            distinct_written.sort_unstable();
+            distinct_written.dedup();
+            assert_eq!(m.hash_stale(&input), distinct_written.len(), "len {len}");
+            for f in 0..FRAMES {
+                let c = m.cache[f as usize].get();
+                if distinct_written.contains(&f) {
+                    assert!(c.hash_valid && c.hash_gen == m.info(FrameId(f)).write_gen);
+                    assert_eq!(c.hash, content_hash(m.page(FrameId(f))), "frame {f}");
+                } else {
+                    assert!(!c.hash_valid, "frame {f} was not asked for");
+                }
+            }
+            assert_eq!(m.hash_stale(&input), 0, "len {len}: all warm");
+            if let Some(&f) = distinct_written.first() {
+                m.write_byte(PhysAddr(f * PAGE_SIZE + 100), 0x5a);
+                assert_eq!(m.hash_stale(&input), 1, "len {len}: one write");
+                assert_eq!(m.hash_page(FrameId(f)), content_hash(m.page(FrameId(f))));
+            }
+        }
+    }
+
+    #[test]
+    fn hash_stale_tracks_the_memo_cache() {
         let mut m = PhysMemory::new(2);
         m.write_byte(PhysAddr(7), 0x42);
-        assert!(!m.has_cached_hash(FrameId(0)));
+        assert_eq!(m.hash_stale(&[FrameId(0)]), 1);
+        assert_eq!(m.hash_stale(&[FrameId(0)]), 0);
+        assert_eq!(m.hash_page(FrameId(0)), content_hash(m.page(FrameId(0))));
+        // A value memoized by `hash_page` counts as cached too.
+        m.write_byte(PhysAddr(8), 1);
         let h = m.hash_page(FrameId(0));
-        assert!(m.has_cached_hash(FrameId(0)));
+        assert_eq!(m.hash_stale(&[FrameId(0)]), 0);
         assert_eq!(h, content_hash(m.page(FrameId(0))));
         // A later write invalidates the memoized value like any other.
-        m.write_byte(PhysAddr(8), 1);
-        assert!(!m.has_cached_hash(FrameId(0)));
+        m.write_byte(PhysAddr(9), 2);
+        assert_eq!(m.hash_stale(&[FrameId(0)]), 1);
         assert_eq!(m.hash_page(FrameId(0)), content_hash(m.page(FrameId(0))));
         // Lazy-zero frames are always "cached" (the hash is a constant).
-        assert!(m.has_cached_hash(FrameId(1)));
+        assert_eq!(m.hash_stale(&[FrameId(1)]), 0);
         assert_eq!(m.hash_page(FrameId(1)), ZERO_PAGE_HASH);
     }
 

@@ -503,7 +503,8 @@ fn governor_degrades_gracefully_under_pressure_ladder() {
 /// over the frame's actual bytes. The cache is deliberately populated
 /// *before* each mutation so a missed invalidation (a mutator that
 /// forgets to bump the write generation) fails loudly rather than being
-/// masked by a cold cache.
+/// masked by a cold cache. Every other step populates it through the
+/// scan pre-hash's batched `hash_stale` instead of `hash_page`.
 #[test]
 fn hash_cache_stays_coherent_under_raw_mutation() {
     use vusion::mem::{content_hash, FrameId, PhysAddr, PhysMemory};
@@ -527,8 +528,36 @@ fn hash_cache_stays_coherent_under_raw_mutation() {
     for step in 0..2000u32 {
         let f = FrameId(rng.random_range(0..FRAMES));
         // Warm the cache for the victim frame so the assertion below
-        // exercises invalidation, not recomputation.
-        let _ = mem.hash_page(f);
+        // exercises invalidation, not recomputation. The phase flips every
+        // six steps, so each mutator meets both warm-up paths.
+        if (step + step / 6) % 2 == 0 {
+            let _ = mem.hash_page(f);
+        } else {
+            // 1 to 9 frames, the victim among them. Every frame is warm
+            // between steps (each check re-hashes its victim), so the
+            // batch is dirtied first; otherwise `hash_stale` would find
+            // nothing stale and its four-page lanes would go unexercised.
+            let n = rng.random_range(1..=9usize);
+            let mut batch: Vec<FrameId> = (0..n)
+                .map(|_| FrameId(rng.random_range(0..FRAMES)))
+                .collect();
+            batch[rng.random_range(0..n)] = f;
+            for &g in &batch {
+                let at = PhysAddr(g.0 * PAGE_SIZE + rng.random_range(0..PAGE_SIZE));
+                mem.write_byte(at, rng.random_range(0..=255u8));
+            }
+            let mut distinct = batch.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(
+                mem.hash_stale(&batch),
+                distinct.len(),
+                "step {step}: hash_stale must hash each dirtied frame once"
+            );
+            for &g in &distinct {
+                check(&mem, g, "hash_stale", step);
+            }
+        }
         let _ = mem.is_zero(f);
         let off = rng.random_range(0..PAGE_SIZE);
         match step % 6 {
