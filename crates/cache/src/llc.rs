@@ -248,16 +248,14 @@ impl vusion_snapshot::Snapshot for Llc {
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
         use vusion_snapshot::SnapshotError;
-        if r.usize()? != self.cfg.sets
-            || r.usize()? != self.cfg.ways
-            || r.u64()? != self.cfg.line_size
-        {
+        let Self { cfg, sets, stats } = self;
+        if r.usize()? != cfg.sets || r.usize()? != cfg.ways || r.u64()? != cfg.line_size {
             return Err(SnapshotError::Corrupt("cache geometry mismatch"));
         }
-        for set in &mut self.sets {
+        for set in sets.iter_mut() {
             set.lines = r.u64s()?;
         }
-        self.stats = CacheStats {
+        *stats = CacheStats {
             hits: r.u64()?,
             misses: r.u64()?,
             evictions: r.u64()?,
@@ -273,6 +271,24 @@ mod tests {
 
     fn tiny() -> Llc {
         Llc::new(LlcConfig::tiny())
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let mut src = tiny();
+        let stride = src.config().sets as u64 * src.config().line_size;
+        for i in 0..6 {
+            src.access(PhysAddr(i * stride + 64));
+        }
+        src.access(PhysAddr(4096));
+        src.stats = CacheStats {
+            hits: 11,
+            misses: 12,
+            evictions: 13,
+            flushes: 14,
+        };
+        let (a, b) = vusion_snapshot::resave(&src, &mut tiny()).expect("resave");
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -82,8 +82,8 @@ pub struct Ksm {
     cfg: KsmConfig,
     /// Stable tree: fused, write-protected pages. Value = mapping count.
     stable: ContentRbTree<u32>,
-    /// Reverse map: stable frame → tree node.
-    // vlint: allow(S001, derived reverse map — rebuilt from the stable tree in load)
+    /// Reverse map: stable frame → tree node. Derived: `load` rebuilds it
+    /// from the stable tree.
     stable_index: BTreeMap<FrameId, NodeId>,
     /// Content-hash pre-filter over the stable tree's pages.
     stable_hashes: HashIndex,
@@ -94,7 +94,7 @@ pub struct Ksm {
     /// and the whole tree is dropped when the candidate list is rebuilt.
     unstable: ContentRbTree<UnstableEntry>,
     /// Reverse map: unstable frame → tree node (for surgical eviction).
-    // vlint: allow(S001, derived reverse map — rebuilt from the unstable tree in load)
+    /// Derived: `load` rebuilds it from the unstable tree.
     unstable_index: BTreeMap<FrameId, NodeId>,
     /// Content-hash pre-filter over the unstable tree's pages.
     unstable_hashes: HashIndex,
@@ -111,7 +111,6 @@ pub struct Ksm {
     cursor: u64,
     /// Per-wake page budget granted by the pressure governor. Never
     /// serialized: the governor re-grants before every wakeup.
-    // vlint: allow(S001, host-only wake-scoped grant — the governor re-issues it before every wakeup)
     budget: Option<u64>,
     /// Reclaim-ladder rung 3: while set, THP breaks (which consume
     /// page-table frames) are deferred until pressure clears.
@@ -579,46 +578,64 @@ impl vusion_snapshot::Snapshot for Ksm {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
-        self.cfg.pages_per_scan = r.usize()?;
-        self.cfg.scan_period_ns = r.u64()?;
-        self.cfg.unmerge_on_read = r.bool()?;
-        self.cfg.zero_only = r.bool()?;
-        // The trees restore slot-exactly, so rebuilding the reverse map
+        let Self {
+            cfg,
+            stable,
+            stable_index,
+            stable_hashes,
+            unstable,
+            unstable_index,
+            unstable_hashes,
+            dirty,
+            checksums,
+            candidates,
+            cursor,
+            budget: _, // host-only: the governor re-grants it before every wakeup
+            defer_zero,
+            merged_live,
+            tags,
+            stats,
+        } = self;
+        *cfg = KsmConfig {
+            pages_per_scan: r.usize()?,
+            scan_period_ns: r.u64()?,
+            unmerge_on_read: r.bool()?,
+            zero_only: r.bool()?,
+        };
+        // The trees restore slot-exactly, so rebuilding the reverse maps
         // from live node ids reproduces the pre-snapshot NodeIds.
-        self.stable = ContentRbTree::load_with(r, |r| r.u32())?;
-        self.stable_index = self
-            .stable
+        *stable = ContentRbTree::load_with(r, |r| r.u32())?;
+        *stable_index = stable
             .ids()
             .into_iter()
-            .map(|id| (self.stable.frame(id), id))
+            .map(|id| (stable.frame(id), id))
             .collect();
-        self.stable_hashes = HashIndex::load(r)?;
-        self.unstable = ContentRbTree::load_with(r, |r| {
+        *stable_hashes = HashIndex::load(r)?;
+        *unstable = ContentRbTree::load_with(r, |r| {
             Ok(UnstableEntry {
                 pid: Pid(r.usize()?),
                 va: VirtAddr(r.u64()?),
                 frame: FrameId(r.u64()?),
             })
         })?;
-        self.unstable_index = self
-            .unstable
+        *unstable_index = unstable
             .ids()
             .into_iter()
-            .map(|id| (self.unstable.frame(id), id))
+            .map(|id| (unstable.frame(id), id))
             .collect();
-        self.unstable_hashes = HashIndex::load(r)?;
+        *unstable_hashes = HashIndex::load(r)?;
         let sums = r.usize()?;
-        self.checksums = BTreeMap::new();
+        checksums.clear();
         for _ in 0..sums {
             let key = (r.usize()?, r.u64()?);
-            self.checksums.insert(key, r.u64()?);
+            checksums.insert(key, r.u64()?);
         }
-        self.dirty = DirtyTracker::load(r)?;
-        self.candidates = CandidateCache::load(r)?;
-        self.cursor = r.u64()?;
-        self.merged_live = r.u64()?;
-        self.tags = TagCounts::load(r)?;
-        self.stats = KsmStats {
+        *dirty = DirtyTracker::load(r)?;
+        *candidates = CandidateCache::load(r)?;
+        *cursor = r.u64()?;
+        *merged_live = r.u64()?;
+        *tags = TagCounts::load(r)?;
+        *stats = KsmStats {
             merged: r.u64()?,
             unmerged: r.u64()?,
             promotions: r.u64()?,
@@ -626,14 +643,8 @@ impl vusion_snapshot::Snapshot for Ksm {
             huge_broken: r.u64()?,
             checksum_skips: r.u64()?,
         };
-        self.defer_zero = r.bool()?;
+        *defer_zero = r.bool()?;
         Ok(())
-    }
-}
-
-impl vusion_snapshot::EngineState for Ksm {
-    fn engine_tag(&self) -> &'static str {
-        "ksm"
     }
 }
 
@@ -770,17 +781,6 @@ impl FusionPolicy for Ksm {
     fn set_zero_unmerge_deferral(&mut self, on: bool) {
         self.defer_zero = on;
     }
-
-    fn save_state(&self, w: &mut vusion_snapshot::Writer) {
-        vusion_snapshot::Snapshot::save(self, w)
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut vusion_snapshot::Reader<'_>,
-    ) -> Result<(), vusion_snapshot::SnapshotError> {
-        vusion_snapshot::Snapshot::load(self, r)
-    }
 }
 
 #[cfg(test)]
@@ -813,6 +813,46 @@ mod tests {
     /// Scans enough rounds for checksum stabilization + both trees.
     fn settle(s: &mut System<Ksm>) {
         s.force_scans(12);
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let (mut s, a, v) = system(KsmConfig::default());
+        for (pid, pg, fill) in [(a, 0, 1), (v, 0, 1), (a, 1, 2), (v, 2, 3)] {
+            s.write_page(pid, VirtAddr(BASE + pg * PAGE_SIZE), &page(fill));
+        }
+        settle(&mut s);
+        let k = &mut s.policy;
+        assert!(!k.stable.is_empty() && !k.unstable.is_empty());
+        assert!(!k.checksums.is_empty() && k.dirty.len() > 0);
+        k.cfg = KsmConfig {
+            pages_per_scan: 51,
+            scan_period_ns: 52,
+            unmerge_on_read: true,
+            zero_only: false,
+        };
+        k.cursor = 31;
+        k.merged_live = 32;
+        k.tags = TagCounts {
+            page_cache: 33,
+            guest_buddy: 34,
+            guest_kernel: 35,
+            rest: 36,
+        };
+        k.stats = KsmStats {
+            merged: 41,
+            unmerged: 42,
+            promotions: 43,
+            full_rounds: 44,
+            huge_broken: 45,
+            checksum_skips: 46,
+        };
+        k.defer_zero = true;
+        let mut dst = Ksm::new(KsmConfig::default());
+        let (x, y) = vusion_snapshot::resave(&s.policy, &mut dst).expect("resave");
+        assert_eq!(x, y);
+        assert_eq!(dst.stable_index, s.policy.stable_index);
+        assert_eq!(dst.unstable_index, s.policy.unstable_index);
     }
 
     #[test]

@@ -505,7 +505,9 @@ impl<V> ContentRbTree<V> {
             &mut vusion_snapshot::Reader<'_>,
         ) -> Result<V, vusion_snapshot::SnapshotError>,
     ) -> Result<Self, vusion_snapshot::SnapshotError> {
-        let count = r.usize()?;
+        // A node takes at least 34 bytes: frame, three links, color and
+        // the value flag.
+        let count = r.len_prefix(34)?;
         let mut nodes = Vec::with_capacity(count);
         for _ in 0..count {
             let frame = FrameId(r.u64()?);
@@ -532,7 +534,7 @@ impl<V> ContentRbTree<V> {
             });
         }
         let root = r.usize()?;
-        let free_count = r.usize()?;
+        let free_count = r.len_prefix(8)?;
         let mut free = Vec::with_capacity(free_count);
         for _ in 0..free_count {
             free.push(r.usize()?);
@@ -608,6 +610,23 @@ mod tests {
     /// comparison in structural tests.
     fn by_id(a: FrameId, b: FrameId) -> Ordering {
         a.0.cmp(&b.0)
+    }
+
+    #[test]
+    fn crafted_lengths_are_truncated_not_allocated() {
+        use vusion_snapshot::{Reader, SnapshotError, Writer};
+        let mut w = Writer::new();
+        w.u64(u64::MAX >> 8);
+        let nodes = w.into_bytes();
+        let mut w = Writer::new();
+        w.usize(0);
+        w.usize(NIL);
+        w.u64(u64::MAX >> 8);
+        let free = w.into_bytes();
+        for bytes in [nodes, free] {
+            let got = ContentRbTree::<u32>::load_with(&mut Reader::new(&bytes), |r| r.u32());
+            assert!(matches!(got, Err(SnapshotError::Truncated)));
+        }
     }
 
     #[test]

@@ -208,7 +208,8 @@ impl CandidateCache {
         } else {
             None
         };
-        let count = r.usize()?;
+        // A page is a pid and an address: 16 bytes.
+        let count = r.len_prefix(16)?;
         let mut pages = Vec::with_capacity(count);
         for _ in 0..count {
             pages.push((Pid(r.usize()?), VirtAddr(r.u64()?)));
@@ -419,6 +420,10 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = vusion_snapshot::Reader::new(&bytes);
         let loaded = DirtyTracker::load(&mut r).expect("load");
+        r.finish().expect("load reads every byte");
+        let mut w = vusion_snapshot::Writer::new();
+        loaded.save(&mut w);
+        assert_eq!(w.into_bytes(), bytes, "save→load→save is byte-identical");
         assert_eq!(loaded.len(), 2);
         assert!(loaded.is_clean(&mem, Pid(1), VirtAddr(0x1000), FrameId(0)));
         assert!(loaded.is_clean(&mem, Pid(2), VirtAddr(0x2000), FrameId(1)));

@@ -132,8 +132,8 @@ pub struct VUsion {
     /// The single content tree (no unstable tree — §7.1 decision i).
     /// Value: the mappings sharing the node's frame.
     tree: ContentRbTree<Vec<(Pid, VirtAddr)>>,
-    /// Reverse map: tree frame → node.
-    // vlint: allow(S001, derived reverse map — rebuilt from the content tree in load)
+    /// Reverse map: tree frame → node. Derived: `load` rebuilds it from
+    /// the content tree.
     tree_index: BTreeMap<FrameId, NodeId>,
     /// Content-hash filter over the tree pages (wall-clock only).
     tree_hashes: HashIndex,
@@ -147,7 +147,6 @@ pub struct VUsion {
     saved: u64,
     /// Per-wake page budget granted by the pressure governor. Never
     /// serialized: the governor re-grants before every wakeup.
-    // vlint: allow(S001, host-only wake-scoped grant — the governor re-issues it before every wakeup)
     budget: Option<u64>,
     /// Reclaim-ladder rung 3: while set, frame-allocating scan work (fake
     /// merges, rerandomization rounds) is deferred until pressure clears.
@@ -754,17 +753,37 @@ impl vusion_snapshot::Snapshot for VUsion {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
-        self.cfg.pages_per_scan = r.usize()?;
-        self.cfg.scan_period_ns = r.u64()?;
-        self.cfg.pool_frames = r.usize()?;
-        self.cfg.thp_enhancements = r.bool()?;
-        self.cfg.deferred_drain_per_wake = r.usize()?;
-        self.cfg.ra_trace_cap = r.usize()?;
-        self.cfg.ablate_pcd = r.bool()?;
-        self.cfg.ablate_deferred_free = r.bool()?;
-        self.cfg.ablate_rerandomize = r.bool()?;
-        self.tree = ContentRbTree::load_with(r, |r| {
-            let count = r.usize()?;
+        let Self {
+            cfg,
+            tree,
+            tree_index,
+            tree_hashes,
+            candidates,
+            page_state,
+            pool,
+            deferred,
+            cursor,
+            saved,
+            budget: _, // host-only: the governor re-grants it before every wakeup
+            defer_zero,
+            ra_trace,
+            tags,
+            stats,
+        } = self;
+        *cfg = VUsionConfig {
+            pages_per_scan: r.usize()?,
+            scan_period_ns: r.u64()?,
+            pool_frames: r.usize()?,
+            thp_enhancements: r.bool()?,
+            deferred_drain_per_wake: r.usize()?,
+            ra_trace_cap: r.usize()?,
+            ablate_pcd: r.bool()?,
+            ablate_deferred_free: r.bool()?,
+            ablate_rerandomize: r.bool()?,
+        };
+        *tree = ContentRbTree::load_with(r, |r| {
+            // A mapping is a pid and an address: 16 bytes.
+            let count = r.len_prefix(16)?;
             let mut mappings = Vec::with_capacity(count);
             for _ in 0..count {
                 mappings.push((Pid(r.usize()?), VirtAddr(r.u64()?)));
@@ -773,27 +792,26 @@ impl vusion_snapshot::Snapshot for VUsion {
         })?;
         // Slot-exact tree restore keeps NodeIds valid, so both reverse
         // maps can be rebuilt (tree_index) or reloaded (page_state).
-        self.tree_index = self
-            .tree
+        *tree_index = tree
             .ids()
             .into_iter()
-            .map(|id| (self.tree.frame(id), id))
+            .map(|id| (tree.frame(id), id))
             .collect();
-        self.tree_hashes = HashIndex::load(r)?;
-        self.candidates = CandidateCache::load(r)?;
+        *tree_hashes = HashIndex::load(r)?;
+        *candidates = CandidateCache::load(r)?;
         let pages = r.usize()?;
-        self.page_state = BTreeMap::new();
+        page_state.clear();
         for _ in 0..pages {
             let key = (r.usize()?, r.u64()?);
-            self.page_state.insert(key, NodeId(r.usize()?));
+            page_state.insert(key, NodeId(r.usize()?));
         }
-        self.pool.load(r)?;
-        self.deferred.load(r)?;
-        self.cursor = r.u64()?;
-        self.saved = r.u64()?;
-        self.ra_trace = r.u64s()?;
-        self.tags = TagCounts::load(r)?;
-        self.stats = VUsionStats {
+        pool.load(r)?;
+        deferred.load(r)?;
+        *cursor = r.u64()?;
+        *saved = r.u64()?;
+        *ra_trace = r.u64s()?;
+        *tags = TagCounts::load(r)?;
+        *stats = VUsionStats {
             merged: r.u64()?,
             fake_merged: r.u64()?,
             coa_unmerges: r.u64()?,
@@ -804,14 +822,8 @@ impl vusion_snapshot::Snapshot for VUsion {
             collapse_unmerges: r.u64()?,
             full_rounds: r.u64()?,
         };
-        self.defer_zero = r.bool()?;
+        *defer_zero = r.bool()?;
         Ok(())
-    }
-}
-
-impl vusion_snapshot::EngineState for VUsion {
-    fn engine_tag(&self) -> &'static str {
-        "vusion"
     }
 }
 
@@ -963,17 +975,6 @@ impl FusionPolicy for VUsion {
     fn set_zero_unmerge_deferral(&mut self, on: bool) {
         self.defer_zero = on;
     }
-
-    fn save_state(&self, w: &mut vusion_snapshot::Writer) {
-        vusion_snapshot::Snapshot::save(self, w)
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut vusion_snapshot::Reader<'_>,
-    ) -> Result<(), vusion_snapshot::SnapshotError> {
-        vusion_snapshot::Snapshot::load(self, r)
-    }
 }
 
 #[cfg(test)]
@@ -1041,6 +1042,55 @@ mod tests {
         let shared = s.machine.leaf(a, VirtAddr(BASE)).expect("leaf").pte.frame();
         assert_ne!(shared, fa, "attacker's frame must not back the fused page");
         assert_ne!(shared, fv, "victim's frame must not back the fused page");
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let (mut s, a, v) = system(small_cfg());
+        s.write_page(a, VirtAddr(BASE), &page(3));
+        s.write_page(v, VirtAddr(BASE), &page(3));
+        s.write_page(a, VirtAddr(BASE + PAGE_SIZE), &page(99));
+        settle(&mut s);
+        let u = &mut s.policy;
+        assert!(!u.tree.is_empty() && !u.page_state.is_empty() && !u.ra_trace.is_empty());
+        u.cfg = VUsionConfig {
+            pages_per_scan: 51,
+            scan_period_ns: 52,
+            pool_frames: 53,
+            thp_enhancements: true,
+            deferred_drain_per_wake: 54,
+            ra_trace_cap: 55,
+            ablate_pcd: false,
+            ablate_deferred_free: true,
+            ablate_rerandomize: false,
+        };
+        u.deferred.push_free(FrameId(7));
+        u.deferred.push_dummy();
+        u.cursor = 31;
+        u.saved = 32;
+        u.tags = TagCounts {
+            page_cache: 33,
+            guest_buddy: 34,
+            guest_kernel: 35,
+            rest: 36,
+        };
+        u.stats = VUsionStats {
+            merged: 41,
+            fake_merged: 42,
+            coa_unmerges: 43,
+            skipped_active: 44,
+            huge_broken: 45,
+            huge_conserved: 46,
+            rerandomized: 47,
+            collapse_unmerges: 48,
+            full_rounds: 49,
+        };
+        u.defer_zero = true;
+        let mut m = Machine::new(MachineConfig::test_small());
+        let mut dst = VUsion::new(&mut m, VUsionConfig::default());
+        let (x, y) = vusion_snapshot::resave(&s.policy, &mut dst).expect("resave");
+        assert_eq!(x, y);
+        assert_eq!(dst.tree_index, s.policy.tree_index);
     }
 
     #[test]

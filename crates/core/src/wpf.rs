@@ -106,7 +106,6 @@ pub struct Wpf {
     pass: Option<PassState>,
     /// Per-wake page budget granted by the pressure governor. Never
     /// serialized: the governor re-grants before every wakeup.
-    // vlint: allow(S001, host-only wake-scoped grant — the governor re-issues it before every wakeup)
     budget: Option<u64>,
     /// Reclaim-ladder rung 3: while set, no new tree pages are reserved
     /// from the linear allocator; merges onto existing tree pages (which
@@ -645,24 +644,42 @@ impl vusion_snapshot::Snapshot for Wpf {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
-        self.cfg.pass_period_ns = r.u64()?;
-        self.avl = ContentAvlTree::load_with(r, |r| r.u32())?;
-        self.avl_index = r.u64s()?.into_iter().map(|f| (FrameId(f), ())).collect();
-        self.avl_hashes = HashIndex::load(r)?;
-        self.candidates = CandidateCache::load(r)?;
-        self.dirty = DirtyTracker::load(r)?;
-        self.linear.load(r)?;
-        self.merged_live = r.u64()?;
-        self.tags = TagCounts::load(r)?;
-        self.stats = WpfStats {
+        let Self {
+            cfg,
+            avl,
+            avl_index,
+            avl_hashes,
+            candidates,
+            linear,
+            merged_live,
+            tags,
+            stats,
+            last_pass_frames,
+            dirty,
+            pass,
+            budget: _, // host-only: the governor re-grants it before every wakeup
+            defer_zero,
+        } = self;
+        *cfg = WpfConfig {
+            pass_period_ns: r.u64()?,
+        };
+        *avl = ContentAvlTree::load_with(r, |r| r.u32())?;
+        *avl_index = r.u64s()?.into_iter().map(|f| (FrameId(f), ())).collect();
+        *avl_hashes = HashIndex::load(r)?;
+        *candidates = CandidateCache::load(r)?;
+        *dirty = DirtyTracker::load(r)?;
+        linear.load(r)?;
+        *merged_live = r.u64()?;
+        *tags = TagCounts::load(r)?;
+        *stats = WpfStats {
             merged: r.u64()?,
             unmerged: r.u64()?,
             tree_pages_allocated: r.u64()?,
             passes: r.u64()?,
         };
-        self.last_pass_frames = r.u64s()?.into_iter().map(FrameId).collect();
-        self.defer_zero = r.bool()?;
-        self.pass = if r.bool()? {
+        *last_pass_frames = r.u64s()?.into_iter().map(FrameId).collect();
+        *defer_zero = r.bool()?;
+        *pass = if r.bool()? {
             let cursor = r.u64()?;
             let total = r.u64()?;
             let flat = r.u64s()?;
@@ -684,12 +701,6 @@ impl vusion_snapshot::Snapshot for Wpf {
             None
         };
         Ok(())
-    }
-}
-
-impl vusion_snapshot::EngineState for Wpf {
-    fn engine_tag(&self) -> &'static str {
-        "wpf"
     }
 }
 
@@ -746,17 +757,6 @@ impl FusionPolicy for Wpf {
     fn set_zero_unmerge_deferral(&mut self, on: bool) {
         self.defer_zero = on;
     }
-
-    fn save_state(&self, w: &mut vusion_snapshot::Writer) {
-        vusion_snapshot::Snapshot::save(self, w)
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut vusion_snapshot::Reader<'_>,
-    ) -> Result<(), vusion_snapshot::SnapshotError> {
-        vusion_snapshot::Snapshot::load(self, r)
-    }
 }
 
 #[cfg(test)]
@@ -785,6 +785,40 @@ mod tests {
             *b = fill ^ (i % 19) as u8;
         }
         p
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let (mut s, a, b) = system();
+        for (pid, pg, fill) in [(a, 0, 1), (b, 0, 1), (a, 1, 2), (b, 2, 3)] {
+            s.write_page(pid, VirtAddr(BASE + pg * PAGE_SIZE), &page(fill));
+        }
+        s.force_scans(1);
+        let w = &mut s.policy;
+        assert!(!w.avl.is_empty() && !w.last_pass_frames.is_empty() && w.dirty.len() > 0);
+        w.cfg = WpfConfig { pass_period_ns: 51 };
+        w.merged_live = 32;
+        w.tags = TagCounts {
+            page_cache: 33,
+            guest_buddy: 34,
+            guest_kernel: 35,
+            rest: 36,
+        };
+        w.stats = WpfStats {
+            merged: 41,
+            unmerged: 42,
+            tree_pages_allocated: 43,
+            passes: 44,
+        };
+        w.defer_zero = true;
+        w.pass = Some(PassState {
+            cursor: 61,
+            total: 62,
+            hashed: vec![(1, 2, 3, 4), (5, 6, 7, 8)],
+        });
+        let mut dst = Wpf::new(&s.machine, WpfConfig::default()).expect("wpf");
+        let (x, y) = vusion_snapshot::resave(&s.policy, &mut dst).expect("resave");
+        assert_eq!(x, y);
     }
 
     #[test]

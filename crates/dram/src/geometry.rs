@@ -157,13 +157,18 @@ impl vusion_snapshot::Snapshot for RowBuffers {
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
         use vusion_snapshot::SnapshotError;
-        if r.u64()? != self.cfg.banks || r.u64()? != self.cfg.row_size {
+        let Self {
+            cfg,
+            open,
+            activations,
+        } = self;
+        if r.u64()? != cfg.banks || r.u64()? != cfg.row_size {
             return Err(SnapshotError::Corrupt("dram geometry mismatch"));
         }
-        for slot in &mut self.open {
+        for slot in open.iter_mut() {
             *slot = if r.bool()? { Some(r.u64()?) } else { None };
         }
-        self.activations = r.u64()?;
+        *activations = r.u64()?;
         Ok(())
     }
 }
@@ -171,6 +176,18 @@ impl vusion_snapshot::Snapshot for RowBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let cfg = DramConfig::ddr4();
+        let mut src = RowBuffers::new(cfg);
+        src.access(PhysAddr(0));
+        src.access(PhysAddr(cfg.row_size * (cfg.banks + 1)));
+        src.access(PhysAddr(cfg.row_size * 2));
+        let mut dst = RowBuffers::new(cfg);
+        let (a, b) = vusion_snapshot::resave(&src, &mut dst).expect("resave");
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn locate_and_inverse_roundtrip() {

@@ -361,8 +361,9 @@ impl JournalEvent {
 
     /// Deserializes a journal written by [`Self::save_all`].
     pub fn load_all(r: &mut Reader<'_>) -> Result<Vec<JournalEvent>, SnapshotError> {
-        let n = r.usize()?;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
+        // Every event takes at least its one-byte tag.
+        let n = r.len_prefix(1)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(Self::load(r)?);
         }

@@ -321,6 +321,15 @@ mod tests {
     #[test]
     fn policy_veto_blocks_collapse() {
         struct Veto;
+        impl vusion_snapshot::Snapshot for Veto {
+            fn save(&self, _w: &mut vusion_snapshot::Writer) {}
+            fn load(
+                &mut self,
+                _r: &mut vusion_snapshot::Reader<'_>,
+            ) -> Result<(), vusion_snapshot::SnapshotError> {
+                Ok(())
+            }
+        }
         impl FusionPolicy for Veto {
             fn name(&self) -> &'static str {
                 "veto"

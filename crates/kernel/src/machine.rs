@@ -235,7 +235,7 @@ pub struct Machine {
     /// [`LOGICAL_SCAN_SHARDS`]). Accumulated unconditionally — it is plain
     /// integer addition and costs nothing observable. Snapshots do not
     /// carry it: like the tracer it is observability state, and
-    /// [`Machine::restore_state`] resets it to zero.
+    /// [`Machine`]'s `Snapshot::load` resets it to zero.
     scan_shard_cost: [u64; LOGICAL_SCAN_SHARDS],
 }
 
@@ -1493,17 +1493,40 @@ impl Machine {
         violations
     }
 
-    // ------------------------------------------------------------------
-    // Checkpoint / restore
-    // ------------------------------------------------------------------
+    /// Counts 2 MiB mappings currently installed for a process's anonymous
+    /// VMAs (the Figure 9 metric).
+    pub fn count_huge_mappings(&self, pid: Pid) -> usize {
+        let p = &self.processes[pid.0];
+        let mut n = 0;
+        for vma in p.space.vmas() {
+            let mut va = VirtAddr(vma.start.0).huge_base();
+            if va.0 < vma.start.0 {
+                va = VirtAddr(va.0 + HUGE_PAGE_SIZE);
+            }
+            while va.0 + HUGE_PAGE_SIZE <= vma.end().0 {
+                if let Some(leaf) = p.space.tables().leaf(&self.mem, va) {
+                    if leaf.huge {
+                        n += 1;
+                    }
+                }
+                va = VirtAddr(va.0 + HUGE_PAGE_SIZE);
+            }
+        }
+        n
+    }
+}
 
-    /// Serializes the complete machine state: physical frames and their
-    /// metadata, the buddy allocator, caches, DRAM row buffers, clock,
-    /// every RNG stream, injectors, and all processes (address spaces,
-    /// TLBs, page caches). The journal is *not* included — a snapshot is
-    /// state at a point in time; the journal is what happened after it,
-    /// and the two travel separately in failure bundles.
-    pub fn save_state(&self, w: &mut Writer) {
+/// Checkpoint / restore of the complete machine state: physical frames
+/// and their metadata, the buddy allocator, caches, DRAM row buffers,
+/// clock, every RNG stream, injectors, and all processes (address spaces,
+/// TLBs, page caches). The journal is *not* included — a snapshot is
+/// state at a point in time; the journal is what happened after it, and
+/// the two travel separately in failure bundles. `load` targets a machine
+/// built with the *same configuration*: geometry and seed are verified,
+/// and the Rowhammer model, a pure function of the configuration, is not
+/// serialized. The journal is left untouched.
+impl Snapshot for Machine {
+    fn save(&self, w: &mut Writer) {
         w.u64(self.cfg.frames);
         w.u64(self.cfg.seed);
         self.mem.save(w);
@@ -1561,30 +1584,46 @@ impl Machine {
         // is observability-local state, reset on restore.
     }
 
-    /// Restores state saved by [`Self::save_state`] into a machine built
-    /// with the *same configuration* (geometry and seed are verified; the
-    /// Rowhammer model, being a pure function of config, is not
-    /// serialized). The journal is left untouched.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        if r.u64()? != self.cfg.frames || r.u64()? != self.cfg.seed {
+    fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        let Self {
+            cfg,
+            mem,
+            buddy,
+            llc,
+            rows,
+            hammer: _, // a pure function of `cfg`, never mutated
+            clock,
+            jitter,
+            policy_rng,
+            scan_injector,
+            crash_injector,
+            processes,
+            stats,
+            journal: _,         // what happened after the snapshot; travels beside it
+            journal_on: _,      // whether the live run records, not machine state
+            journal_suspend: _, // non-zero only inside a composite operation
+            obs: _,             // describes a run, not machine state
+            scan_shard_cost,
+        } = self;
+        if r.u64()? != cfg.frames || r.u64()? != cfg.seed {
             return Err(SnapshotError::Corrupt("machine config mismatch"));
         }
-        self.mem.load(r)?;
-        self.buddy.load(r)?;
-        self.llc.load(r)?;
-        self.rows.load(r)?;
-        self.clock = SimClock::new();
-        self.clock.advance(r.u64()?);
-        self.jitter = Jitter::load(r)?;
+        mem.load(r)?;
+        buddy.load(r)?;
+        llc.load(r)?;
+        rows.load(r)?;
+        *clock = SimClock::new();
+        clock.advance(r.u64()?);
+        *jitter = Jitter::load(r)?;
         let mut s = [0u64; 4];
         for x in &mut s {
             *x = r.u64()?;
         }
-        self.policy_rng = StdRng::from_state(s);
-        self.scan_injector.load(r)?;
-        self.crash_injector.load(r)?;
+        *policy_rng = StdRng::from_state(s);
+        scan_injector.load(r)?;
+        crash_injector.load(r)?;
         let n = r.usize()?;
-        self.processes.clear();
+        processes.clear();
         for _ in 0..n {
             let name = r.str()?;
             let space = AddressSpace::load(r)?;
@@ -1598,14 +1637,14 @@ impl Machine {
                 let frame = FrameId(r.u64()?);
                 page_cache.insert((file, page), frame);
             }
-            self.processes.push(Process {
+            processes.push(Process {
                 name,
                 space,
                 tlb,
                 page_cache,
             });
         }
-        self.stats = MachineStats {
+        *stats = MachineStats {
             reads: r.u64()?,
             writes: r.u64()?,
             prefetches: r.u64()?,
@@ -1622,30 +1661,9 @@ impl Machine {
             scan_retries: r.u64()?,
             deferred_drains: r.u64()?,
         };
-        self.scan_shard_cost = [0; LOGICAL_SCAN_SHARDS];
+        // Observability state, like the tracer: reset, not carried.
+        *scan_shard_cost = [0; LOGICAL_SCAN_SHARDS];
         Ok(())
-    }
-
-    /// Counts 2 MiB mappings currently installed for a process's anonymous
-    /// VMAs (the Figure 9 metric).
-    pub fn count_huge_mappings(&self, pid: Pid) -> usize {
-        let p = &self.processes[pid.0];
-        let mut n = 0;
-        for vma in p.space.vmas() {
-            let mut va = VirtAddr(vma.start.0).huge_base();
-            if va.0 < vma.start.0 {
-                va = VirtAddr(va.0 + HUGE_PAGE_SIZE);
-            }
-            while va.0 + HUGE_PAGE_SIZE <= vma.end().0 {
-                if let Some(leaf) = p.space.tables().leaf(&self.mem, va) {
-                    if leaf.huge {
-                        n += 1;
-                    }
-                }
-                va = VirtAddr(va.0 + HUGE_PAGE_SIZE);
-            }
-        }
-        n
     }
 }
 
@@ -1660,6 +1678,55 @@ mod tests {
 
     fn anon_vma(m: &mut Machine, pid: Pid, start: u64, pages: u64) {
         m.mmap(pid, Vma::anon(VirtAddr(start), pages, Protection::rw()));
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let cfg = MachineConfig::test_small().with_crash_plan(CrashPlan::at(CrashSite::MidScan, 9));
+        let mut src = Machine::new(cfg);
+        let a = src.spawn("a").expect("spawn");
+        let b = src.spawn("b").expect("spawn");
+        anon_vma(&mut src, a, 0x10000, 4);
+        let file = VirtAddr(0x2000_0000);
+        src.mmap(b, Vma::file(file, 2, Protection::rw(), 9, 0));
+        for (pid, va) in [(a, VirtAddr(0x10000)), (a, VirtAddr(0x12000))] {
+            while let Err(fault) = src.write(pid, va, 0x5a) {
+                assert!(src.default_fault(&fault), "demand paging resolves it");
+            }
+            src.prefetch(pid, va);
+        }
+        let fault = src.read(b, file).expect_err("file page not yet cached");
+        assert!(src.default_fault(&fault));
+        src.arm_crashes();
+        assert!(!src.crash_now(CrashSite::MidScan));
+        src.policy_rng = StdRng::seed_from_u64(99);
+        let plan = FaultPlan {
+            alloc_every_nth: 3,
+            alloc_fail_prob: 0.4,
+            checksum_corrupt_prob: 0.25,
+            scan_bitflip_prob: 0.15,
+        };
+        src.scan_injector = FaultInjector::new(plan, 77);
+        src.stats = MachineStats {
+            reads: 101,
+            writes: 102,
+            prefetches: 103,
+            faults_not_mapped: 104,
+            faults_trapped: 105,
+            faults_write_protected: 106,
+            demand_zero: 107,
+            demand_huge: 108,
+            demand_file: 109,
+            cow_copies: 110,
+            bit_flips: 111,
+            oom_events: 112,
+            injected_faults: 113,
+            scan_retries: 114,
+            deferred_drains: 115,
+        };
+        let mut dst = Machine::new(cfg);
+        let (x, y) = vusion_snapshot::resave(&src, &mut dst).expect("resave");
+        assert_eq!(x, y);
     }
 
     #[test]

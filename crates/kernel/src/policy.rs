@@ -48,8 +48,12 @@ impl ScanReport {
     }
 }
 
-/// A page-fusion engine, driven by the [`crate::System`].
-pub trait FusionPolicy {
+/// A page-fusion engine, driven by the [`crate::System`]. Its complete
+/// scan/merge state is checkpointed through the `Snapshot` supertrait:
+/// [`crate::System::snapshot`] frames it as a blob tagged with
+/// [`Self::name`], so a bundle recorded under one engine fails loudly
+/// when restored into another. Stateless policies save nothing.
+pub trait FusionPolicy: vusion_snapshot::Snapshot {
     /// Engine name for reports ("ksm", "wpf", "vusion", "none").
     fn name(&self) -> &'static str;
 
@@ -115,28 +119,23 @@ pub trait FusionPolicy {
     fn set_zero_unmerge_deferral(&mut self, on: bool) {
         let _ = on;
     }
-
-    /// Serializes the engine's complete scan/merge state into a snapshot.
-    /// Stateless policies keep the default no-op; real engines implement
-    /// `vusion_snapshot::EngineState` and delegate here.
-    fn save_state(&self, w: &mut vusion_snapshot::Writer) {
-        let _ = w;
-    }
-
-    /// Restores state written by [`Self::save_state`] into a freshly
-    /// constructed policy of the same kind.
-    fn restore_state(
-        &mut self,
-        r: &mut vusion_snapshot::Reader<'_>,
-    ) -> Result<(), vusion_snapshot::SnapshotError> {
-        let _ = r;
-        Ok(())
-    }
 }
 
 /// The "No dedup" baseline: never merges, never handles faults.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoFusion;
+
+/// Stateless: the snapshot is empty.
+impl vusion_snapshot::Snapshot for NoFusion {
+    fn save(&self, _w: &mut vusion_snapshot::Writer) {}
+
+    fn load(
+        &mut self,
+        _r: &mut vusion_snapshot::Reader<'_>,
+    ) -> Result<(), vusion_snapshot::SnapshotError> {
+        Ok(())
+    }
+}
 
 impl FusionPolicy for NoFusion {
     fn name(&self) -> &'static str {
@@ -191,19 +190,6 @@ impl<P: FusionPolicy + ?Sized> FusionPolicy for Box<P> {
 
     fn set_zero_unmerge_deferral(&mut self, on: bool) {
         (**self).set_zero_unmerge_deferral(on)
-    }
-
-    // Explicitly forwarded: falling back to the trait defaults here would
-    // silently snapshot a boxed engine as empty.
-    fn save_state(&self, w: &mut vusion_snapshot::Writer) {
-        (**self).save_state(w)
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut vusion_snapshot::Reader<'_>,
-    ) -> Result<(), vusion_snapshot::SnapshotError> {
-        (**self).restore_state(r)
     }
 }
 

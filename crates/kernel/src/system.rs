@@ -7,7 +7,7 @@
 
 use vusion_mem::{MmError, VirtAddr, PAGE_SIZE};
 use vusion_obs::{FaultKind, InstantKind, MetricsSnapshot, PageClass, Profile, SpanKind};
-use vusion_snapshot::{Reader, SnapshotError, Writer};
+use vusion_snapshot::{Reader, Snapshot, SnapshotError, Writer};
 
 use crate::journal::JournalEvent;
 use crate::khugepaged::Khugepaged;
@@ -609,7 +609,7 @@ impl<P: FusionPolicy> System<P> {
     /// what happened".
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        self.machine.save_state(&mut w);
+        self.machine.save(&mut w);
         w.u64(self.next_scan_ns);
         w.u64(self.next_khuge_ns);
         let s = self.stats;
@@ -648,27 +648,40 @@ impl<P: FusionPolicy> System<P> {
         // replayed into another.
         w.str(self.policy.name());
         let mut pw = Writer::new();
-        self.policy.save_state(&mut pw);
+        self.policy.save(&mut pw);
         w.blob(&pw.into_bytes());
         vusion_snapshot::seal(&w.into_bytes())
     }
 
     /// Restores a snapshot taken by [`Self::snapshot`] into a system built
-    /// with the same machine configuration and the same policy kind.
+    /// with the same machine configuration and the same policy kind. Bytes
+    /// left over after the payload or after the engine blob are
+    /// [`SnapshotError::Corrupt`]: they mean a `save` its `load` does not
+    /// match.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let Self {
+            machine,
+            policy,
+            khugepaged,
+            next_scan_ns,
+            next_khuge_ns,
+            stats,
+            scan_totals,
+            governor,
+        } = self;
         let payload = vusion_snapshot::unseal(bytes)?;
         let mut r = Reader::new(payload);
-        self.machine.restore_state(&mut r)?;
-        self.next_scan_ns = r.u64()?;
-        self.next_khuge_ns = r.u64()?;
-        self.stats = SystemStats {
+        machine.load(&mut r)?;
+        *next_scan_ns = r.u64()?;
+        *next_khuge_ns = r.u64()?;
+        *stats = SystemStats {
             policy_faults: r.u64()?,
             kernel_faults: r.u64()?,
             scan_wakeups: r.u64()?,
             unresolved_faults: r.u64()?,
             fault_livelocks: r.u64()?,
         };
-        self.scan_totals = ScanReport {
+        *scan_totals = ScanReport {
             pages_scanned: r.u64()?,
             pages_merged: r.u64()?,
             pages_fake_merged: r.u64()?,
@@ -678,19 +691,20 @@ impl<P: FusionPolicy> System<P> {
             huge_pages_broken: r.u64()?,
             budget_used: r.u64()?,
         };
-        self.governor = PressureGovernor::load(&mut r)?;
-        if r.bool()? {
-            self.khugepaged = Some(Khugepaged::load(&mut r)?);
+        *governor = PressureGovernor::load(&mut r)?;
+        *khugepaged = if r.bool()? {
+            Some(Khugepaged::load(&mut r)?)
         } else {
-            self.khugepaged = None;
-        }
+            None
+        };
         let tag = r.str()?;
-        if tag != self.policy.name() {
+        if tag != policy.name() {
             return Err(SnapshotError::Corrupt("engine tag mismatch"));
         }
-        let blob = r.blob()?;
-        let mut pr = Reader::new(blob);
-        self.policy.restore_state(&mut pr)
+        let mut pr = Reader::new(r.blob()?);
+        r.finish()?;
+        policy.load(&mut pr)?;
+        pr.finish()
     }
 
     /// Re-executes one journaled event. Journaling is suspended for the

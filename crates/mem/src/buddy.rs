@@ -314,38 +314,48 @@ impl vusion_snapshot::Snapshot for BuddyAllocator {
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
         use vusion_snapshot::SnapshotError;
-        if r.u64()? != self.base || r.u64()? != self.frames {
+        let Self {
+            base,
+            frames,
+            free_stacks,
+            free_sets,
+            allocated,
+            free_frames,
+            stats,
+            injector,
+        } = self;
+        if r.u64()? != *base || r.u64()? != *frames {
             return Err(SnapshotError::Corrupt("buddy geometry mismatch"));
         }
         let orders = r.usize()?;
-        if orders != self.free_stacks.len() {
+        if orders != free_stacks.len() {
             return Err(SnapshotError::Corrupt("buddy order count mismatch"));
         }
-        for stack in &mut self.free_stacks {
+        for stack in free_stacks.iter_mut() {
             *stack = r.u64s()?;
         }
-        for set in &mut self.free_sets {
+        for set in free_sets.iter_mut() {
             set.clear();
             let n = r.usize()?;
             for _ in 0..n {
                 set.insert(r.u64()?);
             }
         }
-        self.allocated.clear();
+        allocated.clear();
         let n = r.usize()?;
         for _ in 0..n {
             let rel = r.u64()?;
             let order = r.u8()?;
-            self.allocated.insert(rel, order);
+            allocated.insert(rel, order);
         }
-        self.free_frames = r.u64()?;
-        self.stats = BuddyStats {
+        *free_frames = r.u64()?;
+        *stats = BuddyStats {
             allocs: r.u64()?,
             frees: r.u64()?,
             splits: r.u64()?,
             merges: r.u64()?,
         };
-        self.injector = if r.bool()? {
+        *injector = if r.bool()? {
             let mut inj = FaultInjector::new(crate::fault::FaultPlan::NONE, 0);
             inj.load(r)?;
             Some(inj)
@@ -374,6 +384,23 @@ impl FrameAllocator for BuddyAllocator {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let mut src = BuddyAllocator::new(FrameId(0), 64);
+        src.set_fault_injector(FaultInjector::new(FaultPlan::every_nth_alloc(5), 3));
+        let frames: Vec<FrameId> = (0..6).filter_map(|_| src.alloc().ok()).collect();
+        src.free(frames[1]).expect("free");
+        src.stats = BuddyStats {
+            allocs: 21,
+            frees: 22,
+            splits: 23,
+            merges: 24,
+        };
+        let mut dst = BuddyAllocator::new(FrameId(0), 64);
+        let (a, b) = vusion_snapshot::resave(&src, &mut dst).expect("resave");
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn allocates_distinct_frames() {

@@ -107,18 +107,23 @@ impl vusion_snapshot::Snapshot for DeferredFreeQueue {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
+        let Self {
+            ops,
+            processed_frees,
+            processed_dummies,
+        } = self;
         let n = r.usize()?;
-        self.ops.clear();
+        ops.clear();
         for _ in 0..n {
             let op = match r.u8()? {
                 0 => DeferredOp::Free(FrameId(r.u64()?)),
                 1 => DeferredOp::Dummy,
                 _ => return Err(vusion_snapshot::SnapshotError::Corrupt("deferred op")),
             };
-            self.ops.push_back(op);
+            ops.push_back(op);
         }
-        self.processed_frees = r.u64()?;
-        self.processed_dummies = r.u64()?;
+        *processed_frees = r.u64()?;
+        *processed_dummies = r.u64()?;
         Ok(())
     }
 }
@@ -126,6 +131,19 @@ impl vusion_snapshot::Snapshot for DeferredFreeQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let mut src = DeferredFreeQueue::new();
+        src.push_free(FrameId(1));
+        src.push_free(FrameId(2));
+        src.push_dummy();
+        src.drain(3, |_| {});
+        src.push_free(FrameId(7));
+        src.push_dummy();
+        let (a, b) = vusion_snapshot::resave(&src, &mut DeferredFreeQueue::new()).expect("resave");
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn fifo_order_preserved() {

@@ -400,9 +400,10 @@ impl Snapshot for CrashInjector {
     }
 
     fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.plan = CrashPlan::load(r)?;
-        self.polls = r.u64()?;
-        self.fired = r.u64()?;
+        let Self { plan, polls, fired } = self;
+        *plan = CrashPlan::load(r)?;
+        *polls = r.u64()?;
+        *fired = r.u64()?;
         Ok(())
     }
 }
@@ -516,11 +517,16 @@ impl Snapshot for FaultInjector {
     }
 
     fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.plan = FaultPlan::load(r)?;
-        let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        self.rng = StdRng::from_state(s);
-        self.alloc_calls = r.u64()?;
-        self.stats = InjectionStats {
+        let Self {
+            plan,
+            rng,
+            alloc_calls,
+            stats,
+        } = self;
+        *plan = FaultPlan::load(r)?;
+        *rng = StdRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
+        *alloc_calls = r.u64()?;
+        *stats = InjectionStats {
             injected_allocs: r.u64()?,
             injected_checksums: r.u64()?,
             injected_bitflips: r.u64()?,
@@ -757,18 +763,41 @@ mod tests {
 
     #[test]
     fn injector_state_round_trips() {
-        let mut inj = FaultInjector::new(FaultPlan::alloc_prob(0.4).expect("valid"), 11);
+        let plan = FaultPlan {
+            alloc_every_nth: 3,
+            alloc_fail_prob: 0.4,
+            checksum_corrupt_prob: 0.25,
+            scan_bitflip_prob: 0.15,
+        };
+        let mut inj = FaultInjector::new(plan, 11);
         for _ in 0..37 {
             let _ = inj.should_fail_alloc();
+            let _ = inj.corrupt_checksum(0);
+            let _ = inj.scan_bitflip();
         }
-        let mut w = Writer::new();
-        inj.save(&mut w);
-        let bytes = w.into_bytes();
+        // Distinct counters: a swapped pair of reads changes the image.
+        inj.stats = InjectionStats {
+            injected_allocs: 21,
+            injected_checksums: 22,
+            injected_bitflips: 23,
+        };
         let mut copy = FaultInjector::new(FaultPlan::NONE, 0);
-        copy.load(&mut Reader::new(&bytes)).expect("load");
+        let (a, b) = vusion_snapshot::resave(&inj, &mut copy).expect("resave");
+        assert_eq!(a, b);
         // The restored injector must continue the exact same stream.
         let a: Vec<bool> = (0..50).map(|_| inj.should_fail_alloc()).collect();
         let b: Vec<bool> = (0..50).map(|_| copy.should_fail_alloc()).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn crash_injector_state_round_trips() {
+        let src = CrashInjector {
+            plan: CrashPlan::at(CrashSite::MidMerge, 7),
+            polls: 6,
+            fired: 1,
+        };
+        let (a, b) = vusion_snapshot::resave(&src, &mut CrashInjector::default()).expect("resave");
         assert_eq!(a, b);
     }
 

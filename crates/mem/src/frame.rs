@@ -177,16 +177,24 @@ impl vusion_snapshot::Snapshot for FrameInfo {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
-        self.state = match r.u8()? {
+        use vusion_snapshot::SnapshotError;
+        let Self {
+            state,
+            page_type,
+            refcount,
+            generation,
+            write_gen,
+        } = self;
+        *state = match r.u8()? {
             0 => FrameState::Free,
             1 => FrameState::Allocated,
-            _ => return Err(vusion_snapshot::SnapshotError::Corrupt("frame state")),
+            _ => return Err(SnapshotError::Corrupt("frame state")),
         };
-        self.page_type = PageType::from_index(r.u8()? as usize)
-            .ok_or(vusion_snapshot::SnapshotError::Corrupt("page type"))?;
-        self.refcount = r.u32()?;
-        self.generation = r.u64()?;
-        self.write_gen = r.u64()?;
+        *page_type =
+            PageType::from_index(r.u8()? as usize).ok_or(SnapshotError::Corrupt("page type"))?;
+        *refcount = r.u32()?;
+        *generation = r.u64()?;
+        *write_gen = r.u64()?;
         Ok(())
     }
 }
@@ -194,6 +202,19 @@ impl vusion_snapshot::Snapshot for FrameInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let src = FrameInfo {
+            state: FrameState::Allocated,
+            page_type: PageType::PageCache,
+            refcount: 3,
+            generation: 5,
+            write_gen: 7,
+        };
+        let (a, b) = vusion_snapshot::resave(&src, &mut FrameInfo::default()).expect("resave");
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn alloc_free_cycle() {

@@ -80,15 +80,20 @@ impl vusion_snapshot::Snapshot for LinearAllocator {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
-        if r.u64()? != self.base || r.u64()? != self.frames {
+        let Self {
+            base,
+            frames,
+            taken,
+        } = self;
+        if r.u64()? != *base || r.u64()? != *frames {
             return Err(vusion_snapshot::SnapshotError::Corrupt(
                 "linear geometry mismatch",
             ));
         }
-        self.taken.clear();
+        taken.clear();
         let n = r.usize()?;
         for _ in 0..n {
-            self.taken.insert(r.u64()?);
+            taken.insert(r.u64()?);
         }
         Ok(())
     }
@@ -122,6 +127,15 @@ impl FrameAllocator for LinearAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let mut src = LinearAllocator::new(FrameId(100), 16);
+        src.reserve_batch(3, |f| f.0 == 114);
+        let mut dst = LinearAllocator::new(FrameId(100), 16);
+        let (a, b) = vusion_snapshot::resave(&src, &mut dst).expect("resave");
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn allocates_from_the_end() {

@@ -196,9 +196,9 @@ impl Drop for FrameInfoMut<'_> {
 pub struct PhysMemory {
     data: Vec<Option<Box<[u8; PAGE_SIZE as usize]>>>,
     info: Vec<FrameInfo>,
-    // vlint: allow(S001, derived memo — load resets every entry to FrameCache::default)
+    /// Memoized hashes: derived, reset by `load`.
     cache: Vec<Cell<FrameCache>>,
-    // vlint: allow(S001, derived tallies — recounted from the frame table in load)
+    /// Allocation tallies: derived, recounted from `info` by `load`.
     counts: FrameCounts,
 }
 
@@ -598,11 +598,17 @@ impl vusion_snapshot::Snapshot for PhysMemory {
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
         use vusion_snapshot::SnapshotError;
+        let Self {
+            data,
+            info,
+            cache,
+            counts,
+        } = self;
         let frames = r.usize()?;
-        if frames != self.info.len() {
+        if frames != info.len() {
             return Err(SnapshotError::Corrupt("frame count mismatch"));
         }
-        for d in &mut self.data {
+        for d in data.iter_mut() {
             *d = None;
         }
         let live = r.usize()?;
@@ -614,21 +620,21 @@ impl vusion_snapshot::Snapshot for PhysMemory {
             let bytes = r.bytes(PAGE_SIZE as usize)?;
             let mut page = Box::new(ZERO_PAGE);
             page.copy_from_slice(bytes);
-            self.data[i] = Some(page);
+            data[i] = Some(page);
         }
-        for info in &mut self.info {
-            info.load(r)?;
+        for f in info.iter_mut() {
+            f.load(r)?;
         }
         // Memoized hashes and the O(1) allocation counters are derived
         // state: reset the former, recompute the latter.
-        for c in &self.cache {
+        for c in cache.iter() {
             c.set(FrameCache::default());
         }
-        self.counts = FrameCounts::default();
-        for info in &self.info {
-            if let Some(t) = contribution(info) {
-                self.counts.allocated += 1;
-                self.counts.by_type[t.index()] += 1;
+        *counts = FrameCounts::default();
+        for f in info.iter() {
+            if let Some(t) = contribution(f) {
+                counts.allocated += 1;
+                counts.by_type[t.index()] += 1;
             }
         }
         Ok(())
@@ -638,6 +644,25 @@ impl vusion_snapshot::Snapshot for PhysMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let mut src = PhysMemory::new(4);
+        src.write_byte(PhysAddr(PAGE_SIZE + 3), 0xA5);
+        src.write_u64(PhysAddr(3 * PAGE_SIZE + 8), 0x0102_0304_0506_0708);
+        for (i, t) in [(1, PageType::Anon), (3, PageType::PageCache)] {
+            let mut f = src.info_mut(FrameId(i));
+            f.on_alloc(t);
+            f.get();
+            f.generation = 40 + i;
+        }
+        let mut dst = PhysMemory::new(4);
+        let (a, b) = vusion_snapshot::resave(&src, &mut dst).expect("resave");
+        assert_eq!(a, b);
+        // The derived tallies are recounted, not carried.
+        assert_eq!(dst.allocated_frames(), 2);
+        assert_eq!(dst.hash_page(FrameId(1)), src.hash_page(FrameId(1)));
+    }
 
     #[test]
     fn frames_start_zeroed_and_lazy() {

@@ -184,14 +184,18 @@ impl vusion_snapshot::Snapshot for RandomPool {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
+        let Self {
+            pool,
+            capacity,
+            rng,
+        } = self;
         let n = r.usize()?;
-        self.pool.clear();
+        pool.clear();
         for _ in 0..n {
-            self.pool.push(FrameId(r.u64()?));
+            pool.push(FrameId(r.u64()?));
         }
-        self.capacity = r.usize()?;
-        let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        self.rng = StdRng::from_state(s);
+        *capacity = r.usize()?;
+        *rng = StdRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
         Ok(())
     }
 }
@@ -200,6 +204,17 @@ impl vusion_snapshot::Snapshot for RandomPool {
 mod tests {
     use super::*;
     use crate::buddy::BuddyAllocator;
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let (mut src, mut b) = setup(8, 1024);
+        for _ in 0..5 {
+            src.alloc_random(&mut b).expect("frame");
+        }
+        let (mut dst, _) = setup(4, 64);
+        let (a, b) = vusion_snapshot::resave(&src, &mut dst).expect("resave");
+        assert_eq!(a, b);
+    }
 
     fn setup(pool_size: usize, frames: u64) -> (RandomPool, BuddyAllocator) {
         let mut b = BuddyAllocator::new(FrameId(0), frames);

@@ -113,7 +113,8 @@ impl AddressSpace {
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<Self, vusion_snapshot::SnapshotError> {
         let root = vusion_mem::FrameId(r.u64()?);
-        let n = r.usize()?;
+        // An anonymous VMA, the shortest, takes 23 bytes.
+        let n = r.len_prefix(23)?;
         let mut vmas = Vec::with_capacity(n);
         for _ in 0..n {
             vmas.push(Vma::load(r)?);

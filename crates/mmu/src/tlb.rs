@@ -185,27 +185,35 @@ impl vusion_snapshot::Snapshot for Tlb {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
-        self.cap_4k = r.usize()?;
-        self.cap_2m = r.usize()?;
-        self.flush();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let k = r.u64()?;
-            let pte = Pte(r.u64()?);
-            self.fifo_4k.push(k);
-            self.map_4k.insert(k, TlbEntry { pte, huge: false });
+        let Self {
+            cap_4k,
+            cap_2m,
+            map_4k,
+            fifo_4k,
+            map_2m,
+            fifo_2m,
+            hits,
+            misses,
+            invalidations,
+            flushes,
+        } = self;
+        *cap_4k = r.usize()?;
+        *cap_2m = r.usize()?;
+        for (map, fifo, huge) in [(map_4k, fifo_4k, false), (map_2m, fifo_2m, true)] {
+            map.clear();
+            fifo.clear();
+            let n = r.usize()?;
+            for _ in 0..n {
+                let k = r.u64()?;
+                let pte = Pte(r.u64()?);
+                fifo.push(k);
+                map.insert(k, TlbEntry { pte, huge });
+            }
         }
-        let n = r.usize()?;
-        for _ in 0..n {
-            let k = r.u64()?;
-            let pte = Pte(r.u64()?);
-            self.fifo_2m.push(k);
-            self.map_2m.insert(k, TlbEntry { pte, huge: true });
-        }
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
-        self.invalidations = r.u64()?;
-        self.flushes = r.u64()?;
+        *hits = r.u64()?;
+        *misses = r.u64()?;
+        *invalidations = r.u64()?;
+        *flushes = r.u64()?;
         Ok(())
     }
 }
@@ -220,6 +228,20 @@ mod tests {
             pte: Pte::new(FrameId(frame), PteFlags::PRESENT),
             huge,
         }
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_field() {
+        let mut src = Tlb::new(4, 3);
+        src.fill(VirtAddr(0x1000), entry(1, false));
+        src.fill(VirtAddr(0x5000), entry(2, false));
+        src.fill(VirtAddr(HUGE_PAGE_SIZE * 3), entry(1024, true));
+        src.hits = 11;
+        src.misses = 12;
+        src.invalidations = 13;
+        src.flushes = 14;
+        let (a, b) = vusion_snapshot::resave(&src, &mut Tlb::new(1, 1)).expect("resave");
+        assert_eq!(a, b);
     }
 
     #[test]

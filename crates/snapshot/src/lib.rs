@@ -4,16 +4,13 @@
 //! allocators, TLBs, clocks, RNG streams, and the fusion engines — can
 //! save itself into a [`Writer`] and reload from a [`Reader`]. The crate
 //! deliberately has **zero dependencies** (it sits below `mem` in the
-//! workspace graph) and defines only the byte-level encoding plus the two
-//! traits the rest of the workspace implements:
-//!
-//! * [`Snapshot`] — object-safe save/load-in-place, implemented by every
-//!   serializable struct. Load is *into* an existing value because restore
-//!   always targets a freshly constructed machine of the same shape.
-//! * [`EngineState`] — marker refinement for fusion engines (KSM, WPF,
-//!   VUsion). It adds a stable textual tag written into snapshots so a
-//!   bundle recorded under one engine cannot be silently replayed into
-//!   another.
+//! workspace graph) and defines only the byte-level encoding plus the one
+//! trait the rest of the workspace implements: [`Snapshot`], object-safe
+//! save/load-in-place. Load is *into* an existing value because restore
+//! always targets a freshly constructed machine of the same shape; fusion
+//! engines implement it too, as a supertrait of the kernel's
+//! `FusionPolicy`. [`resave`] is the round-trip check every implementor's
+//! unit test runs.
 //!
 //! # Wire format
 //!
@@ -268,12 +265,36 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed slice of `u64`s.
     pub fn u64s(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.usize()?;
-        let mut v = Vec::with_capacity(n.min(1 << 20));
+        let n = self.len_prefix(8)?;
+        let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.u64()?);
         }
         Ok(v)
+    }
+
+    /// Reads the length prefix of a sequence whose elements each take at
+    /// least `min_bytes` (one or more) on the wire. A count that many
+    /// elements could not fit in the remaining bytes is
+    /// [`SnapshotError::Truncated`], so a decoder may size its buffer from
+    /// the result: a crafted prefix can never make the host allocate more
+    /// than the stream could describe.
+    pub fn len_prefix(&mut self, min_bytes: usize) -> Result<usize, SnapshotError> {
+        let n = self.usize()?;
+        if n.saturating_mul(min_bytes) > self.remaining() {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// Succeeds only if every byte has been consumed. Bytes left over mean
+    /// the stream was written by a `save` its `load` does not match.
+    pub fn finish(&self) -> Result<(), SnapshotError> {
+        if self.is_empty() {
+            Ok(())
+        } else {
+            Err(SnapshotError::Corrupt("unread bytes after the last field"))
+        }
     }
 }
 
@@ -401,6 +422,10 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
 /// restore path always starts from a freshly built machine of the same
 /// configuration; this keeps the trait usable through `dyn` (e.g. boxed
 /// fusion policies).
+///
+/// Implementations open `load` with an exhaustive `let Self { … } = self;`
+/// (no `..`), so adding a field stops the build there, and check
+/// field order with a [`resave`] unit test.
 pub trait Snapshot {
     /// Appends this value's full state to `w`.
     fn save(&self, w: &mut Writer);
@@ -408,13 +433,36 @@ pub trait Snapshot {
     fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError>;
 }
 
-/// A fusion engine whose complete scan/merge state can be checkpointed.
-///
-/// The tag is written into every snapshot and verified on restore, so a
-/// KSM bundle cannot be replayed into a VUsion system by mistake.
-pub trait EngineState: Snapshot {
-    /// Stable identifier for this engine's snapshot payload.
-    fn engine_tag(&self) -> &'static str;
+impl<T: Snapshot + ?Sized> Snapshot for Box<T> {
+    fn save(&self, w: &mut Writer) {
+        (**self).save(w)
+    }
+
+    fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        (**self).load(r)
+    }
+}
+
+/// Round-trips `src` through `dst`: saves `src`, loads that image into
+/// `dst`, requires the load to consume every byte, and saves `dst`.
+/// Returns both images. Each `Snapshot` implementor's unit test gives
+/// every serialized field of `src` a distinct non-default value and
+/// asserts the images are equal: a field `save` skips shifts the reads
+/// after it, a field `load` skips leaves bytes unread (an error here) or
+/// keeps `dst`'s value, and two reads in the wrong order swap values.
+pub fn resave<T: Snapshot + ?Sized>(
+    src: &T,
+    dst: &mut T,
+) -> Result<(Vec<u8>, Vec<u8>), SnapshotError> {
+    let mut w = Writer::new();
+    src.save(&mut w);
+    let first = w.into_bytes();
+    let mut r = Reader::new(&first);
+    dst.load(&mut r)?;
+    r.finish()?;
+    let mut w = Writer::new();
+    dst.save(&mut w);
+    Ok((first, w.into_bytes()))
 }
 
 #[cfg(test)]
@@ -447,6 +495,93 @@ mod tests {
         assert_eq!(r.blob(), Ok(&[1u8, 2, 3][..]));
         assert_eq!(r.u64s(), Ok(vec![9, 8, 7]));
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn length_prefixes_must_fit_the_remaining_bytes() {
+        let mut w = Writer::new();
+        w.usize(3);
+        w.bytes(&[0; 24]);
+        w.usize(usize::MAX >> 8);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.len_prefix(8), Ok(3));
+        assert_eq!(r.bytes(24).map(<[u8]>::len), Ok(24));
+        assert_eq!(r.len_prefix(1), Err(SnapshotError::Truncated));
+        // Three 11-byte elements cannot fit in the 32 bytes after the prefix.
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.len_prefix(11), Err(SnapshotError::Truncated));
+        let mut r = Reader::new(&bytes[..8]);
+        assert_eq!(r.u64s(), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn finish_rejects_unread_bytes() {
+        let mut r = Reader::new(&[1, 2]);
+        assert_eq!(r.u8(), Ok(1));
+        assert!(matches!(r.finish(), Err(SnapshotError::Corrupt(_))));
+        assert_eq!(r.u8(), Ok(2));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    /// A two-field type with a deliberately faulty `load` variant, to
+    /// show what [`resave`] catches.
+    #[derive(Default)]
+    struct Pair {
+        a: u64,
+        b: u64,
+        fault: Option<&'static str>,
+    }
+
+    impl Snapshot for Pair {
+        fn save(&self, w: &mut Writer) {
+            w.u64(self.a);
+            w.u64(self.b);
+        }
+
+        fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+            match self.fault {
+                None => {
+                    self.a = r.u64()?;
+                    self.b = r.u64()?;
+                }
+                Some("swap") => {
+                    self.b = r.u64()?;
+                    self.a = r.u64()?;
+                }
+                Some(_) => self.a = r.u64()?,
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn resave_catches_swapped_and_skipped_reads() {
+        let src = Pair {
+            a: 1,
+            b: 2,
+            fault: None,
+        };
+        let (a, b) = resave(&src, &mut Pair::default()).expect("resave");
+        assert_eq!(a, b);
+        let mut swapped = Pair {
+            fault: Some("swap"),
+            ..Pair::default()
+        };
+        let (a, b) = resave(&src, &mut swapped).expect("resave");
+        assert_ne!(a, b);
+        let mut skipped = Pair {
+            fault: Some("skip"),
+            ..Pair::default()
+        };
+        assert!(matches!(
+            resave(&src, &mut skipped),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        // Through a box, as the kernel stores boxed engines.
+        let boxed = Box::new(src);
+        let (a, b) = resave(&boxed, &mut Box::<Pair>::default()).expect("resave");
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -29,15 +29,6 @@ pub const RULES: &[RuleDoc] = &[
         ok: "let t0 = machine.now_ns();",
     },
     RuleDoc {
-        id: "D002",
-        summary: "no randomized-order collections (HashMap/HashSet); use BTreeMap/BTreeSet",
-        rationale: "std's hash collections iterate in a per-process randomized order, so any \
-                    artifact built by iterating one differs run to run. BTree collections (or a \
-                    Vec) make iteration order a pure function of the keys.",
-        bad: "let mut seen: HashMap<u64, u32> = HashMap::new();",
-        ok: "let mut seen: BTreeMap<u64, u32> = BTreeMap::new();",
-    },
-    RuleDoc {
         id: "D003",
         summary: "no environment reads (env::var) in simulation crates",
         rationale: "An environment read is a hidden config input: two runs of the same seed can \
@@ -134,27 +125,6 @@ pub const RULES: &[RuleDoc] = &[
         ok: "obs.observe_fault_latency(dt as f64);",
     },
     RuleDoc {
-        id: "S001",
-        summary: "every field of a snapshotted struct must round-trip through save AND load",
-        rationale: "Crash -> restore -> replay converges byte-identically only if every field \
-                    of every `impl Snapshot` type survives the round trip. A field missing from \
-                    save or load is a replay-divergence heisenbug: the state machine silently \
-                    forks at the first restore. Derived or host-only fields carry a reasoned \
-                    allow on their declaration line.",
-        bad: "struct W { a: u64, cursor: u64 }\nimpl Snapshot for W {\n    fn save(&self, w: &mut Writer) { w.u64(self.a); }\n    fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {\n        self.a = r.u64()?; Ok(())\n    }\n}",
-        ok: "struct W { a: u64, cursor: u64 }\nimpl Snapshot for W {\n    fn save(&self, w: &mut Writer) { w.u64(self.a); w.u64(self.cursor); }\n    fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {\n        self.a = r.u64()?; self.cursor = r.u64()?; Ok(())\n    }\n}",
-    },
-    RuleDoc {
-        id: "S002",
-        summary: "save and load must visit a snapshotted struct's fields in the same order",
-        rationale: "The snapshot wire format is a positional byte stream: load must read \
-                    fields in exactly the order save wrote them. A save/load order divergence \
-                    deserializes one field's bytes into another — often silently, when the \
-                    types happen to have the same width.",
-        bad: "fn save(&self, w: &mut Writer) { w.u64(self.a); w.u64(self.b); }\nfn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {\n    self.b = r.u64()?; self.a = r.u64()?; Ok(())\n}",
-        ok: "fn save(&self, w: &mut Writer) { w.u64(self.a); w.u64(self.b); }\nfn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {\n    self.a = r.u64()?; self.b = r.u64()?; Ok(())\n}",
-    },
-    RuleDoc {
         id: "J001",
         summary: "public &mut self System/Machine methods reaching simulation state are journaled",
         rationale: "Replay reconstructs a run purely from the journal. A public mutator that \
@@ -171,10 +141,10 @@ pub const RULES: &[RuleDoc] = &[
         summary: "vlint allow annotations need a reason: // vlint: allow(RULE, why)",
         rationale: "A suppression without a reason is a contract violation with the evidence \
                     deleted. The reason is the reviewable artifact: it says why this site is an \
-                    exception (derived field, host-only knob, the one approved thread spawn) so \
-                    the next reader can re-check the claim.",
-        bad: "// vlint: allow(D002)\nuse std::collections::HashMap;",
-        ok: "// vlint: allow(D002, host-side cache keyed by inode — never iterated)\nuse std::collections::HashMap;",
+                    exception (a host-only knob, the one approved thread spawn) so the next \
+                    reader can re-check the claim.",
+        bad: "// vlint: allow(D003)\nlet dir = env::var(\"REPRO_DIR\");",
+        ok: "// vlint: allow(D003, host-side output path — never reaches simulation state)\nlet dir = env::var(\"REPRO_DIR\");",
     },
 ];
 
@@ -202,7 +172,7 @@ mod tests {
 
     #[test]
     fn find_is_case_insensitive() {
-        assert_eq!(find("s001").map(|r| r.id), Some("S001"));
+        assert_eq!(find("j001").map(|r| r.id), Some("J001"));
         assert!(find("Z999").is_none());
     }
 }

@@ -8,9 +8,9 @@
 //! sources with its own lexer (no rustc, no network, no dependencies) and
 //! enforces those contracts as lint rules:
 //!
-//! * **D-rules** — determinism: no wall-clock time, no randomized-order
-//!   hash collections, no environment reads, no platform-conditional
-//!   compilation inside the simulation crates.
+//! * **D-rules** — determinism: no wall-clock time, no environment
+//!   reads, no platform-conditional compilation inside the simulation
+//!   crates. (clippy.toml bans the randomized-order hash collections.)
 //! * **T-rules** — threading: host threads stay behind the campaign
 //!   orchestrator's whole-run fan-out (`crates/campaign/src/lib.rs`);
 //!   ad-hoc `std::thread` use would make artifacts depend on scheduling.
@@ -33,20 +33,20 @@
 //!   (`crates/obs/src/surface.rs`); everyone else goes through typed
 //!   wrappers like `Obs::observe_fault_latency`, so every latency
 //!   observation feeds one canonical, diffable artifact.
-//! * **S-rules** — snapshot coverage: every field of every
-//!   `impl Snapshot` type round-trips through `save`/`load` (S001), in
-//!   the same order on both sides (S002); derived or host-only fields
-//!   carry a reasoned allow on their declaration line.
 //! * **J-rules** — journal coverage: every public `&mut self` method on
 //!   `System`/`Machine` that reaches simulation state appends a journal
 //!   event (or is reachable from one that does), so replay reconstructs
 //!   every mutation from the event stream.
 //!
-//! The first seven families are per-file token passes. The S/J
-//! families (and W's transitive check) run on a workspace level: a
-//! lightweight item parser ([`parser`]) recovers structs, impl blocks,
-//! and methods, and a cross-file symbol table and name-based call graph
-//! (`workspace`) answers reachability questions over the whole tree.
+//! Snapshot coverage is the compiler's job, not vlint's: every `load`
+//! destructures its type exhaustively and every `Snapshot` type has a
+//! save→load→save round-trip test (DESIGN.md §9).
+//!
+//! The D/T/P/E/G/O families are per-file token passes. J (and W's
+//! transitive check) run on a workspace level: a lightweight item parser
+//! ([`parser`]) recovers impl blocks and their methods, and a cross-file
+//! symbol table and name-based call graph (`workspace`) answers
+//! reachability questions over the whole tree.
 //!
 //! Findings are deterministic: files are visited in sorted order and
 //! findings sort by `(file, line, rule, message)`, so two runs over the
@@ -102,8 +102,6 @@ pub struct Families {
     pub g: bool,
     /// Observability (surface latency-sampling) rules.
     pub o: bool,
-    /// Snapshot-coverage rules.
-    pub s: bool,
     /// Journal-coverage rules.
     pub j: bool,
 }
@@ -118,7 +116,6 @@ impl Families {
         e: true,
         g: true,
         o: true,
-        s: true,
         j: true,
     };
 }
@@ -134,7 +131,6 @@ fn family_enabled(fam: Families, rule: &str) -> bool {
         Some(b'E') => fam.e,
         Some(b'G') => fam.g,
         Some(b'O') => fam.o,
-        Some(b'S') => fam.s,
         Some(b'J') => fam.j,
         _ => true,
     }
@@ -188,9 +184,6 @@ pub fn families_for(rel: &str) -> Families {
         // surface recorder. The obs crate itself (recorder + registry)
         // is naturally out of scope.
         o: !rel.starts_with("crates/obs/src/"),
-        // Snapshot round-trip coverage applies to every crate's library
-        // sources: any `impl Snapshot` in the tree is replay-critical.
-        s: rel.starts_with("crates/") && rel.contains("/src/"),
         // Journal coverage polices the kernel's public mutator surface
         // (`System`/`Machine` live there).
         j: rel.starts_with("crates/kernel/src/"),
@@ -219,7 +212,7 @@ pub(crate) struct FileCtx<'a> {
     /// `#[cfg(debug_assertions)]` item.
     pub test_lines: Vec<bool>,
     pub fns: Vec<FnInfo>,
-    /// Item-level view: structs, impl blocks, methods.
+    /// Item-level view: impl blocks and their methods.
     pub items: parser::Items,
     /// The rule families policing this file (workspace rules consult it
     /// to decide which files' items to analyze).
@@ -460,7 +453,7 @@ pub(crate) fn build_file_ctxs(files: &[(String, String, Families)]) -> Vec<FileC
 }
 
 /// Lints a batch of files as one workspace: per-file token rules first,
-/// then the cross-file rules (W/S/J/R) over the shared symbol table and
+/// then the cross-file rules (W/J) over the shared symbol table and
 /// call graph. Each finding is kept only if its rule's family is enabled
 /// for the file it is anchored in, and per-line allows apply as usual.
 pub fn analyze_files(files: &[(String, String, Families)]) -> Vec<Finding> {
@@ -491,7 +484,6 @@ pub fn analyze_files(files: &[(String, String, Families)]) -> Vec<Finding> {
     }
     let ws = workspace::WorkspaceCtx::build(&ctxs);
     rules::write_gen(&ws, &mut findings);
-    rules::snapshot_coverage(&ws, &mut findings);
     rules::journal_coverage(&ws, &mut findings);
 
     let fam_of: BTreeMap<&str, Families> = files
@@ -649,19 +641,19 @@ mod tests {
     #[test]
     fn allow_annotation_suppresses_same_and_next_line() {
         let src = "\
-// vlint: allow(D002, test of suppression)
-use std::collections::HashMap;
-use std::collections::HashSet;
+// vlint: allow(D003, test of suppression)
+let a = env::var(\"A\");
+let b = env::var(\"B\");
 ";
         let f = analyze_source("crates/mem/src/x.rs", src, Families::ALL);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D002");
+        assert_eq!(f[0].rule, "D003");
         assert_eq!(f[0].line, 3);
     }
 
     #[test]
     fn allow_without_reason_is_rejected() {
-        let src = "let x = 1; // vlint: allow(D002)\n";
+        let src = "let x = 1; // vlint: allow(D003)\n";
         let f = analyze_source("crates/mem/src/x.rs", src, Families::ALL);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "V001");

@@ -1,36 +1,15 @@
 //! Item-level parser: a brace tree over the lexer's token stream.
 //!
-//! The S/J/R rule families need to know *what* a file declares, not just
-//! which identifiers it mentions: which structs exist and in what order
-//! their fields are declared, which `impl` blocks implement which trait
-//! for which type, and which methods are public `&mut self` entry points.
-//! This module recovers exactly that — and nothing more — from the token
-//! stream. It is resilient rather than complete: anything it cannot
-//! parse (macro-generated items, exotic generics) is skipped, never
-//! guessed at, so a parse gap can only ever cost a finding, not invent
-//! one.
+//! J001 needs to know *what* a file declares, not just which identifiers
+//! it mentions: which `impl` blocks exist for which type, and which of
+//! their methods are public `&mut self` entry points. This module
+//! recovers exactly that — and nothing more — from the token stream. It
+//! is resilient rather than complete: anything it cannot parse
+//! (macro-generated items, exotic generics) is skipped, never guessed
+//! at, so a parse gap can only ever cost a finding, not invent one.
 
 use crate::lexer::{Kind, Token};
 use crate::{attr_end, matching_brace};
-
-/// One named struct field, in declaration order.
-#[derive(Debug)]
-pub struct FieldInfo {
-    pub name: String,
-    /// 1-based line of the field's declaration.
-    pub line: u32,
-}
-
-/// A struct with a named-field body. Tuple and unit structs are skipped:
-/// the snapshot rules only reason about named fields.
-#[derive(Debug)]
-pub struct StructInfo {
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Fields in declaration order.
-    pub fields: Vec<FieldInfo>,
-}
 
 /// A method (or associated fn) inside an `impl` block.
 #[derive(Debug)]
@@ -60,7 +39,6 @@ pub struct ImplInfo {
 /// Everything the item parser recovers from one file.
 #[derive(Debug, Default)]
 pub struct Items {
-    pub structs: Vec<StructInfo>,
     pub impls: Vec<ImplInfo>,
 }
 
@@ -110,79 +88,6 @@ fn parse_path(tokens: &[Token], mut i: usize) -> Option<(String, usize)> {
         }
         return last.map(|l| (l, i));
     }
-}
-
-/// Parses the named fields between a struct's braces (`tokens[open]` is
-/// the `{`, `close` one past the matching `}`).
-fn parse_fields(tokens: &[Token], open: usize, close: usize) -> Vec<FieldInfo> {
-    let mut fields = Vec::new();
-    let mut i = open + 1;
-    let end = close.saturating_sub(1); // the closing `}` itself
-    while i < end {
-        let t = &tokens[i];
-        // Skip field attributes (`#[serde(...)]`-style).
-        if t.is_punct('#') && tokens.get(i + 1).is_some_and(|n| n.is_punct('[')) {
-            i = attr_end(tokens, i + 1);
-            continue;
-        }
-        // Skip visibility (`pub`, `pub(crate)`, `pub(in ...)`).
-        if t.is_ident("pub") {
-            i += 1;
-            if tokens.get(i).is_some_and(|n| n.is_punct('(')) {
-                let mut depth = 0usize;
-                while i < end {
-                    if tokens[i].is_punct('(') {
-                        depth += 1;
-                    } else if tokens[i].is_punct(')') {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // `name: Type,`
-        if t.kind == Kind::Ident
-            && tokens.get(i + 1).is_some_and(|n| n.is_punct(':'))
-            && !tokens.get(i + 2).is_some_and(|n| n.is_punct(':'))
-        {
-            fields.push(FieldInfo {
-                name: t.text.clone(),
-                line: t.line,
-            });
-            // Skip the type: consume until a `,` at bracket depth zero.
-            i += 2;
-            let (mut paren, mut angle) = (0isize, 0isize);
-            while i < end {
-                let t = &tokens[i];
-                if t.is_punct(',') && paren == 0 && angle <= 0 {
-                    i += 1;
-                    break;
-                }
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    paren += 1;
-                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                    paren -= 1;
-                } else if t.is_punct('<') {
-                    angle += 1;
-                } else if t.is_punct('>') {
-                    let arrow =
-                        i > 0 && (tokens[i - 1].is_punct('-') || tokens[i - 1].is_punct('='));
-                    if !arrow {
-                        angle -= 1;
-                    }
-                }
-                i += 1;
-            }
-            continue;
-        }
-        i += 1;
-    }
-    fields
 }
 
 /// Whether the tokens directly before the `fn` at `i` carry a `pub`
@@ -259,41 +164,12 @@ fn parse_methods(tokens: &[Token], open: usize, close: usize) -> Vec<MethodInfo>
     methods
 }
 
-/// Recovers the structs and impl blocks of one file.
+/// Recovers the impl blocks of one file.
 pub fn parse_items(tokens: &[Token]) -> Items {
     let mut items = Items::default();
     let mut i = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
-        if t.is_ident("struct") && tokens.get(i + 1).is_some_and(|n| n.kind == Kind::Ident) {
-            let name = tokens[i + 1].text.clone();
-            let line = t.line;
-            let mut j = i + 2;
-            if tokens.get(j).is_some_and(|n| n.is_punct('<')) {
-                j = skip_angles(tokens, j);
-            }
-            // Skip a `where` clause to the body; `(` or `;` means a
-            // tuple/unit struct, which the snapshot rules ignore.
-            while j < tokens.len()
-                && !tokens[j].is_punct('{')
-                && !tokens[j].is_punct('(')
-                && !tokens[j].is_punct(';')
-            {
-                j += 1;
-            }
-            if j < tokens.len() && tokens[j].is_punct('{') {
-                let close = matching_brace(tokens, j);
-                items.structs.push(StructInfo {
-                    name,
-                    line,
-                    fields: parse_fields(tokens, j, close),
-                });
-                i = close;
-                continue;
-            }
-            i = j + 1;
-            continue;
-        }
         if t.is_ident("impl") {
             let line = t.line;
             let mut j = i + 1;
@@ -357,28 +233,6 @@ mod tests {
 
     fn parse(src: &str) -> Items {
         parse_items(&lex(src))
-    }
-
-    #[test]
-    fn structs_recover_named_fields_in_order() {
-        let it = parse(
-            "pub struct Frame<T: Clone> {\n\
-             \x20   #[allow(dead_code)]\n\
-             \x20   pub state: u8,\n\
-             \x20   data: Option<Box<[u8; SIZE as usize]>>,\n\
-             \x20   pub(crate) map: BTreeMap<u64, Vec<(u32, u32)>>,\n\
-             \x20   hook: fn(u64) -> u64,\n\
-             }\n\
-             struct Unit;\n\
-             struct Tup(u64, u64);\n",
-        );
-        assert_eq!(it.structs.len(), 1);
-        let s = &it.structs[0];
-        assert_eq!(s.name, "Frame");
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["state", "data", "map", "hook"]);
-        assert_eq!(s.fields[0].line, 3);
-        assert_eq!(s.fields[3].line, 6);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The rule implementations. The D/T/P/E/G/O families are per-file
-//! passes over a token stream; the W/S/J/R families run on the
-//! workspace level, over the item parser's structs/impls and the
-//! cross-file name-based call graph.
+//! passes over a token stream; the W/J families run on the workspace
+//! level, over the item parser's impl blocks and the cross-file
+//! name-based call graph.
 //!
 //! Rules are deliberately token-level, not type-level: they trade a
 //! little precision for zero dependencies and total determinism, and the
@@ -42,8 +42,9 @@ fn path_seg<'t>(tokens: &'t [Token], i: usize, head: &str, tails: &[&str]) -> Op
 // D — determinism
 // ---------------------------------------------------------------------
 
-/// D001 wall-clock time, D002 randomized-order collections, D003
-/// environment reads, D004 platform-conditional compilation.
+/// D001 wall-clock time, D003 environment reads, D004
+/// platform-conditional compilation. (Randomized-order hash collections
+/// are banned by clippy.toml's `disallowed-types`, for every target.)
 pub(crate) fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let toks = &ctx.tokens;
     for i in 0..toks.len() {
@@ -91,20 +92,6 @@ pub(crate) fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 "`std::time` is host wall-clock; simulation time comes from the machine's \
                  cycle counter"
                     .to_string(),
-            );
-        }
-        // D002 — hash collections iterate in randomized order.
-        if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            push(
-                ctx,
-                out,
-                t.line,
-                "D002",
-                format!(
-                    "`{}` iterates in randomized order; use BTreeMap/BTreeSet (or a Vec) so \
-                     every run of a seed is identical",
-                    t.text
-                ),
             );
         }
         // D003 — environment reads make behavior depend on the host.
@@ -571,144 +558,6 @@ pub(crate) fn surface(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// S — snapshot coverage
-// ---------------------------------------------------------------------
-
-/// The field names a method body references as `self.<field>`, in order
-/// of first occurrence, restricted to `declared`.
-fn field_refs(ts: &[Token], declared: &BTreeSet<&str>) -> Vec<String> {
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    let mut out = Vec::new();
-    for w in ts.windows(3) {
-        if w[0].is_ident("self") && w[1].is_punct('.') && w[2].kind == Kind::Ident {
-            if let Some(&name) = declared.get(w[2].text.as_str()) {
-                if seen.insert(name) {
-                    out.push(name.to_string());
-                }
-            }
-        }
-    }
-    out
-}
-
-/// S001: every field of an `impl Snapshot` type must be written by
-/// `save` AND restored by `load` — a field missing from either side is a
-/// replay-divergence heisenbug (the state machine silently forks at the
-/// first restore). S002: `save` and `load` must visit the fields they
-/// share in the same order — the wire format is positional, so an order
-/// divergence deserializes one field's bytes into another.
-///
-/// The struct declaration is resolved same-file first, then as a unique
-/// name match across the workspace; ambiguous names are skipped (a
-/// name-based resolver must not guess). S001 anchors at the field's
-/// declaration line so each derived/host-only exception carries its
-/// `// vlint: allow(S001, why)` on the field itself.
-pub(crate) fn snapshot_coverage(ws: &WorkspaceCtx<'_, '_>, out: &mut Vec<Finding>) {
-    for f in ws.files.iter() {
-        if !f.fam.s {
-            continue;
-        }
-        for im in &f.items.impls {
-            if im.trait_name.as_deref() != Some("Snapshot") || f.in_test_code(im.line) {
-                continue;
-            }
-            let local = f
-                .items
-                .structs
-                .iter()
-                .find(|s| s.name == im.type_name)
-                .map(|s| (f, s));
-            let resolved = local.or_else(|| {
-                let mut hits = ws.files.iter().filter(|o| o.fam.s).flat_map(|o| {
-                    o.items
-                        .structs
-                        .iter()
-                        .filter(|s| s.name == im.type_name)
-                        .map(move |s| (o, s))
-                });
-                let first = hits.next();
-                if hits.next().is_some() {
-                    None
-                } else {
-                    first
-                }
-            });
-            let Some((sf, strukt)) = resolved else {
-                continue;
-            };
-            let declared: BTreeSet<&str> = strukt.fields.iter().map(|d| d.name.as_str()).collect();
-            let save = im.methods.iter().find(|m| m.name == "save");
-            let load = im.methods.iter().find(|m| m.name == "load");
-            let (Some(save), Some(load)) = (save, load) else {
-                continue;
-            };
-            let save_refs = field_refs(&f.tokens[save.body.0..save.body.1], &declared);
-            let load_refs = field_refs(&f.tokens[load.body.0..load.body.1], &declared);
-
-            for field in &strukt.fields {
-                let in_save = save_refs.contains(&field.name);
-                let in_load = load_refs.contains(&field.name);
-                if in_save && in_load {
-                    continue;
-                }
-                let verdict = match (in_save, in_load) {
-                    (false, false) => {
-                        "is neither written by `Snapshot::save` nor restored by \
-                                       `Snapshot::load`"
-                    }
-                    (false, true) => "is not written by `Snapshot::save`",
-                    (true, false) => "is not restored by `Snapshot::load`",
-                    _ => unreachable!(),
-                };
-                out.push(Finding {
-                    file: sf.rel.to_string(),
-                    line: field.line,
-                    rule: "S001",
-                    message: format!(
-                        "field `{}.{}` {}; replay would diverge at the first restore \
-                         (derived/host-only fields carry `// vlint: allow(S001, why)` on their \
-                         declaration)",
-                        strukt.name, field.name, verdict
-                    ),
-                });
-            }
-
-            // S002 — order divergence over the fields both sides visit.
-            let common: BTreeSet<&str> = save_refs
-                .iter()
-                .filter(|r| load_refs.contains(r))
-                .map(|r| r.as_str())
-                .collect();
-            let a: Vec<&str> = save_refs
-                .iter()
-                .filter(|r| common.contains(r.as_str()))
-                .map(|r| r.as_str())
-                .collect();
-            let b: Vec<&str> = load_refs
-                .iter()
-                .filter(|r| common.contains(r.as_str()))
-                .map(|r| r.as_str())
-                .collect();
-            if let Some(k) = (0..a.len().min(b.len())).find(|&k| a[k] != b[k]) {
-                out.push(Finding {
-                    file: f.rel.to_string(),
-                    line: load.line,
-                    rule: "S002",
-                    message: format!(
-                        "`Snapshot` for `{}` diverges from save order: save writes `{}` at \
-                         position {} but load restores `{}` there; the wire format is positional",
-                        strukt.name,
-                        a[k],
-                        k + 1,
-                        b[k]
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // J — journal coverage
 // ---------------------------------------------------------------------
 
@@ -848,7 +697,6 @@ mod tests {
             vec![("D001", 1), ("D001", 1)]
         );
         assert_eq!(rules("let t = Instant::now();"), vec![("D001", 1)]);
-        assert_eq!(rules("let m: HashMap<u32, u32>;"), vec![("D002", 1)]);
         assert_eq!(rules("let v = env::var(\"SEED\");"), vec![("D003", 1)]);
         assert_eq!(
             rules("#[cfg(target_os = \"linux\")]\nfn f() {}"),
@@ -951,64 +799,6 @@ fn f() { assert!(on, \"off\"); }";
         assert!(rules("let h = machine.observed_hash(frame);").is_empty());
         let tested = "#[cfg(test)]\nmod tests {\n  fn f() { r.observe(\"h\", 1.0); }\n}";
         assert!(rules(tested).is_empty());
-    }
-
-    #[test]
-    fn s001_catches_missing_round_trip() {
-        let bad = "
-struct W { a: u64, cursor: u64 }
-impl Snapshot for W {
-    fn save(&self, w: &mut Writer) { w.u64(self.a); }
-    fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.a = r.u64()?;
-        Ok(())
-    }
-}";
-        assert_eq!(rules(bad), vec![("S001", 2)]);
-        let good = "
-struct W { a: u64, cursor: u64 }
-impl Snapshot for W {
-    fn save(&self, w: &mut Writer) { w.u64(self.a); w.u64(self.cursor); }
-    fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.a = r.u64()?;
-        self.cursor = r.u64()?;
-        Ok(())
-    }
-}";
-        assert!(rules(good).is_empty());
-    }
-
-    #[test]
-    fn s001_allow_sits_on_the_field_declaration() {
-        let allowed = "
-struct W {
-    a: u64,
-    // vlint: allow(S001, derived cache — rebuilt on load)
-    memo: u64,
-}
-impl Snapshot for W {
-    fn save(&self, w: &mut Writer) { w.u64(self.a); }
-    fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.a = r.u64()?;
-        Ok(())
-    }
-}";
-        assert!(rules(allowed).is_empty());
-    }
-
-    #[test]
-    fn s002_catches_order_divergence() {
-        let bad = "
-struct P { a: u64, b: u64 }
-impl Snapshot for P {
-    fn save(&self, w: &mut Writer) { w.u64(self.a); w.u64(self.b); }
-    fn load(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.b = r.u64()?;
-        self.a = r.u64()?;
-        Ok(())
-    }
-}";
-        assert_eq!(rules(bad), vec![("S002", 5)]);
     }
 
     #[test]

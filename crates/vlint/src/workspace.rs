@@ -1,14 +1,14 @@
 //! Cross-file symbol table and call graph.
 //!
-//! The S/J/R families reason about the workspace as a whole: "does this
-//! public mutator reach simulation state?", "is an RNG draw reachable
-//! from this closure?". Those questions need a call graph. Because vlint
+//! The W and J families reason about the workspace as a whole: "does
+//! this public mutator reach simulation state?", "does some path bump a
+//! write generation?". Those questions need a call graph. Because vlint
 //! has no type information, the graph is *name-based*: a call site
 //! `foo(...)` is an edge to every workspace function named `foo`. That
 //! over-approximates reachability (two unrelated `reset` functions are
-//! conflated), which is the safe direction for the J/R rules — a
-//! conflation can only add a path, never hide one — and the rare false
-//! positive is absorbed by a reasoned `// vlint: allow(...)`.
+//! conflated), which is the safe direction for J001 — a conflation can
+//! only add a path, never hide one — and the rare false positive is
+//! absorbed by a reasoned `// vlint: allow(...)`.
 //!
 //! Test-region functions are excluded from the graph: a test helper that
 //! happens to share a production function's name must not launder (or
@@ -22,13 +22,12 @@ use crate::FileCtx;
 /// Names so ubiquitous that a call site almost always means std or a
 /// container, not the workspace function that happens to share the name
 /// (`Cell::get` vs `FrameInfo::get`, `Vec::insert` vs a tree's
-/// `insert`). The closure does not expand through them and the J/R rules
-/// never treat them as sinks/effects: without this, one `v.get(...)`
-/// anywhere conflates into the whole graph and reachability floods —
-/// drowning true positives in coverage and true negatives in noise. The
-/// effect/sink vocabulary (RNG draws, `record`, crash fns, domain verbs
-/// like `alloc`) is deliberately specific, so treating these as opaque
-/// costs almost no real paths.
+/// `insert`). The closure does not expand through them and J001 never
+/// treats them as sinks: without this, one `v.get(...)` anywhere
+/// conflates into the whole graph and reachability floods — drowning
+/// true positives in coverage and true negatives in noise. J001's
+/// vocabulary (`record`, domain verbs like `alloc`) is deliberately
+/// specific, so treating these as opaque costs almost no real paths.
 const OPAQUE_NAMES: &[&str] = &[
     "as_mut",
     "as_ref",

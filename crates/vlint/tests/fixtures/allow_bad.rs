@@ -1,7 +1,7 @@
 //! Fixture: V001 true positive — an allow annotation without a reason.
 
-use std::collections::HashMap; // vlint: allow(D002)
+use std::env::var; // vlint: allow(D003)
 
-pub struct Index {
-    map: HashMap<u64, u64>,
+pub fn seed() -> u64 {
+    std::env::var("VUSION_SEED").map_or(0, |s| s.len() as u64)
 }

@@ -1,10 +1,10 @@
 //! Fixture: V001 true negative — a reasoned allow suppresses its rule on
 //! the annotated line and the line below.
 
-// vlint: allow(D002, interned keys are pre-sorted before any iteration)
-use std::collections::HashMap;
+// vlint: allow(D003, host-side harness import — read before the seeded run)
+use std::env::var;
 
-pub struct Index {
-    // vlint: allow(D002, never iterated — lookup only)
-    map: HashMap<u64, u64>,
+pub fn seed() -> u64 {
+    // vlint: allow(D003, logged only — never reaches simulation state)
+    std::env::var("VUSION_SEED").map_or(0, |s| s.len() as u64)
 }

@@ -7,7 +7,7 @@
 
 use vusion::prelude::*;
 use vusion::repro::{latest_bundle, Bundle};
-use vusion_snapshot::SnapshotError;
+use vusion_snapshot::{Snapshot, SnapshotError, Writer};
 
 /// A real captured bundle to mutate.
 fn sample_bundle() -> Bundle {
@@ -149,6 +149,49 @@ fn restore_rejects_truncated_snapshots_untouched() {
         };
         assert_eq!(err, want, "truncation to {len} bytes");
     }
+}
+
+/// `snap` with its payload edited and sealed again, so only the decoder
+/// can object.
+fn resealed(snap: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut payload = vusion_snapshot::unseal(snap).expect("intact").to_vec();
+    edit(&mut payload);
+    vusion_snapshot::seal(&payload)
+}
+
+#[test]
+fn restore_rejects_bytes_after_the_payload() {
+    let snap = scanned_system(0).snapshot();
+    let mut target = scanned_system(1);
+    let padded = resealed(&snap, |p| p.push(0));
+    assert!(matches!(
+        target.restore(&padded),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    target.restore(&snap).expect("intact snapshot restores");
+}
+
+#[test]
+fn restore_rejects_bytes_after_the_engine_blob() {
+    let sys = scanned_system(0);
+    let snap = sys.snapshot();
+    let mut w = Writer::new();
+    sys.policy.save(&mut w);
+    let blob = w.into_bytes();
+    let longer = resealed(&snap, |p| {
+        // The engine blob ends the payload, behind its length prefix.
+        let at = p.len() - blob.len() - 8;
+        assert_eq!(p[at..at + 8], (blob.len() as u64).to_le_bytes());
+        assert_eq!(p[at + 8..], blob[..]);
+        p[at..at + 8].copy_from_slice(&(blob.len() as u64 + 1).to_le_bytes());
+        p.push(0);
+    });
+    let mut target = scanned_system(1);
+    assert!(matches!(
+        target.restore(&longer),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    target.restore(&snap).expect("intact snapshot restores");
 }
 
 #[test]
