@@ -45,6 +45,10 @@ fn bench(out: &mut Vec<BenchResult>, name: &'static str, mut f: impl FnMut()) {
     }
     let mut times = Vec::with_capacity(SAMPLES as usize);
     for _ in 0..SAMPLES {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the micro bench measures host time, which never feeds simulation state"
+        )]
         let start = Instant::now();
         f();
         times.push(start.elapsed().as_nanos() as u64);
@@ -489,7 +493,7 @@ fn bench_snapshot(out: &mut Vec<BenchResult>) {
 
 /// Full-workspace static-contract pass (DESIGN.md §11): lex, parse, and
 /// cross-link every workspace source file, then run all rule families —
-/// including the workspace-wide snapshot/journal fixpoints over
+/// including the workspace-wide write-gen/journal fixpoints over
 /// the cross-file call graph. The row keeps the analyzer honest as the
 /// tree grows: bench_gate holds `vlint_*` benches to a generous absolute
 /// wall-time ceiling instead of the scan_* ratio gate (the linter's cost

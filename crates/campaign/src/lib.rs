@@ -325,7 +325,10 @@ impl Campaign {
         // the schedule is a pure function of the config.
         let mut outputs: Vec<Option<RunOutput>> = Vec::new();
         outputs.resize_with(specs.len(), || None);
-        // vlint: allow(T001, whole-run fan-out — each worker owns complete deterministic simulations and reports merge in seed order)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "whole-run fan-out: each worker owns complete deterministic simulations and reports merge in seed order"
+        )]
         let shards: Vec<Result<Vec<RunOutput>, CampaignError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {

@@ -57,7 +57,6 @@ pub struct CostModel {
     /// Zero-filling one 4 KiB page.
     pub zero_page: u64,
     /// Updating a PTE (incl. TLB shootdown of one entry).
-    // vlint: allow(P001, cycle-cost scalar named after the operation it prices — not a page-table word)
     pub pte_update: u64,
     /// Synchronous interaction with the buddy allocator on the fault path —
     /// the cost VUsion hides with deferred free (§7.1, decision ii).

@@ -16,8 +16,9 @@
 //! every manipulation outside this crate goes through the typed accessors
 //! below, so the reserved-bit trap and the permission bits that Table 1's
 //! security conclusions rest on cannot be twiddled as anonymous `u64`s.
-//! `vlint`'s P-rules enforce that the `bits`/`from_bits` escape hatches
-//! stay inside `vusion-mmu`.
+//! The raw-word conversions are crate-private, so the compiler rejects
+//! any other crate that tries to build a PTE from an integer or read one
+//! back as an integer.
 
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, Not};
 
@@ -27,8 +28,8 @@ use vusion_mem::FrameId;
 ///
 /// A `PteFlags` value is a mask; combine masks with `|`, intersect with
 /// `&`, and remove bits with `& !mask`. Construction from raw integers is
-/// only possible through [`PteFlags::from_bits`], which exists for the
-/// crate's own entry decoding and for snapshot wire formats.
+/// only possible through the crate-private `PteFlags::from_bits`, which
+/// exists for the crate's own entry encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PteFlags(u64);
 
@@ -61,16 +62,23 @@ impl PteFlags {
     /// All flag bits (everything that is not part of the frame address).
     const FLAG_MASK: u64 = !Self::ADDR_MASK;
 
-    /// The raw bit pattern. Escape hatch for this crate's entry encoding
-    /// and snapshot serialization; `vlint` rule P002 rejects uses outside
-    /// `vusion-mmu`.
-    pub const fn bits(self) -> u64 {
+    /// The raw bit pattern, for this crate's own entry encoding. Other
+    /// crates cannot call it (E0624):
+    ///
+    /// ```compile_fail
+    /// let _ = vusion_mmu::PteFlags::PRESENT.bits();
+    /// ```
+    pub(crate) const fn bits(self) -> u64 {
         self.0
     }
 
     /// Builds a mask from raw bits, dropping anything that overlaps the
-    /// frame-address field. Same policing as [`PteFlags::bits`].
-    pub const fn from_bits(bits: u64) -> PteFlags {
+    /// frame-address field. Crate-private like [`PteFlags::bits`]:
+    ///
+    /// ```compile_fail
+    /// let _ = vusion_mmu::PteFlags::from_bits(1 << 51);
+    /// ```
+    pub(crate) const fn from_bits(bits: u64) -> PteFlags {
         PteFlags(bits & Self::FLAG_MASK)
     }
 
@@ -196,19 +204,6 @@ impl Pte {
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
-
-    /// The raw 64-bit word, exactly as it sits in the table frame. Only
-    /// for wire formats (snapshots); `vlint` rule P002 rejects uses
-    /// outside `vusion-mmu`.
-    pub const fn to_bits(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds an entry from its raw word. Same policing as
-    /// [`Pte::to_bits`].
-    pub const fn from_bits(bits: u64) -> Pte {
-        Pte(bits)
-    }
 }
 
 #[cfg(test)]
@@ -283,7 +278,6 @@ mod tests {
         let f = PteFlags::from_bits(u64::MAX);
         assert_eq!(f.bits() & PteFlags::ADDR_MASK, 0);
         assert!(f.contains(PteFlags::PRESENT | PteFlags::NX | PteFlags::RESERVED));
-        assert_eq!(Pte::from_bits(0x1234_5007).to_bits(), 0x1234_5007);
     }
 
     #[test]

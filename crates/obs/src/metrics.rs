@@ -93,7 +93,17 @@ impl MetricsRegistry {
     }
 
     /// Records one latency observation into `name`'s histogram.
-    pub fn observe(&mut self, name: &'static str, value: f64) {
+    ///
+    /// Crate-private: latency is sampled only inside this crate, through
+    /// typed wrappers like `Obs::observe_fault_latency`, so every sample
+    /// feeds the surface recorder's artifact. Other crates cannot call it
+    /// (E0624):
+    ///
+    /// ```compile_fail
+    /// let mut r = vusion_obs::MetricsRegistry::new();
+    /// r.observe("fault.latency_ns", 1.0);
+    /// ```
+    pub(crate) fn observe(&mut self, name: &'static str, value: f64) {
         self.histograms
             .entry(name)
             .or_insert_with(|| LatencySample::new(HISTOGRAM_WINDOW))

@@ -553,9 +553,9 @@ fn push_sparse(s: &mut String, pairs: impl Iterator<Item = (u64, u64)>) {
 impl crate::Obs {
     /// Routes one fault-handling latency sample into the metrics
     /// histogram (`fault.latency_ns`). Latency sampling is confined to
-    /// this module — vlint rule O001 flags `observe` calls anywhere else —
-    /// so every consumer (metrics, the surface recorder, the CoW-timing
-    /// attack) reads the same measurement instead of re-deriving its own.
+    /// this crate — `MetricsRegistry::observe` is crate-private — so every
+    /// consumer (metrics, the surface recorder, the CoW-timing attack)
+    /// reads the same measurement instead of re-deriving its own.
     pub fn observe_fault_latency(&mut self, latency_ns: f64) {
         self.metrics_mut().observe("fault.latency_ns", latency_ns);
     }

@@ -20,24 +20,6 @@ pub struct RuleDoc {
 /// Every rule, in catalog order.
 pub const RULES: &[RuleDoc] = &[
     RuleDoc {
-        id: "D001",
-        summary: "no host wall-clock (std::time, Instant, SystemTime) in simulation crates",
-        rationale: "Simulation time comes from the machine's cycle counter; reading the host \
-                    clock makes a run's artifacts depend on when and where it executed, so no \
-                    figure could be reproduced from its seed.",
-        bad: "let t0 = Instant::now();",
-        ok: "let t0 = machine.now_ns();",
-    },
-    RuleDoc {
-        id: "D003",
-        summary: "no environment reads (env::var) in simulation crates",
-        rationale: "An environment read is a hidden config input: two runs of the same seed can \
-                    diverge because of the shell they started from. Configuration travels \
-                    through explicit config structs that snapshots capture.",
-        bad: "let threads = env::var(\"THREADS\").unwrap();",
-        ok: "let threads = cfg.threads;",
-    },
-    RuleDoc {
         id: "D004",
         summary: "no platform-conditional compilation (cfg(target_os/unix/windows/...))",
         rationale: "A cfg(target_os)/cfg(unix) branch means the simulation behaves differently \
@@ -45,16 +27,6 @@ pub const RULES: &[RuleDoc] = &[
                     adaptation belongs in the host-side harness, not simulation crates.",
         bad: "#[cfg(target_os = \"linux\")]\nfn flush() { /* ... */ }",
         ok: "fn flush() { /* same behavior everywhere */ }",
-    },
-    RuleDoc {
-        id: "T001",
-        summary: "host threads only in the campaign orchestrator's whole-run fan-out (crates/campaign/src/lib.rs)",
-        rationale: "Ad-hoc std::thread use reintroduces scheduling order as a hidden input. The \
-                    campaign orchestrator is the one approved spawn: each worker owns complete \
-                    deterministic runs, pre-partitioned by enumeration index, and reports merge \
-                    in enumeration order, so worker count changes wall-clock time only.",
-        bad: "let h = std::thread::spawn(move || scan(frames));",
-        ok: "for f in &frames { hashes.push(mem.hash_page(*f)); }",
     },
     RuleDoc {
         id: "W001",
@@ -66,24 +38,6 @@ pub const RULES: &[RuleDoc] = &[
                     graph: calling a bumper (possibly through another file) satisfies the rule.",
         bad: "fn poke(&mut self) { self.data[0] = 1; }",
         ok: "fn poke(&mut self) { self.data[0] = 1; self.write_gen = self.write_gen + 1; }",
-    },
-    RuleDoc {
-        id: "P001",
-        summary: "no raw u64 PTE bit arithmetic outside vusion-mmu; use Pte/PteFlags",
-        rationale: "The S+F trap encoding lives in one place. Raw `pte & 0xfff`-style \
-                    arithmetic outside vusion-mmu re-derives bit positions by hand and silently \
-                    diverges when the layout changes.",
-        bad: "let present = pte & 0x1;",
-        ok: "let present = pte.flags().contains(PteFlags::PRESENT);",
-    },
-    RuleDoc {
-        id: "P002",
-        summary: "bits/from_bits/to_bits escape hatches stay inside vusion-mmu",
-        rationale: "The raw-bits constructors exist for vusion-mmu's own encoding and the \
-                    snapshot wire format. Anywhere else they bypass the typed API and can \
-                    fabricate PTE states the MMU never produces.",
-        bad: "let pte = Pte::from_bits(raw);",
-        ok: "let pte = Pte::new(frame, PteFlags::PRESENT);",
     },
     RuleDoc {
         id: "E001",
@@ -115,16 +69,6 @@ pub const RULES: &[RuleDoc] = &[
         ok: "if governor.decision().band >= PressureBand::High { self.throttle(); }",
     },
     RuleDoc {
-        id: "O001",
-        summary: "latency sampling stays in the surface recorder (crates/obs/src/surface.rs)",
-        rationale: "Latency histograms feed one canonical, diffable side-channel surface \
-                    artifact. A raw observe(...) call elsewhere opens a parallel channel the \
-                    surface cannot see, so the artifact under-reports and sampling sites can \
-                    disagree about bucketing. Use typed wrappers like Obs::observe_fault_latency.",
-        bad: "self.metrics.observe(\"fault.latency_ns\", dt);",
-        ok: "obs.observe_fault_latency(dt as f64);",
-    },
-    RuleDoc {
         id: "J001",
         summary: "public &mut self System/Machine methods reaching simulation state are journaled",
         rationale: "Replay reconstructs a run purely from the journal. A public mutator that \
@@ -138,13 +82,14 @@ pub const RULES: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "V001",
-        summary: "vlint allow annotations need a reason: // vlint: allow(RULE, why)",
+        summary: "vlint allow annotations name a known rule and give a reason: // vlint: allow(RULE, why)",
         rationale: "A suppression without a reason is a contract violation with the evidence \
                     deleted. The reason is the reviewable artifact: it says why this site is an \
-                    exception (a host-only knob, the one approved thread spawn) so the next \
-                    reader can re-check the claim.",
-        bad: "// vlint: allow(D003)\nlet dir = env::var(\"REPRO_DIR\");",
-        ok: "// vlint: allow(D003, host-side output path — never reaches simulation state)\nlet dir = env::var(\"REPRO_DIR\");",
+                    exception (a host-only knob, a provably unreachable arm) so the next reader \
+                    can re-check the claim. An allow naming a rule the catalog does not have \
+                    (a typo, or a retired rule) suppresses nothing and is flagged too.",
+        bad: "// vlint: allow(E001)\nunreachable!(\"staged above\");",
+        ok: "// vlint: allow(E001, insert always stages the node before returning)\nunreachable!(\"staged above\");",
     },
 ];
 

@@ -1,25 +1,18 @@
 //! `vlint` — the workspace's static-contract checker.
 //!
-//! The simulator's correctness claims rest on contracts a type system
-//! alone cannot express: reproducibility of every figure from a seed
-//! (determinism), coherence of the memoized page hashes (write-gen), the
-//! PTE bit layout staying behind one typed API (the S⊕F trap bits), and a
-//! uniform error policy in simulation code. `vlint` walks the workspace
-//! sources with its own lexer (no rustc, no network, no dependencies) and
-//! enforces those contracts as lint rules:
+//! The simulator's correctness claims rest on contracts neither the type
+//! system nor clippy can express: reproducibility of every figure from a
+//! seed (determinism), coherence of the memoized page hashes (write-gen),
+//! a uniform error policy in simulation code, and journal coverage for
+//! replay. `vlint` walks the workspace sources with its own lexer (no
+//! rustc, no network, no dependencies) and enforces those contracts as
+//! lint rules:
 //!
-//! * **D-rules** — determinism: no wall-clock time, no environment
-//!   reads, no platform-conditional compilation inside the simulation
-//!   crates. (clippy.toml bans the randomized-order hash collections.)
-//! * **T-rules** — threading: host threads stay behind the campaign
-//!   orchestrator's whole-run fan-out (`crates/campaign/src/lib.rs`);
-//!   ad-hoc `std::thread` use would make artifacts depend on scheduling.
+//! * **D-rules** — determinism: no platform-conditional compilation
+//!   inside the simulation crates.
 //! * **W-rules** — write-gen coherence: code in `vusion-mem` that can
 //!   reach mutable frame contents must bump the frame's write generation
 //!   (checked transitively across local calls).
-//! * **P-rules** — PTE typing: page-table words are manipulated only
-//!   through `vusion-mmu`'s `Pte`/`PteFlags` API; raw `u64` bit twiddling
-//!   and the `bits`/`from_bits` escape hatches stay inside that crate.
 //! * **E-rules** — error policy: no panic-family macros in simulation
 //!   code outside tests unless the function documents the contract with a
 //!   `# Panics` doc section, and no silently-truncating casts on frame or
@@ -28,21 +21,19 @@
 //!   by the pressure governor (`crates/kernel/src/pressure.rs`); engines
 //!   and the rest of the kernel consume its banded decisions so
 //!   throttling stays centralized, hysteresis-damped, and snapshot-exact.
-//! * **O-rules** — observability: latency histograms are sampled only
-//!   inside the side-channel surface recorder
-//!   (`crates/obs/src/surface.rs`); everyone else goes through typed
-//!   wrappers like `Obs::observe_fault_latency`, so every latency
-//!   observation feeds one canonical, diffable artifact.
 //! * **J-rules** — journal coverage: every public `&mut self` method on
 //!   `System`/`Machine` that reaches simulation state appends a journal
 //!   event (or is reachable from one that does), so replay reconstructs
 //!   every mutation from the event stream.
 //!
-//! Snapshot coverage is the compiler's job, not vlint's: every `load`
-//! destructures its type exhaustively and every `Snapshot` type has a
-//! save→load→save round-trip test (DESIGN.md §9).
+//! The rest is the compiler's and clippy's job, not vlint's (DESIGN.md
+//! §11): `clippy.toml` bans host clocks, environment reads, host threads
+//! and randomized-order hash collections; the PTE raw-word conversions and
+//! `MetricsRegistry::observe` are crate-private; and every snapshot `load`
+//! destructures its type exhaustively, next to a save→load→save
+//! round-trip test per type (DESIGN.md §9).
 //!
-//! The D/T/P/E/G/O families are per-file token passes. J (and W's
+//! The D/E/G families are per-file token passes. J (and W's
 //! transitive check) run on a workspace level: a lightweight item parser
 //! ([`parser`]) recovers impl blocks and their methods, and a cross-file
 //! symbol table and name-based call graph (`workspace`) answers
@@ -51,7 +42,8 @@
 //! Findings are deterministic: files are visited in sorted order and
 //! findings sort by `(file, line, rule, message)`, so two runs over the
 //! same tree emit byte-identical JSON. Individual lines opt out with
-//! `// vlint: allow(RULE, reason)`; a reason is mandatory (rule `V001`).
+//! `// vlint: allow(RULE, reason)`; the rule must exist and the reason is
+//! mandatory (rule `V001`).
 
 pub mod catalog;
 pub mod lexer;
@@ -72,36 +64,21 @@ pub struct Finding {
     pub file: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule identifier (`D001`, `W001`, ...).
+    /// Rule identifier (`D004`, `W001`, ...).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
 }
 
-impl Finding {
-    /// The `file:line:rule` key used for baseline matching.
-    pub fn key(&self) -> String {
-        format!("{}:{}:{}", self.file, self.line, self.rule)
-    }
-}
-
 /// Which rule families apply to a file.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Families {
-    /// Determinism rules.
-    pub d: bool,
-    /// Threading rules.
-    pub t: bool,
+    /// Simulation-crate rules: determinism (D) and error policy (E).
+    pub sim: bool,
     /// Write-gen coherence rules.
     pub w: bool,
-    /// PTE-typing rules.
-    pub p: bool,
-    /// Error-policy rules.
-    pub e: bool,
     /// Governor pressure-signal rules.
     pub g: bool,
-    /// Observability (surface latency-sampling) rules.
-    pub o: bool,
     /// Journal-coverage rules.
     pub j: bool,
 }
@@ -109,13 +86,9 @@ pub struct Families {
 impl Families {
     /// Every family on — used by fixtures.
     pub const ALL: Families = Families {
-        d: true,
-        t: true,
+        sim: true,
         w: true,
-        p: true,
-        e: true,
         g: true,
-        o: true,
         j: true,
     };
 }
@@ -124,32 +97,17 @@ impl Families {
 /// rule's leading letter; `V001` is always on).
 fn family_enabled(fam: Families, rule: &str) -> bool {
     match rule.as_bytes().first() {
-        Some(b'D') => fam.d,
-        Some(b'T') => fam.t,
+        Some(b'D' | b'E') => fam.sim,
         Some(b'W') => fam.w,
-        Some(b'P') => fam.p,
-        Some(b'E') => fam.e,
         Some(b'G') => fam.g,
-        Some(b'O') => fam.o,
         Some(b'J') => fam.j,
         _ => true,
     }
 }
 
-/// Crates whose behavior must be a pure function of the seed: the D-rules
-/// apply to their `src/` trees.
-const DETERMINISM_SCOPE: &[&str] = &[
-    "crates/mem/src/",
-    "crates/mmu/src/",
-    "crates/kernel/src/",
-    "crates/core/src/",
-    "crates/obs/src/",
-    "crates/snapshot/src/",
-    "crates/campaign/src/",
-];
-
-/// Simulation crates under the error-policy rules.
-const ERROR_POLICY_SCOPE: &[&str] = &[
+/// Crates whose behavior must be a pure function of the seed: the
+/// determinism and error-policy rules apply to their `src/` trees.
+const SIMULATION_SCOPE: &[&str] = &[
     "crates/mem/src/",
     "crates/mmu/src/",
     "crates/kernel/src/",
@@ -163,27 +121,15 @@ const ERROR_POLICY_SCOPE: &[&str] = &[
 
 /// Maps a workspace-relative path to the rule families that police it.
 pub fn families_for(rel: &str) -> Families {
-    let in_scope = |scope: &[&str]| scope.iter().any(|p| rel.starts_with(p));
     Families {
-        d: in_scope(DETERMINISM_SCOPE),
-        // Host threads ride the same scope as determinism: the crates
-        // whose artifacts must not depend on scheduling.
-        t: in_scope(DETERMINISM_SCOPE),
+        sim: SIMULATION_SCOPE.iter().any(|p| rel.starts_with(p)),
         w: rel.starts_with("crates/mem/src/"),
-        // PTE words may only be touched inside the MMU crate; everyone
-        // else — engines, kernel, tests, benches — goes through the API.
-        p: !rel.starts_with("crates/mmu/src/"),
-        e: in_scope(ERROR_POLICY_SCOPE),
         // The free-frame pressure signal is read in exactly one place —
         // the governor. Engines and the scan loop see only its banded
         // decisions; the allocator crates that implement `free_frames`
         // are naturally out of scope.
         g: (rel.starts_with("crates/core/src/") || rel.starts_with("crates/kernel/src/"))
             && rel != "crates/kernel/src/pressure.rs",
-        // Latency histograms are sampled in exactly one module — the
-        // surface recorder. The obs crate itself (recorder + registry)
-        // is naturally out of scope.
-        o: !rel.starts_with("crates/obs/src/"),
         // Journal coverage polices the kernel's public mutator surface
         // (`System`/`Machine` live there).
         j: rel.starts_with("crates/kernel/src/"),
@@ -395,7 +341,8 @@ type AllowMap = BTreeMap<u32, Vec<String>>;
 /// Per-line `// vlint: allow(RULE, reason)` suppressions. The annotation
 /// silences `RULE` on its own line and on the line directly below (so it
 /// can sit above the offending statement). Returns `(line -> rules,
-/// malformed)` where malformed entries are annotations without a reason.
+/// malformed)` where malformed entries are annotations without a reason
+/// or naming a rule the catalog does not have.
 fn parse_allows(lines: &[&str]) -> (AllowMap, Vec<(u32, String)>) {
     let mut allows: AllowMap = BTreeMap::new();
     let mut malformed = Vec::new();
@@ -425,6 +372,13 @@ fn parse_allows(lines: &[&str]) -> (AllowMap, Vec<(u32, String)>) {
                         rule
                     }
                 ),
+            ));
+            continue;
+        }
+        if catalog::find(rule).is_none() {
+            malformed.push((
+                line,
+                format!("vlint allow names unknown rule `{rule}`; see `vlint rules`"),
             ));
             continue;
         }
@@ -476,11 +430,8 @@ pub fn analyze_files(files: &[(String, String, Families)]) -> Vec<Finding> {
     let ctxs = build_file_ctxs(files);
     for ctx in &ctxs {
         rules::determinism(ctx, &mut findings);
-        rules::threading(ctx, &mut findings);
-        rules::pte_typing(ctx, &mut findings);
         rules::error_policy(ctx, &mut findings);
         rules::governor(ctx, &mut findings);
-        rules::surface(ctx, &mut findings);
     }
     let ws = workspace::WorkspaceCtx::build(&ctxs);
     rules::write_gen(&ws, &mut findings);
@@ -557,8 +508,7 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<String>> {
 }
 
 /// Lints the whole workspace rooted at `root`. Returns findings with
-/// per-line suppressions already applied (baseline filtering is the
-/// caller's job).
+/// per-line suppressions already applied.
 pub fn scan_root(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     for rel in workspace_files(root)? {
@@ -608,32 +558,6 @@ pub fn to_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Parses the `file:line:rule` keys out of a baseline JSON written by
-/// [`to_json`]. Tolerant: anything that is not a finding object is
-/// ignored, so a hand-edited baseline still loads.
-pub fn baseline_keys(json: &str) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut rest = json;
-    while let Some(start) = rest.find("{\"file\": \"") {
-        rest = &rest[start + "{\"file\": \"".len()..];
-        let Some(fe) = rest.find('"') else { break };
-        let file = &rest[..fe];
-        let Some(ls) = rest.find("\"line\": ") else {
-            break;
-        };
-        let after = &rest[ls + "\"line\": ".len()..];
-        let line: String = after.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let Some(rs) = rest.find("\"rule\": \"") else {
-            break;
-        };
-        let after_r = &rest[rs + "\"rule\": \"".len()..];
-        let Some(re) = after_r.find('"') else { break };
-        keys.push(format!("{}:{}:{}", file, line, &after_r[..re]));
-    }
-    keys.sort();
-    keys
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,43 +565,53 @@ mod tests {
     #[test]
     fn allow_annotation_suppresses_same_and_next_line() {
         let src = "\
-// vlint: allow(D003, test of suppression)
-let a = env::var(\"A\");
-let b = env::var(\"B\");
+// vlint: allow(G001, test of suppression)
+let a = m.free_frames();
+let b = m.free_frames();
 ";
         let f = analyze_source("crates/mem/src/x.rs", src, Families::ALL);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D003");
+        assert_eq!(f[0].rule, "G001");
         assert_eq!(f[0].line, 3);
     }
 
     #[test]
     fn allow_without_reason_is_rejected() {
-        let src = "let x = 1; // vlint: allow(D003)\n";
+        let src = "let x = 1; // vlint: allow(G001)\n";
         let f = analyze_source("crates/mem/src/x.rs", src, Families::ALL);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "V001");
     }
 
     #[test]
-    fn json_roundtrips_baseline_keys() {
+    fn json_report_is_golden() {
         let findings = vec![
             Finding {
                 file: "a.rs".into(),
                 line: 3,
-                rule: "D001",
-                message: "no \"clocks\"".into(),
+                rule: "D004",
+                message: "say \"no\"\nthen stop".into(),
             },
             Finding {
                 file: "b.rs".into(),
                 line: 9,
-                rule: "P002",
-                message: "escape hatch".into(),
+                rule: "G001",
+                message: "plain".into(),
             },
         ];
-        let json = to_json(&findings);
-        assert_eq!(baseline_keys(&json), vec!["a.rs:3:D001", "b.rs:9:P002"]);
-        assert_eq!(baseline_keys(&to_json(&[])), Vec::<String>::new());
+        let golden = r#"{
+  "version": 1,
+  "findings": [
+    {"file": "a.rs", "line": 3, "rule": "D004", "message": "say \"no\"\nthen stop"},
+    {"file": "b.rs", "line": 9, "rule": "G001", "message": "plain"}
+  ]
+}
+"#;
+        assert_eq!(to_json(&findings), golden);
+        assert_eq!(
+            to_json(&[]),
+            "{\n  \"version\": 1,\n  \"findings\": []\n}\n"
+        );
     }
 
     #[test]

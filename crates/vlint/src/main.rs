@@ -2,15 +2,14 @@
 //!
 //! Scans the workspace, prints a human report, optionally writes the
 //! findings as deterministic JSON (`--json PATH`, the CI artifact), and
-//! exits non-zero when any finding is not covered by the committed
-//! baseline (`vlint.baseline.json` at the workspace root). `rules` and
-//! `explain RULE` render the catalog (`catalog::RULES`), the single
-//! source of truth the doc-sync test holds DESIGN.md §11 against.
+//! exits non-zero on any finding. `rules` and `explain RULE` render the
+//! catalog (`catalog::RULES`), the single source of truth the doc-sync
+//! test holds DESIGN.md §11 against.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vlint::{baseline_keys, catalog, scan_root, to_json, Finding};
+use vlint::{catalog, scan_root, to_json};
 
 const USAGE: &str = "\
 usage: vlint <command> [options]
@@ -36,7 +35,6 @@ fn rule_listing() -> String {
     }
     out.push_str(
         "\nsuppression: append `// vlint: allow(RULE, reason)` on (or just above) the line\n\
-         baseline:    vlint.baseline.json at the workspace root, same JSON schema\n\
          explain:     `vlint explain RULE` for a rule's rationale and a minimal bad/ok pair\n",
     );
     out
@@ -86,16 +84,6 @@ fn run_check(root: &Path, json_out: Option<&Path>) -> ExitCode {
         }
     };
 
-    let baseline_path = root.join("vlint.baseline.json");
-    let baseline: Vec<String> = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => baseline_keys(&text),
-        Err(_) => Vec::new(),
-    };
-
-    let (old, new): (Vec<&Finding>, Vec<&Finding>) = findings
-        .iter()
-        .partition(|f| baseline.binary_search(&f.key()).is_ok());
-
     if let Some(path) = json_out {
         if let Err(e) = std::fs::write(path, to_json(&findings)) {
             eprintln!("vlint: cannot write {}: {e}", path.display());
@@ -103,26 +91,17 @@ fn run_check(root: &Path, json_out: Option<&Path>) -> ExitCode {
         }
     }
 
-    for f in &new {
+    for f in &findings {
         println!("{}:{}: {}: {}", f.file, f.line, f.rule, f.message);
     }
-    if new.is_empty() {
-        if old.is_empty() {
-            println!("vlint: clean ({} findings)", findings.len());
-        } else {
-            println!(
-                "vlint: clean ({} baselined finding{} tolerated)",
-                old.len(),
-                if old.len() == 1 { "" } else { "s" }
-            );
-        }
+    if findings.is_empty() {
+        println!("vlint: clean");
         ExitCode::SUCCESS
     } else {
         println!(
-            "vlint: {} new finding{} ({} baselined); see `vlint rules` for the catalog",
-            new.len(),
-            if new.len() == 1 { "" } else { "s" },
-            old.len()
+            "vlint: {} finding{}; see `vlint rules` for the catalog",
+            findings.len(),
+            if findings.len() == 1 { "" } else { "s" }
         );
         ExitCode::FAILURE
     }

@@ -18,48 +18,15 @@ fn check(name: &str, expect: &[(&str, u32)]) {
 }
 
 #[test]
-fn d001_wall_clock() {
-    check("d001_bad.rs", &[("D001", 3), ("D001", 3), ("D001", 6)]);
-    check("d001_ok.rs", &[]);
-}
-
-#[test]
-fn d003_env_reads() {
-    check("d003_bad.rs", &[("D003", 4)]);
-    check("d003_ok.rs", &[]);
-}
-
-#[test]
 fn d004_platform_cfg() {
     check("d004_bad.rs", &[("D004", 3), ("D004", 9)]);
     check("d004_ok.rs", &[]);
 }
 
 #[test]
-fn t001_host_threads() {
-    check("t001_bad.rs", &[("T001", 3), ("T001", 6), ("T001", 8)]);
-    check("t001_ok.rs", &[]);
-}
-
-#[test]
 fn w001_write_gen_bump() {
     check("w001_bad.rs", &[("W001", 10)]);
     check("w001_ok.rs", &[]);
-}
-
-#[test]
-fn p001_raw_pte_bits() {
-    check(
-        "p001_bad.rs",
-        &[("P001", 3), ("P001", 4), ("P001", 7), ("P001", 8)],
-    );
-    check("p001_ok.rs", &[]);
-}
-
-#[test]
-fn p002_bits_escape_hatch() {
-    check("p002_bad.rs", &[("P002", 5), ("P002", 9)]);
-    check("p002_ok.rs", &[]);
 }
 
 #[test]
@@ -81,12 +48,6 @@ fn g001_pressure_signal_reads() {
 }
 
 #[test]
-fn o001_latency_sampling() {
-    check("o001_bad.rs", &[("O001", 4), ("O001", 8)]);
-    check("o001_ok.rs", &[]);
-}
-
-#[test]
 fn j001_journal_coverage() {
     check("j001_bad.rs", &[("J001", 10)]);
     check("j001_ok.rs", &[]);
@@ -94,7 +55,11 @@ fn j001_journal_coverage() {
 
 #[test]
 fn v001_allow_annotations() {
-    // A reasonless allow is itself a finding — and suppresses nothing.
-    check("allow_bad.rs", &[("D003", 3), ("V001", 3), ("D003", 6)]);
+    // A reasonless allow, or one naming an unknown rule, is itself a
+    // finding — and suppresses nothing.
+    check(
+        "allow_bad.rs",
+        &[("G001", 5), ("V001", 5), ("V001", 9), ("G001", 10)],
+    );
     check("allow_ok.rs", &[]);
 }

@@ -1,10 +1,11 @@
 //! Fixture: V001 true negative — a reasoned allow suppresses its rule on
 //! the annotated line and the line below.
 
-// vlint: allow(D003, host-side harness import — read before the seeded run)
-use std::env::var;
+pub fn headroom(alloc: &BuddyAllocator) -> usize {
+    // vlint: allow(G001, host-side report — never feeds a throttling decision)
+    alloc.free_frames()
+}
 
-pub fn seed() -> u64 {
-    // vlint: allow(D003, logged only — never reaches simulation state)
-    std::env::var("VUSION_SEED").map_or(0, |s| s.len() as u64)
+pub fn spare(alloc: &BuddyAllocator) -> usize {
+    alloc.free_frames() // vlint: allow(G001, same-line form of the annotation)
 }

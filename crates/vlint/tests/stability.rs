@@ -1,9 +1,9 @@
 //! Whole-workspace properties: the JSON report is byte-stable across
-//! runs, and the committed tree stays clean against the baseline.
+//! runs, and the committed tree is clean.
 
 use std::path::PathBuf;
 
-use vlint::{baseline_keys, scan_root, to_json};
+use vlint::{scan_root, to_json};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -22,18 +22,10 @@ fn json_report_is_byte_stable() {
 }
 
 #[test]
-fn workspace_is_clean_against_baseline() {
-    let root = workspace_root();
-    let findings = scan_root(&root).expect("workspace scan succeeds");
-    let baseline = std::fs::read_to_string(root.join("vlint.baseline.json"))
-        .map(|text| baseline_keys(&text))
-        .unwrap_or_default();
-    let fresh: Vec<_> = findings
-        .iter()
-        .filter(|f| baseline.binary_search(&f.key()).is_err())
-        .collect();
+fn workspace_is_clean() {
+    let findings = scan_root(&workspace_root()).expect("workspace scan succeeds");
     assert!(
-        fresh.is_empty(),
-        "unbaselined vlint findings in the tree:\n{fresh:#?}"
+        findings.is_empty(),
+        "vlint findings in the tree:\n{findings:#?}"
     );
 }
