@@ -124,13 +124,6 @@ pub fn settle(sys: &mut System<Box<dyn FusionPolicy>>, total_pages: u64) {
     sys.force_scans(wakeups);
 }
 
-/// Times one read in simulated nanoseconds.
-pub fn time_read(sys: &mut System<Box<dyn FusionPolicy>>, pid: Pid, va: VirtAddr) -> u64 {
-    let t0 = sys.machine.now_ns();
-    sys.read(pid, va);
-    sys.machine.now_ns() - t0
-}
-
 /// Times one write in simulated nanoseconds.
 pub fn time_write(
     sys: &mut System<Box<dyn FusionPolicy>>,

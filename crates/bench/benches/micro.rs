@@ -21,7 +21,7 @@ use std::time::Instant;
 use vusion_bench::json_quote;
 use vusion_cache::{Llc, LlcConfig};
 use vusion_core::{ContentAvlTree, ContentRbTree};
-use vusion_kernel::{Machine, MachineConfig};
+use vusion_kernel::{Machine, MachineConfig, ScanGrant};
 use vusion_mem::{
     BuddyAllocator, FrameAllocator, FrameId, LinearAllocator, PageType, PhysAddr, PhysMemory,
     RandomPool, VirtAddr,
@@ -270,10 +270,10 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
         bench(out, "scan_visit_100_pages_ksm", || {
-            black_box(sys.policy.scan(&mut sys.machine));
+            black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
         });
         sys.machine.enable_tracing();
-        black_box(sys.policy.scan(&mut sys.machine));
+        black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
         metrics.push(("ksm", sys.metrics_snapshot().to_json()));
     }
     {
@@ -290,10 +290,10 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
         bench(out, "scan_full_pass_wpf_512", || {
-            black_box(sys.policy.scan(&mut sys.machine));
+            black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
         });
         sys.machine.enable_tracing();
-        black_box(sys.policy.scan(&mut sys.machine));
+        black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
         metrics.push(("wpf", sys.metrics_snapshot().to_json()));
     }
     {
@@ -321,13 +321,13 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
         // Let the engine reach steady state (all candidates fake-merged)
         // before timing, so samples measure the recurring scan cost.
         for _ in 0..8 {
-            sys.policy.scan(&mut sys.machine);
+            sys.policy.scan(&mut sys.machine, ScanGrant::default());
         }
         bench(out, "scan_visit_100_pages_vusion", || {
-            black_box(sys.policy.scan(&mut sys.machine));
+            black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
         });
         sys.machine.enable_tracing();
-        black_box(sys.policy.scan(&mut sys.machine));
+        black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
         metrics.push(("vusion", sys.metrics_snapshot().to_json()));
     }
     metrics
@@ -369,7 +369,7 @@ fn bench_scan_cold(out: &mut Vec<BenchResult>) {
         }
         bench(out, "scan_cold_visit_512_ksm", || {
             dirty_all(&mut sys.machine, pid);
-            black_box(sys.policy.scan(&mut sys.machine));
+            black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
         });
     }
     {
@@ -386,18 +386,24 @@ fn bench_scan_cold(out: &mut Vec<BenchResult>) {
         }
         bench(out, "scan_cold_pass_512_wpf", || {
             dirty_all(&mut sys.machine, pid);
-            black_box(sys.policy.scan(&mut sys.machine));
+            black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
         });
     }
 }
 
+/// The grant of the `scan_pass_throttled_*_b64` rows: a hard 64-page
+/// budget per wake, with nothing deferred.
+const BUDGET_64: ScanGrant = ScanGrant {
+    budget: Some(64),
+    defer_alloc: false,
+};
+
 /// Per-wake cost of a governor-throttled scan: the same 512-page
-/// workloads as the full-scan benches, but the engine runs under a hard
-/// per-wake page budget ([`vusion_kernel::FusionPolicy::set_scan_budget`])
-/// — each wake visits or hashes only 64 pages and, for WPF, parks a
-/// resumable pass cursor for the next wake. Medians land next to the
-/// unthrottled `scan_*` rows in the artifact, so a reviewer can read the
-/// budget's per-wake saving straight off one file.
+/// workloads as the full-scan benches, but every wake gets a hard page
+/// budget ([`BUDGET_64`]) — it visits or hashes only 64 pages and, for
+/// WPF, parks a resumable pass cursor for the next wake. Medians land
+/// next to the unthrottled `scan_*` rows in the artifact, so a reviewer
+/// can read the budget's per-wake saving straight off one file.
 fn bench_scan_throttled(out: &mut Vec<BenchResult>) {
     use vusion_core::{Ksm, KsmConfig, VUsion, VUsionConfig, Wpf, WpfConfig};
     use vusion_kernel::{FusionPolicy, System};
@@ -416,15 +422,16 @@ fn bench_scan_throttled(out: &mut Vec<BenchResult>) {
             let value = (i % 251) as u8 + 1;
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
-        sys.policy.set_scan_budget(Some(64));
         bench(out, "scan_pass_throttled_ksm_b64", || {
-            black_box(sys.policy.scan(&mut sys.machine));
+            black_box(sys.policy.scan(&mut sys.machine, BUDGET_64));
         });
     }
     {
-        // Cold pass under budget: every iteration dirties all 512 pages
-        // (hash memos go cold), the budgeted wake hashes 64 of them and
-        // suspends; a full pass completes every 8 wakes.
+        // Nothing dirties the pages between wakes: the first 8 budgeted
+        // wakes hash 64 pages each and suspend, the 8th completes the
+        // pass (no merges), and from then on every wake takes the
+        // all-clean fast path, re-checking each candidate's leaf and
+        // dirty stamp without hashing.
         let cfg = MachineConfig::test_small().with_reserved_top(256);
         let mut m = Machine::new(cfg);
         let pid = m.spawn("t").expect("spawn");
@@ -436,9 +443,8 @@ fn bench_scan_throttled(out: &mut Vec<BenchResult>) {
             let value = (i % 251) as u8 + 1;
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
-        sys.policy.set_scan_budget(Some(64));
         bench(out, "scan_pass_throttled_wpf_b64", || {
-            black_box(sys.policy.scan(&mut sys.machine));
+            black_box(sys.policy.scan(&mut sys.machine, BUDGET_64));
         });
     }
     {
@@ -461,11 +467,10 @@ fn bench_scan_throttled(out: &mut Vec<BenchResult>) {
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
         for _ in 0..8 {
-            sys.policy.scan(&mut sys.machine);
+            sys.policy.scan(&mut sys.machine, ScanGrant::default());
         }
-        sys.policy.set_scan_budget(Some(64));
         bench(out, "scan_pass_throttled_vusion_b64", || {
-            black_box(sys.policy.scan(&mut sys.machine));
+            black_box(sys.policy.scan(&mut sys.machine, BUDGET_64));
         });
     }
 }

@@ -19,11 +19,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanReport, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, ScanReport, SpanKind, SurfaceTransition,
 };
 use vusion_mem::{CrashSite, FrameId, VirtAddr, PAGE_SIZE};
-use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
+use vusion_mmu::{Pte, PteFlags};
 
+use crate::mapping;
 use crate::rbtree::{ContentRbTree, NodeId};
 use crate::scan_cache::{self, CandidateCache, DirtyTracker, HashIndex};
 use crate::TagCounts;
@@ -109,12 +110,6 @@ pub struct Ksm {
     candidates: CandidateCache,
     /// Global page cursor over the concatenated mergeable VMAs.
     cursor: u64,
-    /// Per-wake page budget granted by the pressure governor. Never
-    /// serialized: the governor re-grants before every wakeup.
-    budget: Option<u64>,
-    /// Reclaim-ladder rung 3: while set, THP breaks (which consume
-    /// page-table frames) are deferred until pressure clears.
-    defer_zero: bool,
     /// Mappings currently pointing at stable frames. Frames saved =
     /// `merged_live - stable pages` (the stable frame is one party's own).
     merged_live: u64,
@@ -137,8 +132,6 @@ impl Ksm {
             checksums: BTreeMap::new(),
             candidates: CandidateCache::default(),
             cursor: 0,
-            budget: None,
-            defer_zero: false,
             merged_live: 0,
             tags: TagCounts::default(),
             stats: KsmStats::default(),
@@ -163,51 +156,6 @@ impl Ksm {
     /// Number of stable-tree pages.
     pub fn stable_pages(&self) -> usize {
         self.stable.len()
-    }
-
-    /// Snapshot of the mergeable page list: `(pid, page base)` pairs.
-    fn mergeable_pages(m: &Machine) -> Vec<(Pid, VirtAddr)> {
-        let mut out = Vec::new();
-        for pidx in 0..m.process_count() {
-            let pid = Pid(pidx);
-            for vma in m.process(pid).space.mergeable_vmas() {
-                for va in vma.page_addrs() {
-                    out.push((pid, va));
-                }
-            }
-        }
-        out
-    }
-
-    /// Guest tag and (for file pages) the page-cache key of a mapping.
-    fn vma_info(m: &Machine, pid: Pid, va: VirtAddr) -> (GuestTag, Option<(u64, u64)>) {
-        match m.process(pid).space.find_vma(va) {
-            Some(vma) => {
-                let key = match vma.backing {
-                    VmaBacking::File {
-                        file_id,
-                        offset_pages,
-                    } => Some((file_id, offset_pages + (va.0 - vma.start.0) / PAGE_SIZE)),
-                    VmaBacking::Anon => None,
-                };
-                (vma.tag, key)
-            }
-            None => (GuestTag::Other, None),
-        }
-    }
-
-    /// Releases a page-cache reference if `frame` is the cached copy of the
-    /// file page mapped at `(pid, va)` — the guest page being deduplicated
-    /// out of its cache.
-    fn drop_cache_ref(m: &mut Machine, pid: Pid, va: VirtAddr, frame: FrameId) {
-        let (_, key) = Self::vma_info(m, pid, va);
-        if let Some((file_id, page)) = key {
-            let p = m.process_mut(pid);
-            if p.page_cache.get(&(file_id, page)) == Some(&frame) {
-                p.page_cache_evict(file_id, page);
-                let _ = m.put_frame(frame);
-            }
-        }
     }
 
     /// The PTE flags of a merged (stable) mapping.
@@ -249,8 +197,10 @@ impl Ksm {
             return;
         }
         // Release the duplicate: cache reference first, then the mapping's.
-        let (tag, _) = Self::vma_info(m, pid, va);
-        Self::drop_cache_ref(m, pid, va, old);
+        let (tag, _) = mapping::vma_info(m, pid, va);
+        if mapping::evict_cached_copy(m, pid, va, old) {
+            let _ = m.put_frame(old);
+        }
         let _ = m.put_frame(old);
         let costs = m.costs();
         m.scan_cost(costs.pte_update + costs.buddy_interaction);
@@ -279,12 +229,14 @@ impl Ksm {
         m: &mut Machine,
         pid: Pid,
         va: VirtAddr,
+        defer_alloc: bool,
         report: &mut ScanReport,
     ) -> bool {
         if m.leaf(pid, va).map(|l| l.huge).unwrap_or(false) {
-            if self.defer_zero {
-                // Rung 3 active: splitting a THP consumes page-table
-                // frames under critical pressure. Retry once it clears.
+            if defer_alloc {
+                // Rung 3 (the grant's `defer_alloc`): splitting a THP
+                // consumes page-table frames under critical pressure.
+                // Retry once it clears.
                 m.note_scan_retry();
                 return false;
             }
@@ -307,8 +259,16 @@ impl Ksm {
         true
     }
 
-    /// Scans one page (the §2.1 per-page algorithm).
-    fn scan_one(&mut self, m: &mut Machine, pid: Pid, va: VirtAddr, report: &mut ScanReport) {
+    /// Scans one page (the §2.1 per-page algorithm). `defer_alloc` is the
+    /// wake's rung-3 flag, which only THP breaks consult.
+    fn scan_one(
+        &mut self,
+        m: &mut Machine,
+        pid: Pid,
+        va: VirtAddr,
+        defer_alloc: bool,
+        report: &mut ScanReport,
+    ) {
         report.pages_scanned += 1;
         let Some(leaf) = m.leaf(pid, va) else {
             return; // Never faulted in.
@@ -341,7 +301,7 @@ impl Ksm {
         // the page-cache reference. Not a terminal state — the refcount can
         // drop without the frame's write generation moving.
         let refs = m.mem().info(frame).refcount;
-        let (_, cache_key) = Self::vma_info(m, pid, va);
+        let (_, cache_key) = mapping::vma_info(m, pid, va);
         let max_refs = if cache_key.is_some() { 2 } else { 1 };
         if refs > max_refs {
             return;
@@ -365,7 +325,7 @@ impl Ksm {
             None
         };
         if let Some(node) = stable_node {
-            if self.break_if_huge(m, pid, va, report) {
+            if self.break_if_huge(m, pid, va, defer_alloc, report) {
                 self.merge_into_stable(m, pid, va, frame, node, report);
             }
             return;
@@ -420,14 +380,16 @@ impl Ksm {
             // downgrades the candidate to stale — both pages stay intact
             // and get rescanned later.
             let valid = valid
-                && self.break_if_huge(m, pid, va, report)
-                && self.break_if_huge(m, entry.pid, entry.va, report)
+                && self.break_if_huge(m, pid, va, defer_alloc, report)
+                && self.break_if_huge(m, entry.pid, entry.va, defer_alloc, report)
                 && m.set_leaf(wpid, wva, Pte::new(wframe, self.merged_flags()))
                     .is_ok();
             if valid {
                 // Promote the winner: its frame becomes the stable page
                 // (merge *in place* — the FFS weakness).
-                Self::drop_cache_ref(m, wpid, wva, wframe);
+                if mapping::evict_cached_copy(m, wpid, wva, wframe) {
+                    let _ = m.put_frame(wframe);
+                }
                 let mem = m.mem();
                 let (snode, inserted) = self
                     .stable
@@ -571,7 +533,6 @@ impl vusion_snapshot::Snapshot for Ksm {
         w.u64(self.stats.full_rounds);
         w.u64(self.stats.huge_broken);
         w.u64(self.stats.checksum_skips);
-        w.bool(self.defer_zero);
     }
 
     fn load(
@@ -590,8 +551,6 @@ impl vusion_snapshot::Snapshot for Ksm {
             checksums,
             candidates,
             cursor,
-            budget: _, // host-only: the governor re-grants it before every wakeup
-            defer_zero,
             merged_live,
             tags,
             stats,
@@ -643,7 +602,6 @@ impl vusion_snapshot::Snapshot for Ksm {
             huge_broken: r.u64()?,
             checksum_skips: r.u64()?,
         };
-        *defer_zero = r.bool()?;
         Ok(())
     }
 }
@@ -653,9 +611,9 @@ impl FusionPolicy for Ksm {
         "ksm"
     }
 
-    fn scan(&mut self, m: &mut Machine) -> ScanReport {
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
         let mut report = ScanReport::default();
-        let (pages, rebuilt) = self.candidates.take(m, Self::mergeable_pages);
+        let (pages, rebuilt) = self.candidates.take(m, /* mergeable_only */ true);
         if rebuilt {
             // The candidate set changed (mmap / madvise / new process):
             // drop checksums of pages no longer scanned, so the map stays
@@ -692,7 +650,7 @@ impl FusionPolicy for Ksm {
         self.stable_hashes.refresh(m.mem());
         // Pre-hash this wakeup's visit window, so the decide phase below
         // hits the hash memo-cache on every page.
-        let limit = match self.budget {
+        let limit = match grant.budget {
             Some(b) => b as usize,
             None => self.cfg.pages_per_scan,
         };
@@ -719,7 +677,7 @@ impl FusionPolicy for Ksm {
             report.budget_used += 1;
             let idx = (self.cursor % pages.len() as u64) as usize;
             let (pid, va) = pages[idx];
-            self.scan_one(m, pid, va, &mut report);
+            self.scan_one(m, pid, va, grant.defer_alloc, &mut report);
             self.cursor += 1;
             if self.cursor.is_multiple_of(pages.len() as u64) {
                 self.stats.full_rounds += 1;
@@ -760,10 +718,6 @@ impl FusionPolicy for Ksm {
         self.cfg.scan_period_ns
     }
 
-    fn set_scan_budget(&mut self, budget: Option<u64>) {
-        self.budget = budget;
-    }
-
     fn pressure_shrink(&mut self, _m: &mut Machine) -> u64 {
         // Drop every transient structure the scan can rebuild: the
         // unstable tree (KSM proper drops it each round anyway), its
@@ -776,10 +730,6 @@ impl FusionPolicy for Ksm {
         let sums = self.checksums.len() as u64;
         self.checksums = BTreeMap::new();
         unstable + sums + self.dirty.shed() + self.candidates.shed()
-    }
-
-    fn set_zero_unmerge_deferral(&mut self, on: bool) {
-        self.defer_zero = on;
     }
 }
 
@@ -847,7 +797,6 @@ mod tests {
             huge_broken: 45,
             checksum_skips: 46,
         };
-        k.defer_zero = true;
         let mut dst = Ksm::new(KsmConfig::default());
         let (x, y) = vusion_snapshot::resave(&s.policy, &mut dst).expect("resave");
         assert_eq!(x, y);

@@ -27,6 +27,7 @@
 pub mod avl;
 pub mod engine;
 pub mod ksm;
+mod mapping;
 pub mod rbtree;
 mod scan_cache;
 pub mod vusion;

@@ -17,6 +17,8 @@ use std::collections::BTreeMap;
 use vusion_kernel::{Machine, Pid};
 use vusion_mem::{FrameId, PhysMemory, VirtAddr};
 
+use crate::mapping;
+
 /// Content-hash index mirroring a content tree's node frames.
 ///
 /// `may_contain(probe)` pre-filters tree searches: if the probe page's
@@ -137,8 +139,9 @@ impl HashIndex {
     }
 }
 
-/// Cached `mergeable_pages` enumeration, invalidated by the machine's
-/// layout epoch (process count + per-space VMA layout generations).
+/// Cached [`mapping::candidate_pages`] enumeration, invalidated by the
+/// machine's layout epoch (process count + per-space VMA layout
+/// generations).
 ///
 /// Used in a take / put-back pattern so the scan loop can hold the list
 /// while mutating the engine and the machine.
@@ -149,19 +152,19 @@ pub(crate) struct CandidateCache {
 }
 
 impl CandidateCache {
-    /// Returns `(pages, rebuilt)`: the candidate list (rebuilt via `build`
-    /// only if the layout epoch moved) and whether a rebuild happened.
-    /// Hand the vector back with [`CandidateCache::put_back`] after the
-    /// scan loop.
+    /// Returns `(pages, rebuilt)`: the candidate list (rebuilt by
+    /// [`mapping::candidate_pages`] only if the layout epoch moved) and
+    /// whether a rebuild happened. Hand the vector back with
+    /// [`CandidateCache::put_back`] after the scan loop.
     pub(crate) fn take(
         &mut self,
         m: &Machine,
-        build: impl FnOnce(&Machine) -> Vec<(Pid, VirtAddr)>,
+        mergeable_only: bool,
     ) -> (Vec<(Pid, VirtAddr)>, bool) {
         let epoch = m.layout_epoch();
         let rebuilt = self.epoch != Some(epoch);
         if rebuilt {
-            self.pages = build(m);
+            self.pages = mapping::candidate_pages(m, mergeable_only);
             self.epoch = Some(epoch);
         }
         (std::mem::take(&mut self.pages), rebuilt)

@@ -30,14 +30,15 @@
 use std::collections::BTreeMap;
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanReport, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, ScanReport, SpanKind, SurfaceTransition,
 };
 use vusion_mem::{
     CrashSite, DeferredFreeQueue, FrameId, MmError, PageType, RandomPool, VirtAddr,
     HUGE_PAGE_FRAMES, PAGE_SIZE,
 };
-use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
+use vusion_mmu::{Pte, PteFlags};
 
+use crate::mapping;
 use crate::rbtree::{ContentRbTree, NodeId};
 use crate::scan_cache::{self, CandidateCache, HashIndex};
 use crate::TagCounts;
@@ -90,12 +91,6 @@ impl Default for VUsionConfig {
 }
 
 impl VUsionConfig {
-    /// Paper-scale pool: 128 MiB ⇒ 15 bits of entropy.
-    pub fn paper_pool(mut self) -> Self {
-        self.pool_frames = vusion_mem::random_pool::DEFAULT_POOL_FRAMES;
-        self
-    }
-
     /// Enables the §8 THP enhancements.
     pub fn with_thp(mut self) -> Self {
         self.thp_enhancements = true;
@@ -145,12 +140,6 @@ pub struct VUsion {
     deferred: DeferredFreeQueue,
     cursor: u64,
     saved: u64,
-    /// Per-wake page budget granted by the pressure governor. Never
-    /// serialized: the governor re-grants before every wakeup.
-    budget: Option<u64>,
-    /// Reclaim-ladder rung 3: while set, frame-allocating scan work (fake
-    /// merges, rerandomization rounds) is deferred until pressure clears.
-    defer_zero: bool,
     /// Frames handed out by RA, for the §9.1 uniformity test.
     ra_trace: Vec<u64>,
     tags: TagCounts,
@@ -174,8 +163,6 @@ impl VUsion {
             deferred: DeferredFreeQueue::new(),
             cursor: 0,
             saved: 0,
-            budget: None,
-            defer_zero: false,
             ra_trace: Vec::new(),
             tags: TagCounts::default(),
             stats: VUsionStats::default(),
@@ -195,11 +182,6 @@ impl VUsion {
     /// Frames chosen by Randomized Allocation so far (§9.1 RA test).
     pub fn ra_trace(&self) -> &[u64] {
         &self.ra_trace
-    }
-
-    /// Pool residency (test helper).
-    pub fn pool_resident(&self) -> usize {
-        self.pool.resident()
     }
 
     /// Whether a page is currently under fusion management (trapped).
@@ -261,46 +243,27 @@ impl VUsion {
         f
     }
 
-    /// Guest tag and page-cache key of a mapping.
-    fn vma_info(m: &Machine, pid: Pid, va: VirtAddr) -> (GuestTag, Option<(u64, u64)>) {
-        match m.process(pid).space.find_vma(va) {
-            Some(vma) => {
-                let key = match vma.backing {
-                    VmaBacking::File {
-                        file_id,
-                        offset_pages,
-                    } => Some((file_id, offset_pages + (va.0 - vma.start.0) / PAGE_SIZE)),
-                    VmaBacking::Anon => None,
-                };
-                (vma.tag, key)
-            }
-            None => (GuestTag::Other, None),
-        }
-    }
-
-    /// Drops the page-cache reference if `frame` is the cached copy of the
-    /// file page at `(pid, va)`.
-    fn drop_cache_ref(m: &mut Machine, pid: Pid, va: VirtAddr, frame: FrameId) {
-        let (_, key) = Self::vma_info(m, pid, va);
-        if let Some((file_id, page)) = key {
-            let p = m.process_mut(pid);
-            if p.page_cache.get(&(file_id, page)) == Some(&frame) {
-                p.page_cache_evict(file_id, page);
-                m.mem_mut().info_mut(frame).put();
-            }
-        }
-    }
-
-    /// Releases a candidate's old frame to the pool (refcount must reach 0).
+    /// Releases a candidate's old frame to the pool (refcount must reach 0):
+    /// the page-cache reference first, if the frame is the cached copy.
     fn release_candidate(&mut self, m: &mut Machine, pid: Pid, va: VirtAddr, frame: FrameId) {
-        Self::drop_cache_ref(m, pid, va, frame);
+        if mapping::evict_cached_copy(m, pid, va, frame) {
+            m.mem_mut().info_mut(frame).put();
+        }
         if m.mem_mut().info_mut(frame).put() {
             self.ra_release(m, frame);
         }
     }
 
-    /// One page through the S⊕F pipeline.
-    fn scan_one(&mut self, m: &mut Machine, pid: Pid, va: VirtAddr, report: &mut ScanReport) {
+    /// One page through the S⊕F pipeline. `defer_alloc` is the wake's
+    /// rung-3 flag.
+    fn scan_one(
+        &mut self,
+        m: &mut Machine,
+        pid: Pid,
+        va: VirtAddr,
+        defer_alloc: bool,
+        report: &mut ScanReport,
+    ) {
         report.pages_scanned += 1;
         if self.page_state.contains_key(&(pid.0, va.page())) {
             return; // Already under management.
@@ -379,9 +342,17 @@ impl VUsion {
             return; // This frame already backs a tree page elsewhere.
         }
         // Accounting guard, as in KSM: sole mapping (+ cache ref for file).
-        let (tag, cache_key) = Self::vma_info(m, pid, va);
+        let (tag, cache_key) = mapping::vma_info(m, pid, va);
         let max_refs = if cache_key.is_some() { 2 } else { 1 };
         if m.mem().info(frame).refcount > max_refs {
+            return;
+        }
+        if defer_alloc {
+            // Rung 3: a fake merge would draw a pool frame under critical
+            // pressure, so the whole merge decision waits for the band to
+            // drop. It waits *before* the tree lookup: every check above
+            // ignores content, so a page that matches a tree page and one
+            // that does not both stay unmanaged (Same Behavior, §7.1).
             return;
         }
         // Single content tree: match ⇒ real merge, no match ⇒ fake merge.
@@ -422,12 +393,6 @@ impl VUsion {
                 report.pages_merged += 1;
             }
             None => {
-                if self.defer_zero {
-                    // Rung 3 active: a fake merge would draw a pool frame
-                    // under critical pressure. Leave the page unmanaged —
-                    // it is revisited once the band drops.
-                    return;
-                }
                 m.trace_begin("vusion", SpanKind::FakeMerge);
                 // Fake merge: fresh random backing frame, same trap.
                 let Ok(new) = self.ra_alloc(m, PageType::Fused) else {
@@ -686,20 +651,6 @@ impl VUsion {
         }
         m.trace_end(SpanKind::Rerandomize);
     }
-
-    /// Snapshot of the mergeable page list.
-    fn mergeable_pages(m: &Machine) -> Vec<(Pid, VirtAddr)> {
-        let mut out = Vec::new();
-        for pidx in 0..m.process_count() {
-            let pid = Pid(pidx);
-            for vma in m.process(pid).space.mergeable_vmas() {
-                for va in vma.page_addrs() {
-                    out.push((pid, va));
-                }
-            }
-        }
-        out
-    }
 }
 
 impl vusion_snapshot::Snapshot for VUsion {
@@ -746,7 +697,6 @@ impl vusion_snapshot::Snapshot for VUsion {
         w.u64(self.stats.rerandomized);
         w.u64(self.stats.collapse_unmerges);
         w.u64(self.stats.full_rounds);
-        w.bool(self.defer_zero);
     }
 
     fn load(
@@ -764,8 +714,6 @@ impl vusion_snapshot::Snapshot for VUsion {
             deferred,
             cursor,
             saved,
-            budget: _, // host-only: the governor re-grants it before every wakeup
-            defer_zero,
             ra_trace,
             tags,
             stats,
@@ -822,7 +770,6 @@ impl vusion_snapshot::Snapshot for VUsion {
             collapse_unmerges: r.u64()?,
             full_rounds: r.u64()?,
         };
-        *defer_zero = r.bool()?;
         Ok(())
     }
 }
@@ -832,7 +779,7 @@ impl FusionPolicy for VUsion {
         "vusion"
     }
 
-    fn scan(&mut self, m: &mut Machine) -> ScanReport {
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
         let mut report = ScanReport::default();
         // Background half of deferred free (decision ii).
         let drain = self.cfg.deferred_drain_per_wake;
@@ -850,7 +797,7 @@ impl FusionPolicy for VUsion {
         // Re-sync hash-filter entries whose frames changed between scans
         // (Rowhammer flips — trapped tree pages see no guest writes).
         self.tree_hashes.refresh(m.mem());
-        let (pages, _) = self.candidates.take(m, Self::mergeable_pages);
+        let (pages, _) = self.candidates.take(m, /* mergeable_only */ true);
         if pages.is_empty() {
             self.candidates.put_back(pages);
             return report;
@@ -862,7 +809,7 @@ impl FusionPolicy for VUsion {
         // Steady-state fast-out: when every candidate is already under
         // management (fake- or real-merged, trapped), the window below
         // would collect nothing — skip its per-page lookups.
-        let limit = match self.budget {
+        let limit = match grant.budget {
             Some(b) => b as usize,
             None => self.cfg.pages_per_scan,
         };
@@ -895,12 +842,16 @@ impl FusionPolicy for VUsion {
             report.budget_used += 1;
             let idx = (self.cursor % pages.len() as u64) as usize;
             let (pid, va) = pages[idx];
-            self.scan_one(m, pid, va, &mut report);
+            self.scan_one(m, pid, va, grant.defer_alloc, &mut report);
             self.cursor += 1;
             if self.cursor.is_multiple_of(pages.len() as u64) {
-                // Rung 3 defers the round's rerandomization too: it draws
-                // one pool frame per tree page.
-                if !self.cfg.ablate_rerandomize && !self.defer_zero {
+                // Rerandomization keeps running under rung 3, so fused
+                // frames keep moving (RA) at every band. It costs no
+                // memory: each old frame is released right after its
+                // replacement is drawn, so with a full pool a round
+                // returns every frame it takes, and with a depleted pool
+                // it only refills toward `pool_frames`.
+                if !self.cfg.ablate_rerandomize {
                     self.rerandomize_round(m);
                 }
                 self.stats.full_rounds += 1;
@@ -952,10 +903,6 @@ impl FusionPolicy for VUsion {
         self.cfg.scan_period_ns
     }
 
-    fn set_scan_budget(&mut self, budget: Option<u64>) {
-        self.budget = budget;
-    }
-
     fn pressure_drain(&mut self, m: &mut Machine) -> u64 {
         let mut dead = Vec::new();
         let n = self.deferred.drain(usize::MAX, |f| dead.push(f));
@@ -970,10 +917,6 @@ impl FusionPolicy for VUsion {
 
     fn pressure_shrink(&mut self, _m: &mut Machine) -> u64 {
         self.candidates.shed()
-    }
-
-    fn set_zero_unmerge_deferral(&mut self, on: bool) {
-        self.defer_zero = on;
     }
 }
 
@@ -1085,7 +1028,6 @@ mod tests {
             collapse_unmerges: 48,
             full_rounds: 49,
         };
-        u.defer_zero = true;
         let mut m = Machine::new(MachineConfig::test_small());
         let mut dst = VUsion::new(&mut m, VUsionConfig::default());
         let (x, y) = vusion_snapshot::resave(&s.policy, &mut dst).expect("resave");

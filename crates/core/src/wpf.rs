@@ -20,14 +20,15 @@
 use std::collections::BTreeMap;
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanReport, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, ScanReport, SpanKind, SurfaceTransition,
 };
 use vusion_mem::{
     CrashSite, FrameAllocator, FrameId, LinearAllocator, MmError, PageType, VirtAddr, PAGE_SIZE,
 };
-use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
+use vusion_mmu::{Pte, PteFlags};
 
 use crate::avl::ContentAvlTree;
+use crate::mapping;
 use crate::scan_cache::{self, CandidateCache, DirtyTracker, HashIndex};
 use crate::TagCounts;
 
@@ -104,13 +105,6 @@ pub struct Wpf {
     dirty: DirtyTracker,
     /// Suspended pass, if the previous wakeup's budget ran out mid-stage.
     pass: Option<PassState>,
-    /// Per-wake page budget granted by the pressure governor. Never
-    /// serialized: the governor re-grants before every wakeup.
-    budget: Option<u64>,
-    /// Reclaim-ladder rung 3: while set, no new tree pages are reserved
-    /// from the linear allocator; merges onto existing tree pages (which
-    /// free memory) still proceed.
-    defer_zero: bool,
 }
 
 impl Wpf {
@@ -134,8 +128,6 @@ impl Wpf {
             last_pass_frames: Vec::new(),
             dirty: DirtyTracker::default(),
             pass: None,
-            budget: None,
-            defer_zero: false,
         })
     }
 
@@ -153,33 +145,6 @@ impl Wpf {
     /// order (descending physical addresses — Figure 3's tell-tale).
     pub fn last_pass_frames(&self) -> &[FrameId] {
         &self.last_pass_frames
-    }
-
-    fn vma_info(m: &Machine, pid: Pid, va: VirtAddr) -> (GuestTag, Option<(u64, u64)>) {
-        match m.process(pid).space.find_vma(va) {
-            Some(vma) => {
-                let key = match vma.backing {
-                    VmaBacking::File {
-                        file_id,
-                        offset_pages,
-                    } => Some((file_id, offset_pages + (va.0 - vma.start.0) / PAGE_SIZE)),
-                    VmaBacking::Anon => None,
-                };
-                (vma.tag, key)
-            }
-            None => (GuestTag::Other, None),
-        }
-    }
-
-    fn drop_cache_ref(m: &mut Machine, pid: Pid, va: VirtAddr, frame: FrameId) {
-        let (_, key) = Self::vma_info(m, pid, va);
-        if let Some((file_id, page)) = key {
-            let p = m.process_mut(pid);
-            if p.page_cache.get(&(file_id, page)) == Some(&frame) {
-                p.page_cache_evict(file_id, page);
-                let _ = m.put_frame(frame);
-            }
-        }
     }
 
     /// Repoints `(pid, va)` at tree frame `tree_frame`, releasing its old
@@ -205,8 +170,10 @@ impl Wpf {
             m.note_scan_retry();
             return false;
         }
-        let (tag, _) = Self::vma_info(m, pid, va);
-        Self::drop_cache_ref(m, pid, va, old);
+        let (tag, _) = mapping::vma_info(m, pid, va);
+        if mapping::evict_cached_copy(m, pid, va, old) {
+            let _ = m.put_frame(old);
+        }
         let _ = m.put_frame(old);
         let costs = m.costs();
         m.scan_cost(costs.pte_update + costs.buddy_interaction);
@@ -217,22 +184,9 @@ impl Wpf {
         true
     }
 
-    /// Every VMA page of every process — WPF has no opt-in.
-    fn all_pages(m: &Machine) -> Vec<(Pid, VirtAddr)> {
-        let mut out = Vec::new();
-        for pidx in 0..m.process_count() {
-            let pid = Pid(pidx);
-            for vma in m.process(pid).space.vmas() {
-                for va in vma.page_addrs() {
-                    out.push((pid, va));
-                }
-            }
-        }
-        out
-    }
-
-    /// One full fusion pass (§2.2).
-    fn full_pass(&mut self, m: &mut Machine) -> ScanReport {
+    /// One full fusion pass (§2.2), or the slice of one that `grant`
+    /// allows.
+    fn full_pass(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
         let mut report = ScanReport::default();
         self.last_pass_frames.clear();
         // Tree pages can change in place between passes (Rowhammer on a
@@ -245,7 +199,7 @@ impl Wpf {
         // 1. Enumerate candidate pages of every process (no opt-in),
         // read-only. The page enumeration is cached against the layout
         // epoch; the per-page leaf checks still run every pass.
-        let (pages, rebuilt) = self.candidates.take(m, Self::all_pages);
+        let (pages, rebuilt) = self.candidates.take(m, /* mergeable_only */ false);
         if rebuilt {
             // (pid, va) keys may be stale after a layout change.
             self.dirty.clear();
@@ -263,7 +217,7 @@ impl Wpf {
             if self.avl_index.contains_key(&frame) {
                 continue; // Already fused.
             }
-            let (_, cache_key) = Self::vma_info(m, pid, va);
+            let (_, cache_key) = mapping::vma_info(m, pid, va);
             let max_refs = if cache_key.is_some() { 2 } else { 1 };
             if m.mem().info(frame).refcount > max_refs {
                 continue;
@@ -294,7 +248,7 @@ impl Wpf {
             },
         };
         let start = pass.cursor as usize;
-        let limit = match self.budget {
+        let limit = match grant.budget {
             Some(b) => b as usize,
             None => usize::MAX,
         };
@@ -373,10 +327,11 @@ impl Wpf {
         }
         // 4. Batch-reserve new backing frames (the MiAllocatePagesForMdl
         // call with the exact count WPF knows it needs). Under reclaim
-        // rung 3 the reservation is deferred entirely: new tree pages
-        // would consume frames mid-crisis, so only merges onto existing
-        // tree pages (which free memory) proceed this pass.
-        let new_groups = if self.defer_zero {
+        // rung 3 (the grant's `defer_alloc`) the reservation is deferred
+        // entirely: new tree pages would consume frames mid-crisis, so
+        // only merges onto existing tree pages (which free memory)
+        // proceed this pass.
+        let new_groups = if grant.defer_alloc {
             0
         } else {
             groups.iter().filter(|g| g.existing.is_none()).count()
@@ -451,8 +406,10 @@ impl Wpf {
                         continue;
                     }
                     consumed_initial_ref = true;
-                    let (tag, _) = Self::vma_info(m, pid, va);
-                    Self::drop_cache_ref(m, pid, va, old);
+                    let (tag, _) = mapping::vma_info(m, pid, va);
+                    if mapping::evict_cached_copy(m, pid, va, old) {
+                        let _ = m.put_frame(old);
+                    }
                     let _ = m.put_frame(old);
                     let costs = m.costs();
                     m.scan_cost(costs.pte_update + costs.buddy_interaction);
@@ -624,7 +581,6 @@ impl vusion_snapshot::Snapshot for Wpf {
         w.u64(self.stats.passes);
         let last: Vec<u64> = self.last_pass_frames.iter().map(|f| f.0).collect();
         w.u64s(&last);
-        w.bool(self.defer_zero);
         match &self.pass {
             Some(p) => {
                 w.bool(true);
@@ -657,8 +613,6 @@ impl vusion_snapshot::Snapshot for Wpf {
             last_pass_frames,
             dirty,
             pass,
-            budget: _, // host-only: the governor re-grants it before every wakeup
-            defer_zero,
         } = self;
         *cfg = WpfConfig {
             pass_period_ns: r.u64()?,
@@ -678,7 +632,6 @@ impl vusion_snapshot::Snapshot for Wpf {
             passes: r.u64()?,
         };
         *last_pass_frames = r.u64s()?.into_iter().map(FrameId).collect();
-        *defer_zero = r.bool()?;
         *pass = if r.bool()? {
             let cursor = r.u64()?;
             let total = r.u64()?;
@@ -709,8 +662,8 @@ impl FusionPolicy for Wpf {
         "wpf"
     }
 
-    fn scan(&mut self, m: &mut Machine) -> ScanReport {
-        self.full_pass(m)
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
+        self.full_pass(m, grant)
     }
 
     fn handle_fault(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
@@ -742,20 +695,12 @@ impl FusionPolicy for Wpf {
         self.cfg.pass_period_ns
     }
 
-    fn set_scan_budget(&mut self, budget: Option<u64>) {
-        self.budget = budget;
-    }
-
     fn pressure_shrink(&mut self, _m: &mut Machine) -> u64 {
         // Drop rebuildable transients: the candidate enumeration, the
         // dirty-driven pass list, and any suspended pass's hashed rows
         // (the next wakeup simply restarts the pass).
         let parked = self.pass.take().map(|p| p.hashed.len() as u64).unwrap_or(0);
         self.candidates.shed() + self.dirty.shed() + parked
-    }
-
-    fn set_zero_unmerge_deferral(&mut self, on: bool) {
-        self.defer_zero = on;
     }
 }
 
@@ -810,7 +755,6 @@ mod tests {
             tree_pages_allocated: 43,
             passes: 44,
         };
-        w.defer_zero = true;
         w.pass = Some(PassState {
             cursor: 61,
             total: 62,

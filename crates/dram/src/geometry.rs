@@ -30,11 +30,6 @@ impl DramConfig {
         }
     }
 
-    /// Pages per DRAM row.
-    pub fn pages_per_row(&self) -> u64 {
-        self.row_size / vusion_mem::PAGE_SIZE
-    }
-
     /// Maps a physical address to its DRAM location.
     ///
     /// Banks interleave at row-size granularity: consecutive row-sized

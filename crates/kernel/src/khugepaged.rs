@@ -334,7 +334,11 @@ mod tests {
             fn name(&self) -> &'static str {
                 "veto"
             }
-            fn scan(&mut self, _m: &mut Machine) -> crate::policy::ScanReport {
+            fn scan(
+                &mut self,
+                _m: &mut Machine,
+                _grant: crate::policy::ScanGrant,
+            ) -> crate::policy::ScanReport {
                 Default::default()
             }
             fn handle_fault(&mut self, _m: &mut Machine, _f: &crate::machine::PageFault) -> bool {

@@ -35,7 +35,7 @@ pub use clock::{CostModel, SimClock};
 pub use journal::{JournalEvent, JournalEventKind};
 pub use khugepaged::{Khugepaged, KhugepagedStats};
 pub use machine::{AccessKind, FaultReason, Machine, MachineConfig, MachineStats, PageFault, Pid};
-pub use policy::{FusionPolicy, NoFusion, ScanReport};
+pub use policy::{FusionPolicy, NoFusion, ScanGrant, ScanReport};
 pub use pressure::{
     PressureBand, PressureConfig, PressureDecision, PressureGovernor, PressureStats,
 };

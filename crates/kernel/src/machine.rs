@@ -12,8 +12,6 @@ use vusion_mmu::{AddressSpace, LeafInfo, Pte, PteFlags, Tlb, TlbEntry, Vma, VmaB
 use vusion_obs::{
     DramOutcome, FaultKind, InstantKind, Obs, PageClass, SpanKind, SurfaceExtras, SurfaceTransition,
 };
-use vusion_rng::rngs::StdRng;
-use vusion_rng::SeedableRng;
 use vusion_snapshot::{Reader, Snapshot, SnapshotError, Writer};
 
 use crate::clock::{CostModel, Jitter, SimClock};
@@ -213,8 +211,6 @@ pub struct Machine {
     hammer: RowhammerModel,
     clock: SimClock,
     jitter: Jitter,
-    /// RNG available to policies that need machine-scoped randomness.
-    pub policy_rng: StdRng,
     /// Scan-time fault source (checksum corruption, observed bit flips),
     /// salted independently from the allocator's injector.
     scan_injector: FaultInjector,
@@ -262,7 +258,6 @@ impl Machine {
             hammer: RowhammerModel::new(cfg.dram, cfg.seed ^ 0xd7a3, cfg.weak_row_fraction),
             clock: SimClock::new(),
             jitter: Jitter::new(cfg.seed ^ 0x1177, cfg.costs.jitter),
-            policy_rng: StdRng::seed_from_u64(cfg.seed ^ 0xbeef),
             scan_injector: FaultInjector::new(FaultPlan::NONE, cfg.seed ^ 0x5ca1),
             crash_injector: CrashInjector::new(CrashPlan::NONE),
             processes: Vec::new(),
@@ -320,11 +315,6 @@ impl Machine {
     /// operations and must not accumulate events).
     pub fn enable_journal(&mut self) {
         self.journal_on = true;
-    }
-
-    /// Whether events are currently being recorded.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal_on && self.journal_suspend == 0
     }
 
     /// Drops all recorded events (e.g. right after taking a snapshot, so
@@ -1392,12 +1382,6 @@ impl Machine {
         applied
     }
 
-    /// The Rowhammer fault model (read-only; lets attacks reason about
-    /// geometry the way real attackers learn it from datasheets).
-    pub fn rowhammer_model(&self) -> &RowhammerModel {
-        &self.hammer
-    }
-
     // ------------------------------------------------------------------
     // Accounting
     // ------------------------------------------------------------------
@@ -1535,9 +1519,6 @@ impl Snapshot for Machine {
         self.rows.save(w);
         w.u64(self.clock.now_ns());
         self.jitter.save(w);
-        for s in self.policy_rng.state() {
-            w.u64(s);
-        }
         self.scan_injector.save(w);
         self.crash_injector.save(w);
         w.usize(self.processes.len());
@@ -1594,7 +1575,6 @@ impl Snapshot for Machine {
             hammer: _, // a pure function of `cfg`, never mutated
             clock,
             jitter,
-            policy_rng,
             scan_injector,
             crash_injector,
             processes,
@@ -1615,11 +1595,6 @@ impl Snapshot for Machine {
         *clock = SimClock::new();
         clock.advance(r.u64()?);
         *jitter = Jitter::load(r)?;
-        let mut s = [0u64; 4];
-        for x in &mut s {
-            *x = r.u64()?;
-        }
-        *policy_rng = StdRng::from_state(s);
         scan_injector.load(r)?;
         crash_injector.load(r)?;
         let n = r.usize()?;
@@ -1699,7 +1674,6 @@ mod tests {
         assert!(src.default_fault(&fault));
         src.arm_crashes();
         assert!(!src.crash_now(CrashSite::MidScan));
-        src.policy_rng = StdRng::seed_from_u64(99);
         let plan = FaultPlan {
             alloc_every_nth: 3,
             alloc_fail_prob: 0.4,

@@ -48,18 +48,39 @@ impl ScanReport {
     }
 }
 
+/// The pressure governor's decision for one scanner wakeup, handed to
+/// [`FusionPolicy::scan`]. The governor owns it and re-derives it before
+/// every wake, so engines never store it. `Default` is an ungoverned
+/// wake: the engine's own quota, with nothing deferred.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanGrant {
+    /// Page-visit cap for this wake (`None`: the engine's own quota).
+    /// Engines report consumption via [`ScanReport::budget_used`] and
+    /// park their cursor mid-pass when the budget runs out.
+    pub budget: Option<u64>,
+    /// Reclaim-ladder rung 3, set while the band is Critical: defer
+    /// optional frame-allocating scan work (VUsion's whole merge
+    /// decision, KSM's THP breaks, WPF's new tree frames). Fault
+    /// handling is never deferred.
+    pub defer_alloc: bool,
+}
+
 /// A page-fusion engine, driven by the [`crate::System`]. Its complete
 /// scan/merge state is checkpointed through the `Snapshot` supertrait:
 /// [`crate::System::snapshot`] frames it as a blob tagged with
 /// [`Self::name`], so a bundle recorded under one engine fails loudly
 /// when restored into another. Stateless policies save nothing.
+/// Memory pressure reaches an engine only as the [`ScanGrant`] argument
+/// of [`Self::scan`] and through the two relief hooks below; the
+/// governor's band is the one copy of that state.
 pub trait FusionPolicy: vusion_snapshot::Snapshot {
     /// Engine name for reports ("ksm", "wpf", "vusion", "none").
     fn name(&self) -> &'static str;
 
-    /// One scanner wakeup (KSM: scan N pages; WPF: possibly a full pass).
+    /// One scanner wakeup (KSM: scan N pages; WPF: possibly a full pass)
+    /// under `grant`, the pressure governor's decision for this wake.
     /// Runs on its own core: must not charge the workload clock.
-    fn scan(&mut self, m: &mut Machine) -> ScanReport;
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport;
 
     /// Attempts to resolve a fault on a page this policy owns. Returns
     /// `false` if the page is not under fusion management. Runs on the
@@ -85,17 +106,6 @@ pub trait FusionPolicy: vusion_snapshot::Snapshot {
         20_000_000
     }
 
-    /// Caps the page-visit budget of subsequent [`Self::scan`] wakeups
-    /// (`None` lifts the cap). Granted by the pressure governor
-    /// immediately before every wakeup, so it is never serialized: a
-    /// restored system re-derives the grant from the restored governor.
-    /// Engines honoring a budget must report consumption via
-    /// [`ScanReport::budget_used`] and park their cursor mid-pass when
-    /// the budget runs out. Stateless policies ignore it.
-    fn set_scan_budget(&mut self, budget: Option<u64>) {
-        let _ = budget;
-    }
-
     /// Reclaim-ladder rung 1: release everything parked in deferred-free
     /// queues back to the allocator now. Returns the number of frames (or
     /// queue entries) released.
@@ -110,14 +120,6 @@ pub trait FusionPolicy: vusion_snapshot::Snapshot {
     fn pressure_shrink(&mut self, m: &mut Machine) -> u64 {
         let _ = m;
         0
-    }
-
-    /// Reclaim-ladder rung 3: while `on`, the engine defers optional
-    /// frame-allocating scan work (fake merges, rerandomization rounds,
-    /// new fused tree frames) until pressure clears. Fault handling is
-    /// never deferred. Engines persist the flag in their snapshot state.
-    fn set_zero_unmerge_deferral(&mut self, on: bool) {
-        let _ = on;
     }
 }
 
@@ -142,7 +144,7 @@ impl FusionPolicy for NoFusion {
         "none"
     }
 
-    fn scan(&mut self, _m: &mut Machine) -> ScanReport {
+    fn scan(&mut self, _m: &mut Machine, _grant: ScanGrant) -> ScanReport {
         ScanReport::default()
     }
 
@@ -156,8 +158,8 @@ impl<P: FusionPolicy + ?Sized> FusionPolicy for Box<P> {
         (**self).name()
     }
 
-    fn scan(&mut self, m: &mut Machine) -> ScanReport {
-        (**self).scan(m)
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
+        (**self).scan(m, grant)
     }
 
     fn handle_fault(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
@@ -176,20 +178,12 @@ impl<P: FusionPolicy + ?Sized> FusionPolicy for Box<P> {
         (**self).scan_period_ns()
     }
 
-    fn set_scan_budget(&mut self, budget: Option<u64>) {
-        (**self).set_scan_budget(budget)
-    }
-
     fn pressure_drain(&mut self, m: &mut Machine) -> u64 {
         (**self).pressure_drain(m)
     }
 
     fn pressure_shrink(&mut self, m: &mut Machine) -> u64 {
         (**self).pressure_shrink(m)
-    }
-
-    fn set_zero_unmerge_deferral(&mut self, on: bool) {
-        (**self).set_zero_unmerge_deferral(on)
     }
 }
 
@@ -202,7 +196,7 @@ mod tests {
     fn no_fusion_does_nothing() {
         let mut m = Machine::new(MachineConfig::test_small());
         let mut p = NoFusion;
-        assert_eq!(p.scan(&mut m), ScanReport::default());
+        assert_eq!(p.scan(&mut m, ScanGrant::default()), ScanReport::default());
         assert_eq!(p.pages_saved(), 0);
         assert_eq!(p.name(), "none");
     }
@@ -230,7 +224,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::test_small());
         let mut p: Box<dyn FusionPolicy> = Box::new(NoFusion);
         assert_eq!(p.name(), "none");
-        assert_eq!(p.scan(&mut m).pages_scanned, 0);
+        assert_eq!(p.scan(&mut m, ScanGrant::default()).pages_scanned, 0);
         assert_eq!(p.scan_period_ns(), 20_000_000);
     }
 }

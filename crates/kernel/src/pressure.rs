@@ -20,9 +20,10 @@
 //! 1. **Drain** — flush engine deferred-free queues back to the allocator.
 //! 2. **Shrink** — drop transient engine caches (candidate lists, dirty
 //!    trackers, checksum/unstable-tree state, in-flight pass state).
-//! 3. **Defer** — switch the engine into allocation-averse scanning:
-//!    optional frame-allocating work (fake merges, rerandomization
-//!    rounds, new fused tree frames) is deferred until pressure clears.
+//! 3. **Defer** — while the band is Critical, every wake's
+//!    [`crate::ScanGrant`] sets `defer_alloc`: optional frame-allocating
+//!    scan work (VUsion's merge decisions, KSM's THP breaks, WPF's new
+//!    tree frames) waits until pressure clears.
 
 use vusion_mem::FrameAllocator;
 use vusion_snapshot::{Reader, SnapshotError, Writer};
@@ -232,7 +233,7 @@ pub struct PressureStats {
     pub drain_rungs_effective: u64,
     /// Shrink rungs entered (rung 2).
     pub shrink_rungs: u64,
-    /// Defer rungs entered (rung 3: zero-unmerge/allocation deferral on).
+    /// Defer rungs entered (rung 3: allocation deferral on).
     pub defer_rungs: u64,
     /// Defer rung exits (deferral switched back off).
     pub defer_exits: u64,

@@ -12,7 +12,7 @@ use vusion_snapshot::{Reader, Snapshot, SnapshotError, Writer};
 use crate::journal::JournalEvent;
 use crate::khugepaged::Khugepaged;
 use crate::machine::{FaultReason, Machine, PageFault, Pid};
-use crate::policy::{FusionPolicy, ScanReport};
+use crate::policy::{FusionPolicy, ScanGrant, ScanReport};
 use crate::pressure::{PressureBand, PressureConfig, PressureGovernor};
 
 /// Driver counters.
@@ -131,10 +131,6 @@ impl<P: FusionPolicy> System<P> {
         self.machine
             .record(|| JournalEvent::SetPressureGovernor { cfg });
         self.governor = PressureGovernor::new(cfg);
-        // Reset any engine-side ladder residue from a previous governor:
-        // a fresh governor starts at Nominal with no rungs active.
-        self.policy.set_zero_unmerge_deferral(false);
-        self.policy.set_scan_budget(None);
         Ok(())
     }
 
@@ -144,10 +140,11 @@ impl<P: FusionPolicy> System<P> {
     }
 
     /// One scanner wakeup: the governor samples the pressure signal and
-    /// walks the escalation ladder, the policy scans under the granted
-    /// budget inside a `ScanPass` span, then the budget flow is accounted.
-    /// With the governor disabled this is exactly the pre-governor wakeup:
-    /// no sample, no grant, no `pressure.*` side effects.
+    /// walks the escalation ladder, the policy scans under the sample's
+    /// [`ScanGrant`] inside a `ScanPass` span, then the budget flow is
+    /// accounted. With the governor disabled this is exactly the
+    /// pre-governor wakeup: no sample, a default grant, no `pressure.*`
+    /// side effects.
     fn scan_once(&mut self) {
         let grant = if self.governor.enabled() {
             let d = self.governor.sample(&self.machine);
@@ -166,22 +163,23 @@ impl<P: FusionPolicy> System<P> {
                     d.band.code() as u64,
                 );
                 if prev == PressureBand::Critical {
-                    // Unwind rung 3: allocation-averse scanning ends as
-                    // soon as the band drops out of Critical.
-                    self.policy.set_zero_unmerge_deferral(false);
+                    // Rung 3 unwinds with the band: the next grant no
+                    // longer defers allocation.
                     self.governor.note_defer_exit();
                 }
             }
-            self.policy.set_scan_budget(Some(d.budget));
-            Some(d.budget)
+            ScanGrant {
+                budget: Some(d.budget),
+                defer_alloc: d.band == PressureBand::Critical,
+            }
         } else {
-            None
+            ScanGrant::default()
         };
         self.machine
             .trace_begin(self.policy.name(), SpanKind::ScanPass);
-        let report = self.policy.scan(&mut self.machine);
+        let report = self.policy.scan(&mut self.machine, grant);
         self.machine.trace_end(SpanKind::ScanPass);
-        if let Some(granted) = grant {
+        if let Some(granted) = grant.budget {
             self.governor.account_budget(granted, report.budget_used);
         }
         self.scan_totals.absorb(&report);
@@ -190,8 +188,10 @@ impl<P: FusionPolicy> System<P> {
 
     /// Fires the ladder rungs crossed by an escalation from `prev` to
     /// `band`, in order: drain (rung 1) on entering Elevated, shrink
-    /// (rung 2) and zero-unmerge deferral (rung 3) on entering Critical.
-    /// A nominal → critical jump fires all three.
+    /// (rung 2) and allocation deferral (rung 3) on entering Critical.
+    /// A nominal → critical jump fires all three. Rung 3 has no engine
+    /// hook: it is the `defer_alloc` of every grant while the band stays
+    /// Critical, so only its entry is counted here.
     fn escalate_rungs(&mut self, prev: PressureBand, band: PressureBand) {
         if prev < PressureBand::Elevated && band >= PressureBand::Elevated {
             self.machine
@@ -206,10 +206,6 @@ impl<P: FusionPolicy> System<P> {
             let entries = self.policy.pressure_shrink(&mut self.machine);
             self.machine.trace_end(SpanKind::PressureRelief);
             self.governor.note_shrink(entries);
-            self.machine
-                .trace_begin("governor", SpanKind::PressureRelief);
-            self.policy.set_zero_unmerge_deferral(true);
-            self.machine.trace_end(SpanKind::PressureRelief);
             self.governor.note_defer_entry();
         }
     }

@@ -107,11 +107,6 @@ impl BuddyAllocator {
         FrameId(self.base)
     }
 
-    /// Number of frames managed (free or allocated).
-    pub fn managed_frames(&self) -> u64 {
-        self.frames
-    }
-
     /// Allocation statistics.
     pub fn stats(&self) -> BuddyStats {
         self.stats

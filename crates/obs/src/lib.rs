@@ -111,11 +111,6 @@ impl Obs {
         self.surface.enable();
     }
 
-    /// Turns the side-channel surface recorder off.
-    pub fn disable_surface(&mut self) {
-        self.surface.disable();
-    }
-
     /// The surface recorder (read-only).
     pub fn surface(&self) -> &SideChannelSurface {
         &self.surface

@@ -255,11 +255,6 @@ impl SideChannelSurface {
         };
     }
 
-    /// Turns recording off; counters stay readable until [`Self::clear`].
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Zeroes every counter, keeping the enable flag.
     pub fn clear(&mut self) {
         let enabled = self.enabled;

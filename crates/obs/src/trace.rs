@@ -47,7 +47,7 @@ pub enum SpanKind {
     /// Draining the deferred-free queue under memory pressure.
     DeferredDrain,
     /// One reclaim-ladder rung executed by the pressure governor
-    /// (deferred-queue drain, cache shrink, or zero-unmerge deferral).
+    /// (deferred-queue drain or cache shrink).
     PressureRelief,
 }
 

@@ -39,7 +39,10 @@ use std::fmt;
 /// v3 reader would reject journals recorded by v4 code.
 /// v5: the seal's trailing checksum is XXH64 (seed 0) instead of FNV-1a;
 /// the payload layout is unchanged.
-pub const FORMAT_VERSION: u32 = 5;
+/// v6: the engine blobs lost the rung-3 deferral flag (pressure reaches
+/// engines only as a per-wake grant) and the machine frame lost the
+/// unused `policy_rng` state.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Magic bytes opening every sealed snapshot or failure bundle.
 pub const MAGIC: &[u8; 4] = b"VSNP";
@@ -639,8 +642,8 @@ mod tests {
 
     #[test]
     fn seal_layout_is_pinned() {
-        let mut want = b"VSNP\x05\x00\x00\x00abc".to_vec();
-        want.extend_from_slice(&[0x50, 0x15, 0x68, 0x40, 0x30, 0x81, 0xfe, 0xc9]);
+        let mut want = b"VSNP\x06\x00\x00\x00abc".to_vec();
+        want.extend_from_slice(&[0x31, 0xe0, 0x98, 0xd7, 0xe4, 0x8e, 0x7c, 0x4c]);
         assert_eq!(seal(b"abc"), want);
     }
 

@@ -3,11 +3,20 @@
 //! attack-level checks live in `vusion-attacks`).
 
 use vusion::core::{EngineKind, VUsion, VUsionConfig};
+use vusion::obs::latency_bucket;
 use vusion::prelude::*;
 use vusion::repro::Bundle;
 use vusion::stats::ks_test_uniform;
 
 const BASE: u64 = 0x10000;
+/// The attacker's memory hog in the Critical-pressure probe: unregistered,
+/// so only its frames matter, never its contents.
+const HOG_BASE: u64 = 0x4000_0000;
+/// Hog pages the probe faults in: enough to take the free-frame signal of
+/// a `test_small` machine below the Critical threshold.
+const HOG_PAGES: u64 = 3_500;
+/// Victim pages in the probe; the attacker guesses the first half right.
+const VICTIM_PAGES: u64 = 8;
 
 /// Journal + base snapshot for a test system: any invariant failure dumps
 /// a replayable bundle into `bench_logs/repro/` before panicking.
@@ -263,5 +272,158 @@ fn sb_fault_timing_indistinguishable() {
         &sys,
         ks.same_distribution(0.05),
         &format!("SB violated end-to-end: p = {}", ks.p_value),
+    );
+}
+
+/// The Critical-pressure probe, up to the scans that decide its guesses.
+/// At Nominal, a victim's pages enter VUsion's content tree as fake
+/// merges; then an attacker faults in a memory hog that drives the
+/// governor to Critical, and writes four right and four wrong guesses of
+/// the victim's pages into a mergeable VMA of its own. Returns the system
+/// (band Critical), the attacker, the guess addresses (right ones first)
+/// and the guard.
+fn critical_probe() -> (System<VUsion>, Pid, Vec<VirtAddr>, Guard) {
+    let cfg = MachineConfig::test_small();
+    let mut m = Machine::new(cfg);
+    let victim = m.spawn("victim").expect("spawn");
+    let attacker = m.spawn("attacker").expect("spawn");
+    for pid in [victim, attacker] {
+        m.mmap(
+            pid,
+            Vma::anon(VirtAddr(BASE), VICTIM_PAGES, Protection::rw()),
+        );
+        m.madvise_mergeable(pid, VirtAddr(BASE), VICTIM_PAGES);
+    }
+    m.mmap(
+        attacker,
+        Vma::anon(VirtAddr(HOG_BASE), HOG_PAGES, Protection::rw()),
+    );
+    let policy = VUsion::new(
+        &mut m,
+        VUsionConfig {
+            pool_frames: 256,
+            ..Default::default()
+        },
+    );
+    let mut sys = System::new(m, policy);
+    sys.set_pressure_governor(PressureConfig::standard())
+        .expect("standard governor config validates");
+    let guard = Guard::arm(&mut sys, EngineKind::VUsion, cfg);
+    let victim_page = |i: u64| page(i as u8 + 10);
+    for i in 0..VICTIM_PAGES {
+        sys.write_page(victim, VirtAddr(BASE + i * PAGE_SIZE), &victim_page(i));
+    }
+    sys.force_scans(4);
+    guard.check(
+        &sys,
+        sys.pressure_governor().band() == PressureBand::Nominal,
+        "the victim's pages must be fused at Nominal",
+    );
+    guard.check(
+        &sys,
+        (0..VICTIM_PAGES).all(|i| {
+            sys.policy
+                .is_managed(victim, VirtAddr(BASE + i * PAGE_SIZE))
+        }),
+        "every victim page must be in the content tree before the hog",
+    );
+    for i in 0..HOG_PAGES {
+        sys.write(attacker, VirtAddr(HOG_BASE + i * PAGE_SIZE), 1);
+    }
+    let guesses: Vec<VirtAddr> = (0..VICTIM_PAGES)
+        .map(|i| VirtAddr(BASE + i * PAGE_SIZE))
+        .collect();
+    for (i, &va) in guesses.iter().enumerate() {
+        let i = i as u64;
+        let content = if i < VICTIM_PAGES / 2 {
+            victim_page(i)
+        } else {
+            page(i as u8 + 200)
+        };
+        sys.write_page(attacker, va, &content);
+    }
+    sys.force_scans(1);
+    guard.check(
+        &sys,
+        sys.pressure_governor().band() == PressureBand::Critical,
+        &format!(
+            "the hog must drive the governor to Critical, got {:?}",
+            sys.pressure_governor().band()
+        ),
+    );
+    (sys, attacker, guesses, guard)
+}
+
+/// SB under memory pressure: at Critical, rung 3 defers VUsion's merge
+/// decision before the content-tree lookup, so a right guess of a victim
+/// page and a wrong one end up in the same state and read in the same
+/// time. Fused frames keep being rerandomized at Critical (RA).
+#[test]
+fn sb_holds_at_critical_pressure() {
+    let (mut sys, attacker, guesses, guard) = critical_probe();
+    let rerandomized = sys.policy.stats().rerandomized;
+    sys.force_scans(400);
+    guard.check(
+        &sys,
+        sys.pressure_governor().band() == PressureBand::Critical,
+        "the probe must stay at Critical while its guesses are scanned",
+    );
+    let managed: Vec<bool> = guesses
+        .iter()
+        .map(|&va| sys.policy.is_managed(attacker, va))
+        .collect();
+    guard.check(
+        &sys,
+        managed.windows(2).all(|w| w[0] == w[1]),
+        &format!("right and wrong guesses differ in management at Critical: {managed:?}"),
+    );
+    let mut first_reads = Vec::new();
+    for &va in &guesses {
+        let t0 = sys.machine.now_ns();
+        sys.read(attacker, va);
+        first_reads.push(sys.machine.now_ns() - t0);
+    }
+    guard.check(
+        &sys,
+        first_reads
+            .windows(2)
+            .all(|w| latency_bucket(w[0]) == latency_bucket(w[1])),
+        &format!("right and wrong guesses read in different times at Critical: {first_reads:?} ns"),
+    );
+    guard.check(
+        &sys,
+        sys.policy.stats().rerandomized > rerandomized,
+        "fused frames must keep being rerandomized at Critical",
+    );
+}
+
+/// A snapshot taken at Critical restores into a fresh system that scans
+/// on exactly like the original: the rung-3 state travels as the
+/// governor's band, the only copy there is.
+#[test]
+fn restore_at_critical_resumes_identically() {
+    let (mut sys, _, _, guard) = critical_probe();
+    let snapshot = sys.snapshot();
+    let cfg = MachineConfig::test_small();
+    let mut m = Machine::new(cfg);
+    let policy = VUsion::new(&mut m, VUsionConfig::default());
+    let mut restored = System::new(m, policy);
+    restored.restore(&snapshot).expect("restore");
+    guard.check(
+        &restored,
+        restored.pressure_governor().band() == PressureBand::Critical,
+        "the restored governor must be at Critical",
+    );
+    sys.force_scans(50);
+    restored.force_scans(50);
+    guard.check(
+        &restored,
+        restored.scan_totals() == sys.scan_totals(),
+        "scan totals diverged after restoring at Critical",
+    );
+    guard.check(
+        &restored,
+        restored.snapshot() == sys.snapshot(),
+        "system state diverged after restoring at Critical",
     );
 }
