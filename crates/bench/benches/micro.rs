@@ -2,6 +2,7 @@
 //! trees (KSM's red-black tree, WPF's AVL tree), the scan-path tree lookup
 //! (hash-prefiltered find + insert, the shape every engine runs per page),
 //! the allocators (buddy / linear / randomized pool), LLC accesses, the
+//! simulated access path (TLB hits, TLB-miss walks, one image boot), the
 //! end-to-end fault path, full engine scans (KSM / WPF / VUsion), and a
 //! whole-system snapshot plus restore.
 //!
@@ -222,6 +223,59 @@ fn bench_llc(out: &mut Vec<BenchResult>) {
         for i in 0..4096u64 {
             black_box(llc.access(PhysAddr(i * 64)));
         }
+    });
+}
+
+/// Host cost of the simulated access path (TLB, page walk, LLC and the
+/// DRAM charges) on a NoFusion `guest_2g_scaled` guest: each iteration
+/// makes 4,096 `System` accesses at seeded random lines of `pages`
+/// resident 4 KiB pages. 1,024 pages fit the 1,536-entry TLB, so every
+/// access hits it; 4,096 pages do not, so most accesses walk the tables.
+/// `boot_small_image` builds a fresh guest and boots one small image
+/// into it: 64 timed stores per booted page.
+fn bench_access_path(out: &mut Vec<BenchResult>) {
+    use vusion_core::EngineKind;
+    use vusion_rng::rngs::StdRng;
+    use vusion_rng::{RngExt, SeedableRng};
+    use vusion_workloads::images::ImageSpec;
+    const BASE: u64 = 0x1000_0000;
+    let resident = |pages: u64| {
+        let mut sys = EngineKind::NoFusion.build_system(MachineConfig::guest_2g_scaled());
+        let pid = sys.machine.spawn("t").expect("spawn");
+        sys.machine
+            .mmap(pid, Vma::anon(VirtAddr(BASE), pages, Protection::rw()));
+        for pg in 0..pages {
+            sys.write(pid, VirtAddr(BASE + pg * 4096), 1);
+        }
+        let mut rng = StdRng::seed_from_u64(pages);
+        let lines: Vec<VirtAddr> = (0..4096)
+            .map(|_| {
+                let pg = rng.random_range(0..pages);
+                VirtAddr(BASE + pg * 4096 + rng.random_range(0..64u64) * 64)
+            })
+            .collect();
+        (sys, pid, lines)
+    };
+    let (mut sys, pid, lines) = resident(1024);
+    bench(out, "tlb_hit_load_4k", || {
+        for &va in &lines {
+            black_box(sys.read(pid, va));
+        }
+    });
+    bench(out, "tlb_hit_store_4k", || {
+        for &va in &lines {
+            sys.write(pid, va, 2);
+        }
+    });
+    let (mut sys, pid, lines) = resident(4096);
+    bench(out, "tlb_miss_walk_4k", || {
+        for &va in &lines {
+            black_box(sys.read(pid, va));
+        }
+    });
+    bench(out, "boot_small_image", || {
+        let mut sys = EngineKind::NoFusion.build_system(MachineConfig::guest_2g_scaled());
+        black_box(ImageSpec::small(0, 1).boot(&mut sys, "vm"));
     });
 }
 
@@ -501,7 +555,7 @@ fn bench_snapshot(out: &mut Vec<BenchResult>) {
 /// including the workspace-wide write-gen/journal fixpoints over
 /// the cross-file call graph. The row keeps the analyzer honest as the
 /// tree grows: bench_gate holds `vlint_*` benches to a generous absolute
-/// wall-time ceiling instead of the scan_* ratio gate (the linter's cost
+/// wall-time ceiling instead of the ratio gate (the linter's cost
 /// scales with tree size, so ratio-vs-baseline would flag every PR that
 /// adds code).
 fn bench_vlint(out: &mut Vec<BenchResult>) {
@@ -623,6 +677,7 @@ fn main() {
     bench_page_ops(&mut results);
     bench_allocators(&mut results);
     bench_llc(&mut results);
+    bench_access_path(&mut results);
     bench_fault_path(&mut results);
     let metrics = bench_engine_scans(&mut results);
     bench_scan_cold(&mut results);

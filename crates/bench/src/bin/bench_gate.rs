@@ -1,16 +1,17 @@
 //! CI bench-regression gate over `BENCH_micro.json`.
 //!
-//! Compares the fresh run's `scan_*` medians against the carried
+//! Compares the fresh run's gated medians — the `scan_*` rows and the
+//! access-path `tlb_*` and `boot_*` rows — against the carried
 //! `"baseline"` object (the pre-optimization numbers pinned by the micro
 //! harness) and fails — exit code 1 — if any shared bench regressed by
 //! more than 25% *and* more than an absolute 50 µs. The dual threshold is
 //! the usual defense against noise-dominated cases: a steady-state scan
 //! visit completes in single-digit microseconds, where timer granularity
 //! and host drift between the baseline's machine and the current runner
-//! routinely swing 2–3×, while a real scan-path regression (the thing the
-//! gate exists to catch) costs hundreds of microseconds per pass. A
-//! per-bench diff is written to `BENCH_gate_diff.json` either way, so CI
-//! can upload it as an artifact. `vlint_*` benches are held to an
+//! routinely swing 2–3×, while a real scan-path or access-path regression
+//! (the thing the gate exists to catch) costs hundreds of microseconds
+//! per pass. A per-bench diff is written to `BENCH_gate_diff.json` either
+//! way, so CI can upload it as an artifact. `vlint_*` benches are held to an
 //! absolute wall-time ceiling instead of the ratio gate (the linter's
 //! cost tracks tree size, which every PR is allowed to grow).
 //!
@@ -29,6 +30,13 @@ const MAX_RATIO: f64 = 1.25;
 /// Noise floor: growth under 50 µs absolute never fails the gate, however
 /// large the ratio. Microsecond-scale benches are timer-noise-dominated.
 const MIN_DELTA_NS: u64 = 50_000;
+
+/// Name prefixes of the rows the ratio gate applies to.
+const GATED_PREFIXES: [&str; 3] = ["scan_", "tlb_", "boot_"];
+
+fn gated(name: &str) -> bool {
+    GATED_PREFIXES.iter().any(|p| name.starts_with(p))
+}
 
 /// Absolute wall-time ceiling for `vlint_*` benches: 10 s per pass. The
 /// linter's cost grows with tree size by design, so a ratio-vs-baseline
@@ -104,7 +112,7 @@ struct Row {
 
 impl Row {
     /// `ratio > MAX_RATIO` *and* growth past the noise floor, on a gated
-    /// (scan_*) bench present on both sides. A zero baseline cannot
+    /// ([`GATED_PREFIXES`]) bench present on both sides. A zero baseline cannot
     /// regress (nothing to divide by). `vlint_*` benches are instead held
     /// to the absolute [`VLINT_MAX_NS`] ceiling — baseline or not.
     fn verdict(&self) -> (&'static str, Option<f64>) {
@@ -124,8 +132,7 @@ impl Row {
                     return ("ok", None);
                 }
                 let ratio = c as f64 / b as f64;
-                let gated = self.name.starts_with("scan_");
-                if gated && ratio > MAX_RATIO && c.saturating_sub(b) > MIN_DELTA_NS {
+                if gated(&self.name) && ratio > MAX_RATIO && c.saturating_sub(b) > MIN_DELTA_NS {
                     ("regressed", Some(ratio))
                 } else {
                     ("ok", Some(ratio))
@@ -244,16 +251,81 @@ fn main() -> ExitCode {
         println!("bench_gate: no baseline to compare against (first run) — pass");
         return ExitCode::SUCCESS;
     }
-    let gated = rows
+    let compared = rows
         .iter()
-        .filter(|r| r.name.starts_with("scan_") && r.baseline.is_some() && r.current.is_some())
+        .filter(|r| gated(&r.name) && r.baseline.is_some() && r.current.is_some())
         .count();
-    println!(
-        "bench_gate: {gated} scan_* benches gated, {failures} regression(s); diff at {output}"
-    );
+    println!("bench_gate: {compared} benches gated, {failures} regression(s); diff at {output}");
     if failures > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(name: &str, baseline: Option<u64>, current: Option<u64>) -> Row {
+        Row {
+            name: name.to_string(),
+            baseline,
+            current,
+        }
+    }
+
+    #[test]
+    fn gated_rows_fail_only_past_both_thresholds() {
+        for name in [
+            "scan_full_pass_wpf_512",
+            "tlb_hit_load_4k",
+            "boot_small_image",
+        ] {
+            // +50% and +150 µs: regressed.
+            assert_eq!(
+                row(name, Some(300_000), Some(450_000)).verdict().0,
+                "regressed",
+                "{name}"
+            );
+            // +100% but only +10 µs: under the noise floor.
+            assert_eq!(
+                row(name, Some(10_000), Some(20_000)).verdict().0,
+                "ok",
+                "{name}"
+            );
+            // +20% and +200 µs: under the ratio.
+            assert_eq!(
+                row(name, Some(1_000_000), Some(1_200_000)).verdict().0,
+                "ok",
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn ungated_rows_never_regress() {
+        let (status, ratio) = row("buddy_alloc_free_1k", Some(100_000), Some(900_000)).verdict();
+        assert_eq!(status, "ok");
+        assert_eq!(ratio, Some(9.0));
+    }
+
+    #[test]
+    fn vlint_rows_face_only_the_ceiling() {
+        let under = row("vlint_check_workspace", Some(1), Some(VLINT_MAX_NS));
+        assert_eq!(under.verdict().0, "ok");
+        let over = row("vlint_check_workspace", None, Some(VLINT_MAX_NS + 1));
+        assert_eq!(over.verdict().0, "over_ceiling");
+    }
+
+    #[test]
+    fn one_sided_and_zero_baseline_rows_pass() {
+        assert_eq!(
+            row("scan_x", Some(0), Some(1_000_000)).verdict(),
+            ("ok", None)
+        );
+        assert_eq!(row("scan_x", None, Some(5)).verdict(), ("new", None));
+        assert_eq!(row("scan_x", Some(5), None).verdict(), ("retired", None));
+        assert_eq!(row("scan_x", None, None).verdict(), ("ok", None));
     }
 }

@@ -71,17 +71,15 @@ pub struct CacheStats {
     pub flushes: u64,
 }
 
-/// One cache set: tags ordered most-recently-used first.
-#[derive(Debug, Clone, Default)]
-struct Set {
-    /// Global line indices (physical address / line size), MRU first.
-    lines: Vec<u64>,
-}
-
 /// The simulated last-level cache.
 pub struct Llc {
     cfg: LlcConfig,
-    sets: Vec<Set>,
+    /// `sets × ways` global line indices (physical address / line size).
+    /// Set `s` holds `lens[s]` lines at `lines[s * ways..]`, most recently
+    /// used first; the rest of its ways are unused.
+    lines: Vec<u64>,
+    /// Resident lines per set.
+    lens: Vec<usize>,
     stats: CacheStats,
 }
 
@@ -90,11 +88,11 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets/ways, or pages
-    /// smaller than one line group).
+    /// Panics if the geometry is degenerate (zero ways, set count or line
+    /// size not a power of two, or pages smaller than one line group).
     pub fn new(cfg: LlcConfig) -> Self {
         assert!(
-            cfg.sets > 0 && cfg.ways > 0 && cfg.line_size > 0,
+            cfg.sets.is_power_of_two() && cfg.ways > 0 && cfg.line_size.is_power_of_two(),
             "degenerate cache geometry"
         );
         assert!(
@@ -103,7 +101,8 @@ impl Llc {
         );
         Self {
             cfg,
-            sets: vec![Set::default(); cfg.sets],
+            lines: vec![0; cfg.sets * cfg.ways],
+            lens: vec![0; cfg.sets],
             stats: CacheStats::default(),
         }
     }
@@ -118,9 +117,19 @@ impl Llc {
         self.stats
     }
 
+    /// The global line index of a physical address.
+    fn line_of(&self, addr: PhysAddr) -> u64 {
+        addr.0 >> self.cfg.line_size.trailing_zeros()
+    }
+
+    /// The set a global line index maps to.
+    fn set_of(&self, line: u64) -> usize {
+        (line & (self.cfg.sets as u64 - 1)) as usize
+    }
+
     /// The set index a physical address maps to.
     pub fn set_index(&self, addr: PhysAddr) -> usize {
-        ((addr.0 / self.cfg.line_size) % self.cfg.sets as u64) as usize
+        self.set_of(self.line_of(addr))
     }
 
     /// The color of a physical frame: which group of sets its lines occupy.
@@ -142,50 +151,55 @@ impl Llc {
     /// attribute evictions to the frames whose lines were displaced.
     /// The victim frame is `line * line_size / PAGE_SIZE`.
     pub fn access_evicting(&mut self, addr: PhysAddr) -> (CacheOutcome, Option<u64>) {
-        let line = addr.0 / self.cfg.line_size;
-        let set_idx = self.set_index(addr);
+        let line = self.line_of(addr);
+        let set = self.set_of(line);
         let ways = self.cfg.ways;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.lines.iter().position(|&l| l == line) {
-            let l = set.lines.remove(pos);
-            set.lines.insert(0, l);
+        let len = self.lens[set];
+        let lines = &mut self.lines[set * ways..(set + 1) * ways];
+        if let Some(pos) = lines[..len].iter().position(|&l| l == line) {
+            lines[..=pos].rotate_right(1);
             self.stats.hits += 1;
-            (CacheOutcome::Hit, None)
-        } else {
-            set.lines.insert(0, line);
-            let evicted = if set.lines.len() > ways {
-                self.stats.evictions += 1;
-                set.lines.pop()
-            } else {
-                None
-            };
-            self.stats.misses += 1;
-            (CacheOutcome::Miss, evicted)
+            return (CacheOutcome::Hit, None);
         }
+        let evicted = if len == ways {
+            self.stats.evictions += 1;
+            Some(lines[ways - 1])
+        } else {
+            None
+        };
+        let n = (len + 1).min(ways);
+        self.lens[set] = n;
+        lines[..n].rotate_right(1);
+        lines[0] = line;
+        self.stats.misses += 1;
+        (CacheOutcome::Miss, evicted)
     }
 
     /// The line indices currently resident in `set` (MRU first). Used by
     /// snapshot-time occupancy walks; read-only.
     pub fn set_lines(&self, set: usize) -> &[u64] {
-        &self.sets[set].lines
+        let start = set * self.cfg.ways;
+        &self.lines[start..start + self.lens[set]]
     }
 
     /// Checks presence without touching LRU state (attack helper mirroring a
     /// timing-only probe; real probes also access, so prefer [`Self::access`]
     /// in end-to-end attacks).
     pub fn contains(&self, addr: PhysAddr) -> bool {
-        let line = addr.0 / self.cfg.line_size;
-        let set_idx = self.set_index(addr);
-        self.sets[set_idx].lines.contains(&line)
+        let line = self.line_of(addr);
+        self.set_lines(self.set_of(line)).contains(&line)
     }
 
     /// Flushes one line (the `clflush` instruction).
     pub fn flush(&mut self, addr: PhysAddr) {
-        let line = addr.0 / self.cfg.line_size;
-        let set_idx = self.set_index(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.lines.iter().position(|&l| l == line) {
-            set.lines.remove(pos);
+        let line = self.line_of(addr);
+        let set = self.set_of(line);
+        let start = set * self.cfg.ways;
+        let len = self.lens[set];
+        let lines = &mut self.lines[start..start + len];
+        if let Some(pos) = lines.iter().position(|&l| l == line) {
+            lines[pos..].rotate_left(1);
+            self.lens[set] = len - 1;
             self.stats.flushes += 1;
         }
     }
@@ -199,9 +213,7 @@ impl Llc {
 
     /// Invalidates the entire cache (used between experiment repetitions).
     pub fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.lines.clear();
-        }
+        self.lens.fill(0);
     }
 
     /// Returns `ways` physical addresses, one per distinct frame of the
@@ -233,9 +245,9 @@ impl vusion_snapshot::Snapshot for Llc {
         w.usize(self.cfg.sets);
         w.usize(self.cfg.ways);
         w.u64(self.cfg.line_size);
-        for set in &self.sets {
+        for set in 0..self.cfg.sets {
             // MRU-first line order is the LRU state; it travels verbatim.
-            w.u64s(&set.lines);
+            w.u64s(self.set_lines(set));
         }
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
@@ -243,17 +255,43 @@ impl vusion_snapshot::Snapshot for Llc {
         w.u64(self.stats.flushes);
     }
 
+    /// Rejects a geometry other than this cache's, a set holding more
+    /// than `ways` lines, a line stored in a set it does not map to and a
+    /// line repeated within its set.
     fn load(
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
         use vusion_snapshot::SnapshotError;
-        let Self { cfg, sets, stats } = self;
+        let Self {
+            cfg,
+            lines,
+            lens,
+            stats,
+        } = self;
         if r.usize()? != cfg.sets || r.usize()? != cfg.ways || r.u64()? != cfg.line_size {
             return Err(SnapshotError::Corrupt("cache geometry mismatch"));
         }
-        for set in sets.iter_mut() {
-            set.lines = r.u64s()?;
+        let set_mask = cfg.sets as u64 - 1;
+        for (set, (row, len)) in lines
+            .chunks_exact_mut(cfg.ways)
+            .zip(lens.iter_mut())
+            .enumerate()
+        {
+            let n = r.usize()?;
+            if n > cfg.ways {
+                return Err(SnapshotError::Corrupt(
+                    "cache set holds more lines than ways",
+                ));
+            }
+            for i in 0..n {
+                let line = r.u64()?;
+                if (line & set_mask) as usize != set || row[..i].contains(&line) {
+                    return Err(SnapshotError::Corrupt("cache line misplaced or repeated"));
+                }
+                row[i] = line;
+            }
+            *len = n;
         }
         *stats = CacheStats {
             hits: r.u64()?,
@@ -289,6 +327,54 @@ mod tests {
         };
         let (a, b) = vusion_snapshot::resave(&src, &mut tiny()).expect("resave");
         assert_eq!(a, b);
+    }
+
+    /// A crafted stream for the tiny geometry: set 1 holds `lines` (MRU
+    /// first), every other set is empty, counters are zero.
+    fn stream(lines: &[u64]) -> Vec<u8> {
+        let cfg = LlcConfig::tiny();
+        let mut w = vusion_snapshot::Writer::new();
+        w.usize(cfg.sets);
+        w.usize(cfg.ways);
+        w.u64(cfg.line_size);
+        for set in 0..cfg.sets {
+            w.u64s(if set == 1 { lines } else { &[] });
+        }
+        for _ in 0..4 {
+            w.u64(0);
+        }
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<Llc, vusion_snapshot::SnapshotError> {
+        use vusion_snapshot::Snapshot;
+        let mut c = tiny();
+        c.load(&mut vusion_snapshot::Reader::new(bytes))?;
+        Ok(c)
+    }
+
+    #[test]
+    fn load_accepts_a_possible_stream() {
+        let c = load(&stream(&[1, 1025, 2049, 3073])).expect("load");
+        assert_eq!(c.set_lines(1), &[1, 1025, 2049, 3073]);
+    }
+
+    #[test]
+    fn load_rejects_impossible_streams() {
+        use vusion_snapshot::SnapshotError::Corrupt;
+        for (what, lines) in [
+            (
+                "six lines in a 4-way set",
+                vec![1, 1025, 2049, 3073, 4097, 5121],
+            ),
+            ("a repeated line", vec![1, 1025, 1]),
+            ("a line of another set", vec![2]),
+        ] {
+            assert!(
+                matches!(load(&stream(&lines)), Err(Corrupt(_))),
+                "accepted {what}"
+            );
+        }
     }
 
     #[test]

@@ -928,13 +928,24 @@ impl Machine {
         }
     }
 
-    /// A timed page walk: every level's entry read goes through the LLC.
-    fn walk_timed(&mut self, pid: Pid, va: VirtAddr) -> Option<LeafInfo> {
+    /// Translates `va` for a timed access: a TLB hit, or else a page walk
+    /// whose every entry read goes through the LLC. Returns the leaf and
+    /// whether it came from the TLB; the TLB caches only the PTE, so a
+    /// hit's `entry_addr` is a placeholder that nothing writes through.
+    fn translate(&mut self, pid: Pid, va: VirtAddr) -> Option<(LeafInfo, bool)> {
+        if let Some(e) = self.processes[pid.0].tlb.lookup(va) {
+            let leaf = LeafInfo {
+                pte: e.pte,
+                entry_addr: PhysAddr(0),
+                huge: e.huge,
+            };
+            return Some((leaf, true));
+        }
         let walk = self.processes[pid.0].space.tables().walk(&self.mem, va);
-        for step in walk.steps.clone() {
+        for &step in walk.steps() {
             self.phys_access(step, false);
         }
-        walk.leaf
+        walk.leaf.map(|leaf| (leaf, false))
     }
 
     fn resolve_pa(leaf: &LeafInfo, va: VirtAddr) -> PhysAddr {
@@ -958,19 +969,7 @@ impl Machine {
         self.charge(self.cfg.costs.cpu_op);
         // TLB lookup. Trapped PTEs are never cached, so a hit is conclusive
         // unless the access needs write permission the entry lacks.
-        let cached = self.processes[pid.0].tlb.lookup(va);
-        let (leaf, filled_from_tlb) = match cached {
-            Some(e) => (
-                Some(LeafInfo {
-                    pte: e.pte,
-                    entry_addr: PhysAddr(0),
-                    huge: e.huge,
-                }),
-                true,
-            ),
-            None => (self.walk_timed(pid, va), false),
-        };
-        let Some(leaf) = leaf else {
+        let Some((leaf, tlb_hit)) = self.translate(pid, va) else {
             self.stats.faults_not_mapped += 1;
             return Err(PageFault {
                 pid,
@@ -998,7 +997,8 @@ impl Machine {
                 reason: FaultReason::NotMapped,
             });
         }
-        if kind == AccessKind::Write && !leaf.pte.has(PteFlags::WRITABLE) {
+        let write = kind == AccessKind::Write;
+        if write && !leaf.pte.has(PteFlags::WRITABLE) {
             self.stats.faults_write_protected += 1;
             return Err(PageFault {
                 pid,
@@ -1009,19 +1009,18 @@ impl Machine {
         }
         // Success: update A/D bits (hardware does this during the walk; the
         // TLB-hit case skips the PTE write like real TLBs skip A updates).
-        if !filled_from_tlb {
-            let mut pte = leaf.pte.set(PteFlags::ACCESSED);
-            if kind == AccessKind::Write {
-                pte = pte.set(PteFlags::DIRTY);
-            }
-            let base = if leaf.huge {
-                va.huge_base()
+        if !tlb_hit {
+            let flags = if write {
+                PteFlags::ACCESSED | PteFlags::DIRTY
             } else {
-                va.page_base()
+                PteFlags::ACCESSED
             };
             let p = &mut self.processes[pid.0];
-            // The walk above just resolved this leaf; the entry exists.
-            let _ = p.space.tables_mut().set_leaf(&mut self.mem, base, pte);
+            // Written through the walk above: no second walk.
+            let pte = p
+                .space
+                .tables_mut()
+                .or_flags_at(&mut self.mem, &leaf, flags);
             let evicted = p.tlb.fill(
                 va,
                 TlbEntry {
@@ -1037,23 +1036,19 @@ impl Machine {
                     self.obs.surface_mut().record_tlb_eviction(victim_fused);
                 }
             }
-        } else if kind == AccessKind::Write {
-            // Set the dirty bit through a quiet walk (first write after a
-            // read fill).
+        } else if write {
+            // Set the dirty bit through one quiet walk (the TLB entry does
+            // not record where its PTE lives).
             let base = if leaf.huge {
                 va.huge_base()
             } else {
                 va.page_base()
             };
-            if let Some(l) = self.processes[pid.0].space.tables().leaf(&self.mem, base) {
-                let p = &mut self.processes[pid.0];
-                // The quiet walk just resolved this leaf; the entry exists.
-                let _ = p.space.tables_mut().set_leaf(
-                    &mut self.mem,
-                    base,
-                    l.pte.set(PteFlags::DIRTY | PteFlags::ACCESSED),
-                );
-            }
+            self.processes[pid.0].space.tables_mut().or_leaf_flags(
+                &mut self.mem,
+                base,
+                PteFlags::DIRTY | PteFlags::ACCESSED,
+            );
         }
         let pa = Self::resolve_pa(&leaf, va);
         self.phys_access(pa, leaf.pte.has(PteFlags::NO_CACHE));
@@ -1082,15 +1077,7 @@ impl Machine {
     pub fn prefetch(&mut self, pid: Pid, va: VirtAddr) {
         self.stats.prefetches += 1;
         self.charge(self.cfg.costs.cpu_op);
-        let leaf = match self.processes[pid.0].tlb.lookup(va) {
-            Some(e) => Some(LeafInfo {
-                pte: e.pte,
-                entry_addr: PhysAddr(0),
-                huge: e.huge,
-            }),
-            None => self.walk_timed(pid, va),
-        };
-        if let Some(leaf) = leaf {
+        if let Some((leaf, _)) = self.translate(pid, va) {
             if leaf.pte.is_present() && !leaf.pte.has(PteFlags::NO_CACHE) {
                 // NOTE: the reserved bit does *not* stop the prefetch — only
                 // PCD does. An S⊕F implementation without PCD stays

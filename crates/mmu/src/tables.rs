@@ -27,14 +27,23 @@ pub struct LeafInfo {
     pub huge: bool,
 }
 
-/// Result of a page walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of a page walk. Plain data held inline, so a walk allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Walk {
-    /// Physical addresses of every table entry read, in order (PML4 first).
-    pub steps: Vec<PhysAddr>,
+    /// Entry addresses read, PML4 first; the first `depth` are valid.
+    steps: [PhysAddr; 4],
+    depth: usize,
     /// The leaf mapping, if the walk reached one. `None` means the walk hit
     /// a non-present intermediate entry or an empty leaf.
     pub leaf: Option<LeafInfo>,
+}
+
+impl Walk {
+    /// Physical addresses of every table entry read, in order (PML4 first).
+    pub fn steps(&self) -> &[PhysAddr] {
+        &self.steps[..self.depth]
+    }
 }
 
 /// A 4-level page-table tree rooted at a PML4 frame.
@@ -91,44 +100,34 @@ impl PageTables {
     /// Walks the tables for `va`, recording each entry address touched.
     pub fn walk(&self, mem: &PhysMemory, va: VirtAddr) -> Walk {
         let idx = va.pt_indices();
-        let mut steps = Vec::with_capacity(4);
+        let mut walk = Walk {
+            steps: [PhysAddr(0); 4],
+            depth: 0,
+            leaf: None,
+        };
         let mut table = self.root;
         for (level, &ix) in idx.iter().enumerate() {
             let entry_addr = Self::entry_addr(table, ix);
-            steps.push(entry_addr);
-            let pte = Self::read_entry(mem, table, idx[level]);
-            if level == 3 {
-                // PT leaf.
-                let leaf = if pte.is_empty() {
-                    None
-                } else {
-                    Some(LeafInfo {
-                        pte,
-                        entry_addr,
-                        huge: false,
-                    })
-                };
-                return Walk { steps, leaf };
-            }
-            if level == 2 && pte.has(PteFlags::HUGE) {
-                // PD leaf mapping a 2 MiB page: 3-level walk.
-                return Walk {
-                    steps,
-                    leaf: Some(LeafInfo {
-                        pte,
-                        entry_addr,
-                        huge: true,
-                    }),
-                };
+            walk.steps[level] = entry_addr;
+            walk.depth = level + 1;
+            let pte = Self::read_entry(mem, table, ix);
+            let huge = level == 2 && pte.has(PteFlags::HUGE);
+            if level == 3 || huge {
+                // A PT leaf, or a PD leaf mapping a 2 MiB page (a 3-level
+                // walk). An empty PT leaf maps nothing.
+                walk.leaf = (huge || !pte.is_empty()).then_some(LeafInfo {
+                    pte,
+                    entry_addr,
+                    huge,
+                });
+                break;
             }
             if !pte.is_present() {
-                return Walk { steps, leaf: None };
+                break;
             }
             table = pte.frame();
         }
-        // The loop always returns at level 3; this is dead code kept only to
-        // satisfy control-flow analysis without a panicking branch.
-        Walk { steps, leaf: None }
+        walk
     }
 
     /// Ensures intermediate tables down to the PT exist and returns the PT
@@ -243,6 +242,28 @@ impl PageTables {
         let leaf = self.leaf(mem, va).ok_or(MmError::BadPageTable(va))?;
         mem.write_u64(leaf.entry_addr, pte.0);
         Ok(())
+    }
+
+    /// ORs `flags` into the leaf entry `leaf` describes, which a walk of
+    /// these tables returned with no table write since, and returns the
+    /// entry written. Saves the second walk [`Self::set_leaf`] would take.
+    pub fn or_flags_at(&mut self, mem: &mut PhysMemory, leaf: &LeafInfo, flags: PteFlags) -> Pte {
+        let pte = leaf.pte.set(flags);
+        mem.write_u64(leaf.entry_addr, pte.0);
+        pte
+    }
+
+    /// ORs `flags` into the leaf entry that maps `va`, found by one walk,
+    /// and returns the entry written; `None`, writing nothing, if `va`
+    /// has no leaf entry.
+    pub fn or_leaf_flags(
+        &mut self,
+        mem: &mut PhysMemory,
+        va: VirtAddr,
+        flags: PteFlags,
+    ) -> Option<Pte> {
+        let leaf = self.leaf(mem, va)?;
+        Some(self.or_flags_at(mem, &leaf, flags))
     }
 
     /// Removes the leaf mapping for `va` and returns the old entry.
@@ -395,7 +416,7 @@ mod tests {
         )
         .expect("map");
         let w = pt.walk(&mem, va);
-        assert_eq!(w.steps.len(), 4, "4 KiB mapping walks four levels");
+        assert_eq!(w.steps().len(), 4, "4 KiB mapping walks four levels");
         let leaf = w.leaf.expect("mapped");
         assert_eq!(leaf.pte.frame(), f);
         assert!(!leaf.huge);
@@ -406,7 +427,7 @@ mod tests {
         let (mem, _alloc, pt) = setup();
         let w = pt.walk(&mem, VirtAddr(0x1234_5000));
         assert!(w.leaf.is_none());
-        assert_eq!(w.steps.len(), 1, "stops at the first non-present level");
+        assert_eq!(w.steps().len(), 1, "stops at the first non-present level");
     }
 
     #[test]
@@ -424,7 +445,7 @@ mod tests {
         )
         .expect("map_huge");
         let w = pt.walk(&mem, va + 5 * 4096 + 3);
-        assert_eq!(w.steps.len(), 3, "2 MiB mapping walks three levels");
+        assert_eq!(w.steps().len(), 3, "2 MiB mapping walks three levels");
         let leaf = w.leaf.expect("mapped");
         assert!(leaf.huge);
         assert_eq!(leaf.pte.frame(), f);
@@ -449,7 +470,7 @@ mod tests {
         // Every sub-page now maps 4 KiB to the corresponding frame.
         for i in [0u64, 17, 511] {
             let w = pt.walk(&mem, va + i * 4096);
-            assert_eq!(w.steps.len(), 4, "now a 4-level walk");
+            assert_eq!(w.steps().len(), 4, "now a 4-level walk");
             let leaf = w.leaf.expect("still mapped");
             assert!(!leaf.huge);
             assert_eq!(leaf.pte.frame(), FrameId(f.0 + i));
@@ -487,7 +508,7 @@ mod tests {
             "PT frame freed"
         );
         let w = pt.walk(&mem, va + 4096);
-        assert_eq!(w.steps.len(), 3);
+        assert_eq!(w.steps().len(), 3);
         assert!(w.leaf.expect("mapped").huge);
     }
 

@@ -85,10 +85,10 @@ fn walk_depth_matches_mapping_kind() {
         pt.map_page(&mut mem, &mut alloc, sva, sf, PteFlags::PRESENT)
             .expect("map");
         let hw = pt.walk(&mem, VirtAddr(hva.0 + small_pg * PAGE_SIZE));
-        assert_eq!(hw.steps.len(), 3, "seed {seed}");
+        assert_eq!(hw.steps().len(), 3, "seed {seed}");
         assert!(hw.leaf.expect("mapped").huge, "seed {seed}");
         let sw = pt.walk(&mem, sva);
-        assert_eq!(sw.steps.len(), 4, "seed {seed}");
+        assert_eq!(sw.steps().len(), 4, "seed {seed}");
         assert!(!sw.leaf.expect("mapped").huge, "seed {seed}");
     }
 }

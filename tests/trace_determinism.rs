@@ -8,6 +8,9 @@
 use vusion::mem::FrameAllocator;
 use vusion::prelude::*;
 use vusion::repro::Bundle;
+use vusion_rng::rngs::StdRng;
+use vusion_rng::{RngExt, SeedableRng};
+use vusion_snapshot::fnv1a64;
 
 const BASE: u64 = 0x40000;
 const PAGES: u64 = 32;
@@ -545,4 +548,61 @@ fn bundle_attaches_trace_tail() {
     let qbase = quiet.snapshot();
     let qb = Bundle::capture(kind, &cfg, qbase, &quiet, false, "t", "a");
     assert!(qb.trace_tail.is_empty());
+}
+
+/// Pages the access-heavy run touches: more than the 1,536 entries of a
+/// process's 4 KiB TLB, so fills evict and the FIFO order is exercised.
+const HEAVY_PAGES: u64 = 1792;
+
+/// Touches [`HEAVY_PAGES`] pages of one process (four distinct contents,
+/// so the scanner merges), runs a seeded stream of reads and writes with
+/// scans before and after it, and seals the system.
+fn access_heavy_snapshot(kind: EngineKind) -> Vec<u8> {
+    let mut sys = kind.build_system(MachineConfig::test_small().with_seed(0x51de));
+    let pid = sys.machine.spawn("heavy").expect("spawn");
+    sys.machine.mmap(
+        pid,
+        Vma::anon(VirtAddr(BASE), HEAVY_PAGES, Protection::rw()),
+    );
+    sys.machine
+        .madvise_mergeable(pid, VirtAddr(BASE), HEAVY_PAGES);
+    for pg in 0..HEAVY_PAGES {
+        sys.write(pid, VirtAddr(BASE + pg * PAGE_SIZE), (pg % 4) as u8 + 1);
+    }
+    sys.force_scans(40);
+    let mut rng = StdRng::seed_from_u64(0xacce55);
+    for _ in 0..20_000 {
+        let pg = rng.random_range(0..HEAVY_PAGES);
+        let va = VirtAddr(BASE + pg * PAGE_SIZE + rng.random_range(0..64u64) * 64);
+        if rng.random_bool(0.25) {
+            sys.write(pid, va, rng.random_range(1..5u8));
+        } else {
+            sys.read(pid, va);
+        }
+    }
+    sys.force_scans(8);
+    sys.snapshot()
+}
+
+/// The sealed bytes of an access-heavy run are pinned. They carry what
+/// the simbench digests do not: each TLB's FIFO order, the LLC's LRU
+/// order and the page-table frames' write generations. A change to the
+/// host structures of the access path must leave all three as they are.
+/// The values were computed with the `BTreeMap` TLB and per-set `Vec` LLC
+/// that the current structures replaced. Only a deliberate change of
+/// simulated behaviour or of the wire format (a `FORMAT_VERSION` bump)
+/// may re-pin them, and it says why.
+#[test]
+fn access_heavy_snapshot_bytes_are_pinned() {
+    for (kind, pinned) in [
+        (EngineKind::Ksm, 0x17e7_0d12_6b2b_1c8b),
+        (EngineKind::Wpf, 0x980f_8f84_3f81_2f59),
+        (EngineKind::VUsion, 0x730c_e511_4dbd_7ec4),
+    ] {
+        let digest = fnv1a64(&access_heavy_snapshot(kind));
+        assert_eq!(
+            digest, pinned,
+            "{kind:?}: snapshot digest {digest:#018x} differs from the pinned value"
+        );
+    }
 }
