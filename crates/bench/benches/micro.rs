@@ -1,5 +1,5 @@
 //! Microbenchmarks of the core data structures and hot paths: the content
-//! trees (KSM's red-black tree, WPF's AVL tree), the scan-path tree lookup
+//! tree (the red-black tree every engine uses), the scan-path tree lookup
 //! (hash-prefiltered find + insert, the shape every engine runs per page),
 //! the allocators (buddy / linear / randomized pool), LLC accesses, the
 //! simulated access path (TLB hits, TLB-miss walks, one image boot), the
@@ -21,7 +21,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use vusion_bench::json_quote;
 use vusion_cache::{Llc, LlcConfig};
-use vusion_core::{ContentAvlTree, ContentRbTree};
+use vusion_core::ContentRbTree;
 use vusion_kernel::{Machine, MachineConfig, ScanGrant};
 use vusion_mem::{
     BuddyAllocator, FrameAllocator, FrameId, LinearAllocator, PageType, PhysAddr, PhysMemory,
@@ -96,15 +96,6 @@ fn bench_trees(out: &mut Vec<BenchResult>) {
             black_box(t.find(FrameId(f), |a, b| mem.compare_pages(a, b)));
         }
     });
-    bench(out, "avl_insert_find_1k", || {
-        let mut t = ContentAvlTree::new();
-        for f in 0..1024u64 {
-            t.insert(FrameId(f), f, |a, b| mem.compare_pages(a, b));
-        }
-        for f in 0..1024u64 {
-            black_box(t.find(FrameId(f), |a, b| mem.compare_pages(a, b)));
-        }
-    });
     // The lookup shape the engines actually run per scanned page: probe
     // the frame's content hash against a hash index of the tree, descend
     // only on a possible match, insert on a miss. Frames 1024..2048 are
@@ -112,26 +103,6 @@ fn bench_trees(out: &mut Vec<BenchResult>) {
     // nothing.
     bench(out, "rbtree_scanpath_insert_find_1k", || {
         let mut t = ContentRbTree::new();
-        let mut index: BTreeMap<u64, u32> = BTreeMap::new();
-        for f in 0..1024u64 {
-            let h = mem.hash_page(FrameId(f));
-            let hit = index.contains_key(&h)
-                && t.find(FrameId(f), |a, b| mem.compare_pages(a, b)).is_some();
-            if !hit {
-                t.insert(FrameId(f), f, |a, b| mem.compare_pages(a, b));
-                *index.entry(h).or_insert(0) += 1;
-            }
-        }
-        for f in 1024..2048u64 {
-            let h = mem.hash_page(FrameId(f));
-            if index.contains_key(&h) {
-                black_box(t.find(FrameId(f), |a, b| mem.compare_pages(a, b)));
-            }
-        }
-        black_box(&t);
-    });
-    bench(out, "avl_scanpath_insert_find_1k", || {
-        let mut t = ContentAvlTree::new();
         let mut index: BTreeMap<u64, u32> = BTreeMap::new();
         for f in 0..1024u64 {
             let h = mem.hash_page(FrameId(f));

@@ -24,9 +24,10 @@ use vusion_kernel::{
 use vusion_mem::{CrashSite, FrameId, VirtAddr, PAGE_SIZE};
 use vusion_mmu::{Pte, PteFlags};
 
+use crate::content_index::ContentIndex;
 use crate::mapping;
-use crate::rbtree::{ContentRbTree, NodeId};
-use crate::scan_cache::{self, CandidateCache, DirtyTracker, HashIndex};
+use crate::rbtree::NodeId;
+use crate::scan_cache::{self, CandidateCache, DirtyTracker};
 use crate::TagCounts;
 
 /// KSM tuning knobs.
@@ -82,23 +83,13 @@ struct UnstableEntry {
 pub struct Ksm {
     cfg: KsmConfig,
     /// Stable tree: fused, write-protected pages. Value = mapping count.
-    stable: ContentRbTree<u32>,
-    /// Reverse map: stable frame → tree node. Derived: `load` rebuilds it
-    /// from the stable tree.
-    stable_index: BTreeMap<FrameId, NodeId>,
-    /// Content-hash pre-filter over the stable tree's pages.
-    stable_hashes: HashIndex,
+    stable: ContentIndex<u32>,
     /// Unstable tree: unprotected candidates. Unlike §2.1's
     /// drop-every-round tree, it persists across rounds so clean pages can
     /// be skipped without losing late-arriving duplicates; entries whose
     /// content changed are evicted surgically at the top of each wakeup,
     /// and the whole tree is dropped when the candidate list is rebuilt.
-    unstable: ContentRbTree<UnstableEntry>,
-    /// Reverse map: unstable frame → tree node (for surgical eviction).
-    /// Derived: `load` rebuilds it from the unstable tree.
-    unstable_index: BTreeMap<FrameId, NodeId>,
-    /// Content-hash pre-filter over the unstable tree's pages.
-    unstable_hashes: HashIndex,
+    unstable: ContentIndex<UnstableEntry>,
     /// Dirty-driven pass list: pages whose mapping and content are
     /// unchanged since their last terminal decision are skipped.
     dirty: DirtyTracker,
@@ -122,12 +113,8 @@ impl Ksm {
     pub fn new(cfg: KsmConfig) -> Self {
         Self {
             cfg,
-            stable: ContentRbTree::new(),
-            stable_index: BTreeMap::new(),
-            stable_hashes: HashIndex::default(),
-            unstable: ContentRbTree::new(),
-            unstable_index: BTreeMap::new(),
-            unstable_hashes: HashIndex::default(),
+            stable: ContentIndex::default(),
+            unstable: ContentIndex::default(),
             dirty: DirtyTracker::default(),
             checksums: BTreeMap::new(),
             candidates: CandidateCache::default(),
@@ -292,7 +279,7 @@ impl Ksm {
             m.note_scan_retry();
             return;
         }
-        if self.stable_index.contains_key(&frame) {
+        if self.stable.contains_frame(frame) {
             // Already merged: terminal until the mapping or frame moves.
             self.dirty.mark_seen(m.mem(), pid, va, frame);
             return;
@@ -318,13 +305,7 @@ impl Ksm {
         // *unstable* tree with the checksum test. The hash index skips
         // the descent when no stable page can possibly match; a hit (or a
         // hash collision) is confirmed by the authoritative search.
-        let mem = m.mem();
-        let stable_node = if self.stable_hashes.may_contain(mem, frame) {
-            self.stable.find(frame, |a, b| mem.compare_pages(a, b))
-        } else {
-            None
-        };
-        if let Some(node) = stable_node {
+        if let Some(node) = self.stable.find(m.mem(), frame) {
             if self.break_if_huge(m, pid, va, defer_alloc, report) {
                 self.merge_into_stable(m, pid, va, frame, node, report);
             }
@@ -340,14 +321,9 @@ impl Ksm {
             return;
         }
         // 2. Unstable tree, behind the same hash pre-filter.
-        let mem = m.mem();
-        let unstable_node = if self.unstable_hashes.may_contain(mem, frame) {
-            self.unstable.find(frame, |a, b| mem.compare_pages(a, b))
-        } else {
-            None
-        };
-        if let Some(node) = unstable_node {
-            let entry = *self.unstable.value(node);
+        if let Some(node) = self.unstable.find(m.mem(), frame) {
+            let entry = self.unstable.remove(node);
+            self.dirty.forget(entry.pid, entry.va);
             // Validate: the candidate must still be mapped to the same
             // frame (its content equality was just checked by the search).
             let valid = m
@@ -355,11 +331,7 @@ impl Ksm {
                 .map(|l| l.pte.is_present() && Self::leaf_4k_frame(&l, entry.va) == entry.frame)
                 .unwrap_or(false)
                 && entry.frame != frame
-                && !self.stable_index.contains_key(&entry.frame);
-            self.unstable.remove(node);
-            self.unstable_index.remove(&entry.frame);
-            self.unstable_hashes.remove(entry.frame);
-            self.dirty.forget(entry.pid, entry.va);
+                && !self.stable.contains_frame(entry.frame);
             // Scan-order priority: real KSM rebuilds the unstable tree
             // every round, so the earlier-scanned duplicate always
             // inserts first and its frame wins the promotion. Our tree
@@ -390,13 +362,8 @@ impl Ksm {
                 if mapping::evict_cached_copy(m, wpid, wva, wframe) {
                     let _ = m.put_frame(wframe);
                 }
-                let mem = m.mem();
-                let (snode, inserted) = self
-                    .stable
-                    .insert(wframe, 1, |a, b| mem.compare_pages(a, b));
+                let (snode, inserted) = self.stable.insert(m.mem(), wframe, 1);
                 debug_assert!(inserted, "stable tree had no match a moment ago");
-                self.stable_index.insert(wframe, snode);
-                self.stable_hashes.insert(m.mem(), wframe);
                 self.merged_live += 1; // The promoted party's own mapping.
                 m.surface_transition(SurfaceTransition::Merge);
                 self.stats.promotions += 1;
@@ -417,17 +384,9 @@ impl Ksm {
     /// scan of a duplicate finds it, so revisiting it while unchanged
     /// does nothing.
     fn insert_unstable(&mut self, m: &Machine, pid: Pid, va: VirtAddr, frame: FrameId) {
-        let mem = m.mem();
-        let (node, inserted) =
-            self.unstable
-                .insert(frame, UnstableEntry { pid, va, frame }, |a, b| {
-                    mem.compare_pages(a, b)
-                });
-        if inserted {
-            self.unstable_index.insert(frame, node);
-            self.unstable_hashes.insert(mem, frame);
-        }
-        self.dirty.mark_seen(mem, pid, va, frame);
+        self.unstable
+            .insert(m.mem(), frame, UnstableEntry { pid, va, frame });
+        self.dirty.mark_seen(m.mem(), pid, va, frame);
     }
 
     /// Copy-on-write (or copy-on-access) unmerge.
@@ -436,7 +395,7 @@ impl Ksm {
             return false;
         };
         let stable_frame = leaf.pte.frame();
-        let Some(&node) = self.stable_index.get(&stable_frame) else {
+        let Some(node) = self.stable.node_of(stable_frame) else {
             return false;
         };
         let Some(vma) = m.process(fault.pid).space.find_vma(fault.va).copied() else {
@@ -489,8 +448,6 @@ impl Ksm {
         *self.stable.value_mut(node) -= 1;
         if m.put_frame(stable_frame).unwrap_or(false) {
             self.stable.remove(node);
-            self.stable_index.remove(&stable_frame);
-            self.stable_hashes.remove(stable_frame);
         }
         self.merged_live -= 1;
         m.surface_transition(SurfaceTransition::Unmerge);
@@ -506,13 +463,11 @@ impl vusion_snapshot::Snapshot for Ksm {
         w.bool(self.cfg.unmerge_on_read);
         w.bool(self.cfg.zero_only);
         self.stable.save_with(w, |v, w| w.u32(*v));
-        self.stable_hashes.save(w);
         self.unstable.save_with(w, |e, w| {
             w.usize(e.pid.0);
             w.u64(e.va.0);
             w.u64(e.frame.0);
         });
-        self.unstable_hashes.save(w);
         let mut sums: Vec<((usize, u64), u64)> =
             self.checksums.iter().map(|(&k, &v)| (k, v)).collect();
         sums.sort_unstable();
@@ -542,11 +497,7 @@ impl vusion_snapshot::Snapshot for Ksm {
         let Self {
             cfg,
             stable,
-            stable_index,
-            stable_hashes,
             unstable,
-            unstable_index,
-            unstable_hashes,
             dirty,
             checksums,
             candidates,
@@ -561,28 +512,14 @@ impl vusion_snapshot::Snapshot for Ksm {
             unmerge_on_read: r.bool()?,
             zero_only: r.bool()?,
         };
-        // The trees restore slot-exactly, so rebuilding the reverse maps
-        // from live node ids reproduces the pre-snapshot NodeIds.
-        *stable = ContentRbTree::load_with(r, |r| r.u32())?;
-        *stable_index = stable
-            .ids()
-            .into_iter()
-            .map(|id| (stable.frame(id), id))
-            .collect();
-        *stable_hashes = HashIndex::load(r)?;
-        *unstable = ContentRbTree::load_with(r, |r| {
+        *stable = ContentIndex::load_with(r, |r| r.u32())?;
+        *unstable = ContentIndex::load_with(r, |r| {
             Ok(UnstableEntry {
                 pid: Pid(r.usize()?),
                 va: VirtAddr(r.u64()?),
                 frame: FrameId(r.u64()?),
             })
         })?;
-        *unstable_index = unstable
-            .ids()
-            .into_iter()
-            .map(|id| (unstable.frame(id), id))
-            .collect();
-        *unstable_hashes = HashIndex::load(r)?;
         let sums = r.usize()?;
         checksums.clear();
         for _ in 0..sums {
@@ -623,8 +560,6 @@ impl FusionPolicy for Ksm {
                 pages.iter().map(|&(pid, va)| (pid.0, va.page())).collect();
             self.checksums.retain(|key, _| live.contains(key));
             self.unstable.clear();
-            self.unstable_index.clear();
-            self.unstable_hashes.clear();
             self.dirty.clear();
         }
         if pages.is_empty() {
@@ -637,17 +572,15 @@ impl FusionPolicy for Ksm {
         // with the dirty-driven pass list the tree persists and changed
         // entries are evicted surgically, so clean candidates can still
         // be matched by late-arriving duplicates.)
-        for frame in self.unstable_hashes.stale_frames(m.mem()) {
-            if let Some(node) = self.unstable_index.remove(&frame) {
-                let entry = *self.unstable.value(node);
-                self.unstable.remove(node);
-                self.unstable_hashes.remove(frame);
+        for frame in self.unstable.stale_frames(m.mem()) {
+            if let Some(node) = self.unstable.node_of(frame) {
+                let entry = self.unstable.remove(node);
                 self.dirty.forget(entry.pid, entry.va);
             }
         }
         // Stable pages may have changed in place (Rowhammer — guests
         // cannot write them): re-sync that pre-filter before trusting it.
-        self.stable_hashes.refresh(m.mem());
+        self.stable.refresh(m.mem());
         // Pre-hash this wakeup's visit window, so the decide phase below
         // hits the hash memo-cache on every page.
         let limit = match grant.budget {
@@ -702,7 +635,7 @@ impl FusionPolicy for Ksm {
         for i in 0..vusion_mem::HUGE_PAGE_FRAMES {
             let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
             if let Some(leaf) = m.leaf(pid, va) {
-                if self.stable_index.contains_key(&leaf.pte.frame()) {
+                if self.stable.contains_frame(leaf.pte.frame()) {
                     return false;
                 }
             }
@@ -720,13 +653,11 @@ impl FusionPolicy for Ksm {
 
     fn pressure_shrink(&mut self, _m: &mut Machine) -> u64 {
         // Drop every transient structure the scan can rebuild: the
-        // unstable tree (KSM proper drops it each round anyway), its
-        // hash filter and reverse index, the checksum memo, the
-        // dirty-driven pass list, and the candidate cache.
+        // unstable tree (KSM proper drops it each round anyway) with its
+        // frame map and hash filter, the checksum memo, the dirty-driven
+        // pass list, and the candidate cache.
         let unstable = self.unstable.len() as u64;
         self.unstable.clear();
-        self.unstable_index.clear();
-        self.unstable_hashes.clear();
         let sums = self.checksums.len() as u64;
         self.checksums = BTreeMap::new();
         unstable + sums + self.dirty.shed() + self.candidates.shed()
@@ -773,7 +704,7 @@ mod tests {
         }
         settle(&mut s);
         let k = &mut s.policy;
-        assert!(!k.stable.is_empty() && !k.unstable.is_empty());
+        assert!(k.stable.len() > 0 && k.unstable.len() > 0);
         assert!(!k.checksums.is_empty() && k.dirty.len() > 0);
         k.cfg = KsmConfig {
             pages_per_scan: 51,
@@ -800,8 +731,12 @@ mod tests {
         let mut dst = Ksm::new(KsmConfig::default());
         let (x, y) = vusion_snapshot::resave(&s.policy, &mut dst).expect("resave");
         assert_eq!(x, y);
-        assert_eq!(dst.stable_index, s.policy.stable_index);
-        assert_eq!(dst.unstable_index, s.policy.unstable_index);
+        for id in s.policy.stable.ids() {
+            assert_eq!(dst.stable.node_of(s.policy.stable.frame(id)), Some(id));
+        }
+        for id in s.policy.unstable.ids() {
+            assert_eq!(dst.unstable.node_of(s.policy.unstable.frame(id)), Some(id));
+        }
     }
 
     #[test]

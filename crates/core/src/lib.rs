@@ -9,8 +9,8 @@
 //!   fused page — the Flip Feng Shui weakness), copy-on-write unmerge (the
 //!   timing-side-channel weakness).
 //! * [`Wpf`] — Windows Page Fusion as reverse-engineered in §2.2: no opt-in,
-//!   periodic full passes, hash-sorted candidate list, per-process merging
-//!   into AVL trees whose pages come from a *new* allocation by a linear
+//!   periodic full passes, hash-sorted candidate list, merging into a
+//!   content tree whose pages come from a *new* allocation by a linear
 //!   end-of-memory allocator (`MiAllocatePagesForMdl`) — which defeats plain
 //!   Flip Feng Shui but falls to the reuse-based variant of §5.2.
 //! * [`VUsion`] — the secure design of §6–§8: **Same Behavior** via
@@ -20,11 +20,16 @@
 //!   frame pool; working-set estimation via idle-page tracking; secure THP
 //!   handling (break-before-fuse, idle-gated collapse).
 //!
-//! The two balanced search trees are implemented from scratch in
-//! [`rbtree`] and [`avl`]; both order nodes by the *content* of the
-//! physical page they reference.
+//! Every content tree — KSM's stable and unstable trees, WPF's tree and
+//! VUsion's single tree — is the from-scratch red-black tree of
+//! [`rbtree`], which orders nodes by the *content* of the physical page
+//! they reference. WPF's AVL trees "have the same functionality as KSM's
+//! stable tree" (§2.2), and nothing charged or output depends on how a
+//! tree balances. Each engine reaches its trees only through a
+//! crate-private `ContentIndex`, which keeps a tree, its frame → node map
+//! and its hash filter in step.
 
-pub mod avl;
+mod content_index;
 pub mod engine;
 pub mod ksm;
 mod mapping;
@@ -33,7 +38,6 @@ mod scan_cache;
 pub mod vusion;
 pub mod wpf;
 
-pub use avl::ContentAvlTree;
 pub use engine::{default_pool_frames, EngineKind};
 pub use ksm::{Ksm, KsmConfig, KsmStats};
 pub use rbtree::{ContentRbTree, NodeId};

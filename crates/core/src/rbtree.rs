@@ -8,8 +8,9 @@
 //! [`vusion_mem::PhysMemory::compare_pages`]).
 //!
 //! The implementation is an arena-based CLRS red-black tree with parent
-//! pointers, full insert/delete fixups, and a structural invariant checker
-//! used by the property tests.
+//! pointers, full insert/delete fixups, and a structural checker that
+//! [`ContentRbTree::load_with`] runs on every restored tree and the
+//! property tests run through [`ContentRbTree::assert_invariants`].
 
 use std::cmp::Ordering;
 
@@ -128,6 +129,11 @@ impl<V> ContentRbTree<V> {
             // is_live above checked value.is_some().
             None => unreachable!("live node has a value"),
         }
+    }
+
+    /// Whether `id` names a live node.
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.is_live(id.0)
     }
 
     fn is_live(&self, idx: usize) -> bool {
@@ -540,65 +546,95 @@ impl<V> ContentRbTree<V> {
             free.push(r.usize()?);
         }
         let len = r.usize()?;
-        Ok(Self {
+        let tree = Self {
             nodes,
             root,
             free,
             len,
-        })
+        };
+        tree.check_structure()
+            .map_err(vusion_snapshot::SnapshotError::Corrupt)?;
+        Ok(tree)
     }
 
-    /// Verifies the red-black invariants (test/debug helper):
-    /// root is black, no red node has a red child, and every root-to-leaf
-    /// path has the same black height. Returns the black height.
+    /// Asserts what [`Self::load_with`] checks (test/debug helper): sound
+    /// links, length and free list, and the red-black invariants — root is
+    /// black, no red node has a red child, and every root-to-leaf path has
+    /// the same black height. Returns the black height.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated.
     pub fn assert_invariants(&self) -> usize {
-        if self.root == NIL {
-            return 0;
+        match self.check_structure() {
+            Ok(height) => height,
+            Err(why) => panic!("{why}"),
         }
-        assert_eq!(
-            self.nodes[self.root].color,
-            Color::Black,
-            "root must be black"
-        );
-        assert_eq!(self.nodes[self.root].parent, NIL, "root has no parent");
-        self.check(self.root)
     }
 
-    /// # Panics
-    ///
-    /// Panics if the subtree violates a red-black invariant (coloring,
-    /// parent pointers, or black height).
-    fn check(&self, idx: usize) -> usize {
-        if idx == NIL {
-            return 1;
+    /// Checks everything the arena operations index through, so a tree
+    /// read from a snapshot cannot make a later search or fix-up panic:
+    /// the free list names distinct dead slots; `len` counts the live
+    /// ones; a walk from the root reaches each live node exactly once
+    /// through links that name live slots and whose parent links point
+    /// back; and the coloring is red-black (black root, no red node with
+    /// a red child, one black height). Returns the black height, counting
+    /// the NIL leaves.
+    fn check_structure(&self) -> Result<usize, &'static str> {
+        let mut seen = vec![false; self.nodes.len()];
+        for &slot in &self.free {
+            if slot >= self.nodes.len() || self.is_live(slot) || seen[slot] {
+                return Err("free list names a live, missing or repeated slot");
+            }
+            seen[slot] = true;
         }
-        let n = &self.nodes[idx];
-        if n.color == Color::Red {
-            assert_eq!(
-                self.color(n.left),
-                Color::Black,
-                "red node with red left child"
-            );
-            assert_eq!(
-                self.color(n.right),
-                Color::Black,
-                "red node with red right child"
-            );
+        let live = (0..self.nodes.len()).filter(|&i| self.is_live(i)).count();
+        if live != self.len {
+            return Err("length differs from the live node count");
         }
-        if n.left != NIL {
-            assert_eq!(self.nodes[n.left].parent, idx, "broken parent pointer");
+        if self.root == NIL {
+            return if live == 0 {
+                Ok(0)
+            } else {
+                Err("live nodes unreachable from an empty root")
+            };
         }
-        if n.right != NIL {
-            assert_eq!(self.nodes[n.right].parent, idx, "broken parent pointer");
+        if !self.is_live(self.root) || self.nodes[self.root].parent != NIL {
+            return Err("root is not a live node without a parent");
         }
-        let lh = self.check(n.left);
-        let rh = self.check(n.right);
-        assert_eq!(lh, rh, "unequal black heights");
-        lh + usize::from(n.color == Color::Black)
+        if self.nodes[self.root].color == Color::Red {
+            return Err("root must be black");
+        }
+        seen[self.root] = true;
+        let mut reached = 0;
+        let mut black_height = None;
+        // (slot, black nodes above it)
+        let mut stack = vec![(self.root, 0usize)];
+        while let Some((idx, above)) = stack.pop() {
+            reached += 1;
+            let n = &self.nodes[idx];
+            let here = above + usize::from(n.color == Color::Black);
+            for child in [n.left, n.right] {
+                if child == NIL {
+                    if *black_height.get_or_insert(here + 1) != here + 1 {
+                        return Err("unequal black heights");
+                    }
+                    continue;
+                }
+                if !self.is_live(child) || self.nodes[child].parent != idx || seen[child] {
+                    return Err("child link names a dead, foreign or repeated slot");
+                }
+                if n.color == Color::Red && self.nodes[child].color == Color::Red {
+                    return Err("red node with a red child");
+                }
+                seen[child] = true;
+                stack.push((child, here));
+            }
+        }
+        if reached != self.len {
+            return Err("walk from the root misses live nodes");
+        }
+        Ok(black_height.unwrap_or(0))
     }
 }
 
@@ -627,6 +663,115 @@ mod tests {
             let got = ContentRbTree::<u32>::load_with(&mut Reader::new(&bytes), |r| r.u32());
             assert!(matches!(got, Err(SnapshotError::Truncated)));
         }
+    }
+
+    /// One arena slot of a hand-written stream: frame, left, right,
+    /// parent, black, and the value of a live slot (`None`: a free slot).
+    type Slot = (u64, usize, usize, usize, bool, Option<u32>);
+
+    /// The [`ContentRbTree::save_with`] layout, written by hand.
+    fn stream(slots: &[Slot], root: usize, free: &[usize], len: usize) -> Vec<u8> {
+        let mut w = vusion_snapshot::Writer::new();
+        w.usize(slots.len());
+        for &(frame, left, right, parent, black, value) in slots {
+            w.u64(frame);
+            w.usize(left);
+            w.usize(right);
+            w.usize(parent);
+            w.u8(u8::from(black));
+            w.bool(value.is_some());
+            if let Some(v) = value {
+                w.u32(v);
+            }
+        }
+        w.usize(root);
+        w.usize(free.len());
+        for &slot in free {
+            w.usize(slot);
+        }
+        w.usize(len);
+        w.into_bytes()
+    }
+
+    fn load(
+        slots: &[Slot],
+        root: usize,
+        free: &[usize],
+        len: usize,
+    ) -> Result<ContentRbTree<u32>, vusion_snapshot::SnapshotError> {
+        let bytes = stream(slots, root, free, len);
+        ContentRbTree::load_with(&mut vusion_snapshot::Reader::new(&bytes), |r| r.u32())
+    }
+
+    #[test]
+    fn crafted_links_are_rejected() {
+        // A black root in slot 1 with a red child on each side, and a free
+        // slot 3.
+        let good: [Slot; 4] = [
+            (1, NIL, NIL, 1, false, Some(10)),
+            (2, 0, 2, NIL, true, Some(20)),
+            (3, NIL, NIL, 1, false, Some(30)),
+            (0, NIL, NIL, NIL, true, None),
+        ];
+        let tree = load(&good, 1, &[3], 3).expect("a well-formed tree loads");
+        assert_eq!(tree.assert_invariants(), 2);
+        assert_eq!(tree.find(FrameId(3), by_id), Some(NodeId(2)));
+        let rejected = |slots: &[Slot], root: usize, free: &[usize], len: usize, what: &str| {
+            assert!(
+                matches!(
+                    load(slots, root, free, len),
+                    Err(vusion_snapshot::SnapshotError::Corrupt(_))
+                ),
+                "{what} must be rejected"
+            );
+        };
+        let with = |slot: usize, edit: fn(&mut Slot)| {
+            let mut slots = good;
+            edit(&mut slots[slot]);
+            slots
+        };
+        // One node whose left link names slot 999: a `find` for a smaller
+        // key would index past the arena.
+        rejected(
+            &[(5, 999, NIL, NIL, true, Some(1))],
+            0,
+            &[],
+            1,
+            "left link 999",
+        );
+        rejected(&good, 3, &[3], 3, "a free root");
+        rejected(&good, 7, &[3], 3, "a root past the arena");
+        rejected(&with(1, |s| s.2 = 3), 1, &[3], 3, "a link to a free slot");
+        rejected(&with(2, |s| s.3 = 0), 1, &[3], 3, "a parent link elsewhere");
+        rejected(&with(1, |s| s.3 = 0), 1, &[3], 3, "a root with a parent");
+        rejected(&with(1, |s| s.2 = 0), 1, &[3], 3, "one child on both sides");
+        rejected(
+            &with(1, |s| s.2 = NIL),
+            1,
+            &[3],
+            3,
+            "an unreachable live node",
+        );
+        rejected(&good, 1, &[1], 3, "a free list naming a live slot");
+        rejected(&good, 1, &[3, 3], 3, "a repeated free slot");
+        rejected(&good, 1, &[9], 3, "a free slot past the arena");
+        rejected(&good, 1, &[3], 2, "a short length");
+        rejected(&good, 1, &[3], 4, "a long length");
+        rejected(&good, NIL, &[3], 3, "live nodes under an empty root");
+        rejected(&with(1, |s| s.4 = false), 1, &[3], 3, "a red root");
+        rejected(
+            &with(0, |s| s.4 = true),
+            1,
+            &[3],
+            3,
+            "unequal black heights",
+        );
+        let red_chain: [Slot; 3] = [
+            (1, 2, NIL, 1, false, Some(10)),
+            (2, 0, NIL, NIL, true, Some(20)),
+            (0, NIL, NIL, 0, false, Some(5)),
+        ];
+        rejected(&red_chain, 1, &[], 3, "a red node with a red child");
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! Scan-path caching shared by the fusion engines: a content-hash index
-//! over a content tree's pages, an incremental candidate list, the
-//! dirty-driven pass list, and the pre-hash that warms the hash memo
-//! before each pass's decide phase.
+//! Scan-path caching shared by the fusion engines: an incremental
+//! candidate list, the dirty-driven pass list, and the pre-hash that warms
+//! the hash memo before each pass's decide phase. (The hash filter over a
+//! content tree lives with the tree, in `ContentIndex`.)
 //!
-//! The index and the candidate cache are pure wall-clock optimizations.
-//! The hash index only ever answers "definitely not in the tree" (equal
-//! content implies equal hash; a hash collision merely wastes one
-//! authoritative tree descent), and the candidate cache reproduces
-//! exactly the list a fresh enumeration would build, because rebuilds
-//! are deterministic and every layout mutation bumps the machine's
-//! epoch. Neither changes a single simulated-cycle charge or merge
-//! decision.
+//! The candidate cache is a pure wall-clock optimization: it reproduces
+//! exactly the list a fresh enumeration would build, because rebuilds are
+//! deterministic and every layout mutation bumps the machine's epoch. It
+//! changes no simulated-cycle charge or merge decision.
 
 use std::collections::BTreeMap;
 
@@ -18,126 +14,6 @@ use vusion_kernel::{Machine, Pid};
 use vusion_mem::{FrameId, PhysMemory, VirtAddr};
 
 use crate::mapping;
-
-/// Content-hash index mirroring a content tree's node frames.
-///
-/// `may_contain(probe)` pre-filters tree searches: if the probe page's
-/// hash is absent from the multiset of tree-page hashes, no tree page can
-/// be content-equal and the O(log n) full-page-compare descent is
-/// skipped. Tree pages are not immutable — guest writes hit unstable-tree
-/// pages and Rowhammer hits anything — so every entry records the frame's
-/// write generation and [`HashIndex::refresh`] re-hashes stale entries at
-/// the top of each scan.
-#[derive(Default)]
-pub(crate) struct HashIndex {
-    by_frame: BTreeMap<FrameId, (u64, u64)>, // frame -> (hash, write_gen)
-    counts: BTreeMap<u64, u32>,              // hash -> tree pages bearing it
-}
-
-impl HashIndex {
-    fn bump(counts: &mut BTreeMap<u64, u32>, hash: u64) {
-        *counts.entry(hash).or_insert(0) += 1;
-    }
-
-    fn unbump(counts: &mut BTreeMap<u64, u32>, hash: u64) {
-        if let Some(c) = counts.get_mut(&hash) {
-            *c -= 1;
-            if *c == 0 {
-                counts.remove(&hash);
-            }
-        }
-    }
-
-    /// Records `frame` as present in the tree.
-    pub(crate) fn insert(&mut self, mem: &PhysMemory, frame: FrameId) {
-        let hash = mem.hash_page(frame);
-        let gen = mem.info(frame).write_gen;
-        if let Some((old, _)) = self.by_frame.insert(frame, (hash, gen)) {
-            Self::unbump(&mut self.counts, old);
-        }
-        Self::bump(&mut self.counts, hash);
-    }
-
-    /// Forgets `frame` (removed from the tree).
-    pub(crate) fn remove(&mut self, frame: FrameId) {
-        if let Some((hash, _)) = self.by_frame.remove(&frame) {
-            Self::unbump(&mut self.counts, hash);
-        }
-    }
-
-    /// Moves an entry from `old` to `new` without rehashing when the
-    /// content was copied verbatim (VUsion's re-randomization).
-    pub(crate) fn replace_frame(&mut self, mem: &PhysMemory, old: FrameId, new: FrameId) {
-        self.remove(old);
-        self.insert(mem, new);
-    }
-
-    /// Drops everything (tree cleared or rebuilt).
-    pub(crate) fn clear(&mut self) {
-        self.by_frame.clear();
-        self.counts.clear();
-    }
-
-    /// Frames whose recorded write generation no longer matches — their
-    /// content changed (or their frame was freed and rewritten) since
-    /// they were indexed.
-    pub(crate) fn stale_frames(&self, mem: &PhysMemory) -> Vec<FrameId> {
-        self.by_frame
-            .iter()
-            .filter(|(f, (_, gen))| mem.info(**f).write_gen != *gen)
-            .map(|(f, _)| *f)
-            .collect()
-    }
-
-    /// Re-syncs entries whose frame content changed since they were
-    /// recorded (detected via the frame's write generation). Cheap: the
-    /// re-hash itself is served by the frame cache.
-    pub(crate) fn refresh(&mut self, mem: &PhysMemory) {
-        for f in self.stale_frames(mem) {
-            self.insert(mem, f);
-        }
-    }
-
-    /// Whether a tree page *could* be content-equal to `probe`. `false`
-    /// is definitive; `true` must be confirmed by the tree search.
-    pub(crate) fn may_contain(&self, mem: &PhysMemory, probe: FrameId) -> bool {
-        self.counts.contains_key(&mem.hash_page(probe))
-    }
-
-    /// Serializes the per-frame entries (sorted for determinism). The hash
-    /// multiset is derivable, so only `by_frame` is written.
-    pub(crate) fn save(&self, w: &mut vusion_snapshot::Writer) {
-        let mut entries: Vec<(u64, u64, u64)> = self
-            .by_frame
-            .iter()
-            .map(|(f, &(hash, gen))| (f.0, hash, gen))
-            .collect();
-        entries.sort_unstable();
-        w.usize(entries.len());
-        for (frame, hash, gen) in entries {
-            w.u64(frame);
-            w.u64(hash);
-            w.u64(gen);
-        }
-    }
-
-    /// Rebuilds an index written by [`Self::save`].
-    pub(crate) fn load(
-        r: &mut vusion_snapshot::Reader<'_>,
-    ) -> Result<Self, vusion_snapshot::SnapshotError> {
-        let count = r.usize()?;
-        let mut by_frame = BTreeMap::new();
-        let mut counts = BTreeMap::new();
-        for _ in 0..count {
-            let frame = FrameId(r.u64()?);
-            let hash = r.u64()?;
-            let gen = r.u64()?;
-            by_frame.insert(frame, (hash, gen));
-            Self::bump(&mut counts, hash);
-        }
-        Ok(Self { by_frame, counts })
-    }
-}
 
 /// Cached [`mapping::candidate_pages`] enumeration, invalidated by the
 /// machine's layout epoch (process count + per-space VMA layout
@@ -334,62 +210,6 @@ mod tests {
     use vusion_kernel::MachineConfig;
     use vusion_mem::{content_hash, PhysAddr, PAGE_SIZE};
     use vusion_mmu::{Protection, Vma};
-
-    #[test]
-    fn hash_index_filters_and_tracks_membership() {
-        let mut mem = PhysMemory::new(4);
-        mem.write_byte(PhysAddr(0), 1);
-        mem.write_byte(PhysAddr(4096), 2);
-        mem.write_byte(PhysAddr(2 * 4096), 1); // same content as frame 0
-        let mut ix = HashIndex::default();
-        ix.insert(&mem, FrameId(0));
-        assert!(ix.may_contain(&mem, FrameId(2)), "equal content must pass");
-        assert!(
-            !ix.may_contain(&mem, FrameId(1)),
-            "absent hash is definitive"
-        );
-        ix.remove(FrameId(0));
-        assert!(!ix.may_contain(&mem, FrameId(2)));
-    }
-
-    #[test]
-    fn hash_index_refresh_catches_inplace_change() {
-        let mut mem = PhysMemory::new(2);
-        mem.write_byte(PhysAddr(0), 1);
-        let mut ix = HashIndex::default();
-        ix.insert(&mem, FrameId(0));
-        // The tree page changes in place (a Rowhammer flip): the stale
-        // hash must not make the filter claim the old content is present.
-        mem.flip_bit(PhysAddr(0), 0);
-        mem.write_byte(PhysAddr(4096), 1); // probe with the *old* content
-        ix.refresh(&mem);
-        assert!(
-            !ix.may_contain(&mem, FrameId(1)),
-            "refresh must drop the stale hash"
-        );
-        assert!(
-            ix.may_contain(&mem, FrameId(0)),
-            "the new content is indexed after refresh"
-        );
-    }
-
-    #[test]
-    fn duplicate_hashes_are_counted_not_clobbered() {
-        let mut mem = PhysMemory::new(3);
-        mem.write_byte(PhysAddr(0), 7);
-        mem.write_byte(PhysAddr(4096), 7);
-        mem.write_byte(PhysAddr(2 * 4096), 7);
-        let mut ix = HashIndex::default();
-        ix.insert(&mem, FrameId(0));
-        ix.insert(&mem, FrameId(1));
-        ix.remove(FrameId(0));
-        assert!(
-            ix.may_contain(&mem, FrameId(2)),
-            "one bearer removed, one remains"
-        );
-        ix.remove(FrameId(1));
-        assert!(!ix.may_contain(&mem, FrameId(2)));
-    }
 
     #[test]
     fn dirty_tracker_detects_writes_and_remaps() {

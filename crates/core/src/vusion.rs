@@ -38,9 +38,10 @@ use vusion_mem::{
 };
 use vusion_mmu::{Pte, PteFlags};
 
+use crate::content_index::ContentIndex;
 use crate::mapping;
-use crate::rbtree::{ContentRbTree, NodeId};
-use crate::scan_cache::{self, CandidateCache, HashIndex};
+use crate::rbtree::NodeId;
+use crate::scan_cache::{self, CandidateCache};
 use crate::TagCounts;
 
 /// VUsion tuning knobs.
@@ -126,12 +127,7 @@ pub struct VUsion {
     cfg: VUsionConfig,
     /// The single content tree (no unstable tree — §7.1 decision i).
     /// Value: the mappings sharing the node's frame.
-    tree: ContentRbTree<Vec<(Pid, VirtAddr)>>,
-    /// Reverse map: tree frame → node. Derived: `load` rebuilds it from
-    /// the content tree.
-    tree_index: BTreeMap<FrameId, NodeId>,
-    /// Content-hash filter over the tree pages (wall-clock only).
-    tree_hashes: HashIndex,
+    tree: ContentIndex<Vec<(Pid, VirtAddr)>>,
     /// Cached mergeable-page list, invalidated by the layout epoch.
     candidates: CandidateCache,
     /// Reverse map: trapped page → node.
@@ -154,9 +150,7 @@ impl VUsion {
         let pool = RandomPool::new(cfg.pool_frames, m.buddy_mut(), seed);
         Self {
             cfg,
-            tree: ContentRbTree::new(),
-            tree_index: BTreeMap::new(),
-            tree_hashes: HashIndex::default(),
+            tree: ContentIndex::default(),
             candidates: CandidateCache::default(),
             page_state: BTreeMap::new(),
             pool,
@@ -338,7 +332,7 @@ impl VUsion {
             return;
         }
         let frame = leaf.pte.frame();
-        if self.tree_index.contains_key(&frame) {
+        if self.tree.contains_frame(frame) {
             return; // This frame already backs a tree page elsewhere.
         }
         // Accounting guard, as in KSM: sole mapping (+ cache ref for file).
@@ -358,13 +352,7 @@ impl VUsion {
         // Single content tree: match ⇒ real merge, no match ⇒ fake merge.
         // The hash filter only skips the descent when no tree page can be
         // content-equal; a positive is confirmed by the authoritative find.
-        let mem = m.mem();
-        let found = if self.tree_hashes.may_contain(mem, frame) {
-            self.tree.find(frame, |a, b| mem.compare_pages(a, b))
-        } else {
-            None
-        };
-        match found {
+        match self.tree.find(m.mem(), frame) {
             Some(node) => {
                 m.trace_begin("vusion", SpanKind::Merge);
                 let shared = self.tree.frame(node);
@@ -414,13 +402,8 @@ impl VUsion {
                     m.trace_end(SpanKind::FakeMerge);
                     return;
                 }
-                let mem = m.mem();
-                let (node, inserted) = self
-                    .tree
-                    .insert(new, vec![(pid, va)], |a, b| mem.compare_pages(a, b));
+                let (node, inserted) = self.tree.insert(m.mem(), new, vec![(pid, va)]);
                 debug_assert!(inserted, "tree had no match a moment ago");
-                self.tree_index.insert(new, node);
-                self.tree_hashes.insert(m.mem(), new);
                 self.page_state.insert((pid.0, va.page()), node);
                 self.release_candidate(m, pid, va, frame);
                 let costs = m.costs();
@@ -452,23 +435,20 @@ impl VUsion {
             self.saved -= 1;
         }
         let died = m.mem_mut().info_mut(shared).put();
+        if died {
+            self.tree.remove(node);
+        }
         if self.cfg.ablate_deferred_free {
             // ABLATION: the insecure variant frees synchronously; the
             // caller charges the allocator interaction only on the dying
             // (fake-merged) path — exactly the channel decision (ii)
             // closes.
             if died {
-                self.tree.remove(node);
-                self.tree_index.remove(&shared);
-                self.tree_hashes.remove(shared);
                 self.ra_release(m, shared);
             }
         } else if died {
             // Last user: the frame itself dies — but through the deferred
             // queue, so the fault path cost is identical (decision ii).
-            self.tree.remove(node);
-            self.tree_index.remove(&shared);
-            self.tree_hashes.remove(shared);
             self.deferred.push_free(shared);
         } else {
             self.deferred.push_dummy();
@@ -638,12 +618,9 @@ impl VUsion {
             for _ in 0..mappings.len() {
                 m.mem_mut().info_mut(old).put();
             }
-            self.tree.set_frame(node, new);
-            self.tree_index.remove(&old);
-            self.tree_index.insert(new, node);
             // `copy_page` seeded the new frame's hash cache from the old
             // frame's, so this re-index is a cache hit, not a re-hash.
-            self.tree_hashes.replace_frame(m.mem(), old, new);
+            self.tree.set_frame(m.mem(), node, new);
             self.ra_release(m, old);
             let costs = m.costs();
             m.scan_cost(costs.copy_page + costs.pte_update);
@@ -671,7 +648,6 @@ impl vusion_snapshot::Snapshot for VUsion {
                 w.u64(va.0);
             }
         });
-        self.tree_hashes.save(w);
         self.candidates.save(w);
         let mut pages: Vec<((usize, u64), usize)> =
             self.page_state.iter().map(|(&k, &v)| (k, v.0)).collect();
@@ -706,8 +682,6 @@ impl vusion_snapshot::Snapshot for VUsion {
         let Self {
             cfg,
             tree,
-            tree_index,
-            tree_hashes,
             candidates,
             page_state,
             pool,
@@ -729,7 +703,7 @@ impl vusion_snapshot::Snapshot for VUsion {
             ablate_deferred_free: r.bool()?,
             ablate_rerandomize: r.bool()?,
         };
-        *tree = ContentRbTree::load_with(r, |r| {
+        *tree = ContentIndex::load_with(r, |r| {
             // A mapping is a pid and an address: 16 bytes.
             let count = r.len_prefix(16)?;
             let mut mappings = Vec::with_capacity(count);
@@ -738,20 +712,21 @@ impl vusion_snapshot::Snapshot for VUsion {
             }
             Ok(mappings)
         })?;
-        // Slot-exact tree restore keeps NodeIds valid, so both reverse
-        // maps can be rebuilt (tree_index) or reloaded (page_state).
-        *tree_index = tree
-            .ids()
-            .into_iter()
-            .map(|id| (tree.frame(id), id))
-            .collect();
-        *tree_hashes = HashIndex::load(r)?;
         *candidates = CandidateCache::load(r)?;
+        // Slot-exact tree restore keeps NodeIds valid, so the trapped-page
+        // map reloads verbatim; each entry must name a live node, or the
+        // page's next copy-on-access would dereference a freed slot.
         let pages = r.usize()?;
         page_state.clear();
         for _ in 0..pages {
             let key = (r.usize()?, r.u64()?);
-            page_state.insert(key, NodeId(r.usize()?));
+            let node = NodeId(r.usize()?);
+            if !tree.contains_node(node) {
+                return Err(vusion_snapshot::SnapshotError::Corrupt(
+                    "trapped page names a dead tree node",
+                ));
+            }
+            page_state.insert(key, node);
         }
         pool.load(r)?;
         deferred.load(r)?;
@@ -796,7 +771,7 @@ impl FusionPolicy for VUsion {
         }
         // Re-sync hash-filter entries whose frames changed between scans
         // (Rowhammer flips — trapped tree pages see no guest writes).
-        self.tree_hashes.refresh(m.mem());
+        self.tree.refresh(m.mem());
         let (pages, _) = self.candidates.take(m, /* mergeable_only */ true);
         if pages.is_empty() {
             self.candidates.put_back(pages);
@@ -995,7 +970,7 @@ mod tests {
         s.write_page(a, VirtAddr(BASE + PAGE_SIZE), &page(99));
         settle(&mut s);
         let u = &mut s.policy;
-        assert!(!u.tree.is_empty() && !u.page_state.is_empty() && !u.ra_trace.is_empty());
+        assert!(u.tree.len() > 0 && !u.page_state.is_empty() && !u.ra_trace.is_empty());
         u.cfg = VUsionConfig {
             pages_per_scan: 51,
             scan_period_ns: 52,
@@ -1032,7 +1007,39 @@ mod tests {
         let mut dst = VUsion::new(&mut m, VUsionConfig::default());
         let (x, y) = vusion_snapshot::resave(&s.policy, &mut dst).expect("resave");
         assert_eq!(x, y);
-        assert_eq!(dst.tree_index, s.policy.tree_index);
+        for id in s.policy.tree.ids() {
+            assert_eq!(dst.tree.node_of(s.policy.tree.frame(id)), Some(id));
+        }
+    }
+
+    #[test]
+    fn load_rejects_trapped_pages_on_dead_nodes() {
+        use vusion_snapshot::{Reader, Snapshot, SnapshotError, Writer};
+        let (mut s, a, v) = system(small_cfg());
+        s.write_page(a, VirtAddr(BASE), &page(3));
+        s.write_page(v, VirtAddr(BASE), &page(3));
+        s.write_page(a, VirtAddr(BASE + PAGE_SIZE), &page(99));
+        settle(&mut s);
+        // Copy-on-access of the fake-merged page frees its node's slot.
+        let unique = (a.0, VirtAddr(BASE + PAGE_SIZE).page());
+        let freed = s.policy.page_state[&unique];
+        s.read(a, VirtAddr(BASE + PAGE_SIZE));
+        assert!(!s.policy.tree.contains_node(freed));
+        let mut m = Machine::new(MachineConfig::test_small());
+        let mut dst = VUsion::new(&mut m, VUsionConfig::default());
+        let load = |src: &VUsion, dst: &mut VUsion| {
+            let mut w = Writer::new();
+            src.save(&mut w);
+            dst.load(&mut Reader::new(&w.into_bytes()))
+        };
+        load(&s.policy, &mut dst).expect("a real image loads");
+        for dead in [freed, NodeId(999)] {
+            s.policy.page_state.insert(unique, dead);
+            assert!(
+                matches!(load(&s.policy, &mut dst), Err(SnapshotError::Corrupt(_))),
+                "a trapped page on {dead:?} must be rejected"
+            );
+        }
     }
 
     #[test]

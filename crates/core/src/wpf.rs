@@ -16,8 +16,11 @@
 //! * frames released by copy-on-write unmerges go back to the linear
 //!   allocator, which re-reserves from the end of memory on the next pass —
 //!   near-perfect reuse (Figure 3), hence reuse-based Flip Feng Shui.
-
-use std::collections::BTreeMap;
+//!
+//! Windows keeps the fused pages in AVL trees that "have the same
+//! functionality as KSM's stable tree" (§2.2). Here they live in one
+//! content tree, KSM's red-black tree: no charge, counter or output
+//! depends on how the tree balances.
 
 use vusion_kernel::{
     FusionPolicy, Machine, PageFault, Pid, ScanGrant, ScanReport, SpanKind, SurfaceTransition,
@@ -27,9 +30,10 @@ use vusion_mem::{
 };
 use vusion_mmu::{Pte, PteFlags};
 
-use crate::avl::ContentAvlTree;
+use crate::content_index::ContentIndex;
 use crate::mapping;
-use crate::scan_cache::{self, CandidateCache, DirtyTracker, HashIndex};
+use crate::rbtree::NodeId;
+use crate::scan_cache::{self, CandidateCache, DirtyTracker};
 use crate::TagCounts;
 
 /// WPF tuning knobs.
@@ -51,7 +55,7 @@ impl Default for WpfConfig {
 /// WPF counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WpfStats {
-    /// Pages merged onto AVL-tree pages.
+    /// Pages merged onto tree pages.
     pub merged: u64,
     /// Copy-on-write unmerges.
     pub unmerged: u64,
@@ -80,12 +84,10 @@ struct PassState {
 /// The WPF engine.
 pub struct Wpf {
     cfg: WpfConfig,
-    /// The stable AVL tree: fused content → mapping count.
-    avl: ContentAvlTree<u32>,
-    /// Frames owned by the AVL tree.
-    avl_index: BTreeMap<FrameId, ()>,
-    /// Content-hash pre-filter over the AVL tree's pages.
-    avl_hashes: HashIndex,
+    /// The fused pages, ordered by content (KSM's red-black tree; see the
+    /// module docs). A node carries no value: the frame's refcount already
+    /// counts its mappings.
+    tree: ContentIndex<()>,
     /// Cached page enumeration (every VMA page of every process), rebuilt
     /// only when the layout epoch moves.
     candidates: CandidateCache,
@@ -117,9 +119,7 @@ impl Wpf {
         };
         Ok(Self {
             cfg,
-            avl: ContentAvlTree::new(),
-            avl_index: BTreeMap::new(),
-            avl_hashes: HashIndex::default(),
+            tree: ContentIndex::default(),
             candidates: CandidateCache::default(),
             linear: LinearAllocator::new(base, frames),
             merged_live: 0,
@@ -190,12 +190,11 @@ impl Wpf {
         let mut report = ScanReport::default();
         self.last_pass_frames.clear();
         // Tree pages can change in place between passes (Rowhammer on a
-        // fused page — the §5.2 attack). Note whether any did *before*
-        // re-syncing the hash pre-filter: a changed tree page can turn a
-        // previously singleton candidate into a merge, so it disqualifies
-        // the all-clean fast path below.
-        let tree_dirty = !self.avl_hashes.stale_frames(m.mem()).is_empty();
-        self.avl_hashes.refresh(m.mem());
+        // fused page — the §5.2 attack). Re-sync the hash pre-filter and
+        // note whether any did: a changed tree page can turn a previously
+        // singleton candidate into a merge, so it disqualifies the
+        // all-clean fast path below.
+        let tree_dirty = self.tree.refresh(m.mem()) > 0;
         // 1. Enumerate candidate pages of every process (no opt-in),
         // read-only. The page enumeration is cached against the layout
         // epoch; the per-page leaf checks still run every pass.
@@ -214,7 +213,7 @@ impl Wpf {
                 continue;
             }
             let frame = leaf.pte.frame();
-            if self.avl_index.contains_key(&frame) {
+            if self.tree.contains_frame(frame) {
                 continue; // Already fused.
             }
             let (_, cache_key) = mapping::vma_info(m, pid, va);
@@ -306,16 +305,10 @@ impl Wpf {
                     .into_iter()
                     .partition(|&(_, _, f)| mem.pages_equal(f, first.2));
                 bucket = rest;
-                let existing = {
-                    let mem = m.mem();
-                    if self.avl_hashes.may_contain(mem, first.2) {
-                        self.avl
-                            .find(first.2, |a, b| mem.compare_pages(a, b))
-                            .map(|id| self.avl.frame(id))
-                    } else {
-                        None
-                    }
-                };
+                let existing = self
+                    .tree
+                    .find(m.mem(), first.2)
+                    .map(|id| self.tree.frame(id));
                 if existing.is_some() || same.len() >= 2 {
                     groups.push(Group {
                         members: same,
@@ -356,9 +349,9 @@ impl Wpf {
                 break;
             }
             m.trace_begin("wpf", SpanKind::Merge);
-            let is_new = group.existing.is_none();
-            let tree_frame = match group.existing {
-                Some(f) => f,
+            // `new_node` is the node of a freshly reserved tree page.
+            let (tree_frame, new_node) = match group.existing {
+                Some(f) => (f, None),
                 None => {
                     let Some(f) = batch_iter.next() else {
                         m.trace_end(SpanKind::Merge);
@@ -371,18 +364,14 @@ impl Wpf {
                     let costs = m.costs();
                     m.scan_cost(costs.copy_page);
                     // The first merge consumes the allocation's reference.
-                    let mem = m.mem();
-                    let (id, inserted) = self.avl.insert(f, 0, |a, b| mem.compare_pages(a, b));
-                    debug_assert!(inserted);
-                    let _ = id;
-                    self.avl_index.insert(f, ());
-                    self.avl_hashes.insert(m.mem(), f);
+                    let (node, inserted) = self.tree.insert(m.mem(), f, ());
+                    debug_assert!(inserted, "tree had no match a moment ago");
                     self.last_pass_frames.push(f);
                     self.stats.tree_pages_allocated += 1;
-                    f
+                    (f, Some(node))
                 }
             };
-            let mut consumed_initial_ref = !is_new;
+            let mut consumed_initial_ref = new_node.is_none();
             for &(pid, va, old) in group.members.iter() {
                 // Re-validate the mapping (it may have CoW'd since hashing).
                 let still = m
@@ -424,24 +413,12 @@ impl Wpf {
                     }
                     report.pages_merged += 1;
                 }
-                if let Some(id) = {
-                    let mem = m.mem();
-                    self.avl.find(tree_frame, |a, b| mem.compare_pages(a, b))
-                } {
-                    *self.avl.value_mut(id) += 1;
-                }
             }
-            if is_new && !consumed_initial_ref {
+            if let Some(node) = new_node.filter(|_| !consumed_initial_ref) {
                 // Nothing merged onto the freshly reserved frame (every
                 // member CoW'd away or its PTE write failed): roll back the
                 // reservation so the frame is not leaked.
-                self.avl_index.remove(&tree_frame);
-                self.avl_hashes.remove(tree_frame);
-                let removed = {
-                    let mem = m.mem();
-                    self.avl.remove(tree_frame, |a, b| mem.compare_pages(a, b))
-                };
-                debug_assert!(removed.is_some());
+                self.tree.remove(node);
                 self.last_pass_frames.pop();
                 self.stats.tree_pages_allocated -= 1;
                 m.mem_mut().info_mut(tree_frame).on_free();
@@ -466,7 +443,7 @@ impl Wpf {
                     .leaf(pid, va)
                     .map(|l| !l.huge && l.pte.is_present() && l.pte.frame() == frame)
                     .unwrap_or(false);
-                if still && !self.avl_index.contains_key(&frame) {
+                if still && !self.tree.contains_frame(frame) {
                     self.dirty.mark_seen(m.mem(), pid, va, frame);
                 }
             }
@@ -482,16 +459,16 @@ impl Wpf {
             return false;
         };
         let tree_frame = leaf.pte.frame();
-        if !self.avl_index.contains_key(&tree_frame) {
+        let Some(node) = self.tree.node_of(tree_frame) else {
             return false;
-        }
+        };
         let Some(vma) = m.process(fault.pid).space.find_vma(fault.va).copied() else {
             return false;
         };
         // The page is ours: from here on the work is an unmerge attempt
         // (span opened only now, so foreign CoW faults never pollute it).
         m.trace_begin("wpf", SpanKind::Unmerge);
-        let handled = self.unmerge_owned(m, fault, tree_frame, vma);
+        let handled = self.unmerge_owned(m, fault, tree_frame, node, vma);
         m.trace_end(SpanKind::Unmerge);
         handled
     }
@@ -502,6 +479,7 @@ impl Wpf {
         m: &mut Machine,
         fault: &PageFault,
         tree_frame: FrameId,
+        node: NodeId,
         vma: vusion_mmu::Vma,
     ) -> bool {
         let Ok(new) = m.alloc_frame(PageType::Anon) else {
@@ -529,28 +507,10 @@ impl Wpf {
         if m.mem_mut().info_mut(tree_frame).put() {
             // Last sharer gone: the frame goes back to the linear
             // allocator and will be re-reserved, from the end of memory,
-            // on the next pass (Figure 3).
-            self.avl_index.remove(&tree_frame);
-            self.avl_hashes.remove(tree_frame);
-            let removed = {
-                let mem = m.mem();
-                self.avl.remove(tree_frame, |a, b| mem.compare_pages(a, b))
-            };
-            if removed.is_none() {
-                // The frame's content changed in place (a Rowhammer flip on
-                // a fused page — the §5.2 attack does exactly this), so the
-                // content-keyed search can no longer locate the node.
-                // Rebuild the tree from the index so no stale node keeps
-                // pointing at the freed frame.
-                let frames: Vec<FrameId> = self.avl_index.keys().copied().collect();
-                self.avl.clear();
-                self.avl_hashes.clear();
-                for f in frames {
-                    let mem = m.mem();
-                    self.avl.insert(f, 0, |a, b| mem.compare_pages(a, b));
-                    self.avl_hashes.insert(mem, f);
-                }
-            }
+            // on the next pass (Figure 3). Removal goes by node, not by
+            // content, so it also works after a Rowhammer flip changed the
+            // page in place (the §5.2 attack does exactly this).
+            self.tree.remove(node);
             m.mem_mut().info_mut(tree_frame).on_free();
             m.mem_mut().zero_page(tree_frame);
             let _ = self.linear.free(tree_frame);
@@ -565,11 +525,7 @@ impl Wpf {
 impl vusion_snapshot::Snapshot for Wpf {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.u64(self.cfg.pass_period_ns);
-        self.avl.save_with(w, |v, w| w.u32(*v));
-        let mut owned: Vec<u64> = self.avl_index.keys().map(|f| f.0).collect();
-        owned.sort_unstable();
-        w.u64s(&owned);
-        self.avl_hashes.save(w);
+        self.tree.save_with(w, |(), _| {});
         self.candidates.save(w);
         self.dirty.save(w);
         self.linear.save(w);
@@ -602,9 +558,7 @@ impl vusion_snapshot::Snapshot for Wpf {
     ) -> Result<(), vusion_snapshot::SnapshotError> {
         let Self {
             cfg,
-            avl,
-            avl_index,
-            avl_hashes,
+            tree,
             candidates,
             linear,
             merged_live,
@@ -617,9 +571,7 @@ impl vusion_snapshot::Snapshot for Wpf {
         *cfg = WpfConfig {
             pass_period_ns: r.u64()?,
         };
-        *avl = ContentAvlTree::load_with(r, |r| r.u32())?;
-        *avl_index = r.u64s()?.into_iter().map(|f| (FrameId(f), ())).collect();
-        *avl_hashes = HashIndex::load(r)?;
+        *tree = ContentIndex::load_with(r, |_| Ok(()))?;
         *candidates = CandidateCache::load(r)?;
         *dirty = DirtyTracker::load(r)?;
         linear.load(r)?;
@@ -677,7 +629,7 @@ impl FusionPolicy for Wpf {
         for i in 0..vusion_mem::HUGE_PAGE_FRAMES {
             let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
             if let Some(leaf) = m.leaf(pid, va) {
-                if self.avl_index.contains_key(&leaf.pte.frame()) {
+                if self.tree.contains_frame(leaf.pte.frame()) {
                     return false;
                 }
             }
@@ -688,7 +640,7 @@ impl FusionPolicy for Wpf {
     fn pages_saved(&self) -> u64 {
         // Every mapping onto a tree frame frees one duplicate; every live
         // tree frame cost one new allocation.
-        self.merged_live.saturating_sub(self.avl_index.len() as u64)
+        self.merged_live.saturating_sub(self.tree.len() as u64)
     }
 
     fn scan_period_ns(&self) -> u64 {
@@ -740,7 +692,7 @@ mod tests {
         }
         s.force_scans(1);
         let w = &mut s.policy;
-        assert!(!w.avl.is_empty() && !w.last_pass_frames.is_empty() && w.dirty.len() > 0);
+        assert!(w.tree.len() > 0 && !w.last_pass_frames.is_empty() && w.dirty.len() > 0);
         w.cfg = WpfConfig { pass_period_ns: 51 };
         w.merged_live = 32;
         w.tags = TagCounts {

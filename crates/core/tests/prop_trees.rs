@@ -1,13 +1,15 @@
-//! Property-style tests for the content-indexed trees against a model
-//! (BTreeSet) and their balance invariants, driven by the in-repo seeded
-//! PRNG: each test sweeps many seeds so failures reproduce exactly by seed.
+//! Property-style tests for the content-indexed red-black tree against
+//! models (a sorted set of keys, and the contents of real pages) and its
+//! balance invariants, driven by the in-repo seeded PRNG: each test sweeps
+//! many seeds so failures reproduce exactly by seed.
 
 // Tests assert setup preconditions with expect("why"); the crate-level
 // expect_used deny targets simulation code, not its test harness.
 #![allow(clippy::expect_used)]
 
 use std::cmp::Ordering;
-use vusion_core::{ContentAvlTree, ContentRbTree};
+use std::collections::BTreeMap;
+use vusion_core::{ContentRbTree, NodeId};
 use vusion_mem::FrameId;
 use vusion_rng::rngs::StdRng;
 use vusion_rng::{RngExt, SeedableRng};
@@ -46,7 +48,7 @@ fn rbtree_matches_model() {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9b7e);
         let mut tree = ContentRbTree::new();
-        let mut ids = std::collections::BTreeMap::new();
+        let mut ids = BTreeMap::new();
         let mut model = std::collections::BTreeSet::new();
         for op in ops(&mut rng) {
             match op {
@@ -75,45 +77,12 @@ fn rbtree_matches_model() {
     }
 }
 
-/// The AVL tree behaves exactly like a sorted map and keeps its
-/// invariants through arbitrary operation sequences.
+/// Keyed by real page bytes, the red-black tree agrees with a model of
+/// the contents it holds: an insert is new exactly when no held page has
+/// the same bytes, a duplicate returns the holder's node, a search finds
+/// the holder of equal bytes, and a remove forgets the content.
 #[test]
-fn avl_matches_model() {
-    for seed in 0..SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xa71e);
-        let mut tree = ContentAvlTree::new();
-        let mut model = std::collections::BTreeSet::new();
-        for op in ops(&mut rng) {
-            match op {
-                TreeOp::Insert(k) => {
-                    let (_, inserted) = tree.insert(FrameId(k), k, by_id);
-                    assert_eq!(inserted, model.insert(k), "seed {seed}");
-                }
-                TreeOp::Remove(k) => {
-                    assert_eq!(
-                        tree.remove(FrameId(k), by_id).is_some(),
-                        model.remove(&k),
-                        "seed {seed}"
-                    );
-                }
-                TreeOp::Find(k) => {
-                    assert_eq!(
-                        tree.find(FrameId(k), by_id).is_some(),
-                        model.contains(&k),
-                        "seed {seed}"
-                    );
-                }
-            }
-            assert_eq!(tree.len(), model.len(), "seed {seed}");
-        }
-        tree.assert_invariants();
-    }
-}
-
-/// Both trees agree with each other under identical content workloads
-/// keyed by real page bytes.
-#[test]
-fn trees_agree_on_content() {
+fn rbtree_matches_content_model() {
     use vusion_mem::{PhysAddr, PhysMemory};
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc0de);
@@ -122,22 +91,42 @@ fn trees_agree_on_content() {
             // Deliberately create duplicate contents (key % 16).
             mem.write_u64(PhysAddr(f * 4096), f % 16);
         }
-        let mut rb = ContentRbTree::new();
-        let mut avl = ContentAvlTree::new();
+        let cmp = |a: FrameId, b: FrameId| mem.compare_pages(a, b);
+        let mut tree = ContentRbTree::new();
+        // Content key → the frame holding it and its node.
+        let mut model: BTreeMap<u64, (FrameId, NodeId)> = BTreeMap::new();
         let n = rng.random_range(1..100usize);
         for _ in 0..n {
             let k = rng.random_range(0..64u64);
-            let cmp = |a: FrameId, b: FrameId| mem.compare_pages(a, b);
-            let (_, rb_new) = rb.insert(FrameId(k), (), cmp);
-            let cmp = |a: FrameId, b: FrameId| mem.compare_pages(a, b);
-            let (_, avl_new) = avl.insert(FrameId(k), (), cmp);
-            assert_eq!(
-                rb_new, avl_new,
-                "seed {seed}: trees disagreed on duplicate detection"
-            );
+            if rng.random_bool(0.25) {
+                if let Some((_, node)) = model.remove(&(k % 16)) {
+                    tree.remove(node);
+                }
+            } else {
+                let (node, inserted) = tree.insert(FrameId(k), (), cmp);
+                match model.get(&(k % 16)) {
+                    Some(&(_, held)) => {
+                        assert!(!inserted, "seed {seed}: duplicate content inserted");
+                        assert_eq!(node, held, "seed {seed}");
+                    }
+                    None => {
+                        assert!(inserted, "seed {seed}: new content not inserted");
+                        model.insert(k % 16, (FrameId(k), node));
+                    }
+                }
+            }
+            for probe in 0..64u64 {
+                assert_eq!(
+                    tree.find(FrameId(probe), cmp),
+                    model.get(&(probe % 16)).map(|&(_, node)| node),
+                    "seed {seed}: search for frame {probe}"
+                );
+            }
+            assert_eq!(tree.len(), model.len(), "seed {seed}");
         }
-        assert_eq!(rb.len(), avl.len(), "seed {seed}");
-        rb.assert_invariants();
-        avl.assert_invariants();
+        for &(frame, node) in model.values() {
+            assert_eq!(tree.frame(node), frame, "seed {seed}");
+        }
+        tree.assert_invariants();
     }
 }

@@ -22,8 +22,9 @@ pub enum PageType {
     Kernel,
     /// A page-table frame. Never fused.
     PageTable,
-    /// A fused page owned by the fusion engine (KSM stable-tree page or WPF
-    /// AVL-tree page).
+    /// A page the fusion engine allocated for fused content: a page of
+    /// WPF's or VUsion's tree. (KSM merges in place, so its stable pages
+    /// keep their type.)
     Fused,
 }
 

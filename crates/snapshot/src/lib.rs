@@ -42,7 +42,9 @@ use std::fmt;
 /// v6: the engine blobs lost the rung-3 deferral flag (pressure reaches
 /// engines only as a per-wake grant) and the machine frame lost the
 /// unused `policy_rng` state.
-pub const FORMAT_VERSION: u32 = 6;
+/// v7: WPF's engine blob holds a red-black tree instead of an AVL tree,
+/// and its sorted list of tree frames is gone.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Magic bytes opening every sealed snapshot or failure bundle.
 pub const MAGIC: &[u8; 4] = b"VSNP";
@@ -642,8 +644,8 @@ mod tests {
 
     #[test]
     fn seal_layout_is_pinned() {
-        let mut want = b"VSNP\x06\x00\x00\x00abc".to_vec();
-        want.extend_from_slice(&[0x31, 0xe0, 0x98, 0xd7, 0xe4, 0x8e, 0x7c, 0x4c]);
+        let mut want = b"VSNP\x07\x00\x00\x00abc".to_vec();
+        want.extend_from_slice(&[0xe4, 0xd0, 0x65, 0xbb, 0x72, 0xa8, 0x9d, 0xaf]);
         assert_eq!(seal(b"abc"), want);
     }
 

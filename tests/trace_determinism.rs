@@ -584,25 +584,30 @@ fn access_heavy_snapshot(kind: EngineKind) -> Vec<u8> {
     sys.snapshot()
 }
 
-/// The sealed bytes of an access-heavy run are pinned. They carry what
+/// The snapshot payload of an access-heavy run is pinned. It carries what
 /// the simbench digests do not: each TLB's FIFO order, the LLC's LRU
 /// order and the page-table frames' write generations. A change to the
 /// host structures of the access path must leave all three as they are.
-/// The values were computed with the `BTreeMap` TLB and per-set `Vec` LLC
-/// that the current structures replaced. Only a deliberate change of
-/// simulated behaviour or of the wire format (a `FORMAT_VERSION` bump)
-/// may re-pin them, and it says why.
+/// The digest covers the payload inside the seal, so a version bump alone
+/// moves nothing. The KSM and VUsion values were computed with the
+/// `BTreeMap` TLB and per-set `Vec` LLC that the current structures
+/// replaced; the WPF value with the red-black tree that replaced WPF's AVL
+/// tree, which changed only how WPF's engine blob stores its fused frames.
+/// Only a deliberate change of simulated behaviour or of the payload
+/// layout may re-pin them, and it says why.
 #[test]
 fn access_heavy_snapshot_bytes_are_pinned() {
     for (kind, pinned) in [
-        (EngineKind::Ksm, 0x17e7_0d12_6b2b_1c8b),
-        (EngineKind::Wpf, 0x980f_8f84_3f81_2f59),
-        (EngineKind::VUsion, 0x730c_e511_4dbd_7ec4),
+        (EngineKind::Ksm, 0x11ea_2dd8_adcb_7617),
+        (EngineKind::Wpf, 0x60bd_c033_860a_060d),
+        (EngineKind::VUsion, 0xffdc_28e9_1f2d_5692),
     ] {
-        let digest = fnv1a64(&access_heavy_snapshot(kind));
+        let snap = access_heavy_snapshot(kind);
+        let payload = vusion_snapshot::unseal(&snap).expect("a fresh snapshot unseals");
+        let digest = fnv1a64(payload);
         assert_eq!(
             digest, pinned,
-            "{kind:?}: snapshot digest {digest:#018x} differs from the pinned value"
+            "{kind:?}: payload digest {digest:#018x} differs from the pinned value"
         );
     }
 }
