@@ -1,10 +1,8 @@
-//! Microbenchmarks of the core data structures and hot paths: the content
-//! tree (the red-black tree every engine uses), the scan-path tree lookup
-//! (hash-prefiltered find + insert, the shape every engine runs per page),
-//! the allocators (buddy / linear / randomized pool), LLC accesses, the
-//! simulated access path (TLB hits, TLB-miss walks, one image boot), the
-//! end-to-end fault path, full engine scans (KSM / WPF / VUsion), and a
-//! whole-system snapshot plus restore.
+//! Microbenchmarks of the core data structures and hot paths: page
+//! hashing and comparison, the allocators (buddy / linear / randomized
+//! pool), LLC accesses, the simulated access path (TLB hits, TLB-miss
+//! walks, one image boot), the end-to-end fault path, full engine scans
+//! (KSM / WPF / VUsion), and a whole-system snapshot plus restore.
 //!
 //! Plain self-timed harness (no external benchmark framework): each case
 //! runs warm-up passes, then records per-sample wall-clock times and
@@ -16,12 +14,10 @@
 //! file always shows the current numbers next to the pre-optimization
 //! ones and a reviewer can compute the speedup from one artifact.
 
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 use vusion_bench::json_quote;
 use vusion_cache::{Llc, LlcConfig};
-use vusion_core::ContentRbTree;
 use vusion_kernel::{Machine, MachineConfig, ScanGrant};
 use vusion_mem::{
     BuddyAllocator, FrameAllocator, FrameId, LinearAllocator, PageType, PhysAddr, PhysMemory,
@@ -82,45 +78,6 @@ fn seeded_mem() -> PhysMemory {
         mem.write_u64(PhysAddr(f * 4096), f.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     }
     mem
-}
-
-fn bench_trees(out: &mut Vec<BenchResult>) {
-    // Content comparisons against real page bytes.
-    let mem = seeded_mem();
-    bench(out, "rbtree_insert_find_1k", || {
-        let mut t = ContentRbTree::new();
-        for f in 0..1024u64 {
-            t.insert(FrameId(f), f, |a, b| mem.compare_pages(a, b));
-        }
-        for f in 0..1024u64 {
-            black_box(t.find(FrameId(f), |a, b| mem.compare_pages(a, b)));
-        }
-    });
-    // The lookup shape the engines actually run per scanned page: probe
-    // the frame's content hash against a hash index of the tree, descend
-    // only on a possible match, insert on a miss. Frames 1024..2048 are
-    // pure probes (absent from the tree), like scanning pages that match
-    // nothing.
-    bench(out, "rbtree_scanpath_insert_find_1k", || {
-        let mut t = ContentRbTree::new();
-        let mut index: BTreeMap<u64, u32> = BTreeMap::new();
-        for f in 0..1024u64 {
-            let h = mem.hash_page(FrameId(f));
-            let hit = index.contains_key(&h)
-                && t.find(FrameId(f), |a, b| mem.compare_pages(a, b)).is_some();
-            if !hit {
-                t.insert(FrameId(f), f, |a, b| mem.compare_pages(a, b));
-                *index.entry(h).or_insert(0) += 1;
-            }
-        }
-        for f in 1024..2048u64 {
-            let h = mem.hash_page(FrameId(f));
-            if index.contains_key(&h) {
-                black_box(t.find(FrameId(f), |a, b| mem.compare_pages(a, b)));
-            }
-        }
-        black_box(&t);
-    });
 }
 
 fn bench_page_ops(out: &mut Vec<BenchResult>) {
@@ -644,7 +601,6 @@ fn render_json(
 
 fn main() {
     let mut results = Vec::new();
-    bench_trees(&mut results);
     bench_page_ops(&mut results);
     bench_allocators(&mut results);
     bench_llc(&mut results);

@@ -1,59 +1,73 @@
-//! One content tree together with the two structures that mirror it: the
-//! map from each tree frame to its node, and the hash filter over the tree
-//! pages.
+//! A content index: the pages of one of the paper's content trees, found by
+//! their content.
 //!
-//! KSM's stable and unstable trees, WPF's tree and VUsion's tree are each
-//! one [`ContentIndex`], and every insert, remove and frame move goes
-//! through it, so the three structures change together or not at all.
+//! KSM's stable and unstable trees (§2.1), WPF's tree (§2.2) and VUsion's
+//! single tree (§7.1) are each one [`ContentIndex`], and every insert,
+//! remove and frame move goes through it. The paper's trees are ordered by
+//! page content, but nothing it measures depends on how a duplicate is
+//! found, only on which pages merge: exact content equality. So the index
+//! keeps its nodes in an arena of slots and finds them through hash
+//! buckets. [`ContentIndex::find`] hashes the probe and byte-compares the
+//! members of that hash's bucket (usually one). Equal content implies an
+//! equal hash, so the bucket holds every candidate, and the byte compare
+//! rules out collisions: the answer is exact.
 //!
-//! The hash filter is a wall-clock optimization only. [`ContentIndex::find`]
-//! skips the O(log n) full-page-compare descent when no tree page bears the
-//! probe's hash (equal content implies equal hash); a hash collision costs
-//! one authoritative descent, never a wrong match. Tree pages are not
-//! immutable — guest writes hit unstable-tree pages and Rowhammer hits
-//! anything — so each frame's entry records the write generation it was
-//! hashed at, and [`ContentIndex::refresh`] re-hashes the frames whose
-//! generation moved.
+//! Indexed pages are not immutable — guest writes hit unstable-tree pages
+//! and Rowhammer hits anything — so each frame's entry records the write
+//! generation it was hashed at, and [`ContentIndex::refresh`] moves the
+//! frames whose generation moved to the bucket of their new content. After
+//! a refresh every page is found by its current bytes.
 //!
-//! `hash_page` runs only on an actual insert, a frame move, a refresh of a
-//! stale frame and the probe of a search. Where it runs decides which
-//! frames the hash memo holds warm, and with it how many frames the next
-//! scan pre-hash counts and charges.
+//! `hash_page` runs only at the probe of a search (an insert probes first)
+//! and when a frame is indexed: an insert that inserts (a memo hit after
+//! its probe), a frame move and a refresh of a stale frame. Where it runs
+//! decides which frames the hash memo holds warm, and with it how many
+//! frames the next scan pre-hash counts and charges.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vusion_mem::{FrameId, PhysMemory};
 use vusion_snapshot::{Reader, SnapshotError, Writer};
 
-use crate::rbtree::{ContentRbTree, NodeId};
+/// Handle to an indexed page: its arena slot. Stable until the node is
+/// removed; a freed slot is reused, last freed first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct NodeId(pub(crate) usize);
 
-/// A content tree, its frame → node map and its hash filter.
+/// Indexed pages, found by content.
 pub(crate) struct ContentIndex<V> {
-    tree: ContentRbTree<V>,
-    /// Tree frame → (its node, its hash, its write generation when hashed).
+    /// Node arena: each live slot holds its frame and value, `None` marks a
+    /// free slot.
+    slots: Vec<Option<(FrameId, V)>>,
+    /// The free slots; `insert` reuses the last one.
+    free: Vec<usize>,
+    /// Indexed frame → (its node, its hash, its write generation when
+    /// hashed).
     frames: BTreeMap<FrameId, (NodeId, u64, u64)>,
-    /// Hash → number of tree pages bearing it.
-    hashes: BTreeMap<u64, u32>,
+    /// The hash buckets: `(hash, node)` for every node.
+    buckets: BTreeSet<(u64, NodeId)>,
 }
 
 impl<V> Default for ContentIndex<V> {
     fn default() -> Self {
         Self {
-            tree: ContentRbTree::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             frames: BTreeMap::new(),
-            hashes: BTreeMap::new(),
+            buckets: BTreeSet::new(),
         }
     }
 }
 
 impl<V> ContentIndex<V> {
-    /// The node whose page content equals `probe`'s: the hash filter
-    /// first, then the authoritative descent.
+    /// The node whose page content equals `probe`'s: the first such member
+    /// of the probe's hash bucket, in node order.
     pub(crate) fn find(&self, mem: &PhysMemory, probe: FrameId) -> Option<NodeId> {
-        if !self.hashes.contains_key(&mem.hash_page(probe)) {
-            return None;
-        }
-        self.tree.find(probe, |a, b| mem.compare_pages(a, b))
+        let hash = mem.hash_page(probe);
+        self.buckets
+            .range((hash, NodeId(0))..=(hash, NodeId(usize::MAX)))
+            .map(|&(_, node)| node)
+            .find(|&node| mem.pages_equal(self.slot(node).0, probe))
     }
 
     /// The node holding `frame`, if any.
@@ -68,26 +82,44 @@ impl<V> ContentIndex<V> {
 
     /// Whether `node` names a live node.
     pub(crate) fn contains_node(&self, node: NodeId) -> bool {
-        self.tree.contains(node)
+        matches!(self.slots.get(node.0), Some(Some(_)))
     }
 
     /// Inserts a node for `frame` unless an equal-content node exists.
-    /// Returns `(id, true)` on insert or `(existing, false)` on a match;
-    /// only an insert touches the frame map and the hash filter.
+    /// Returns `(id, true)` on insert or `(existing, false)` on a match.
+    /// It probes with [`Self::find`], which hashes `frame`: every engine
+    /// call site holds that hash in the memo already (a search of `frame`
+    /// just ran, or `copy_page` carried the hash over).
     pub(crate) fn insert(&mut self, mem: &PhysMemory, frame: FrameId, value: V) -> (NodeId, bool) {
-        let (node, inserted) = self
-            .tree
-            .insert(frame, value, |a, b| mem.compare_pages(a, b));
-        if inserted {
-            self.track(mem, frame, node);
+        if let Some(node) = self.find(mem, frame) {
+            return (node, false);
         }
-        (node, inserted)
+        let node = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some((frame, value));
+                NodeId(slot)
+            }
+            None => {
+                self.slots.push(Some((frame, value)));
+                NodeId(self.slots.len() - 1)
+            }
+        };
+        self.track(mem, frame, node);
+        (node, true)
     }
 
-    /// Removes a node, returning its value. Panics on a stale id.
+    /// Removes a node, returning its value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale id: an engine bug.
     pub(crate) fn remove(&mut self, node: NodeId) -> V {
-        self.untrack(self.tree.frame(node));
-        self.tree.remove(node)
+        let Some((frame, value)) = self.slots.get_mut(node.0).and_then(Option::take) else {
+            panic!("stale node id {node:?}");
+        };
+        self.untrack(frame);
+        self.free.push(node.0);
+        value
     }
 
     /// Repoints `node` at `new`, a frame **with identical content** (the
@@ -95,44 +127,48 @@ impl<V> ContentIndex<V> {
     /// `copy_page` carried the hash over, so indexing `new` hits the memo.
     /// Panics on a stale id.
     pub(crate) fn set_frame(&mut self, mem: &PhysMemory, node: NodeId, new: FrameId) {
-        self.untrack(self.tree.frame(node));
-        self.tree.set_frame(node, new);
+        self.untrack(self.slot(node).0);
+        self.slot_mut(node).0 = new;
         self.track(mem, new, node);
     }
 
     /// The frame a node references. Panics on a stale id.
     pub(crate) fn frame(&self, node: NodeId) -> FrameId {
-        self.tree.frame(node)
+        self.slot(node).0
     }
 
     /// The value stored at a node. Panics on a stale id.
     pub(crate) fn value(&self, node: NodeId) -> &V {
-        self.tree.value(node)
+        &self.slot(node).1
     }
 
     /// The value stored at a node, mutably. Panics on a stale id.
     pub(crate) fn value_mut(&mut self, node: NodeId) -> &mut V {
-        self.tree.value_mut(node)
+        &mut self.slot_mut(node).1
     }
 
-    /// Number of tree pages.
+    /// Number of indexed pages.
     pub(crate) fn len(&self) -> usize {
-        self.tree.len()
+        self.frames.len()
     }
 
-    /// Ids of all live nodes (unordered).
+    /// Ids of all live nodes, in slot order.
     pub(crate) fn ids(&self) -> Vec<NodeId> {
-        self.tree.ids()
+        (0..self.slots.len())
+            .map(NodeId)
+            .filter(|&node| self.contains_node(node))
+            .collect()
     }
 
     /// Removes every node.
     pub(crate) fn clear(&mut self) {
-        self.tree.clear();
+        self.slots.clear();
+        self.free.clear();
         self.frames.clear();
-        self.hashes.clear();
+        self.buckets.clear();
     }
 
-    /// Tree frames whose write generation moved since they were hashed:
+    /// Indexed frames whose write generation moved since they were hashed:
     /// their content changed (or they were freed and rewritten).
     pub(crate) fn stale_frames(&self, mem: &PhysMemory) -> Vec<FrameId> {
         self.frames
@@ -142,8 +178,8 @@ impl<V> ContentIndex<V> {
             .collect()
     }
 
-    /// Re-hashes the stale frames so the filter describes current content.
-    /// Returns how many there were.
+    /// Re-hashes the stale frames, moving each to the bucket of its current
+    /// content. Returns how many there were.
     pub(crate) fn refresh(&mut self, mem: &PhysMemory) -> usize {
         let stale = self.stale_frames(mem);
         for &frame in &stale {
@@ -155,31 +191,60 @@ impl<V> ContentIndex<V> {
         stale.len()
     }
 
+    /// The live slot of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale id: an engine bug.
+    fn slot(&self, node: NodeId) -> &(FrameId, V) {
+        match self.slots.get(node.0) {
+            Some(Some(slot)) => slot,
+            _ => panic!("stale node id {node:?}"),
+        }
+    }
+
+    /// The live slot of `node`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale id: an engine bug.
+    fn slot_mut(&mut self, node: NodeId) -> &mut (FrameId, V) {
+        match self.slots.get_mut(node.0) {
+            Some(Some(slot)) => slot,
+            _ => panic!("stale node id {node:?}"),
+        }
+    }
+
     fn track(&mut self, mem: &PhysMemory, frame: FrameId, node: NodeId) {
         let hash = mem.hash_page(frame);
         let gen = mem.info(frame).write_gen;
         let held = self.frames.insert(frame, (node, hash, gen));
         debug_assert!(held.is_none(), "two live nodes hold one frame");
-        *self.hashes.entry(hash).or_insert(0) += 1;
+        self.buckets.insert((hash, node));
     }
 
     fn untrack(&mut self, frame: FrameId) {
-        let Some((_, hash, _)) = self.frames.remove(&frame) else {
-            return;
-        };
-        if let Some(c) = self.hashes.get_mut(&hash) {
-            *c -= 1;
-            if *c == 0 {
-                self.hashes.remove(&hash);
-            }
+        if let Some((node, hash, _)) = self.frames.remove(&frame) {
+            self.buckets.remove(&(hash, node));
         }
     }
 
-    /// Writes the tree slot for slot, then the `(frame, hash, write
-    /// generation)` entries sorted by frame. The frame → node map and the
-    /// hash multiset are derived from those.
-    pub(crate) fn save_with(&self, w: &mut Writer, save_value: impl FnMut(&V, &mut Writer)) {
-        self.tree.save_with(w, save_value);
+    /// Writes the arena slot for slot (a live flag, then a live slot's
+    /// frame and value), the free list, then the `(frame, hash, write
+    /// generation)` entries sorted by frame. The buckets are derived.
+    pub(crate) fn save_with(&self, w: &mut Writer, mut save_value: impl FnMut(&V, &mut Writer)) {
+        w.usize(self.slots.len());
+        for slot in &self.slots {
+            w.bool(slot.is_some());
+            if let Some((frame, value)) = slot {
+                w.u64(frame.0);
+                save_value(value, w);
+            }
+        }
+        w.usize(self.free.len());
+        for &slot in &self.free {
+            w.usize(slot);
+        }
         w.usize(self.frames.len());
         for (frame, &(_, hash, gen)) in &self.frames {
             w.u64(frame.0);
@@ -188,41 +253,65 @@ impl<V> ContentIndex<V> {
         }
     }
 
-    /// Rebuilds an index written by [`Self::save_with`]. The node ids come
-    /// from the tree; the hash entries must name exactly the frames of the
-    /// live nodes, and no frame may be held by two of them.
+    /// Rebuilds an index written by [`Self::save_with`], with node ids
+    /// unchanged. Frames are read through [`Reader::frame`]. The free list
+    /// must name exactly the dead slots, once each; the entries must name
+    /// exactly the live frames; and no frame may sit in two slots.
     pub(crate) fn load_with(
         r: &mut Reader<'_>,
-        load_value: impl FnMut(&mut Reader<'_>) -> Result<V, SnapshotError>,
+        mut load_value: impl FnMut(&mut Reader<'_>) -> Result<V, SnapshotError>,
     ) -> Result<Self, SnapshotError> {
-        let tree = ContentRbTree::load_with(r, load_value)?;
+        // A slot takes at least its live flag: one byte.
+        let count = r.len_prefix(1)?;
+        let mut slots = Vec::with_capacity(count);
         let mut nodes = BTreeMap::new();
-        for node in tree.ids() {
-            if nodes.insert(tree.frame(node), node).is_some() {
-                return Err(SnapshotError::Corrupt("two tree nodes hold one frame"));
+        for slot in 0..count {
+            if !r.bool()? {
+                slots.push(None);
+                continue;
             }
+            let frame = FrameId(r.frame()?);
+            if nodes.insert(frame, NodeId(slot)).is_some() {
+                return Err(SnapshotError::Corrupt("two index slots hold one frame"));
+            }
+            slots.push(Some((frame, load_value(r)?)));
+        }
+        let free_count = r.len_prefix(8)?;
+        let free = (0..free_count)
+            .map(|_| r.usize())
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut sorted = free.clone();
+        sorted.sort_unstable();
+        if !sorted
+            .into_iter()
+            .eq((0..slots.len()).filter(|&slot| slots[slot].is_none()))
+        {
+            return Err(SnapshotError::Corrupt(
+                "free list is not exactly the dead slots",
+            ));
         }
         // An entry is a frame, a hash and a write generation: 24 bytes.
-        let count = r.len_prefix(24)?;
+        let entries = r.len_prefix(24)?;
         let mut index = Self {
-            tree,
+            slots,
+            free,
             frames: BTreeMap::new(),
-            hashes: BTreeMap::new(),
+            buckets: BTreeSet::new(),
         };
-        for _ in 0..count {
-            let frame = FrameId(r.u64()?);
+        for _ in 0..entries {
+            let frame = FrameId(r.frame()?);
             let hash = r.u64()?;
             let gen = r.u64()?;
             let Some(node) = nodes.remove(&frame) else {
                 return Err(SnapshotError::Corrupt(
-                    "hash entry for a frame no tree node holds",
+                    "hash entry for a frame no index slot holds",
                 ));
             };
             index.frames.insert(frame, (node, hash, gen));
-            *index.hashes.entry(hash).or_insert(0) += 1;
+            index.buckets.insert((hash, node));
         }
         if !nodes.is_empty() {
-            return Err(SnapshotError::Corrupt("tree frame without a hash entry"));
+            return Err(SnapshotError::Corrupt("index frame without a hash entry"));
         }
         Ok(index)
     }
@@ -238,9 +327,13 @@ mod tests {
 
     use super::*;
 
-    /// Whether the hash filter alone lets a search for `probe` descend.
-    fn may_contain<V>(ix: &ContentIndex<V>, mem: &PhysMemory, probe: FrameId) -> bool {
-        ix.hashes.contains_key(&mem.hash_page(probe))
+    /// Whether the probe's hash bucket has any member.
+    fn bucket_holds<V>(ix: &ContentIndex<V>, mem: &PhysMemory, probe: FrameId) -> bool {
+        let hash = mem.hash_page(probe);
+        ix.buckets
+            .range((hash, NodeId(0))..=(hash, NodeId(usize::MAX)))
+            .next()
+            .is_some()
     }
 
     fn resave(ix: &ContentIndex<u64>) -> (Vec<u8>, ContentIndex<u64>, Vec<u8>) {
@@ -256,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_filter_tracks_membership() {
+    fn buckets_track_membership() {
         let mut mem = PhysMemory::new(4);
         mem.write_byte(PhysAddr(0), 1);
         mem.write_byte(PhysAddr(4096), 2);
@@ -265,73 +358,123 @@ mod tests {
         let (node, inserted) = ix.insert(&mem, FrameId(0), ());
         assert!(inserted);
         assert!(
-            may_contain(&ix, &mem, FrameId(2)),
-            "equal content must pass"
+            bucket_holds(&ix, &mem, FrameId(2)),
+            "equal content, one bucket"
         );
         assert_eq!(ix.find(&mem, FrameId(2)), Some(node));
-        assert!(
-            !may_contain(&ix, &mem, FrameId(1)),
-            "absent hash is definitive"
-        );
+        assert_eq!(ix.insert(&mem, FrameId(2), ()), (node, false));
+        assert!(!bucket_holds(&ix, &mem, FrameId(1)), "an empty bucket");
         assert_eq!(ix.find(&mem, FrameId(1)), None);
         ix.remove(node);
-        assert!(!may_contain(&ix, &mem, FrameId(2)));
+        assert!(!bucket_holds(&ix, &mem, FrameId(2)));
         assert_eq!((ix.node_of(FrameId(0)), ix.len()), (None, 0));
+        assert_eq!(ix.insert(&mem, FrameId(1), ()), (node, true), "slot reused");
+    }
+
+    #[test]
+    #[should_panic(expected = "stale node id")]
+    fn stale_id_panics() {
+        let mem = PhysMemory::new(1);
+        let mut ix = ContentIndex::default();
+        let (node, _) = ix.insert(&mem, FrameId(0), ());
+        ix.remove(node);
+        let _ = ix.frame(node);
     }
 
     #[test]
     fn refresh_catches_inplace_change() {
-        let mut mem = PhysMemory::new(2);
+        let mut mem = PhysMemory::new(3);
         mem.write_byte(PhysAddr(0), 1);
         let mut ix = ContentIndex::default();
-        ix.insert(&mem, FrameId(0), ());
-        // The tree page changes in place (a Rowhammer flip): the stale
-        // hash must not make the filter claim the old content is present.
+        let (node, _) = ix.insert(&mem, FrameId(0), ());
+        // The indexed page changes in place (a Rowhammer flip): after the
+        // refresh it is found by its new content only.
         mem.flip_bit(PhysAddr(0), 0);
-        mem.write_byte(PhysAddr(4096), 1); // probe with the *old* content
+        mem.write_byte(PhysAddr(4096), 1); // the *old* content
+        mem.copy_page(FrameId(0), FrameId(2)); // the new content
         assert_eq!(ix.stale_frames(&mem), vec![FrameId(0)]);
         assert_eq!(ix.refresh(&mem), 1);
         assert!(ix.stale_frames(&mem).is_empty());
         assert!(
-            !may_contain(&ix, &mem, FrameId(1)),
-            "refresh must drop the stale hash"
+            !bucket_holds(&ix, &mem, FrameId(1)),
+            "refresh must empty the old bucket"
         );
-        assert!(
-            may_contain(&ix, &mem, FrameId(0)),
-            "the new content is indexed after refresh"
-        );
+        assert_eq!(ix.find(&mem, FrameId(1)), None);
+        assert_eq!(ix.find(&mem, FrameId(2)), Some(node));
+    }
+
+    #[test]
+    fn duplicate_hashes_share_a_bucket() {
+        let mut mem = PhysMemory::new(3);
+        mem.write_byte(PhysAddr(0), 7);
+        mem.write_byte(PhysAddr(4096), 8);
+        mem.write_byte(PhysAddr(2 * 4096), 7);
+        let mut ix = ContentIndex::default();
+        let (a, _) = ix.insert(&mem, FrameId(0), ());
+        let (b, _) = ix.insert(&mem, FrameId(1), ());
+        // A flip turns one indexed page into a copy of the other: after the
+        // refresh two nodes share one bucket, and a search finds the first.
+        mem.write_byte(PhysAddr(4096), 7);
+        ix.refresh(&mem);
+        assert_eq!(ix.find(&mem, FrameId(2)), Some(a));
+        ix.remove(a);
+        assert_eq!(ix.find(&mem, FrameId(2)), Some(b), "one member remains");
+        ix.remove(b);
+        assert!(!bucket_holds(&ix, &mem, FrameId(2)));
+    }
+
+    /// The [`ContentIndex::save_with`] layout with `()` values, written by
+    /// hand: each slot's frame (`None`: a free slot), the free list, then
+    /// one entry for each frame of `entries`.
+    fn stream(slots: &[Option<u64>], free: &[usize], entries: &[u64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.usize(slots.len());
+        for slot in slots {
+            w.bool(slot.is_some());
+            if let Some(frame) = slot {
+                w.u64(*frame);
+            }
+        }
+        w.usize(free.len());
+        for &slot in free {
+            w.usize(slot);
+        }
+        w.usize(entries.len());
+        for &frame in entries {
+            w.u64(frame);
+            w.u64(frame ^ 0xabc);
+            w.u64(1);
+        }
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<ContentIndex<()>, SnapshotError> {
+        ContentIndex::load_with(&mut Reader::new(bytes), |_| Ok(()))
     }
 
     #[test]
     fn load_rejects_entries_that_are_not_the_live_frames() {
-        // A two-node tree whose nodes hold `frames`, then `entries`.
-        let stream = |frames: [u64; 2], entries: &[u64]| {
-            let mut tree = ContentRbTree::new();
-            for f in frames {
-                tree.insert(FrameId(f), (), |_, _| std::cmp::Ordering::Less);
-            }
-            let mut w = Writer::new();
-            tree.save_with(&mut w, |(), _| {});
-            w.usize(entries.len());
-            for &f in entries {
-                w.u64(f);
-                w.u64(f ^ 0xabc);
-                w.u64(1);
-            }
-            w.into_bytes()
-        };
-        let load = |bytes: Vec<u8>| ContentIndex::load_with(&mut Reader::new(&bytes), |_| Ok(()));
-        let ix = load(stream([5, 9], &[5, 9])).expect("entries for the live frames load");
-        assert_eq!(ix.node_of(FrameId(9)), Some(NodeId(1)));
-        for (frames, entries, what) in [
-            ([5, 9], &[5][..], "a live frame without an entry"),
-            ([5, 9], &[5, 9, 11], "an entry for a frame no node holds"),
-            ([5, 9], &[5, 5, 9], "a repeated entry"),
-            ([5, 5], &[5], "two live nodes holding one frame"),
+        let ix = load(&stream(&[Some(5), None, Some(9)], &[1], &[5, 9]))
+            .expect("entries for the live frames load");
+        assert_eq!(ix.node_of(FrameId(9)), Some(NodeId(2)));
+        assert_eq!(ix.ids(), vec![NodeId(0), NodeId(2)]);
+        for (slots, entries, what) in [
+            (
+                [Some(5), Some(9)],
+                &[5][..],
+                "a live frame without an entry",
+            ),
+            (
+                [Some(5), Some(9)],
+                &[5, 9, 11],
+                "an entry for a frame no slot holds",
+            ),
+            ([Some(5), Some(9)], &[5, 5, 9], "a repeated entry"),
+            ([Some(5), Some(5)], &[5], "two slots holding one frame"),
         ] {
             assert!(
                 matches!(
-                    load(stream(frames, entries)),
+                    load(&stream(&slots, &[], entries)),
                     Err(SnapshotError::Corrupt(_))
                 ),
                 "{what} must be rejected"
@@ -340,66 +483,98 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_hashes_are_counted_not_clobbered() {
-        let mut mem = PhysMemory::new(3);
-        mem.write_byte(PhysAddr(0), 7);
-        mem.write_byte(PhysAddr(4096), 8);
-        mem.write_byte(PhysAddr(2 * 4096), 7);
-        let mut ix = ContentIndex::default();
-        let (a, _) = ix.insert(&mem, FrameId(0), ());
-        let (b, _) = ix.insert(&mem, FrameId(1), ());
-        // A flip turns one tree page into a copy of the other: after the
-        // refresh two tree pages bear one hash.
-        mem.write_byte(PhysAddr(4096), 7);
-        ix.refresh(&mem);
-        ix.remove(a);
-        assert!(
-            may_contain(&ix, &mem, FrameId(2)),
-            "one bearer removed, one remains"
-        );
-        ix.remove(b);
-        assert!(!may_contain(&ix, &mem, FrameId(2)));
+    fn crafted_free_lists_are_rejected() {
+        let slots = [Some(5), None, Some(9), None];
+        let ix = load(&stream(&slots, &[3, 1], &[5, 9])).expect("a well-formed index loads");
+        // The free list travels in order: the next insert reuses slot 1.
+        let mut ix = ix;
+        let mem = PhysMemory::new(16);
+        assert_eq!(ix.insert(&mem, FrameId(12), ()), (NodeId(1), true));
+        for (free, what) in [
+            (&[3, 0][..], "a free list naming a live slot"),
+            (&[3, 3], "a repeated free slot"),
+            (&[3, 1, 7], "a free slot past the arena"),
+            (&[3], "a dead slot missing from the free list"),
+        ] {
+            assert!(
+                matches!(
+                    load(&stream(&slots, free, &[5, 9])),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "{what} must be rejected"
+            );
+        }
     }
 
-    /// Pages in the model test: a key in the first word and a tag in the
-    /// last. Tree pages keep distinct keys, so a tag write never moves a
-    /// page out of its place in the content order.
+    #[test]
+    fn crafted_lengths_are_truncated_not_allocated() {
+        let huge = u64::MAX >> 8;
+        let mut slots = Writer::new();
+        slots.u64(huge);
+        let mut free = Writer::new();
+        free.usize(0);
+        free.u64(huge);
+        let mut entries = Writer::new();
+        entries.usize(0);
+        entries.usize(0);
+        entries.u64(huge);
+        for w in [slots, free, entries] {
+            assert!(matches!(
+                load(&w.into_bytes()),
+                Err(SnapshotError::Truncated)
+            ));
+        }
+    }
+
+    /// Pages in the model test are zero except four words (the first, two
+    /// inner ones and the last), each below `VALS`: 81 contents over
+    /// `FRAMES` frames, so equal pages are common inside and outside the
+    /// index.
     const FRAMES: u64 = 40;
-    const KEYS: u64 = 12;
-    const TAGS: u64 = 3;
+    const WORDS: [u64; 4] = [0, 1, 256, 511];
+    const VALS: u64 = 3;
 
-    fn write_key(mem: &mut PhysMemory, f: FrameId, key: u64, tag: u64) {
-        mem.write_u64(PhysAddr(f.0 * PAGE_SIZE), key);
-        write_tag(mem, f, tag);
+    /// Rewrites all of `f`: a fresh page of the model's alphabet.
+    fn fill(mem: &mut PhysMemory, rng: &mut StdRng, f: FrameId) {
+        let mut page = [0u8; PAGE_SIZE as usize];
+        for word in WORDS {
+            let at = word as usize * 8;
+            page[at..at + 8].copy_from_slice(&rng.random_range(0..VALS).to_le_bytes());
+        }
+        mem.write_page(f, &page);
     }
 
-    fn write_tag(mem: &mut PhysMemory, f: FrameId, tag: u64) {
-        mem.write_u64(PhysAddr(f.0 * PAGE_SIZE + PAGE_SIZE - 8), tag);
-    }
-
-    fn key(mem: &PhysMemory, f: FrameId) -> [u8; 8] {
-        let mut k = [0; 8];
-        k.copy_from_slice(&mem.page(f)[..8]);
-        k
+    /// Writes one word of `f` in place: usually one of `WORDS`, sometimes
+    /// any word of the page.
+    fn scribble(mem: &mut PhysMemory, rng: &mut StdRng, f: FrameId) {
+        let word = if rng.random_bool(0.25) {
+            rng.random_range(0..PAGE_SIZE / 8)
+        } else {
+            WORDS[rng.random_range(0..WORDS.len())]
+        };
+        let value = rng.random_range(0..VALS);
+        mem.write_u64(PhysAddr(f.0 * PAGE_SIZE + word * 8), value);
     }
 
     /// The index against a model (frame → node and value) through seeded
     /// inserts (duplicates included), removes, frame moves, in-place
-    /// writes followed by a refresh or an eviction, clears and
-    /// save → load → continue. After every step: `find`, `node_of` and
-    /// `stale_frames` agree with the model, the frame map and the hash
-    /// multiset hold exactly the live nodes, and save → load → save is
-    /// byte-identical.
+    /// writes to any word of indexed pages followed by a refresh or an
+    /// eviction, clears and save → load → continue. In-place writes may
+    /// make two indexed pages equal. After every step: `find` returns a
+    /// node whose page equals the probe, and `None` only when no indexed
+    /// page does; `node_of`, `ids` and `stale_frames` agree with the
+    /// model; the frame map and the buckets hold exactly the live nodes;
+    /// and save → load → save is byte-identical.
     #[test]
     fn matches_model() {
-        // How often each operation changed something, over all seeds.
-        let mut met = [0usize; 8];
+        // How often each operation changed something, over all seeds; the
+        // last counts steps that left two equal pages in the index.
+        let mut met = [0usize; 9];
         for seed in 0..64u64 {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x1de7);
             let mut mem = PhysMemory::new(FRAMES as usize);
             for f in 0..FRAMES {
-                let (k, t) = (rng.random_range(0..KEYS), rng.random_range(0..TAGS));
-                write_key(&mut mem, FrameId(f), k, t);
+                fill(&mut mem, &mut rng, FrameId(f));
             }
             let mut ix: ContentIndex<u64> = ContentIndex::default();
             let mut model: BTreeMap<FrameId, (NodeId, u64)> = BTreeMap::new();
@@ -408,26 +583,21 @@ mod tests {
                 let f = FrameId(rng.random_range(0..FRAMES));
                 match rng.random_range(0..20u8) {
                     0..=6 => {
-                        // Insert, unless a tree page shares the key but not
-                        // the content (that would break the order tags
-                        // rely on).
-                        let twin = model.keys().find(|&&t| mem.pages_equal(t, f)).copied();
-                        let clash = model.keys().any(|&t| key(&mem, t) == key(&mem, f));
-                        if twin.is_some() || !clash {
-                            next_value += 1;
-                            let (node, inserted) = ix.insert(&mem, f, next_value);
-                            match twin {
-                                Some(t) => {
-                                    met[0] += 1;
-                                    assert!(!inserted, "seed {seed} step {step}");
-                                    assert_eq!(node, model[&t].0, "seed {seed} step {step}");
-                                }
-                                None => {
-                                    met[1] += 1;
-                                    assert!(inserted, "seed {seed} step {step}");
-                                    model.insert(f, (node, next_value));
-                                }
-                            }
+                        let equal: Vec<NodeId> = model
+                            .iter()
+                            .filter(|&(&t, _)| mem.pages_equal(t, f))
+                            .map(|(_, &(node, _))| node)
+                            .collect();
+                        next_value += 1;
+                        let (node, inserted) = ix.insert(&mem, f, next_value);
+                        if equal.is_empty() {
+                            met[1] += 1;
+                            assert!(inserted, "seed {seed} step {step}");
+                            model.insert(f, (node, next_value));
+                        } else {
+                            met[0] += 1;
+                            assert!(!inserted, "seed {seed} step {step}");
+                            assert!(equal.contains(&node), "seed {seed} step {step}");
                         }
                     }
                     7..=9 => {
@@ -452,14 +622,13 @@ mod tests {
                         }
                     }
                     12..=14 => {
-                        // A write to a page outside the tree.
+                        // A write to a page outside the index.
                         if !model.contains_key(&f) {
-                            let (k, t) = (rng.random_range(0..KEYS), rng.random_range(0..TAGS));
-                            write_key(&mut mem, f, k, t);
+                            fill(&mut mem, &mut rng, f);
                         }
                     }
                     15..=17 => {
-                        // In-place tag writes to tree pages, then either a
+                        // In-place writes to indexed pages, then either a
                         // refresh (stable tree) or an eviction (unstable).
                         let written: BTreeSet<FrameId> = model
                             .keys()
@@ -467,7 +636,7 @@ mod tests {
                             .copied()
                             .collect();
                         for &t in &written {
-                            write_tag(&mut mem, t, rng.random_range(0..TAGS));
+                            scribble(&mut mem, &mut rng, t);
                         }
                         let stale: BTreeSet<FrameId> = ix.stale_frames(&mem).into_iter().collect();
                         assert_eq!(stale, written, "seed {seed} step {step}");
@@ -477,7 +646,7 @@ mod tests {
                         } else {
                             met[5] += usize::from(!written.is_empty());
                             for t in written {
-                                let node = ix.node_of(t).expect("stale frames are tree frames");
+                                let node = ix.node_of(t).expect("stale frames are indexed");
                                 assert_eq!(ix.remove(node), model[&t].1);
                                 model.remove(&t);
                             }
@@ -499,14 +668,19 @@ mod tests {
                 }
                 // The model's view of every frame.
                 for probe in (0..FRAMES).map(FrameId) {
-                    let want = model
+                    let got = ix.find(&mem, probe);
+                    let equal: Vec<NodeId> = model
                         .iter()
-                        .find(|&(&t, _)| mem.pages_equal(t, probe))
-                        .map(|(_, &(node, _))| node);
-                    assert_eq!(
-                        ix.find(&mem, probe),
-                        want,
-                        "seed {seed} step {step} find {probe:?}"
+                        .filter(|&(&t, _)| mem.pages_equal(t, probe))
+                        .map(|(_, &(node, _))| node)
+                        .collect();
+                    let exact = match got {
+                        Some(node) => equal.contains(&node),
+                        None => equal.is_empty(),
+                    };
+                    assert!(
+                        exact,
+                        "seed {seed} step {step} find {probe:?}: got {got:?}, equal nodes {equal:?}"
                     );
                     assert_eq!(
                         ix.node_of(probe),
@@ -515,10 +689,17 @@ mod tests {
                     );
                 }
                 assert!(ix.stale_frames(&mem).is_empty(), "seed {seed} step {step}");
-                // The frame map and the hash multiset hold exactly the
+                let twins = model
+                    .keys()
+                    .any(|&a| model.keys().any(|&b| a < b && mem.pages_equal(a, b)));
+                met[8] += usize::from(twins);
+                // The arena, the frame map and the buckets hold exactly the
                 // live nodes, hashed at their current content.
+                let mut live: Vec<NodeId> = model.values().map(|&(node, _)| node).collect();
+                live.sort_unstable();
+                assert_eq!(ix.ids(), live, "seed {seed} step {step}");
                 assert_eq!(ix.len(), model.len(), "seed {seed} step {step}");
-                let mut hashes: BTreeMap<u64, u32> = BTreeMap::new();
+                let mut buckets = BTreeSet::new();
                 for (&t, &(node, value)) in &model {
                     let hash = content_hash(mem.page(t));
                     assert_eq!(
@@ -527,13 +708,12 @@ mod tests {
                         "seed {seed} step {step}"
                     );
                     assert_eq!((ix.frame(node), *ix.value(node)), (t, value));
-                    *hashes.entry(hash).or_insert(0) += 1;
+                    buckets.insert((hash, node));
                 }
                 assert_eq!(ix.frames.len(), model.len(), "seed {seed} step {step}");
-                assert_eq!(ix.hashes, hashes, "seed {seed} step {step}");
+                assert_eq!(ix.buckets, buckets, "seed {seed} step {step}");
                 let (first, _, again) = resave(&ix);
                 assert_eq!(first, again, "seed {seed} step {step}");
-                ix.tree.assert_invariants();
             }
         }
         assert!(met.iter().all(|&n| n > 0), "every operation ran: {met:?}");

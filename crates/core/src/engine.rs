@@ -164,11 +164,49 @@ pub fn default_pool_frames(machine_frames: u64) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    use vusion_mem::{VirtAddr, PAGE_SIZE};
+    use vusion_mem::{FrameId, PhysMemory, VirtAddr, PAGE_SIZE};
     use vusion_mmu::{Protection, Vma};
+    use vusion_snapshot::SnapshotError;
+
+    use crate::content_index::ContentIndex;
+
+    /// Repoints an indexed page, and its hash entry, at the first frame
+    /// past `m`'s memory, as a crafted engine blob would.
+    pub(crate) fn point_past_memory<V>(ix: &mut ContentIndex<V>, m: &Machine) {
+        let frames = m.mem().frame_count();
+        let node = ix.ids()[0];
+        ix.set_frame(&PhysMemory::new(frames + 1), node, FrameId(frames as u64));
+    }
+
+    /// Snapshots `s` after each tampering (each starts from the state the
+    /// untampered snapshot holds) and restores that image into `s`: the
+    /// restore must be refused by the id bound, first a frame past memory,
+    /// then a pid past the process table. Every field decoded before the
+    /// bad id rewrites the value `s` already held, so a refusal that
+    /// commits nothing leaves `s`'s snapshot byte for byte.
+    pub(crate) fn assert_restore_refuses<P: FusionPolicy>(
+        s: &mut System<P>,
+        bad_frame: fn(&mut System<P>),
+        bad_pid: fn(&mut System<P>),
+    ) {
+        let good = s.snapshot();
+        for (tamper, why) in [
+            (bad_frame, "frame id past the machine's memory"),
+            (bad_pid, "pid past the machine's processes"),
+        ] {
+            tamper(s);
+            let bad = s.snapshot();
+            s.restore(&good).expect("the untampered snapshot restores");
+            assert_eq!(s.restore(&bad), Err(SnapshotError::Corrupt(why)));
+            assert!(
+                s.snapshot() == good,
+                "the refused restore changed the system"
+            );
+        }
+    }
 
     fn smoke(kind: EngineKind) {
         let mut sys = kind.build_system(MachineConfig::test_small());

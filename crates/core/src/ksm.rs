@@ -12,6 +12,10 @@
 //! attack. Unmerging is plain copy-on-write, observable through the timing
 //! side channel of §4.1.
 //!
+//! Both trees are content indexes (`ContentIndex`): §2.1's red-black trees
+//! ordered by page content become hash buckets over the indexed pages plus
+//! a byte compare, which find exactly the same duplicate.
+//!
 //! Two experiment variants from the paper are supported:
 //! `unmerge_on_read` (the copy-on-access modification of Figure 4) and
 //! `zero_only` (zero-page-only fusion, also Figure 4).
@@ -24,9 +28,8 @@ use vusion_kernel::{
 use vusion_mem::{CrashSite, FrameId, VirtAddr, PAGE_SIZE};
 use vusion_mmu::{Pte, PteFlags};
 
-use crate::content_index::ContentIndex;
+use crate::content_index::{ContentIndex, NodeId};
 use crate::mapping;
-use crate::rbtree::NodeId;
 use crate::scan_cache::{self, CandidateCache, DirtyTracker};
 use crate::TagCounts;
 
@@ -72,18 +75,19 @@ pub struct KsmStats {
     pub checksum_skips: u64,
 }
 
+/// The page an unstable node was filed for; the node holds its frame.
 #[derive(Debug, Clone, Copy)]
 struct UnstableEntry {
     pid: Pid,
     va: VirtAddr,
-    frame: FrameId,
 }
 
 /// The KSM engine.
 pub struct Ksm {
     cfg: KsmConfig,
-    /// Stable tree: fused, write-protected pages. Value = mapping count.
-    stable: ContentIndex<u32>,
+    /// Stable tree: fused, write-protected pages. The frame's refcount
+    /// already counts a node's mappings, so a node carries no value.
+    stable: ContentIndex<()>,
     /// Unstable tree: unprotected candidates. Unlike §2.1's
     /// drop-every-round tree, it persists across rounds so clean pages can
     /// be skipped without losing late-arriving duplicates; entries whose
@@ -169,7 +173,6 @@ impl Ksm {
         debug_assert_ne!(stable_frame, old);
         m.trace_begin("ksm", SpanKind::Merge);
         m.mem_mut().info_mut(stable_frame).get();
-        *self.stable.value_mut(node) += 1;
         if m.crash_now(CrashSite::MidMerge)
             || m.set_leaf(pid, va, Pte::new(stable_frame, self.merged_flags()))
                 .is_err()
@@ -178,7 +181,6 @@ impl Ksm {
             // mid-merge: undo the stable reference and leave the page
             // alone for a later round.
             m.mem_mut().info_mut(stable_frame).put();
-            *self.stable.value_mut(node) -= 1;
             m.note_scan_retry();
             m.trace_end(SpanKind::Merge);
             return;
@@ -302,9 +304,9 @@ impl Ksm {
         // 1. Stable tree first: merging against an already write-protected
         // page needs no volatility check (the content comparison is
         // authoritative) — matching real KSM, which only gates the
-        // *unstable* tree with the checksum test. The hash index skips
-        // the descent when no stable page can possibly match; a hit (or a
-        // hash collision) is confirmed by the authoritative search.
+        // *unstable* tree with the checksum test. The search byte-compares
+        // the members of the page's hash bucket, so a hash collision never
+        // matches.
         if let Some(node) = self.stable.find(m.mem(), frame) {
             if self.break_if_huge(m, pid, va, defer_alloc, report) {
                 self.merge_into_stable(m, pid, va, frame, node, report);
@@ -320,18 +322,19 @@ impl Ksm {
             self.stats.checksum_skips += 1;
             return;
         }
-        // 2. Unstable tree, behind the same hash pre-filter.
+        // 2. Unstable tree, searched the same way.
         if let Some(node) = self.unstable.find(m.mem(), frame) {
+            let entry_frame = self.unstable.frame(node);
             let entry = self.unstable.remove(node);
             self.dirty.forget(entry.pid, entry.va);
             // Validate: the candidate must still be mapped to the same
             // frame (its content equality was just checked by the search).
             let valid = m
                 .leaf(entry.pid, entry.va)
-                .map(|l| l.pte.is_present() && Self::leaf_4k_frame(&l, entry.va) == entry.frame)
+                .map(|l| l.pte.is_present() && Self::leaf_4k_frame(&l, entry.va) == entry_frame)
                 .unwrap_or(false)
-                && entry.frame != frame
-                && !self.stable.contains_frame(entry.frame);
+                && entry_frame != frame
+                && !self.stable.contains_frame(entry_frame);
             // Scan-order priority: real KSM rebuilds the unstable tree
             // every round, so the earlier-scanned duplicate always
             // inserts first and its frame wins the promotion. Our tree
@@ -343,9 +346,9 @@ impl Ksm {
             // rebuild semantics exactly.
             let (wpid, wva, wframe, lpid, lva, lframe) =
                 if (pid.0, va.0) < (entry.pid.0, entry.va.0) {
-                    (pid, va, frame, entry.pid, entry.va, entry.frame)
+                    (pid, va, frame, entry.pid, entry.va, entry_frame)
                 } else {
-                    (entry.pid, entry.va, entry.frame, pid, va, frame)
+                    (entry.pid, entry.va, entry_frame, pid, va, frame)
                 };
             // A merge is about to happen: split any THPs involved. Either
             // split failing (an injected or genuine PT allocation failure)
@@ -362,7 +365,7 @@ impl Ksm {
                 if mapping::evict_cached_copy(m, wpid, wva, wframe) {
                     let _ = m.put_frame(wframe);
                 }
-                let (snode, inserted) = self.stable.insert(m.mem(), wframe, 1);
+                let (snode, inserted) = self.stable.insert(m.mem(), wframe, ());
                 debug_assert!(inserted, "stable tree had no match a moment ago");
                 self.merged_live += 1; // The promoted party's own mapping.
                 m.surface_transition(SurfaceTransition::Merge);
@@ -385,7 +388,7 @@ impl Ksm {
     /// does nothing.
     fn insert_unstable(&mut self, m: &Machine, pid: Pid, va: VirtAddr, frame: FrameId) {
         self.unstable
-            .insert(m.mem(), frame, UnstableEntry { pid, va, frame });
+            .insert(m.mem(), frame, UnstableEntry { pid, va });
         self.dirty.mark_seen(m.mem(), pid, va, frame);
     }
 
@@ -445,7 +448,6 @@ impl Ksm {
             let _ = m.put_frame(new);
             return false;
         }
-        *self.stable.value_mut(node) -= 1;
         if m.put_frame(stable_frame).unwrap_or(false) {
             self.stable.remove(node);
         }
@@ -462,11 +464,10 @@ impl vusion_snapshot::Snapshot for Ksm {
         w.u64(self.cfg.scan_period_ns);
         w.bool(self.cfg.unmerge_on_read);
         w.bool(self.cfg.zero_only);
-        self.stable.save_with(w, |v, w| w.u32(*v));
+        self.stable.save_with(w, |(), _| {});
         self.unstable.save_with(w, |e, w| {
             w.usize(e.pid.0);
             w.u64(e.va.0);
-            w.u64(e.frame.0);
         });
         let mut sums: Vec<((usize, u64), u64)> =
             self.checksums.iter().map(|(&k, &v)| (k, v)).collect();
@@ -512,12 +513,11 @@ impl vusion_snapshot::Snapshot for Ksm {
             unmerge_on_read: r.bool()?,
             zero_only: r.bool()?,
         };
-        *stable = ContentIndex::load_with(r, |r| r.u32())?;
+        *stable = ContentIndex::load_with(r, |_| Ok(()))?;
         *unstable = ContentIndex::load_with(r, |r| {
             Ok(UnstableEntry {
-                pid: Pid(r.usize()?),
+                pid: Pid(r.pid()?),
                 va: VirtAddr(r.u64()?),
-                frame: FrameId(r.u64()?),
             })
         })?;
         let sums = r.usize()?;
@@ -567,8 +567,8 @@ impl FusionPolicy for Ksm {
             return report;
         }
         // Evict unstable candidates whose content changed since they were
-        // filed: their position in the content-ordered tree is no longer
-        // valid. (§2.1 drops the whole tree every round for this reason;
+        // filed: they no longer hold what they were filed as. (§2.1 drops
+        // the whole tree every round, whose content order they break;
         // with the dirty-driven pass list the tree persists and changed
         // entries are evicted surgically, so clean candidates can still
         // be matched by late-arriving duplicates.)
@@ -579,7 +579,8 @@ impl FusionPolicy for Ksm {
             }
         }
         // Stable pages may have changed in place (Rowhammer — guests
-        // cannot write them): re-sync that pre-filter before trusting it.
+        // cannot write them): move them to the buckets of their current
+        // content before searching.
         self.stable.refresh(m.mem());
         // Pre-hash this wakeup's visit window, so the decide phase below
         // hits the hash memo-cache on every page.
@@ -654,7 +655,7 @@ impl FusionPolicy for Ksm {
     fn pressure_shrink(&mut self, _m: &mut Machine) -> u64 {
         // Drop every transient structure the scan can rebuild: the
         // unstable tree (KSM proper drops it each round anyway) with its
-        // frame map and hash filter, the checksum memo, the dirty-driven
+        // frame map and hash buckets, the checksum memo, the dirty-driven
         // pass list, and the candidate cache.
         let unstable = self.unstable.len() as u64;
         self.unstable.clear();
@@ -667,6 +668,7 @@ impl FusionPolicy for Ksm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{assert_restore_refuses, point_past_memory};
     use vusion_kernel::{MachineConfig, System};
     use vusion_mmu::{Protection, Vma};
 
@@ -737,6 +739,23 @@ mod tests {
         for id in s.policy.unstable.ids() {
             assert_eq!(dst.unstable.node_of(s.policy.unstable.frame(id)), Some(id));
         }
+    }
+
+    #[test]
+    fn restore_rejects_ids_past_the_machine() {
+        let (mut s, a, v) = system(KsmConfig::default());
+        s.write_page(a, VirtAddr(BASE), &page(1));
+        s.write_page(v, VirtAddr(BASE), &page(1));
+        settle(&mut s);
+        assert_restore_refuses(
+            &mut s,
+            |s| point_past_memory(&mut s.policy.stable, &s.machine),
+            |s| {
+                let (mut pages, _) = s.policy.candidates.take(&s.machine, true);
+                pages[0].0 = Pid(s.machine.process_count());
+                s.policy.candidates.put_back(pages);
+            },
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! * [`Ksm`] — Linux Kernel Same-page Merging as described in §2.1: opt-in
 //!   via `madvise`, round-robin scan of N pages every T ms, a *stable*
-//!   red-black tree of write-protected fused pages and an *unstable* tree of
+//!   tree of write-protected fused pages and an *unstable* tree of
 //!   unprotected candidates, merge-in-place (one sharer's frame backs the
 //!   fused page — the Flip Feng Shui weakness), copy-on-write unmerge (the
 //!   timing-side-channel weakness).
@@ -20,27 +20,26 @@
 //!   frame pool; working-set estimation via idle-page tracking; secure THP
 //!   handling (break-before-fuse, idle-gated collapse).
 //!
-//! Every content tree — KSM's stable and unstable trees, WPF's tree and
-//! VUsion's single tree — is the from-scratch red-black tree of
-//! [`rbtree`], which orders nodes by the *content* of the physical page
-//! they reference. WPF's AVL trees "have the same functionality as KSM's
-//! stable tree" (§2.2), and nothing charged or output depends on how a
-//! tree balances. Each engine reaches its trees only through a
-//! crate-private `ContentIndex`, which keeps a tree, its frame → node map
-//! and its hash filter in step.
+//! Every content tree of the paper — KSM's stable and unstable trees, WPF's
+//! tree and VUsion's single tree — is a content index: a crate-private
+//! `ContentIndex` that finds a page's duplicate by hash bucket plus a byte
+//! compare. KSM's red-black trees (§2.1) and WPF's AVL trees, which "have
+//! the same functionality as KSM's stable tree" (§2.2), are ordered by
+//! content, but what the paper measures depends only on which pages merge
+//! (exact content equality), never on how the duplicate is found. Each
+//! engine reaches its indexes only through `ContentIndex`, which keeps the
+//! nodes, their frame map and their hash buckets in step.
 
 mod content_index;
 pub mod engine;
 pub mod ksm;
 mod mapping;
-pub mod rbtree;
 mod scan_cache;
 pub mod vusion;
 pub mod wpf;
 
 pub use engine::{default_pool_frames, EngineKind};
 pub use ksm::{Ksm, KsmConfig, KsmStats};
-pub use rbtree::{ContentRbTree, NodeId};
 pub use vusion::{VUsion, VUsionConfig, VUsionStats};
 pub use wpf::{Wpf, WpfConfig, WpfStats};
 

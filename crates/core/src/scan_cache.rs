@@ -1,7 +1,7 @@
 //! Scan-path caching shared by the fusion engines: an incremental
 //! candidate list, the dirty-driven pass list, and the pre-hash that warms
-//! the hash memo before each pass's decide phase. (The hash filter over a
-//! content tree lives with the tree, in `ContentIndex`.)
+//! the hash memo before each pass's decide phase. (The hash buckets of a
+//! content tree live with it, in `ContentIndex`.)
 //!
 //! The candidate cache is a pure wall-clock optimization: it reproduces
 //! exactly the list a fresh enumeration would build, because rebuilds are
@@ -91,7 +91,7 @@ impl CandidateCache {
         let count = r.len_prefix(16)?;
         let mut pages = Vec::with_capacity(count);
         for _ in 0..count {
-            pages.push((Pid(r.usize()?), VirtAddr(r.u64()?)));
+            pages.push((Pid(r.pid()?), VirtAddr(r.u64()?)));
         }
         Ok(Self { pages, epoch })
     }
@@ -179,9 +179,9 @@ impl DirtyTracker {
         let count = r.usize()?;
         let mut seen = BTreeMap::new();
         for _ in 0..count {
-            let pid = Pid(r.usize()?);
+            let pid = Pid(r.pid()?);
             let va = VirtAddr(r.u64()?);
-            let frame = FrameId(r.u64()?);
+            let frame = FrameId(r.frame()?);
             let gen = r.u64()?;
             seen.insert((pid, va), (frame, gen));
         }

@@ -9,9 +9,11 @@
 //! copy, remap, push one entry on the deferred-free queue (a real free for
 //! fake-merged pages, a dummy for merged ones — §7.1 decision ii). There
 //! is no unstable tree (decision i): trapped pages cannot change, so a
-//! single content tree suffices. Each full scan round the backing frame of
-//! every tree page is re-randomized (decision iii) so even a page-coloring
-//! attack on the fault handler learns nothing across scans.
+//! single content tree suffices; like KSM's trees it is a content index
+//! (`ContentIndex`), found by hash bucket plus a byte compare. Each full
+//! scan round the backing frame of every tree page is re-randomized
+//! (decision iii) so even a page-coloring attack on the fault handler
+//! learns nothing across scans.
 //!
 //! **Randomized Allocation (RA).** All backing frames come from a
 //! [`RandomPool`]; released frames return to random pool slots. A
@@ -38,9 +40,8 @@ use vusion_mem::{
 };
 use vusion_mmu::{Pte, PteFlags};
 
-use crate::content_index::ContentIndex;
+use crate::content_index::{ContentIndex, NodeId};
 use crate::mapping;
-use crate::rbtree::NodeId;
 use crate::scan_cache::{self, CandidateCache};
 use crate::TagCounts;
 
@@ -58,10 +59,6 @@ pub struct VUsionConfig {
     /// §8 THP enhancements: break only idle huge pages and cooperate with
     /// the secured khugepaged ("VUsion THP" in the evaluation).
     pub thp_enhancements: bool,
-    /// Deferred-free operations processed per scanner wakeup.
-    pub deferred_drain_per_wake: usize,
-    /// Maximum RA trace length retained for the §9.1 uniformity test.
-    pub ra_trace_cap: usize,
     /// ABLATION (insecure): skip the Caching-Disabled bit on trapped PTEs.
     /// Re-opens the prefetch side channel of Gruss et al. (§7.1).
     pub ablate_pcd: bool,
@@ -82,8 +79,6 @@ impl Default for VUsionConfig {
             scan_period_ns: 20_000_000,
             pool_frames: 4096,
             thp_enhancements: false,
-            deferred_drain_per_wake: 512,
-            ra_trace_cap: 1 << 16,
             ablate_pcd: false,
             ablate_deferred_free: false,
             ablate_rerandomize: false,
@@ -98,6 +93,12 @@ impl VUsionConfig {
         self
     }
 }
+
+/// Deferred-free operations processed per scanner wakeup.
+const DEFERRED_DRAIN_PER_WAKE: usize = 512;
+
+/// Maximum RA trace length retained for the §9.1 uniformity test.
+const RA_TRACE_CAP: usize = 1 << 16;
 
 /// VUsion counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -184,7 +185,7 @@ impl VUsion {
     }
 
     fn trace_alloc(&mut self, frame: FrameId) {
-        if self.ra_trace.len() < self.cfg.ra_trace_cap {
+        if self.ra_trace.len() < RA_TRACE_CAP {
             self.ra_trace.push(frame.0);
         }
     }
@@ -350,8 +351,8 @@ impl VUsion {
             return;
         }
         // Single content tree: match ⇒ real merge, no match ⇒ fake merge.
-        // The hash filter only skips the descent when no tree page can be
-        // content-equal; a positive is confirmed by the authoritative find.
+        // The search byte-compares the page's hash bucket, so a hash
+        // collision never matches.
         match self.tree.find(m.mem(), frame) {
             Some(node) => {
                 m.trace_begin("vusion", SpanKind::Merge);
@@ -636,8 +637,6 @@ impl vusion_snapshot::Snapshot for VUsion {
         w.u64(self.cfg.scan_period_ns);
         w.usize(self.cfg.pool_frames);
         w.bool(self.cfg.thp_enhancements);
-        w.usize(self.cfg.deferred_drain_per_wake);
-        w.usize(self.cfg.ra_trace_cap);
         w.bool(self.cfg.ablate_pcd);
         w.bool(self.cfg.ablate_deferred_free);
         w.bool(self.cfg.ablate_rerandomize);
@@ -697,8 +696,6 @@ impl vusion_snapshot::Snapshot for VUsion {
             scan_period_ns: r.u64()?,
             pool_frames: r.usize()?,
             thp_enhancements: r.bool()?,
-            deferred_drain_per_wake: r.usize()?,
-            ra_trace_cap: r.usize()?,
             ablate_pcd: r.bool()?,
             ablate_deferred_free: r.bool()?,
             ablate_rerandomize: r.bool()?,
@@ -708,18 +705,18 @@ impl vusion_snapshot::Snapshot for VUsion {
             let count = r.len_prefix(16)?;
             let mut mappings = Vec::with_capacity(count);
             for _ in 0..count {
-                mappings.push((Pid(r.usize()?), VirtAddr(r.u64()?)));
+                mappings.push((Pid(r.pid()?), VirtAddr(r.u64()?)));
             }
             Ok(mappings)
         })?;
         *candidates = CandidateCache::load(r)?;
-        // Slot-exact tree restore keeps NodeIds valid, so the trapped-page
+        // Slot-exact index restore keeps NodeIds valid, so the trapped-page
         // map reloads verbatim; each entry must name a live node, or the
         // page's next copy-on-access would dereference a freed slot.
         let pages = r.usize()?;
         page_state.clear();
         for _ in 0..pages {
-            let key = (r.usize()?, r.u64()?);
+            let key = (r.pid()?, r.u64()?);
             let node = NodeId(r.usize()?);
             if !tree.contains_node(node) {
                 return Err(vusion_snapshot::SnapshotError::Corrupt(
@@ -757,9 +754,9 @@ impl FusionPolicy for VUsion {
     fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
         let mut report = ScanReport::default();
         // Background half of deferred free (decision ii).
-        let drain = self.cfg.deferred_drain_per_wake;
         let mut dead = Vec::new();
-        self.deferred.drain(drain, |f| dead.push(f));
+        self.deferred
+            .drain(DEFERRED_DRAIN_PER_WAKE, |f| dead.push(f));
         if !dead.is_empty() {
             m.trace_begin("vusion", SpanKind::DeferredDrain);
             let costs = m.costs();
@@ -769,8 +766,9 @@ impl FusionPolicy for VUsion {
             }
             m.trace_end(SpanKind::DeferredDrain);
         }
-        // Re-sync hash-filter entries whose frames changed between scans
-        // (Rowhammer flips — trapped tree pages see no guest writes).
+        // Move tree pages that changed between scans to the buckets of
+        // their current content (Rowhammer flips — trapped tree pages see
+        // no guest writes).
         self.tree.refresh(m.mem());
         let (pages, _) = self.candidates.take(m, /* mergeable_only */ true);
         if pages.is_empty() {
@@ -898,6 +896,7 @@ impl FusionPolicy for VUsion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{assert_restore_refuses, point_past_memory};
     use vusion_kernel::{MachineConfig, System};
     use vusion_mmu::{Protection, Vma};
 
@@ -976,8 +975,6 @@ mod tests {
             scan_period_ns: 52,
             pool_frames: 53,
             thp_enhancements: true,
-            deferred_drain_per_wake: 54,
-            ra_trace_cap: 55,
             ablate_pcd: false,
             ablate_deferred_free: true,
             ablate_rerandomize: false,
@@ -1010,6 +1007,23 @@ mod tests {
         for id in s.policy.tree.ids() {
             assert_eq!(dst.tree.node_of(s.policy.tree.frame(id)), Some(id));
         }
+    }
+
+    #[test]
+    fn restore_rejects_ids_past_the_machine() {
+        let (mut s, a, v) = system(small_cfg());
+        s.write_page(a, VirtAddr(BASE), &page(1));
+        s.write_page(v, VirtAddr(BASE), &page(1));
+        settle(&mut s);
+        assert_restore_refuses(
+            &mut s,
+            |s| point_past_memory(&mut s.policy.tree, &s.machine),
+            |s| {
+                let (mut pages, _) = s.policy.candidates.take(&s.machine, true);
+                pages[0].0 = Pid(s.machine.process_count());
+                s.policy.candidates.put_back(pages);
+            },
+        );
     }
 
     #[test]

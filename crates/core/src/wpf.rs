@@ -19,8 +19,9 @@
 //!
 //! Windows keeps the fused pages in AVL trees that "have the same
 //! functionality as KSM's stable tree" (§2.2). Here they live in one
-//! content tree, KSM's red-black tree: no charge, counter or output
-//! depends on how the tree balances.
+//! content index, like KSM's stable tree: hash buckets plus a byte compare
+//! find the same duplicate a content-ordered descent would, and no charge,
+//! counter or output depends on how it is found.
 
 use vusion_kernel::{
     FusionPolicy, Machine, PageFault, Pid, ScanGrant, ScanReport, SpanKind, SurfaceTransition,
@@ -30,9 +31,8 @@ use vusion_mem::{
 };
 use vusion_mmu::{Pte, PteFlags};
 
-use crate::content_index::ContentIndex;
+use crate::content_index::{ContentIndex, NodeId};
 use crate::mapping;
-use crate::rbtree::NodeId;
 use crate::scan_cache::{self, CandidateCache, DirtyTracker};
 use crate::TagCounts;
 
@@ -84,9 +84,9 @@ struct PassState {
 /// The WPF engine.
 pub struct Wpf {
     cfg: WpfConfig,
-    /// The fused pages, ordered by content (KSM's red-black tree; see the
-    /// module docs). A node carries no value: the frame's refcount already
-    /// counts its mappings.
+    /// The fused pages, found by content (a content index; see the module
+    /// docs). A node carries no value: the frame's refcount already counts
+    /// its mappings.
     tree: ContentIndex<()>,
     /// Cached page enumeration (every VMA page of every process), rebuilt
     /// only when the layout epoch moves.
@@ -190,8 +190,8 @@ impl Wpf {
         let mut report = ScanReport::default();
         self.last_pass_frames.clear();
         // Tree pages can change in place between passes (Rowhammer on a
-        // fused page — the §5.2 attack). Re-sync the hash pre-filter and
-        // note whether any did: a changed tree page can turn a previously
+        // fused page — the §5.2 attack). Move them to the buckets of their
+        // current content and note whether any did: a changed tree page can turn a previously
         // singleton candidate into a merge, so it disqualifies the
         // all-clean fast path below.
         let tree_dirty = self.tree.refresh(m.mem()) > 0;
@@ -583,20 +583,25 @@ impl vusion_snapshot::Snapshot for Wpf {
             tree_pages_allocated: r.u64()?,
             passes: r.u64()?,
         };
-        *last_pass_frames = r.u64s()?.into_iter().map(FrameId).collect();
+        let last = r.len_prefix(8)?;
+        *last_pass_frames = Vec::with_capacity(last);
+        for _ in 0..last {
+            last_pass_frames.push(FrameId(r.frame()?));
+        }
         *pass = if r.bool()? {
             let cursor = r.u64()?;
             let total = r.u64()?;
-            let flat = r.u64s()?;
-            if flat.len() % 4 != 0 {
+            // The rows travel flat: four words each, pid and frame checked.
+            let words = r.len_prefix(8)?;
+            if words % 4 != 0 {
                 return Err(vusion_snapshot::SnapshotError::Corrupt(
                     "wpf pass rows not a multiple of 4",
                 ));
             }
-            let hashed = flat
-                .chunks_exact(4)
-                .map(|c| (c[0], c[1], c[2], c[3]))
-                .collect();
+            let mut hashed = Vec::with_capacity(words / 4);
+            for _ in 0..words / 4 {
+                hashed.push((r.u64()?, r.pid()? as u64, r.u64()?, r.frame()?));
+            }
             Some(PassState {
                 cursor,
                 total,
@@ -659,6 +664,7 @@ impl FusionPolicy for Wpf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{assert_restore_refuses, point_past_memory};
     use vusion_kernel::{MachineConfig, System};
     use vusion_mmu::{Protection, Vma};
 
@@ -715,6 +721,23 @@ mod tests {
         let mut dst = Wpf::new(&s.machine, WpfConfig::default()).expect("wpf");
         let (x, y) = vusion_snapshot::resave(&s.policy, &mut dst).expect("resave");
         assert_eq!(x, y);
+    }
+
+    #[test]
+    fn restore_rejects_ids_past_the_machine() {
+        let (mut s, a, b) = system();
+        s.write_page(a, VirtAddr(BASE), &page(1));
+        s.write_page(b, VirtAddr(BASE), &page(1));
+        s.force_scans(1);
+        assert_restore_refuses(
+            &mut s,
+            |s| point_past_memory(&mut s.policy.tree, &s.machine),
+            |s| {
+                let (mut pages, _) = s.policy.candidates.take(&s.machine, false);
+                pages[0].0 = Pid(s.machine.process_count());
+                s.policy.candidates.put_back(pages);
+            },
+        );
     }
 
     #[test]

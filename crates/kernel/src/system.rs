@@ -653,7 +653,9 @@ impl<P: FusionPolicy> System<P> {
     /// with the same machine configuration and the same policy kind. Bytes
     /// left over after the payload or after the engine blob are
     /// [`SnapshotError::Corrupt`]: they mean a `save` its `load` does not
-    /// match.
+    /// match. So is an engine blob naming a frame or a process the
+    /// restored machine does not have: the engine reads its ids through
+    /// [`Reader::frame`] and [`Reader::pid`], bounded by that machine.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let Self {
             machine,
@@ -697,7 +699,8 @@ impl<P: FusionPolicy> System<P> {
         if tag != policy.name() {
             return Err(SnapshotError::Corrupt("engine tag mismatch"));
         }
-        let mut pr = Reader::new(r.blob()?);
+        let mut pr = Reader::new(r.blob()?)
+            .with_id_bounds(machine.mem().frame_count() as u64, machine.process_count());
         r.finish()?;
         policy.load(&mut pr)?;
         pr.finish()

@@ -116,7 +116,7 @@ impl vusion_snapshot::Snapshot for DeferredFreeQueue {
         ops.clear();
         for _ in 0..n {
             let op = match r.u8()? {
-                0 => DeferredOp::Free(FrameId(r.u64()?)),
+                0 => DeferredOp::Free(FrameId(r.frame()?)),
                 1 => DeferredOp::Dummy,
                 _ => return Err(vusion_snapshot::SnapshotError::Corrupt("deferred op")),
             };

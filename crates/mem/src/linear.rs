@@ -93,7 +93,13 @@ impl vusion_snapshot::Snapshot for LinearAllocator {
         taken.clear();
         let n = r.usize()?;
         for _ in 0..n {
-            taken.insert(r.u64()?);
+            let rel = r.u64()?;
+            if rel >= *frames {
+                return Err(vusion_snapshot::SnapshotError::Corrupt(
+                    "linear frame outside its region",
+                ));
+            }
+            taken.insert(rel);
         }
         Ok(())
     }

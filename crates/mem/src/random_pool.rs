@@ -192,7 +192,7 @@ impl vusion_snapshot::Snapshot for RandomPool {
         let n = r.usize()?;
         pool.clear();
         for _ in 0..n {
-            pool.push(FrameId(r.u64()?));
+            pool.push(FrameId(r.frame()?));
         }
         *capacity = r.usize()?;
         *rng = StdRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);

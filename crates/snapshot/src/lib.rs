@@ -44,7 +44,12 @@ use std::fmt;
 /// unused `policy_rng` state.
 /// v7: WPF's engine blob holds a red-black tree instead of an AVL tree,
 /// and its sorted list of tree frames is gone.
-pub const FORMAT_VERSION: u32 = 7;
+/// v8: every engine's content index is an arena of slots (a live flag,
+/// then frame and value) plus its free list, with no tree links, colors,
+/// root or length; KSM's stable nodes carry no value and its unstable
+/// entries no frame; VUsion's blob lost two fixed settings (the RA trace
+/// cap and the deferred-free drain per wake).
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Magic bytes opening every sealed snapshot or failure bundle.
 pub const MAGIC: &[u8; 4] = b"VSNP";
@@ -183,12 +188,52 @@ impl Writer {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Frame ids [`Self::frame`] accepts: those below this count.
+    frames: u64,
+    /// Process ids [`Self::pid`] accepts: those below this count.
+    processes: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Starts reading at the front of `buf`.
+    /// Starts reading at the front of `buf`, with no bound on the ids
+    /// [`Self::frame`] and [`Self::pid`] accept.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            frames: u64::MAX,
+            processes: usize::MAX,
+        }
+    }
+
+    /// Bounds the ids this reader accepts by the machine the decoded state
+    /// will run on: its frame count and its process count. A restore sets
+    /// them, so a stored id the machine would index past its end is
+    /// [`SnapshotError::Corrupt`] at load, not a panic at the next access.
+    pub fn with_id_bounds(self, frames: u64, processes: usize) -> Self {
+        Self {
+            frames,
+            processes,
+            ..self
+        }
+    }
+
+    /// Reads a physical frame id, rejecting one past the bound.
+    pub fn frame(&mut self) -> Result<u64, SnapshotError> {
+        let frame = self.u64()?;
+        if frame >= self.frames {
+            return Err(SnapshotError::Corrupt("frame id past the machine's memory"));
+        }
+        Ok(frame)
+    }
+
+    /// Reads a process id, rejecting one past the bound.
+    pub fn pid(&mut self) -> Result<usize, SnapshotError> {
+        let pid = self.usize()?;
+        if pid >= self.processes {
+            return Err(SnapshotError::Corrupt("pid past the machine's processes"));
+        }
+        Ok(pid)
     }
 
     /// Bytes not yet consumed.
@@ -521,6 +566,22 @@ mod tests {
     }
 
     #[test]
+    fn ids_are_read_within_their_bounds() {
+        let mut w = Writer::new();
+        for id in [15, 16, 2, 3] {
+            w.u64(id);
+        }
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes).with_id_bounds(16, 3);
+        assert_eq!(r.frame(), Ok(15));
+        assert!(matches!(r.frame(), Err(SnapshotError::Corrupt(_))));
+        assert_eq!(r.pid(), Ok(2));
+        assert!(matches!(r.pid(), Err(SnapshotError::Corrupt(_))));
+        let mut r = Reader::new(&bytes);
+        assert_eq!((r.frame(), r.frame()), (Ok(15), Ok(16)), "unbounded");
+    }
+
+    #[test]
     fn finish_rejects_unread_bytes() {
         let mut r = Reader::new(&[1, 2]);
         assert_eq!(r.u8(), Ok(1));
@@ -644,8 +705,8 @@ mod tests {
 
     #[test]
     fn seal_layout_is_pinned() {
-        let mut want = b"VSNP\x07\x00\x00\x00abc".to_vec();
-        want.extend_from_slice(&[0xe4, 0xd0, 0x65, 0xbb, 0x72, 0xa8, 0x9d, 0xaf]);
+        let mut want = b"VSNP\x08\x00\x00\x00abc".to_vec();
+        want.extend_from_slice(&[0xfc, 0x71, 0xcf, 0x51, 0x9f, 0xd5, 0x82, 0x36]);
         assert_eq!(seal(b"abc"), want);
     }
 

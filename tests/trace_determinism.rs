@@ -589,18 +589,20 @@ fn access_heavy_snapshot(kind: EngineKind) -> Vec<u8> {
 /// order and the page-table frames' write generations. A change to the
 /// host structures of the access path must leave all three as they are.
 /// The digest covers the payload inside the seal, so a version bump alone
-/// moves nothing. The KSM and VUsion values were computed with the
-/// `BTreeMap` TLB and per-set `Vec` LLC that the current structures
-/// replaced; the WPF value with the red-black tree that replaced WPF's AVL
-/// tree, which changed only how WPF's engine blob stores its fused frames.
+/// moves nothing. All three values were re-pinned when the content
+/// trees became hash-bucket content indexes, which changed only how each
+/// engine blob stores its indexes (and dropped KSM's unread stable-node
+/// counter, its unstable entries' copy of the node frame and VUsion's two
+/// fixed settings): every payload byte before the engine blob, and every
+/// blob byte after the indexes, stayed as it was.
 /// Only a deliberate change of simulated behaviour or of the payload
 /// layout may re-pin them, and it says why.
 #[test]
 fn access_heavy_snapshot_bytes_are_pinned() {
     for (kind, pinned) in [
-        (EngineKind::Ksm, 0x11ea_2dd8_adcb_7617),
-        (EngineKind::Wpf, 0x60bd_c033_860a_060d),
-        (EngineKind::VUsion, 0xffdc_28e9_1f2d_5692),
+        (EngineKind::Ksm, 0x6d80_4a7a_8a72_26a0),
+        (EngineKind::Wpf, 0xdc2f_48f2_07b6_fc01),
+        (EngineKind::VUsion, 0xc83d_f563_fe83_e5d2),
     ] {
         let snap = access_heavy_snapshot(kind);
         let payload = vusion_snapshot::unseal(&snap).expect("a fresh snapshot unseals");
