@@ -358,7 +358,7 @@ pub fn execute(spec: &RunSpec, invariants: &[Invariant]) -> RunOutput {
         coverage.add(&format!("span.{}", kind.name()), stat.count);
     }
     for ev in sys.machine.journal() {
-        coverage.mark(&format!("journal.{}", ev.kind().label()));
+        coverage.mark(&format!("journal.{}", ev.label()));
     }
 
     RunOutput {

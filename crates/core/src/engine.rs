@@ -150,7 +150,7 @@ impl EngineKind {
         };
         let sys = System::new(m, policy);
         if self == EngineKind::VUsionThp {
-            sys.with_khugepaged(Khugepaged::new().with_min_active(1))
+            sys.with_khugepaged(Khugepaged::new())
         } else {
             sys
         }
@@ -181,29 +181,37 @@ pub(crate) mod tests {
         ix.set_frame(&PhysMemory::new(frames + 1), node, FrameId(frames as u64));
     }
 
-    /// Snapshots `s` after each tampering (each starts from the state the
-    /// untampered snapshot holds) and restores that image into `s`: the
-    /// restore must be refused by the id bound, first a frame past memory,
-    /// then a pid past the process table. Every field decoded before the
-    /// bad id rewrites the value `s` already held, so a refusal that
-    /// commits nothing leaves `s`'s snapshot byte for byte.
+    /// Restores three refused images into `s` after moving it on a
+    /// scan period, so its state differs from theirs: a snapshot of
+    /// another engine on the same machine, then `s`'s own snapshot after
+    /// each tampering (each from the untampered state), which an id bound
+    /// refuses: first a frame past memory, then a pid past the process
+    /// table. Each restore must return exactly its error and leave `s`'s
+    /// snapshot and metrics document byte for byte.
     pub(crate) fn assert_restore_refuses<P: FusionPolicy>(
         s: &mut System<P>,
         bad_frame: fn(&mut System<P>),
         bad_pid: fn(&mut System<P>),
     ) {
         let good = s.snapshot();
+        let foreign = System::new(Machine::new(*s.machine.config()), NoFusion).snapshot();
+        let mut refused = vec![(foreign, "engine tag mismatch")];
         for (tamper, why) in [
             (bad_frame, "frame id past the machine's memory"),
             (bad_pid, "pid past the machine's processes"),
         ] {
             tamper(s);
-            let bad = s.snapshot();
+            refused.push((s.snapshot(), why));
             s.restore(&good).expect("the untampered snapshot restores");
-            assert_eq!(s.restore(&bad), Err(SnapshotError::Corrupt(why)));
+        }
+        s.idle(s.policy.scan_period_ns());
+        let before = (s.snapshot(), s.metrics_snapshot().to_json());
+        assert!(before.0 != good, "the target must differ from the snapshot");
+        for (bytes, why) in refused {
+            assert_eq!(s.restore(&bytes), Err(SnapshotError::Corrupt(why)));
             assert!(
-                s.snapshot() == good,
-                "the refused restore changed the system"
+                (s.snapshot(), s.metrics_snapshot().to_json()) == before,
+                "the refused restore ({why}) changed the system"
             );
         }
     }

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanGrant, ScanReport, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition,
 };
 use vusion_mem::{CrashSite, FrameId, VirtAddr, PAGE_SIZE};
 use vusion_mmu::{Pte, PteFlags};
@@ -69,8 +69,6 @@ pub struct KsmStats {
     pub promotions: u64,
     /// Full scan rounds completed.
     pub full_rounds: u64,
-    /// Transparent huge pages broken for scanning.
-    pub huge_broken: u64,
     /// Pages skipped because their checksum was still unstable.
     pub checksum_skips: u64,
 }
@@ -167,7 +165,6 @@ impl Ksm {
         va: VirtAddr,
         old: FrameId,
         node: NodeId,
-        report: &mut ScanReport,
     ) {
         let stable_frame = self.stable.frame(node);
         debug_assert_ne!(stable_frame, old);
@@ -198,7 +195,7 @@ impl Ksm {
         self.tags.record(tag);
         self.merged_live += 1;
         self.stats.merged += 1;
-        report.pages_merged += 1;
+        m.scan_counts_mut().pages_merged += 1;
     }
 
     /// Resolves the 4 KiB frame backing `leaf` at `va` (huge-aware).
@@ -213,14 +210,7 @@ impl Ksm {
     /// Breaks the THP covering `va` if the mapping is huge. KSM splits a
     /// huge page only *when merging* a 4 KiB page inside it (§5.1) — the
     /// conditionality the translation attack observes.
-    fn break_if_huge(
-        &mut self,
-        m: &mut Machine,
-        pid: Pid,
-        va: VirtAddr,
-        defer_alloc: bool,
-        report: &mut ScanReport,
-    ) -> bool {
+    fn break_if_huge(m: &mut Machine, pid: Pid, va: VirtAddr, defer_alloc: bool) -> bool {
         if m.leaf(pid, va).map(|l| l.huge).unwrap_or(false) {
             if defer_alloc {
                 // Rung 3 (the grant's `defer_alloc`): splitting a THP
@@ -242,23 +232,15 @@ impl Ksm {
                 m.note_scan_retry();
                 return false;
             }
-            self.stats.huge_broken += 1;
-            report.huge_pages_broken += 1;
+            m.scan_counts_mut().huge_pages_broken += 1;
         }
         true
     }
 
     /// Scans one page (the §2.1 per-page algorithm). `defer_alloc` is the
     /// wake's rung-3 flag, which only THP breaks consult.
-    fn scan_one(
-        &mut self,
-        m: &mut Machine,
-        pid: Pid,
-        va: VirtAddr,
-        defer_alloc: bool,
-        report: &mut ScanReport,
-    ) {
-        report.pages_scanned += 1;
+    fn scan_one(&mut self, m: &mut Machine, pid: Pid, va: VirtAddr, defer_alloc: bool) {
+        m.scan_counts_mut().pages_scanned += 1;
         let Some(leaf) = m.leaf(pid, va) else {
             return; // Never faulted in.
         };
@@ -272,7 +254,7 @@ impl Ksm {
         // generation since the last terminal decision — re-running the
         // per-page algorithm is guaranteed to reproduce that decision.
         if self.dirty.is_clean(m.mem(), pid, va, frame) {
-            report.pages_skipped_clean += 1;
+            m.scan_counts_mut().pages_skipped_clean += 1;
             return;
         }
         if m.observed_scan_flip() {
@@ -308,8 +290,8 @@ impl Ksm {
         // the members of the page's hash bucket, so a hash collision never
         // matches.
         if let Some(node) = self.stable.find(m.mem(), frame) {
-            if self.break_if_huge(m, pid, va, defer_alloc, report) {
-                self.merge_into_stable(m, pid, va, frame, node, report);
+            if Self::break_if_huge(m, pid, va, defer_alloc) {
+                self.merge_into_stable(m, pid, va, frame, node);
             }
             return;
         }
@@ -355,8 +337,8 @@ impl Ksm {
             // downgrades the candidate to stale — both pages stay intact
             // and get rescanned later.
             let valid = valid
-                && self.break_if_huge(m, pid, va, defer_alloc, report)
-                && self.break_if_huge(m, entry.pid, entry.va, defer_alloc, report)
+                && Self::break_if_huge(m, pid, va, defer_alloc)
+                && Self::break_if_huge(m, entry.pid, entry.va, defer_alloc)
                 && m.set_leaf(wpid, wva, Pte::new(wframe, self.merged_flags()))
                     .is_ok();
             if valid {
@@ -370,8 +352,8 @@ impl Ksm {
                 self.merged_live += 1; // The promoted party's own mapping.
                 m.surface_transition(SurfaceTransition::Merge);
                 self.stats.promotions += 1;
-                report.pages_merged += 1; // The promoted candidate's mapping.
-                self.merge_into_stable(m, lpid, lva, lframe, snode, report);
+                m.scan_counts_mut().pages_merged += 1; // The promoted candidate's mapping.
+                self.merge_into_stable(m, lpid, lva, lframe, snode);
             } else {
                 // Stale candidate: replace it with the scanned page.
                 self.insert_unstable(m, pid, va, frame);
@@ -487,7 +469,6 @@ impl vusion_snapshot::Snapshot for Ksm {
         w.u64(self.stats.unmerged);
         w.u64(self.stats.promotions);
         w.u64(self.stats.full_rounds);
-        w.u64(self.stats.huge_broken);
         w.u64(self.stats.checksum_skips);
     }
 
@@ -536,7 +517,6 @@ impl vusion_snapshot::Snapshot for Ksm {
             unmerged: r.u64()?,
             promotions: r.u64()?,
             full_rounds: r.u64()?,
-            huge_broken: r.u64()?,
             checksum_skips: r.u64()?,
         };
         Ok(())
@@ -548,8 +528,7 @@ impl FusionPolicy for Ksm {
         "ksm"
     }
 
-    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
-        let mut report = ScanReport::default();
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> u64 {
         let (pages, rebuilt) = self.candidates.take(m, /* mergeable_only */ true);
         if rebuilt {
             // The candidate set changed (mmap / madvise / new process):
@@ -564,7 +543,7 @@ impl FusionPolicy for Ksm {
         }
         if pages.is_empty() {
             self.candidates.put_back(pages);
-            return report;
+            return 0;
         }
         // Evict unstable candidates whose content changed since they were
         // filed: they no longer hold what they were filed as. (§2.1 drops
@@ -602,23 +581,24 @@ impl FusionPolicy for Ksm {
         scan_cache::prehash_frames(m, &visit_frames);
         // Decide/commit phase: every mutation, RNG draw, crash poll, and
         // trace event happens here in canonical order.
+        let mut visited = 0;
         for _ in 0..limit {
             if m.crash_now(CrashSite::MidScan) {
                 // The daemon dies between pages: work already done this
                 // wakeup stays committed, nothing is left in flight.
                 break;
             }
-            report.budget_used += 1;
+            visited += 1;
             let idx = (self.cursor % pages.len() as u64) as usize;
             let (pid, va) = pages[idx];
-            self.scan_one(m, pid, va, grant.defer_alloc, &mut report);
+            self.scan_one(m, pid, va, grant.defer_alloc);
             self.cursor += 1;
             if self.cursor.is_multiple_of(pages.len() as u64) {
                 self.stats.full_rounds += 1;
             }
         }
         self.candidates.put_back(pages);
-        report
+        visited
     }
 
     fn handle_fault(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
@@ -727,7 +707,6 @@ mod tests {
             unmerged: 42,
             promotions: 43,
             full_rounds: 44,
-            huge_broken: 45,
             checksum_skips: 46,
         };
         let mut dst = Ksm::new(KsmConfig::default());

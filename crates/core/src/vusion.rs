@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanGrant, ScanReport, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition,
 };
 use vusion_mem::{
     CrashSite, DeferredFreeQueue, FrameId, MmError, PageType, RandomPool, VirtAddr,
@@ -103,16 +103,10 @@ const RA_TRACE_CAP: usize = 1 << 16;
 /// VUsion counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VUsionStats {
-    /// Real merges.
-    pub merged: u64,
-    /// Fake merges.
-    pub fake_merged: u64,
     /// Copy-on-access unmerges (reads and writes alike).
     pub coa_unmerges: u64,
     /// Pages skipped because they were in the working set.
     pub skipped_active: u64,
-    /// Huge pages broken.
-    pub huge_broken: u64,
     /// Huge pages left intact because they were active (THP mode).
     pub huge_conserved: u64,
     /// Backing frames re-randomized at round boundaries.
@@ -251,15 +245,8 @@ impl VUsion {
 
     /// One page through the S⊕F pipeline. `defer_alloc` is the wake's
     /// rung-3 flag.
-    fn scan_one(
-        &mut self,
-        m: &mut Machine,
-        pid: Pid,
-        va: VirtAddr,
-        defer_alloc: bool,
-        report: &mut ScanReport,
-    ) {
-        report.pages_scanned += 1;
+    fn scan_one(&mut self, m: &mut Machine, pid: Pid, va: VirtAddr, defer_alloc: bool) {
+        m.scan_counts_mut().pages_scanned += 1;
         if self.page_state.contains_key(&(pid.0, va.page())) {
             return; // Already under management.
         }
@@ -296,7 +283,7 @@ impl VUsion {
                 };
                 if was_accessed {
                     self.stats.huge_conserved += 1;
-                    report.pages_skipped_active += 1;
+                    m.scan_counts_mut().pages_skipped_active += 1;
                     return;
                 }
             }
@@ -305,8 +292,7 @@ impl VUsion {
                 m.note_scan_retry();
                 return;
             }
-            self.stats.huge_broken += 1;
-            report.huge_pages_broken += 1;
+            m.scan_counts_mut().huge_pages_broken += 1;
             let Some(l) = m.leaf(pid, va) else {
                 return;
             };
@@ -329,7 +315,7 @@ impl VUsion {
         };
         if was_accessed {
             self.stats.skipped_active += 1;
-            report.pages_skipped_active += 1;
+            m.scan_counts_mut().pages_skipped_active += 1;
             return;
         }
         let frame = leaf.pte.frame();
@@ -378,8 +364,7 @@ impl VUsion {
                 m.surface_transition(SurfaceTransition::Merge);
                 self.tags.record(tag);
                 self.saved += 1;
-                self.stats.merged += 1;
-                report.pages_merged += 1;
+                m.scan_counts_mut().pages_merged += 1;
             }
             None => {
                 m.trace_begin("vusion", SpanKind::FakeMerge);
@@ -411,8 +396,7 @@ impl VUsion {
                 m.scan_cost(costs.copy_page + costs.pte_update + costs.buddy_interaction);
                 m.trace_end(SpanKind::FakeMerge);
                 m.surface_transition(SurfaceTransition::FakeMerge);
-                self.stats.fake_merged += 1;
-                report.pages_fake_merged += 1;
+                m.scan_counts_mut().pages_fake_merged += 1;
             }
         }
     }
@@ -663,11 +647,8 @@ impl vusion_snapshot::Snapshot for VUsion {
         w.u64(self.saved);
         w.u64s(&self.ra_trace);
         self.tags.save(w);
-        w.u64(self.stats.merged);
-        w.u64(self.stats.fake_merged);
         w.u64(self.stats.coa_unmerges);
         w.u64(self.stats.skipped_active);
-        w.u64(self.stats.huge_broken);
         w.u64(self.stats.huge_conserved);
         w.u64(self.stats.rerandomized);
         w.u64(self.stats.collapse_unmerges);
@@ -732,11 +713,8 @@ impl vusion_snapshot::Snapshot for VUsion {
         *ra_trace = r.u64s()?;
         *tags = TagCounts::load(r)?;
         *stats = VUsionStats {
-            merged: r.u64()?,
-            fake_merged: r.u64()?,
             coa_unmerges: r.u64()?,
             skipped_active: r.u64()?,
-            huge_broken: r.u64()?,
             huge_conserved: r.u64()?,
             rerandomized: r.u64()?,
             collapse_unmerges: r.u64()?,
@@ -751,8 +729,7 @@ impl FusionPolicy for VUsion {
         "vusion"
     }
 
-    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
-        let mut report = ScanReport::default();
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> u64 {
         // Background half of deferred free (decision ii).
         let mut dead = Vec::new();
         self.deferred
@@ -773,7 +750,7 @@ impl FusionPolicy for VUsion {
         let (pages, _) = self.candidates.take(m, /* mergeable_only */ true);
         if pages.is_empty() {
             self.candidates.put_back(pages);
-            return report;
+            return 0;
         }
         // Pre-hash this wakeup's visit window, so the decide phase below
         // hits the hash memo-cache on every page. Huge and trapped
@@ -806,16 +783,17 @@ impl FusionPolicy for VUsion {
             }
         }
         scan_cache::prehash_frames(m, &visit_frames);
+        let mut visited = 0;
         for _ in 0..limit {
             if m.crash_now(CrashSite::MidScan) {
                 // The daemon dies between pages: work already done this
                 // wakeup stays committed, nothing is left in flight.
                 break;
             }
-            report.budget_used += 1;
+            visited += 1;
             let idx = (self.cursor % pages.len() as u64) as usize;
             let (pid, va) = pages[idx];
-            self.scan_one(m, pid, va, grant.defer_alloc, &mut report);
+            self.scan_one(m, pid, va, grant.defer_alloc);
             self.cursor += 1;
             if self.cursor.is_multiple_of(pages.len() as u64) {
                 // Rerandomization keeps running under rung 3, so fused
@@ -831,7 +809,7 @@ impl FusionPolicy for VUsion {
             }
         }
         self.candidates.put_back(pages);
-        report
+        visited
     }
 
     fn handle_fault(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
@@ -990,11 +968,8 @@ mod tests {
             rest: 36,
         };
         u.stats = VUsionStats {
-            merged: 41,
-            fake_merged: 42,
             coa_unmerges: 43,
             skipped_active: 44,
-            huge_broken: 45,
             huge_conserved: 46,
             rerandomized: 47,
             collapse_unmerges: 48,
@@ -1072,8 +1047,9 @@ mod tests {
             .pte;
         assert_eq!(merged.flags(), fake.flags(), "SB: identical PTE flags");
         assert!(merged.is_trapped() && merged.has(PteFlags::NO_CACHE));
-        assert!(s.policy.stats().fake_merged >= 1);
-        assert!(s.policy.stats().merged >= 1);
+        let counts = s.machine.stats().scan;
+        assert!(counts.pages_fake_merged >= 1);
+        assert!(counts.pages_merged >= 1);
     }
 
     #[test]
@@ -1114,7 +1090,7 @@ mod tests {
             s.force_scans(1);
         }
         assert_eq!(
-            s.policy.stats().merged,
+            s.machine.stats().scan.pages_merged,
             0,
             "working-set pages stay untouched"
         );

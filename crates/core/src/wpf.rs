@@ -24,7 +24,7 @@
 //! counter or output depends on how it is found.
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanGrant, ScanReport, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition,
 };
 use vusion_mem::{
     CrashSite, FrameAllocator, FrameId, LinearAllocator, MmError, PageType, VirtAddr, PAGE_SIZE,
@@ -55,8 +55,6 @@ impl Default for WpfConfig {
 /// WPF counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WpfStats {
-    /// Pages merged onto tree pages.
-    pub merged: u64,
     /// Copy-on-write unmerges.
     pub unmerged: u64,
     /// New backing frames reserved by the linear allocator.
@@ -180,14 +178,13 @@ impl Wpf {
         m.surface_transition(SurfaceTransition::Merge);
         self.tags.record(tag);
         self.merged_live += 1;
-        self.stats.merged += 1;
+        m.scan_counts_mut().pages_merged += 1;
         true
     }
 
     /// One full fusion pass (§2.2), or the slice of one that `grant`
-    /// allows.
-    fn full_pass(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
-        let mut report = ScanReport::default();
+    /// allows. Returns the pages it hashed.
+    fn full_pass(&mut self, m: &mut Machine, grant: ScanGrant) -> u64 {
         self.last_pass_frames.clear();
         // Tree pages can change in place between passes (Rowhammer on a
         // fused page — the §5.2 attack). Move them to the buckets of their
@@ -231,10 +228,10 @@ impl Wpf {
             // tree page changed — re-running the sort/group/merge stages
             // would provably reproduce "no merges". A suspended pass
             // disqualifies it: those rows were hashed under older contents.
-            report.pages_skipped_clean = cands.len() as u64;
+            m.scan_counts_mut().pages_skipped_clean += cands.len() as u64;
             let _ = m.crash_now(CrashSite::MidScan);
             self.stats.passes += 1;
-            return report;
+            return 0;
         }
         // Resume the suspended pass, or start a fresh one. A layout-epoch
         // rebuild or a candidate-count drift invalidates the parked rows.
@@ -256,9 +253,9 @@ impl Wpf {
         // memo cache on every page.
         let frames: Vec<FrameId> = cands[start..end].iter().map(|&(_, _, f)| f).collect();
         scan_cache::prehash_frames(m, &frames);
+        let visited = frames.len() as u64;
+        m.scan_counts_mut().pages_scanned += visited;
         for &(pid, va, frame) in &cands[start..end] {
-            report.pages_scanned += 1;
-            report.budget_used += 1;
             pass.hashed
                 .push((m.mem().hash_page(frame), pid.0 as u64, va.0, frame.0));
             pass.cursor += 1;
@@ -267,13 +264,13 @@ impl Wpf {
             // The pass dies after the read-only hashing stage: nothing has
             // been mutated yet, nothing is marked seen, and the suspended
             // state is dropped — the next pass redoes the whole decision.
-            return report;
+            return visited;
         }
         if (pass.cursor as usize) < cands.len() {
             // Budget exhausted mid-stage: park the cursor and yield. The
             // sort/group/merge stages run only on a fully hashed set.
             self.pass = Some(pass);
-            return report;
+            return visited;
         }
         let mut candidates: Vec<(u64, usize, u64, FrameId)> = pass
             .hashed
@@ -405,13 +402,9 @@ impl Wpf {
                     m.surface_transition(SurfaceTransition::Merge);
                     self.tags.record(tag);
                     self.merged_live += 1;
-                    self.stats.merged += 1;
-                    report.pages_merged += 1;
-                } else {
-                    if !self.merge_onto(m, pid, va, old, tree_frame) {
-                        continue;
-                    }
-                    report.pages_merged += 1;
+                    m.scan_counts_mut().pages_merged += 1;
+                } else if !self.merge_onto(m, pid, va, old, tree_frame) {
+                    continue;
                 }
             }
             if let Some(node) = new_node.filter(|_| !consumed_initial_ref) {
@@ -449,7 +442,7 @@ impl Wpf {
             }
         }
         self.stats.passes += 1;
-        report
+        visited
     }
 
     /// Copy-on-write unmerge; dead tree frames return to the linear
@@ -531,7 +524,6 @@ impl vusion_snapshot::Snapshot for Wpf {
         self.linear.save(w);
         w.u64(self.merged_live);
         self.tags.save(w);
-        w.u64(self.stats.merged);
         w.u64(self.stats.unmerged);
         w.u64(self.stats.tree_pages_allocated);
         w.u64(self.stats.passes);
@@ -578,7 +570,6 @@ impl vusion_snapshot::Snapshot for Wpf {
         *merged_live = r.u64()?;
         *tags = TagCounts::load(r)?;
         *stats = WpfStats {
-            merged: r.u64()?,
             unmerged: r.u64()?,
             tree_pages_allocated: r.u64()?,
             passes: r.u64()?,
@@ -619,7 +610,7 @@ impl FusionPolicy for Wpf {
         "wpf"
     }
 
-    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> u64 {
         self.full_pass(m, grant)
     }
 
@@ -708,7 +699,6 @@ mod tests {
             rest: 36,
         };
         w.stats = WpfStats {
-            merged: 41,
             unmerged: 42,
             tree_pages_allocated: 43,
             passes: 44,
@@ -771,7 +761,7 @@ mod tests {
         s.write_page(b, VirtAddr(BASE + PAGE_SIZE), &page(2));
         s.force_scans(1);
         assert!(
-            s.policy.stats().merged >= 2,
+            s.machine.stats().scan.pages_merged >= 2,
             "WPF scans all memory without madvise"
         );
     }
@@ -895,7 +885,7 @@ mod tests {
         let (mut s, a, _b) = system();
         s.write_page(a, VirtAddr(BASE), &page(13));
         s.force_scans(1);
-        assert_eq!(s.policy.stats().merged, 0);
+        assert_eq!(s.machine.stats().scan.pages_merged, 0);
         assert!(!s
             .machine
             .leaf(a, VirtAddr(BASE))

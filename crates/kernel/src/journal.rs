@@ -120,99 +120,25 @@ pub enum JournalEvent {
     },
 }
 
-/// The discriminant of a [`JournalEvent`], for introspection: shrinkers
-/// and coverage reports classify events without matching on payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum JournalEventKind {
-    /// `Spawn`.
-    Spawn,
-    /// `Mmap`.
-    Mmap,
-    /// `Madvise`.
-    Madvise,
-    /// `Read`.
-    Read,
-    /// `Write`.
-    Write,
-    /// `ReadPage`.
-    ReadPage,
-    /// `WritePage`.
-    WritePage,
-    /// `Prefetch`.
-    Prefetch,
-    /// `ForceScans`.
-    ForceScans,
-    /// `Idle`.
-    Idle,
-    /// `Hammer`.
-    Hammer,
-    /// `ArmFaults`.
-    ArmFaults,
-    /// `SetPressureGovernor`.
-    SetPressureGovernor,
-    /// `Clflush`.
-    Clflush,
-}
-
-impl JournalEventKind {
-    /// Every kind, in tag order (matches the wire tags in
-    /// [`JournalEvent::save`]).
-    pub const ALL: [JournalEventKind; 14] = [
-        JournalEventKind::Spawn,
-        JournalEventKind::Mmap,
-        JournalEventKind::Madvise,
-        JournalEventKind::Read,
-        JournalEventKind::Write,
-        JournalEventKind::ReadPage,
-        JournalEventKind::WritePage,
-        JournalEventKind::Prefetch,
-        JournalEventKind::ForceScans,
-        JournalEventKind::Idle,
-        JournalEventKind::Hammer,
-        JournalEventKind::ArmFaults,
-        JournalEventKind::SetPressureGovernor,
-        JournalEventKind::Clflush,
-    ];
-
-    /// Stable lowercase label (coverage keys, report rows).
-    pub fn label(self) -> &'static str {
-        match self {
-            JournalEventKind::Spawn => "spawn",
-            JournalEventKind::Mmap => "mmap",
-            JournalEventKind::Madvise => "madvise",
-            JournalEventKind::Read => "read",
-            JournalEventKind::Write => "write",
-            JournalEventKind::ReadPage => "read_page",
-            JournalEventKind::WritePage => "write_page",
-            JournalEventKind::Prefetch => "prefetch",
-            JournalEventKind::ForceScans => "force_scans",
-            JournalEventKind::Idle => "idle",
-            JournalEventKind::Hammer => "hammer",
-            JournalEventKind::ArmFaults => "arm_faults",
-            JournalEventKind::SetPressureGovernor => "set_pressure_governor",
-            JournalEventKind::Clflush => "clflush",
-        }
-    }
-}
-
 impl JournalEvent {
-    /// This event's discriminant.
-    pub fn kind(&self) -> JournalEventKind {
+    /// Stable lowercase name of this event's variant (coverage keys,
+    /// report rows).
+    pub fn label(&self) -> &'static str {
         match self {
-            Self::Spawn { .. } => JournalEventKind::Spawn,
-            Self::Mmap { .. } => JournalEventKind::Mmap,
-            Self::Madvise { .. } => JournalEventKind::Madvise,
-            Self::Read { .. } => JournalEventKind::Read,
-            Self::Write { .. } => JournalEventKind::Write,
-            Self::ReadPage { .. } => JournalEventKind::ReadPage,
-            Self::WritePage { .. } => JournalEventKind::WritePage,
-            Self::Prefetch { .. } => JournalEventKind::Prefetch,
-            Self::ForceScans { .. } => JournalEventKind::ForceScans,
-            Self::Idle { .. } => JournalEventKind::Idle,
-            Self::Hammer { .. } => JournalEventKind::Hammer,
-            Self::ArmFaults => JournalEventKind::ArmFaults,
-            Self::SetPressureGovernor { .. } => JournalEventKind::SetPressureGovernor,
-            Self::Clflush { .. } => JournalEventKind::Clflush,
+            Self::Spawn { .. } => "spawn",
+            Self::Mmap { .. } => "mmap",
+            Self::Madvise { .. } => "madvise",
+            Self::Read { .. } => "read",
+            Self::Write { .. } => "write",
+            Self::ReadPage { .. } => "read_page",
+            Self::WritePage { .. } => "write_page",
+            Self::Prefetch { .. } => "prefetch",
+            Self::ForceScans { .. } => "force_scans",
+            Self::Idle { .. } => "idle",
+            Self::Hammer { .. } => "hammer",
+            Self::ArmFaults => "arm_faults",
+            Self::SetPressureGovernor { .. } => "set_pressure_governor",
+            Self::Clflush { .. } => "clflush",
         }
     }
 
@@ -376,13 +302,13 @@ mod tests {
     use super::*;
     use vusion_mmu::Protection;
 
-    #[test]
-    fn events_round_trip() {
+    /// One event of each variant, in wire-tag order.
+    fn one_of_each() -> Vec<JournalEvent> {
         let mut content = Box::new([0u8; PAGE_SIZE as usize]);
         for (i, b) in content.iter_mut().enumerate() {
             *b = (i % 253) as u8;
         }
-        let events = vec![
+        vec![
             JournalEvent::Spawn { name: "vm0".into() },
             JournalEvent::Mmap {
                 pid: Pid(0),
@@ -431,7 +357,12 @@ mod tests {
                 pid: Pid(0),
                 va: VirtAddr(0x10040),
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn events_round_trip() {
+        let events = one_of_each();
         let mut w = Writer::new();
         JournalEvent::save_all(&events, &mut w);
         let bytes = w.into_bytes();
@@ -443,14 +374,25 @@ mod tests {
 
     #[test]
     fn kind_labels_are_distinct_and_exhaustive() {
-        let mut labels: Vec<&str> = JournalEventKind::ALL.iter().map(|k| k.label()).collect();
+        let events = one_of_each();
+        // One event per wire tag: the list covers every variant.
+        for (tag, ev) in events.iter().enumerate() {
+            let mut w = Writer::new();
+            ev.save(&mut w);
+            assert_eq!(w.into_bytes()[0] as usize, tag, "{ev:?}");
+        }
+        let mut labels: Vec<&str> = events.iter().map(JournalEvent::label).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), JournalEventKind::ALL.len());
-        // Every event maps to a kind listed in ALL.
-        let ev = JournalEvent::ForceScans { n: 1 };
-        assert!(JournalEventKind::ALL.contains(&ev.kind()));
-        assert_eq!(ev.kind().label(), "force_scans");
+        assert_eq!(labels.len(), events.len());
+        assert_eq!(JournalEvent::ForceScans { n: 1 }.label(), "force_scans");
+        // The tag after the last is unknown to the decoder: the list is
+        // complete.
+        let next = [events.len() as u8];
+        assert_eq!(
+            JournalEvent::load(&mut Reader::new(&next)),
+            Err(SnapshotError::Corrupt("unknown journal event tag"))
+        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! §8.2 of the paper: khugepaged "transparently collapses consecutive
 //! physical pages into huge pages"; VUsion must prevent it from collapsing
 //! (fake-)merged pages, or the translation attack returns. The protocol is:
-//! if at least `min_active` of the 512 sub-pages are active, the policy is
-//! asked to (fake-)unmerge the rest before the collapse copies everything
-//! into a fresh, physically contiguous 2 MiB block.
+//! if at least `MIN_ACTIVE` of the 512 sub-pages are active, the policy
+//! is asked to (fake-)unmerge the rest before the collapse copies
+//! everything into a fresh, physically contiguous 2 MiB block.
 
 use vusion_mem::{FrameId, PageType, VirtAddr, HUGE_PAGE_FRAMES, HUGE_PAGE_SIZE, PAGE_SIZE};
 use vusion_mmu::{PteFlags, VmaBacking};
@@ -24,37 +24,29 @@ pub struct KhugepagedStats {
     pub skipped: u64,
 }
 
+/// Wakeup period (simulated ns). Linux defaults to 10 s; experiments use
+/// 1 s to fit their time scale.
+pub(crate) const PERIOD_NS: u64 = 1_000_000_000;
+
+/// Huge-range candidates examined per wakeup.
+const RANGES_PER_SCAN: usize = 16;
+
+/// Minimum number of *accessed* sub-pages for a range to be considered hot
+/// enough to collapse: the `n` of §8.1, at 1, which collapses aggressively
+/// for performance (larger values would preserve fusion).
+const MIN_ACTIVE: usize = 1;
+
 /// The collapse daemon.
+#[derive(Default)]
 pub struct Khugepaged {
-    /// Wakeup period (simulated ns). Linux defaults to 10 s; experiments
-    /// use 1 s to fit their time scale.
-    pub period_ns: u64,
-    /// Huge-range candidates examined per wakeup.
-    pub ranges_per_scan: usize,
-    /// Minimum number of *accessed* sub-pages for a range to be considered
-    /// hot enough to collapse — the `n` knob of §8.1 (1 = collapse
-    /// aggressively for performance; larger values preserve fusion).
-    pub min_active: usize,
     cursor: usize,
     stats: KhugepagedStats,
 }
 
 impl Khugepaged {
-    /// Creates the daemon with kernel-like defaults (scaled).
+    /// Creates the daemon.
     pub fn new() -> Self {
-        Self {
-            period_ns: 1_000_000_000,
-            ranges_per_scan: 16,
-            min_active: 1,
-            cursor: 0,
-            stats: KhugepagedStats::default(),
-        }
-    }
-
-    /// Overrides the activity threshold `n`.
-    pub fn with_min_active(mut self, n: usize) -> Self {
-        self.min_active = n.max(1);
-        self
+        Self::default()
     }
 
     /// Counters.
@@ -62,11 +54,8 @@ impl Khugepaged {
         self.stats
     }
 
-    /// Serializes the daemon (knobs, scan cursor, counters).
+    /// Serializes the daemon (scan cursor, counters).
     pub fn save(&self, w: &mut vusion_snapshot::Writer) {
-        w.u64(self.period_ns);
-        w.usize(self.ranges_per_scan);
-        w.usize(self.min_active);
         w.usize(self.cursor);
         w.u64(self.stats.collapsed);
         w.u64(self.stats.blocked_by_policy);
@@ -78,9 +67,6 @@ impl Khugepaged {
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<Self, vusion_snapshot::SnapshotError> {
         Ok(Self {
-            period_ns: r.u64()?,
-            ranges_per_scan: r.usize()?,
-            min_active: r.usize()?,
             cursor: r.usize()?,
             stats: KhugepagedStats {
                 collapsed: r.u64()?,
@@ -119,7 +105,7 @@ impl Khugepaged {
         if candidates.is_empty() {
             return;
         }
-        for _ in 0..self.ranges_per_scan.min(candidates.len()) {
+        for _ in 0..RANGES_PER_SCAN.min(candidates.len()) {
             let (pid, base) = candidates[self.cursor % candidates.len()];
             self.cursor = (self.cursor + 1) % candidates.len();
             self.try_collapse(m, policy, pid, base);
@@ -149,7 +135,7 @@ impl Khugepaged {
                 active += 1;
             }
         }
-        if active < self.min_active {
+        if active < MIN_ACTIVE {
             self.stats.skipped += 1; // Too cold to be worth a THP.
             return false;
         }
@@ -232,12 +218,6 @@ impl Khugepaged {
     }
 }
 
-impl Default for Khugepaged {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,11 +288,11 @@ mod tests {
                 .tables_mut()
                 .test_and_clear_accessed(mem, VirtAddr(base.0 + i * PAGE_SIZE));
         }
-        let mut k = Khugepaged::new().with_min_active(1);
+        let mut k = Khugepaged::new();
         let mut p = NoFusion;
         k.scan(&mut m, &mut p);
         assert_eq!(k.stats().collapsed, 0, "idle range must not collapse");
-        // Touch one page: now 1 >= min_active.
+        // Touch one page: now 1 >= MIN_ACTIVE.
         m.read(pid, base).expect("mapped");
         k.scan(&mut m, &mut p);
         assert_eq!(k.stats().collapsed, 1);
@@ -334,12 +314,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "veto"
             }
-            fn scan(
-                &mut self,
-                _m: &mut Machine,
-                _grant: crate::policy::ScanGrant,
-            ) -> crate::policy::ScanReport {
-                Default::default()
+            fn scan(&mut self, _m: &mut Machine, _grant: crate::policy::ScanGrant) -> u64 {
+                0
             }
             fn handle_fault(&mut self, _m: &mut Machine, _f: &crate::machine::PageFault) -> bool {
                 false

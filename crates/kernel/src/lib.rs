@@ -32,10 +32,12 @@ pub mod process;
 pub mod system;
 
 pub use clock::{CostModel, SimClock};
-pub use journal::{JournalEvent, JournalEventKind};
+pub use journal::JournalEvent;
 pub use khugepaged::{Khugepaged, KhugepagedStats};
-pub use machine::{AccessKind, FaultReason, Machine, MachineConfig, MachineStats, PageFault, Pid};
-pub use policy::{FusionPolicy, NoFusion, ScanGrant, ScanReport};
+pub use machine::{
+    AccessKind, FaultReason, Machine, MachineConfig, MachineStats, PageFault, Pid, ScanCounts,
+};
+pub use policy::{FusionPolicy, NoFusion, ScanGrant};
 pub use pressure::{
     PressureBand, PressureConfig, PressureDecision, PressureGovernor, PressureStats,
 };

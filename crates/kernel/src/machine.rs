@@ -99,6 +99,29 @@ pub struct MachineStats {
     /// Deferred-free-queue drains performed under memory pressure to
     /// recover frames before reporting exhaustion.
     pub deferred_drains: u64,
+    /// What the fusion scanner did, on every entry path.
+    pub scan: ScanCounts,
+}
+
+/// What the fusion scanner did, cumulative. Engines bump it through
+/// [`Machine::scan_counts_mut`] where they visit, skip, merge or break a
+/// page, so a timed wake, a forced scan, a direct
+/// [`crate::FusionPolicy::scan`] call and a replayed wake all count alike.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanCounts {
+    /// Pages examined (one per page visit).
+    pub pages_scanned: u64,
+    /// Pages merged with an existing copy (real merges).
+    pub pages_merged: u64,
+    /// Pages fake-merged (VUsion only).
+    pub pages_fake_merged: u64,
+    /// Pages skipped because they were in the working set.
+    pub pages_skipped_active: u64,
+    /// Pages skipped because their frame's write generation (and mapping)
+    /// was unchanged since the last visit — the dirty-driven pass list.
+    pub pages_skipped_clean: u64,
+    /// Huge pages broken up to consider their contents for fusion.
+    pub huge_pages_broken: u64,
 }
 
 /// Machine construction parameters.
@@ -575,6 +598,44 @@ impl Machine {
     /// Records a deferred-free-queue drain performed under memory pressure.
     pub fn note_deferred_drain(&mut self) {
         self.stats.deferred_drains += 1;
+    }
+
+    /// The scanner counters, for the engine that is scanning to bump.
+    pub fn scan_counts_mut(&mut self) -> &mut ScanCounts {
+        &mut self.stats.scan
+    }
+
+    /// Takes over `old`'s run-only state — the journal, its switches and
+    /// the observability hub, none of which a snapshot carries — so that
+    /// this machine, decoded from a snapshot, replaces `old` exactly as an
+    /// in-place [`Snapshot::load`] into `old` would have changed it.
+    pub(crate) fn inherit_run_state(&mut self, old: Machine) {
+        // Every field is named, so a new one must say which kind it is.
+        let Machine {
+            cfg: _, // the same configuration built this machine
+            // Machine state, decoded from the snapshot into `self`:
+            mem: _,
+            buddy: _,
+            llc: _,
+            rows: _,
+            hammer: _, // a pure function of `cfg`
+            clock: _,
+            jitter: _,
+            scan_injector: _,
+            crash_injector: _,
+            processes: _,
+            stats: _,
+            // Run-only state, which no snapshot carries:
+            journal,
+            journal_on,
+            journal_suspend,
+            obs,
+            scan_shard_cost: _, // observability state a restore resets
+        } = old;
+        self.journal = journal;
+        self.journal_on = journal_on;
+        self.journal_suspend = journal_suspend;
+        self.obs = obs;
     }
 
     /// The configuration.
@@ -1540,9 +1601,14 @@ impl Snapshot for Machine {
             s.cow_copies,
             s.bit_flips,
             s.oom_events,
-            s.injected_faults,
             s.scan_retries,
             s.deferred_drains,
+            s.scan.pages_scanned,
+            s.scan.pages_merged,
+            s.scan.pages_fake_merged,
+            s.scan.pages_skipped_active,
+            s.scan.pages_skipped_clean,
+            s.scan.huge_pages_broken,
         ] {
             w.u64(v);
         }
@@ -1619,9 +1685,17 @@ impl Snapshot for Machine {
             cow_copies: r.u64()?,
             bit_flips: r.u64()?,
             oom_events: r.u64()?,
-            injected_faults: r.u64()?,
+            injected_faults: 0, // `stats()` counts it from the injectors
             scan_retries: r.u64()?,
             deferred_drains: r.u64()?,
+            scan: ScanCounts {
+                pages_scanned: r.u64()?,
+                pages_merged: r.u64()?,
+                pages_fake_merged: r.u64()?,
+                pages_skipped_active: r.u64()?,
+                pages_skipped_clean: r.u64()?,
+                huge_pages_broken: r.u64()?,
+            },
         };
         // Observability state, like the tracer: reset, not carried.
         *scan_shard_cost = [0; LOGICAL_SCAN_SHARDS];
@@ -1681,9 +1755,17 @@ mod tests {
             cow_copies: 110,
             bit_flips: 111,
             oom_events: 112,
-            injected_faults: 113,
+            injected_faults: 0, // not saved: `stats()` counts it
             scan_retries: 114,
             deferred_drains: 115,
+            scan: ScanCounts {
+                pages_scanned: 116,
+                pages_merged: 117,
+                pages_fake_merged: 118,
+                pages_skipped_active: 119,
+                pages_skipped_clean: 120,
+                huge_pages_broken: 121,
+            },
         };
         let mut dst = Machine::new(cfg);
         let (x, y) = vusion_snapshot::resave(&src, &mut dst).expect("resave");

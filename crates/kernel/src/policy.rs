@@ -10,44 +10,6 @@ use vusion_mem::VirtAddr;
 
 use crate::machine::{Machine, PageFault, Pid};
 
-/// Outcome counters of one scanner wakeup.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanReport {
-    /// Pages examined.
-    pub pages_scanned: u64,
-    /// Pages merged with an existing copy (real merges).
-    pub pages_merged: u64,
-    /// Pages fake-merged (VUsion only).
-    pub pages_fake_merged: u64,
-    /// Pages unmerged (by the scanner, not by faults).
-    pub pages_unmerged: u64,
-    /// Pages skipped because they were in the working set.
-    pub pages_skipped_active: u64,
-    /// Pages skipped because their frame's write generation (and mapping)
-    /// was unchanged since the last visit — the dirty-driven pass list.
-    pub pages_skipped_clean: u64,
-    /// Huge pages broken up to consider their contents for fusion.
-    pub huge_pages_broken: u64,
-    /// Scan-budget units this wakeup consumed (one per page visit). When
-    /// the pressure governor grants a budget, `granted - budget_used` is
-    /// the share a suspended cursor carries to the next wakeup.
-    pub budget_used: u64,
-}
-
-impl ScanReport {
-    /// Accumulates another report.
-    pub fn absorb(&mut self, other: &ScanReport) {
-        self.pages_scanned += other.pages_scanned;
-        self.pages_merged += other.pages_merged;
-        self.pages_fake_merged += other.pages_fake_merged;
-        self.pages_unmerged += other.pages_unmerged;
-        self.pages_skipped_active += other.pages_skipped_active;
-        self.pages_skipped_clean += other.pages_skipped_clean;
-        self.huge_pages_broken += other.huge_pages_broken;
-        self.budget_used += other.budget_used;
-    }
-}
-
 /// The pressure governor's decision for one scanner wakeup, handed to
 /// [`FusionPolicy::scan`]. The governor owns it and re-derives it before
 /// every wake, so engines never store it. `Default` is an ungoverned
@@ -55,8 +17,8 @@ impl ScanReport {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanGrant {
     /// Page-visit cap for this wake (`None`: the engine's own quota).
-    /// Engines report consumption via [`ScanReport::budget_used`] and
-    /// park their cursor mid-pass when the budget runs out.
+    /// Engines return the pages they visited from [`FusionPolicy::scan`]
+    /// and park their cursor mid-pass when the budget runs out.
     pub budget: Option<u64>,
     /// Reclaim-ladder rung 3, set while the band is Critical: defer
     /// optional frame-allocating scan work (VUsion's whole merge
@@ -79,8 +41,11 @@ pub trait FusionPolicy: vusion_snapshot::Snapshot {
 
     /// One scanner wakeup (KSM: scan N pages; WPF: possibly a full pass)
     /// under `grant`, the pressure governor's decision for this wake.
-    /// Runs on its own core: must not charge the workload clock.
-    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport;
+    /// Returns the pages it visited, the budget it consumed. What it did
+    /// to them it counts on the machine, through
+    /// [`Machine::scan_counts_mut`]. Runs on its own core: must not charge
+    /// the workload clock.
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> u64;
 
     /// Attempts to resolve a fault on a page this policy owns. Returns
     /// `false` if the page is not under fusion management. Runs on the
@@ -144,8 +109,8 @@ impl FusionPolicy for NoFusion {
         "none"
     }
 
-    fn scan(&mut self, _m: &mut Machine, _grant: ScanGrant) -> ScanReport {
-        ScanReport::default()
+    fn scan(&mut self, _m: &mut Machine, _grant: ScanGrant) -> u64 {
+        0
     }
 
     fn handle_fault(&mut self, _m: &mut Machine, _fault: &PageFault) -> bool {
@@ -158,7 +123,7 @@ impl<P: FusionPolicy + ?Sized> FusionPolicy for Box<P> {
         (**self).name()
     }
 
-    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> ScanReport {
+    fn scan(&mut self, m: &mut Machine, grant: ScanGrant) -> u64 {
         (**self).scan(m, grant)
     }
 
@@ -196,27 +161,9 @@ mod tests {
     fn no_fusion_does_nothing() {
         let mut m = Machine::new(MachineConfig::test_small());
         let mut p = NoFusion;
-        assert_eq!(p.scan(&mut m, ScanGrant::default()), ScanReport::default());
+        assert_eq!(p.scan(&mut m, ScanGrant::default()), 0);
         assert_eq!(p.pages_saved(), 0);
         assert_eq!(p.name(), "none");
-    }
-
-    #[test]
-    fn scan_report_absorb_sums() {
-        let mut a = ScanReport {
-            pages_scanned: 5,
-            pages_merged: 2,
-            ..Default::default()
-        };
-        let b = ScanReport {
-            pages_scanned: 3,
-            pages_unmerged: 1,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.pages_scanned, 8);
-        assert_eq!(a.pages_merged, 2);
-        assert_eq!(a.pages_unmerged, 1);
     }
 
     #[test]
@@ -224,7 +171,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::test_small());
         let mut p: Box<dyn FusionPolicy> = Box::new(NoFusion);
         assert_eq!(p.name(), "none");
-        assert_eq!(p.scan(&mut m, ScanGrant::default()).pages_scanned, 0);
+        assert_eq!(p.scan(&mut m, ScanGrant::default()), 0);
         assert_eq!(p.scan_period_ns(), 20_000_000);
     }
 }

@@ -82,40 +82,41 @@ impl PressureBand {
     }
 }
 
-/// Governor tuning. All thresholds are integers so the control law is
-/// exactly reproducible; free-memory thresholds are per-mille of the
-/// buddy-managed frame count.
+/// Free per-mille (of the buddy-managed frames) below which the band
+/// enters Elevated.
+const ELEVATED_ENTER_PM: u32 = 250;
+/// Free per-mille the signal must recover to before Elevated can exit.
+const ELEVATED_EXIT_PM: u32 = 350;
+/// Free per-mille below which the band enters Critical.
+const CRITICAL_ENTER_PM: u32 = 100;
+/// Free per-mille the signal must recover to before Critical can exit.
+const CRITICAL_EXIT_PM: u32 = 200;
+/// OOM events absorbed since the previous sample that alone force at
+/// least Elevated.
+const OOM_ELEVATED: u64 = 1;
+/// OOM events since the previous sample that alone force Critical.
+const OOM_CRITICAL: u64 = 4;
+/// Consecutive calm samples (signal above the exit threshold) required
+/// before the band steps down one level.
+const COOLDOWN_SAMPLES: u32 = 2;
+/// Multiplicative decrease: the budget is right-shifted by this many bits
+/// on every elevated/critical sample (1 = halve).
+const BUDGET_SHIFT: u32 = 1;
+
+/// Governor tuning: the switch and the AIMD budget range. The bands'
+/// thresholds, the cooldown and the decrease are fixed (the constants
+/// above), so the control law is exactly reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PressureConfig {
     /// Master switch. A disabled governor samples nothing, grants no
     /// budgets, traces nothing, and folds no `pressure.*` metrics.
     pub enabled: bool,
-    /// Free per-mille below which the band enters Elevated.
-    pub elevated_enter_pm: u32,
-    /// Free per-mille the signal must recover to before Elevated can exit
-    /// (hysteresis gap: must be > `elevated_enter_pm`).
-    pub elevated_exit_pm: u32,
-    /// Free per-mille below which the band enters Critical.
-    pub critical_enter_pm: u32,
-    /// Free per-mille the signal must recover to before Critical can exit.
-    pub critical_exit_pm: u32,
-    /// OOM events absorbed since the previous sample that alone force at
-    /// least Elevated.
-    pub oom_elevated: u64,
-    /// OOM events since the previous sample that alone force Critical.
-    pub oom_critical: u64,
-    /// Consecutive calm samples (signal above the exit threshold) required
-    /// before the band steps down one level.
-    pub cooldown_samples: u32,
     /// Floor of the per-wake scan budget.
     pub budget_min: u64,
     /// Ceiling of the per-wake scan budget (also the starting budget).
     pub budget_max: u64,
     /// Additive increase applied per nominal sample (ksmd-style ramp-up).
     pub budget_add: u64,
-    /// Multiplicative decrease: the budget is right-shifted by this many
-    /// bits on every elevated/critical sample (1 = halve).
-    pub budget_shift: u32,
 }
 
 impl PressureConfig {
@@ -127,17 +128,9 @@ impl PressureConfig {
 
     const DEFAULT: PressureConfig = PressureConfig {
         enabled: true,
-        elevated_enter_pm: 250,
-        elevated_exit_pm: 350,
-        critical_enter_pm: 100,
-        critical_exit_pm: 200,
-        oom_elevated: 1,
-        oom_critical: 4,
-        cooldown_samples: 2,
         budget_min: 8,
         budget_max: 256,
         budget_add: 16,
-        budget_shift: 1,
     };
 
     /// Enabled governor with the default control law.
@@ -145,33 +138,14 @@ impl PressureConfig {
         Self::DEFAULT
     }
 
-    /// Checks the control law is well formed: hysteresis gaps open the
-    /// right way, the budget range is non-empty, and the decrease actually
-    /// decreases. Returns a static description of the first violation.
+    /// Checks the budget range is non-empty and the increase increases.
+    /// Returns a static description of the first violation.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.elevated_exit_pm <= self.elevated_enter_pm {
-            return Err("elevated_exit_pm must exceed elevated_enter_pm");
-        }
-        if self.critical_exit_pm <= self.critical_enter_pm {
-            return Err("critical_exit_pm must exceed critical_enter_pm");
-        }
-        if self.critical_enter_pm >= self.elevated_enter_pm {
-            return Err("critical_enter_pm must be below elevated_enter_pm");
-        }
         if self.budget_min == 0 || self.budget_min > self.budget_max {
             return Err("budget range must satisfy 0 < budget_min <= budget_max");
         }
         if self.budget_add == 0 {
             return Err("budget_add must be positive");
-        }
-        if self.budget_shift == 0 || self.budget_shift >= 64 {
-            return Err("budget_shift must be in 1..64");
-        }
-        if self.oom_elevated == 0 || self.oom_critical < self.oom_elevated {
-            return Err("oom thresholds must satisfy 0 < oom_elevated <= oom_critical");
-        }
-        if self.cooldown_samples == 0 {
-            return Err("cooldown_samples must be positive");
         }
         Ok(())
     }
@@ -179,34 +153,18 @@ impl PressureConfig {
     /// Serializes the config (journal events and snapshots share this).
     pub fn save(&self, w: &mut Writer) {
         w.bool(self.enabled);
-        w.u32(self.elevated_enter_pm);
-        w.u32(self.elevated_exit_pm);
-        w.u32(self.critical_enter_pm);
-        w.u32(self.critical_exit_pm);
-        w.u64(self.oom_elevated);
-        w.u64(self.oom_critical);
-        w.u32(self.cooldown_samples);
         w.u64(self.budget_min);
         w.u64(self.budget_max);
         w.u64(self.budget_add);
-        w.u32(self.budget_shift);
     }
 
     /// Deserializes a config written by [`Self::save`].
     pub fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(Self {
             enabled: r.bool()?,
-            elevated_enter_pm: r.u32()?,
-            elevated_exit_pm: r.u32()?,
-            critical_enter_pm: r.u32()?,
-            critical_exit_pm: r.u32()?,
-            oom_elevated: r.u64()?,
-            oom_critical: r.u64()?,
-            cooldown_samples: r.u32()?,
             budget_min: r.u64()?,
             budget_max: r.u64()?,
             budget_add: r.u64()?,
-            budget_shift: r.u32()?,
         })
     }
 }
@@ -331,9 +289,9 @@ impl PressureGovernor {
         self.stats.samples += 1;
 
         // The raw (un-hysteresed) band the signal asks for.
-        let raw = if free_pm < cfg.critical_enter_pm || oom_delta >= cfg.oom_critical {
+        let raw = if free_pm < CRITICAL_ENTER_PM || oom_delta >= OOM_CRITICAL {
             PressureBand::Critical
-        } else if free_pm < cfg.elevated_enter_pm || oom_delta >= cfg.oom_elevated {
+        } else if free_pm < ELEVATED_ENTER_PM || oom_delta >= OOM_ELEVATED {
             PressureBand::Elevated
         } else {
             PressureBand::Nominal
@@ -351,14 +309,14 @@ impl PressureGovernor {
         } else if raw < self.band {
             // De-escalate only through the hysteresis gap: the signal must
             // clear the *exit* threshold of the current band for
-            // `cooldown_samples` consecutive samples, then step down once.
+            // `COOLDOWN_SAMPLES` consecutive samples, then step down once.
             let (exit_pm, exit_oom) = match self.band {
-                PressureBand::Critical => (cfg.critical_exit_pm, cfg.oom_critical),
-                _ => (cfg.elevated_exit_pm, cfg.oom_elevated),
+                PressureBand::Critical => (CRITICAL_EXIT_PM, OOM_CRITICAL),
+                _ => (ELEVATED_EXIT_PM, OOM_ELEVATED),
             };
             if free_pm >= exit_pm && oom_delta < exit_oom {
                 self.calm_streak += 1;
-                if self.calm_streak >= cfg.cooldown_samples {
+                if self.calm_streak >= COOLDOWN_SAMPLES {
                     self.band = self.band.lower();
                     self.calm_streak = 0;
                     self.stats.de_escalations += 1;
@@ -377,7 +335,7 @@ impl PressureGovernor {
         self.budget = if self.band == PressureBand::Nominal {
             (self.budget + cfg.budget_add).min(cfg.budget_max)
         } else {
-            (self.budget >> cfg.budget_shift).max(cfg.budget_min)
+            (self.budget >> BUDGET_SHIFT).max(cfg.budget_min)
         };
 
         PressureDecision {
@@ -489,10 +447,23 @@ mod tests {
     use crate::machine::MachineConfig;
     use vusion_mem::PageType;
 
-    fn tight() -> PressureConfig {
-        PressureConfig {
-            cooldown_samples: 2,
-            ..PressureConfig::standard()
+    #[test]
+    fn fixed_control_law_is_well_formed() {
+        // The hysteresis gaps open the right way and Critical sits below
+        // Elevated.
+        for (lo, hi) in [
+            (ELEVATED_ENTER_PM, ELEVATED_EXIT_PM),
+            (CRITICAL_ENTER_PM, CRITICAL_EXIT_PM),
+            (CRITICAL_ENTER_PM, ELEVATED_ENTER_PM),
+        ] {
+            assert!(lo < hi, "{lo} < {hi}");
+        }
+        for (lo, hi) in [(1, OOM_ELEVATED), (OOM_ELEVATED, OOM_CRITICAL)] {
+            assert!(lo <= hi, "{lo} <= {hi}");
+        }
+        // The cooldown dwells and the decrease decreases.
+        for (lo, v, hi) in [(1, COOLDOWN_SAMPLES, u32::MAX), (1, BUDGET_SHIFT, 63)] {
+            assert!((lo..=hi).contains(&v), "{v} in {lo}..={hi}");
         }
     }
 
@@ -501,17 +472,28 @@ mod tests {
         assert!(!PressureConfig::default().enabled);
         assert!(PressureConfig::OFF.validate().is_ok());
         assert!(PressureConfig::standard().validate().is_ok());
-        let bad = PressureConfig {
-            elevated_exit_pm: 100,
-            ..PressureConfig::standard()
-        };
-        assert!(bad.validate().is_err());
+        for bad in [
+            PressureConfig {
+                budget_min: 0,
+                ..PressureConfig::standard()
+            },
+            PressureConfig {
+                budget_min: 300,
+                ..PressureConfig::standard()
+            },
+            PressureConfig {
+                budget_add: 0,
+                ..PressureConfig::standard()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn oom_bursts_escalate_and_calm_samples_de_escalate() {
         let mut m = Machine::new(MachineConfig::test_small());
-        let mut gov = PressureGovernor::new(tight());
+        let mut gov = PressureGovernor::new(PressureConfig::standard());
         let d = gov.sample(&m);
         assert_eq!(d.band, PressureBand::Nominal);
         // A clustered failure burst forces Critical in one sample.
@@ -544,7 +526,7 @@ mod tests {
     #[test]
     fn free_memory_exhaustion_escalates_without_oom_events() {
         let mut m = Machine::new(MachineConfig::test_small());
-        let mut gov = PressureGovernor::new(tight());
+        let mut gov = PressureGovernor::new(PressureConfig::standard());
         // Allocate until under the elevated threshold (25% free).
         while m.buddy().free_frames() * 1000 / 4096 >= 250 {
             m.alloc_frame(PageType::Anon).expect("plenty left");
@@ -556,7 +538,7 @@ mod tests {
     #[test]
     fn budget_recovers_additively_after_pressure() {
         let m = Machine::new(MachineConfig::test_small());
-        let mut gov = PressureGovernor::new(tight());
+        let mut gov = PressureGovernor::new(PressureConfig::standard());
         gov.budget = gov.cfg.budget_min;
         gov.band = PressureBand::Nominal;
         let first = gov.sample(&m).budget;
@@ -567,7 +549,7 @@ mod tests {
 
     #[test]
     fn budget_accounting_identity_holds() {
-        let mut gov = PressureGovernor::new(tight());
+        let mut gov = PressureGovernor::new(PressureConfig::standard());
         gov.account_budget(100, 64);
         gov.account_budget(50, 50);
         let s = gov.stats();
@@ -578,7 +560,7 @@ mod tests {
     #[test]
     fn governor_state_round_trips() {
         let mut m = Machine::new(MachineConfig::test_small());
-        let mut gov = PressureGovernor::new(tight());
+        let mut gov = PressureGovernor::new(PressureConfig::standard());
         for _ in 0..3 {
             m.note_oom();
         }

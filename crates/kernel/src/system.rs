@@ -10,9 +10,9 @@ use vusion_obs::{FaultKind, InstantKind, MetricsSnapshot, PageClass, Profile, Sp
 use vusion_snapshot::{Reader, Snapshot, SnapshotError, Writer};
 
 use crate::journal::JournalEvent;
-use crate::khugepaged::Khugepaged;
+use crate::khugepaged::{self, Khugepaged};
 use crate::machine::{FaultReason, Machine, PageFault, Pid};
-use crate::policy::{FusionPolicy, ScanGrant, ScanReport};
+use crate::policy::{FusionPolicy, ScanGrant};
 use crate::pressure::{PressureBand, PressureConfig, PressureGovernor};
 
 /// Driver counters.
@@ -82,7 +82,6 @@ pub struct System<P: FusionPolicy> {
     next_scan_ns: u64,
     next_khuge_ns: u64,
     stats: SystemStats,
-    scan_totals: ScanReport,
     governor: PressureGovernor,
 }
 
@@ -97,14 +96,13 @@ impl<P: FusionPolicy> System<P> {
             next_scan_ns,
             next_khuge_ns: 0,
             stats: SystemStats::default(),
-            scan_totals: ScanReport::default(),
             governor: PressureGovernor::new(PressureConfig::OFF),
         }
     }
 
     /// Attaches a khugepaged daemon.
     pub fn with_khugepaged(mut self, k: Khugepaged) -> Self {
-        self.next_khuge_ns = self.machine.now_ns() + k.period_ns;
+        self.next_khuge_ns = self.machine.now_ns() + khugepaged::PERIOD_NS;
         self.khugepaged = Some(k);
         self
     }
@@ -112,11 +110,6 @@ impl<P: FusionPolicy> System<P> {
     /// Driver counters.
     pub fn stats(&self) -> SystemStats {
         self.stats
-    }
-
-    /// Accumulated scanner totals.
-    pub fn scan_totals(&self) -> ScanReport {
-        self.scan_totals
     }
 
     /// Installs (or replaces) the pressure governor. Journaled: the
@@ -141,10 +134,10 @@ impl<P: FusionPolicy> System<P> {
 
     /// One scanner wakeup: the governor samples the pressure signal and
     /// walks the escalation ladder, the policy scans under the sample's
-    /// [`ScanGrant`] inside a `ScanPass` span, then the budget flow is
-    /// accounted. With the governor disabled this is exactly the
-    /// pre-governor wakeup: no sample, a default grant, no `pressure.*`
-    /// side effects.
+    /// [`ScanGrant`] inside a `ScanPass` span, then the pages it visited
+    /// are accounted against the grant's budget. With the governor
+    /// disabled this is exactly the pre-governor wakeup: no sample, a
+    /// default grant, no `pressure.*` side effects.
     fn scan_once(&mut self) {
         let grant = if self.governor.enabled() {
             let d = self.governor.sample(&self.machine);
@@ -177,12 +170,11 @@ impl<P: FusionPolicy> System<P> {
         };
         self.machine
             .trace_begin(self.policy.name(), SpanKind::ScanPass);
-        let report = self.policy.scan(&mut self.machine, grant);
+        let visited = self.policy.scan(&mut self.machine, grant);
         self.machine.trace_end(SpanKind::ScanPass);
         if let Some(granted) = grant.budget {
-            self.governor.account_budget(granted, report.budget_used);
+            self.governor.account_budget(granted, visited);
         }
-        self.scan_totals.absorb(&report);
         self.stats.scan_wakeups += 1;
     }
 
@@ -223,7 +215,7 @@ impl<P: FusionPolicy> System<P> {
                     .trace_begin("khugepaged", SpanKind::ThpCollapse);
                 k.scan(&mut self.machine, &mut self.policy);
                 self.machine.trace_end(SpanKind::ThpCollapse);
-                self.next_khuge_ns += k.period_ns;
+                self.next_khuge_ns += khugepaged::PERIOD_NS;
             }
         }
     }
@@ -427,8 +419,8 @@ impl<P: FusionPolicy> System<P> {
         // so subsequent timed operations are not interrupted by catch-up
         // wakeups (experiments rely on this for clean measurements).
         self.next_scan_ns = self.machine.now_ns() + self.policy.scan_period_ns();
-        if let Some(k) = self.khugepaged.as_ref() {
-            self.next_khuge_ns = self.machine.now_ns() + k.period_ns;
+        if self.khugepaged.is_some() {
+            self.next_khuge_ns = self.machine.now_ns() + khugepaged::PERIOD_NS;
         }
     }
 
@@ -472,16 +464,19 @@ impl<P: FusionPolicy> System<P> {
         ] {
             snap.set_counter(name, v);
         }
-        let t = self.scan_totals;
+        // `scan.budget_used` (always `scan.pages_scanned`) and
+        // `scan.pages_unmerged` (never counted) stay only because
+        // simbench's pinned digests cover this document.
+        let t = m.scan;
         for (name, v) in [
             ("scan.pages_scanned", t.pages_scanned),
             ("scan.pages_merged", t.pages_merged),
             ("scan.pages_fake_merged", t.pages_fake_merged),
-            ("scan.pages_unmerged", t.pages_unmerged),
+            ("scan.pages_unmerged", 0),
             ("scan.pages_skipped_active", t.pages_skipped_active),
             ("scan.pages_skipped_clean", t.pages_skipped_clean),
             ("scan.huge_pages_broken", t.huge_pages_broken),
-            ("scan.budget_used", t.budget_used),
+            ("scan.budget_used", t.pages_scanned),
         ] {
             snap.set_counter(name, v);
         }
@@ -618,19 +613,6 @@ impl<P: FusionPolicy> System<P> {
         ] {
             w.u64(v);
         }
-        let t = self.scan_totals;
-        for v in [
-            t.pages_scanned,
-            t.pages_merged,
-            t.pages_fake_merged,
-            t.pages_unmerged,
-            t.pages_skipped_active,
-            t.pages_skipped_clean,
-            t.huge_pages_broken,
-            t.budget_used,
-        ] {
-            w.u64(v);
-        }
         self.governor.save(&mut w);
         match &self.khugepaged {
             Some(k) => {
@@ -656,6 +638,11 @@ impl<P: FusionPolicy> System<P> {
     /// match. So is an engine blob naming a frame or a process the
     /// restored machine does not have: the engine reads its ids through
     /// [`Reader::frame`] and [`Reader::pid`], bounded by that machine.
+    ///
+    /// A refused restore changes nothing. The machine and the driver
+    /// fields decode into fresh values, committed only once everything
+    /// has decoded; the engine loads last, in place, and a refused engine
+    /// blob puts the engine's own image back.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let Self {
             machine,
@@ -664,46 +651,50 @@ impl<P: FusionPolicy> System<P> {
             next_scan_ns,
             next_khuge_ns,
             stats,
-            scan_totals,
             governor,
         } = self;
         let payload = vusion_snapshot::unseal(bytes)?;
         let mut r = Reader::new(payload);
-        machine.load(&mut r)?;
-        *next_scan_ns = r.u64()?;
-        *next_khuge_ns = r.u64()?;
-        *stats = SystemStats {
+        let mut decoded = Machine::new(*machine.config());
+        decoded.load(&mut r)?;
+        let scan_at = r.u64()?;
+        let khuge_at = r.u64()?;
+        let driver = SystemStats {
             policy_faults: r.u64()?,
             kernel_faults: r.u64()?,
             scan_wakeups: r.u64()?,
             unresolved_faults: r.u64()?,
             fault_livelocks: r.u64()?,
         };
-        *scan_totals = ScanReport {
-            pages_scanned: r.u64()?,
-            pages_merged: r.u64()?,
-            pages_fake_merged: r.u64()?,
-            pages_unmerged: r.u64()?,
-            pages_skipped_active: r.u64()?,
-            pages_skipped_clean: r.u64()?,
-            huge_pages_broken: r.u64()?,
-            budget_used: r.u64()?,
-        };
-        *governor = PressureGovernor::load(&mut r)?;
-        *khugepaged = if r.bool()? {
+        let gov = PressureGovernor::load(&mut r)?;
+        let daemon = if r.bool()? {
             Some(Khugepaged::load(&mut r)?)
         } else {
             None
         };
-        let tag = r.str()?;
-        if tag != policy.name() {
+        if r.str()? != policy.name() {
             return Err(SnapshotError::Corrupt("engine tag mismatch"));
         }
-        let mut pr = Reader::new(r.blob()?)
-            .with_id_bounds(machine.mem().frame_count() as u64, machine.process_count());
+        let blob = r.blob()?;
         r.finish()?;
-        policy.load(&mut pr)?;
-        pr.finish()
+        let mut own = Writer::new();
+        policy.save(&mut own);
+        let mut pr = Reader::new(blob)
+            .with_id_bounds(decoded.mem().frame_count() as u64, decoded.process_count());
+        if let Err(e) = policy.load(&mut pr).and_then(|()| pr.finish()) {
+            let own = own.into_bytes();
+            let reloaded = policy.load(&mut Reader::new(&own));
+            debug_assert!(reloaded.is_ok(), "an engine reloads its own image");
+            return Err(e);
+        }
+        let old = std::mem::replace(machine, decoded);
+        machine.inherit_run_state(old);
+        *next_scan_ns = scan_at;
+        *next_khuge_ns = khuge_at;
+        *stats = driver;
+        *governor = gov;
+        *khugepaged = daemon;
+        Ok(())
     }
 
     /// Re-executes one journaled event. Journaling is suspended for the

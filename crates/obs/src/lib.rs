@@ -10,9 +10,10 @@
 //!   OOMs). Events are timestamped by the **simulated cycle clock**,
 //!   never wall clock, so a fixed seed yields a byte-identical trace.
 //!   Export as Chrome `trace_event` JSON (`chrome://tracing`, Perfetto).
-//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named counters, gauges
-//!   and latency histograms (built on `vusion-stats` percentiles),
-//!   snapshot-able to JSON and diffable between two points in a run.
+//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — latency histograms
+//!   (built on `vusion-stats` percentiles) recorded live, frozen into a
+//!   snapshot of named counters, gauges and histograms that renders to
+//!   JSON and diffs between two points in a run.
 //! * [`Profile`] — spans rolled up into a per-engine, per-phase
 //!   cycle-attribution report (the Table 5 breakdown).
 //! * [`Coverage`] — sorted hit counters for test-campaign coverage
@@ -135,11 +136,6 @@ impl Obs {
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
-
-    /// The metrics registry, mutably.
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
 }
 
 #[cfg(test)]
@@ -154,9 +150,9 @@ mod tests {
         assert!(obs.enabled());
         obs.tracer_mut().begin("t", SpanKind::Merge, 10);
         obs.tracer_mut().end(SpanKind::Merge, 20);
-        obs.metrics_mut().inc("x", 1);
+        obs.observe_fault_latency(5.0);
         obs.clear();
         assert!(obs.tracer().events().is_empty());
-        assert_eq!(obs.metrics().snapshot().counters.len(), 0);
+        assert!(obs.metrics().snapshot().histograms.is_empty());
     }
 }

@@ -1,10 +1,9 @@
-//! The metrics registry: named counters, gauges, and latency histograms.
+//! The metrics registry (latency histograms) and the snapshot it feeds.
 //!
-//! This replaces "scattered counters" as the *reporting* surface: hot-path
-//! structs (`MachineStats` and friends) stay as plain fields for speed,
-//! and the kernel folds them into a [`MetricsSnapshot`] on demand, merged
-//! with anything recorded live in the registry (latency histograms, engine
-//! gauges). Snapshots serialize to JSON with sorted keys and subtract
+//! Counters live where they are counted: hot-path structs (`MachineStats`
+//! and friends) stay plain fields, and the kernel folds them into a
+//! [`MetricsSnapshot`] on demand, next to the histograms recorded live in
+//! the registry. Snapshots serialize to JSON with sorted keys and subtract
 //! (`diff`) so two points in a run describe the work between them.
 
 use std::collections::BTreeMap;
@@ -66,13 +65,11 @@ pub struct HistogramSummary {
     pub mean: f64,
 }
 
-/// The live registry. Names are `&'static str` (subsystem-dot-metric,
-/// e.g. `"fault.latency_ns"`); storage is sorted maps so every snapshot
-/// iterates deterministically.
+/// The live registry of latency histograms. Names are `&'static str`
+/// (subsystem-dot-metric, e.g. `"fault.latency_ns"`); storage is a sorted
+/// map so every snapshot iterates deterministically.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, LatencySample>,
 }
 
@@ -80,16 +77,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds `by` to a counter (creating it at zero).
-    pub fn inc(&mut self, name: &'static str, by: u64) {
-        *self.counters.entry(name).or_insert(0) += by;
-    }
-
-    /// Sets a gauge.
-    pub fn set_gauge(&mut self, name: &'static str, value: i64) {
-        self.gauges.insert(name, value);
     }
 
     /// Records one latency observation into `name`'s histogram.
@@ -112,20 +99,12 @@ impl MetricsRegistry {
 
     /// Forgets everything.
     pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
         self.histograms.clear();
     }
 
     /// Freezes the registry into a snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        for (&k, &v) in &self.counters {
-            snap.counters.insert(k.to_string(), v);
-        }
-        for (&k, &v) in &self.gauges {
-            snap.gauges.insert(k.to_string(), v);
-        }
         for (&k, s) in &self.histograms {
             if s.samples.is_empty() {
                 continue;
@@ -247,12 +226,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_round_trip() {
-        let mut r = MetricsRegistry::new();
-        r.inc("a.x", 3);
-        r.inc("a.x", 2);
-        r.set_gauge("g", -7);
-        let s = r.snapshot();
+    fn snapshot_counters_and_gauges_are_set() {
+        let mut s = MetricsRegistry::new().snapshot();
+        s.set_counter("a.x", 5);
+        s.set_gauge("g", -7);
         assert_eq!(s.counters["a.x"], 5);
         assert_eq!(s.gauges["g"], -7);
     }
@@ -274,11 +251,11 @@ mod tests {
     #[test]
     fn diff_subtracts_counters() {
         let mut r = MetricsRegistry::new();
-        r.inc("c", 10);
-        let early = r.snapshot();
-        r.inc("c", 5);
+        let mut early = r.snapshot();
+        early.set_counter("c", 10);
         r.observe("h", 1.0);
-        let late = r.snapshot();
+        let mut late = r.snapshot();
+        late.set_counter("c", 15);
         let d = late.diff(&early);
         assert_eq!(d.counters["c"], 5);
         assert_eq!(d.histograms["h"].count, 1);
@@ -287,10 +264,11 @@ mod tests {
     #[test]
     fn json_sorted_and_valid_shape() {
         let mut r = MetricsRegistry::new();
-        r.inc("b.count", 1);
-        r.inc("a.count", 2);
         r.observe("lat", 3.5);
-        let j = r.snapshot().to_json();
+        let mut s = r.snapshot();
+        s.set_counter("b.count", 1);
+        s.set_counter("a.count", 2);
+        let j = s.to_json();
         assert!(
             j.find("\"a.count\"").expect("a") < j.find("\"b.count\"").expect("b"),
             "{j}"

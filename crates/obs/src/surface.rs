@@ -552,7 +552,7 @@ impl crate::Obs {
     /// consumer (metrics, the surface recorder, the CoW-timing attack)
     /// reads the same measurement instead of re-deriving its own.
     pub fn observe_fault_latency(&mut self, latency_ns: f64) {
-        self.metrics_mut().observe("fault.latency_ns", latency_ns);
+        self.metrics.observe("fault.latency_ns", latency_ns);
     }
 }
 

@@ -49,7 +49,13 @@ use std::fmt;
 /// root or length; KSM's stable nodes carry no value and its unstable
 /// entries no frame; VUsion's blob lost two fixed settings (the RA trace
 /// cap and the deferred-free drain per wake).
-pub const FORMAT_VERSION: u32 = 8;
+/// v9: the system frame lost the scan totals; the machine frame gained the
+/// six scan counts after its counters and lost the `injected_faults` word;
+/// the engine blobs lost the five stats that repeated a scan count (KSM's
+/// `huge_broken`, VUsion's `merged`, `fake_merged` and `huge_broken`,
+/// WPF's `merged`); the governor config, in snapshots and journal events,
+/// lost its eight fixed settings, and khugepaged lost its three.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Magic bytes opening every sealed snapshot or failure bundle.
 pub const MAGIC: &[u8; 4] = b"VSNP";
@@ -705,8 +711,8 @@ mod tests {
 
     #[test]
     fn seal_layout_is_pinned() {
-        let mut want = b"VSNP\x08\x00\x00\x00abc".to_vec();
-        want.extend_from_slice(&[0xfc, 0x71, 0xcf, 0x51, 0x9f, 0xd5, 0x82, 0x36]);
+        let mut want = b"VSNP\x09\x00\x00\x00abc".to_vec();
+        want.extend_from_slice(&[0x0d, 0xef, 0xd4, 0x03, 0xb9, 0x3b, 0x3a, 0x20]);
         assert_eq!(seal(b"abc"), want);
     }
 
@@ -748,8 +754,8 @@ mod tests {
     fn error_display_messages() {
         assert_eq!(SnapshotError::Truncated.to_string(), "snapshot truncated");
         assert_eq!(
-            SnapshotError::BadVersion { found: 9 }.to_string(),
-            format!("snapshot version 9 (expected {FORMAT_VERSION})")
+            SnapshotError::BadVersion { found: 8 }.to_string(),
+            format!("snapshot version 8 (expected {FORMAT_VERSION})")
         );
         assert!(SnapshotError::Corrupt("x").to_string().contains("x"));
     }

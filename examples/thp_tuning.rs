@@ -55,7 +55,7 @@ fn main() {
         );
     }
     println!(
-        "\nThe 'n' knob of the paper's section 8.1 lives in Khugepaged::with_min_active:\n\
-         n = 1 maximizes huge pages (performance), larger n favors fusion (capacity)."
+        "\nkhugepaged collapses a range once n = 1 of its sub-pages is active (section 8.1's n):\n\
+         n = 1 maximizes huge pages (performance); a larger n would favor fusion (capacity)."
     );
 }

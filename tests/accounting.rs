@@ -1,6 +1,7 @@
 //! Resource accounting across the whole stack: no engine may leak or
 //! double-free physical frames, whatever churn it goes through.
 
+use vusion::kernel::ScanGrant;
 use vusion::prelude::*;
 
 const BASE: u64 = 0x10000;
@@ -220,101 +221,181 @@ fn surface_fault_counts_match_machine_stats() {
     }
 }
 
-/// The scanner's aggregated `ScanReport` must agree with each engine's own
-/// statistics: every merge shows up exactly once on both sides.
+/// The machine's scan counts, as `metrics_snapshot` must report them:
+/// every `scan.*` key but the per-shard costs, each with its value.
+fn check_scan_keys<P: FusionPolicy>(sys: &System<P>, what: &str) {
+    let c = sys.machine.stats().scan;
+    let want = [
+        ("scan.budget_used", c.pages_scanned),
+        ("scan.huge_pages_broken", c.huge_pages_broken),
+        ("scan.pages_fake_merged", c.pages_fake_merged),
+        ("scan.pages_merged", c.pages_merged),
+        ("scan.pages_scanned", c.pages_scanned),
+        ("scan.pages_skipped_active", c.pages_skipped_active),
+        ("scan.pages_skipped_clean", c.pages_skipped_clean),
+        ("scan.pages_unmerged", 0),
+    ];
+    let snap = sys.metrics_snapshot();
+    let got: Vec<(&str, u64)> = snap
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("scan.") && !k.starts_with("scan.shard_cost_ns."))
+        .map(|(k, &v)| (k.as_str(), v))
+        .collect();
+    assert_eq!(got, want, "{what}: metrics vs machine scan counts");
+}
+
+/// Every scan entry path counts on the machine alike: timed wakes
+/// (`idle`), `force_scans`, direct `FusionPolicy::scan` calls, and a
+/// snapshot restored into a fresh system and replayed from its journal.
+/// After each path the metrics document reports exactly the machine's
+/// counts; a direct scan adds exactly the visits it returns; and a
+/// restored, replayed run ends with the recorded run's counts.
 #[test]
-fn scan_report_matches_engine_stats() {
+fn scan_counts_hold_on_every_entry_path() {
     const PAGES: u64 = 32;
-    fn seed_duplicates<P: FusionPolicy>(sys: &mut System<P>, pids: &[Pid]) {
-        for &pid in pids {
+    /// Two processes whose pages pair up by content, rewritten with a
+    /// fresh fill per `round` so every path finds work.
+    fn dirty<P: FusionPolicy>(sys: &mut System<P>, round: u8) {
+        for pid in [Pid(0), Pid(1)] {
+            for pg in 0..PAGES / 2 {
+                let fill = [(pg % 7) as u8 + 1 + round * 8; PAGE_SIZE as usize];
+                sys.write_page(pid, VirtAddr(BASE + pg * PAGE_SIZE), &fill);
+            }
+        }
+    }
+    fn entry_paths<P: FusionPolicy>(
+        label: &str,
+        build: fn() -> System<P>,
+        identity: fn(&System<P>, &str),
+    ) {
+        let mut sys = build();
+        for name in ["a", "b"] {
+            let pid = sys.machine.spawn(name).expect("spawn");
             sys.machine
                 .mmap(pid, Vma::anon(VirtAddr(BASE), PAGES, Protection::rw()));
             sys.machine.madvise_mergeable(pid, VirtAddr(BASE), PAGES);
         }
-        for &pid in pids {
-            for pg in 0..PAGES {
-                sys.write_page(
-                    pid,
-                    VirtAddr(BASE + pg * PAGE_SIZE),
-                    &[(pg % 7) as u8 + 1; PAGE_SIZE as usize],
-                );
-            }
+        let scanned = |sys: &System<P>| sys.machine.stats().scan.pages_scanned;
+
+        // 1. Timed wakes.
+        dirty(&mut sys, 0);
+        let before = scanned(&sys);
+        sys.idle(4 * sys.policy.scan_period_ns());
+        assert_eq!(sys.stats().scan_wakeups, 4, "{label}: timed wakes");
+        assert!(
+            scanned(&sys) > before,
+            "{label}: timed wakes scanned nothing"
+        );
+        check_scan_keys(&sys, &format!("{label} idle"));
+        identity(&sys, label);
+
+        // 2. Forced scans.
+        dirty(&mut sys, 1);
+        let before = scanned(&sys);
+        sys.force_scans(6);
+        assert!(
+            scanned(&sys) > before,
+            "{label}: forced scans scanned nothing"
+        );
+        check_scan_keys(&sys, &format!("{label} force_scans"));
+        identity(&sys, label);
+
+        // 3. Direct calls, which no driver accounts.
+        dirty(&mut sys, 2);
+        let mut total = 0;
+        for _ in 0..4 {
+            let before = scanned(&sys);
+            let visited = sys.policy.scan(&mut sys.machine, ScanGrant::default());
+            assert_eq!(
+                scanned(&sys) - before,
+                visited,
+                "{label}: a direct scan's visits must count"
+            );
+            total += visited;
         }
-        sys.force_scans(20);
+        assert!(total > 0, "{label}: direct scans visited nothing");
+        check_scan_keys(&sys, &format!("{label} direct scan"));
+        identity(&sys, label);
+
+        // 4. Snapshot, restore into a fresh system, replay the journal.
+        sys.machine.enable_journal();
+        sys.machine.clear_journal();
+        let base = sys.snapshot();
+        let at_base = sys.machine.stats().scan;
+        dirty(&mut sys, 3);
+        sys.idle(2 * sys.policy.scan_period_ns());
+        sys.force_scans(4);
+        let journal = sys.machine.journal().to_vec();
+        let mut fresh = build();
+        fresh.restore(&base).expect("restore");
+        assert_eq!(
+            fresh.machine.stats().scan,
+            at_base,
+            "{label}: the snapshot carries the scan counts"
+        );
+        fresh.replay(&journal);
+        assert_eq!(
+            fresh.machine.stats().scan,
+            sys.machine.stats().scan,
+            "{label}: replayed counts differ from the recorded run's"
+        );
+        check_scan_keys(&fresh, &format!("{label} restore + replay"));
+        identity(&fresh, label);
+
+        let c = sys.machine.stats().scan;
+        assert!(c.pages_merged > 0, "{label} must merge duplicates: {c:?}");
     }
-    {
-        let m = Machine::new(MachineConfig::test_small());
-        let mut sys = System::new(m, Ksm::new(KsmConfig::default()));
-        let pids = [
-            sys.machine.spawn("a").expect("spawn"),
-            sys.machine.spawn("b").expect("spawn"),
-        ];
-        seed_duplicates(&mut sys, &pids);
-        let t = sys.scan_totals();
-        let ks = sys.policy.stats();
-        // A promotion fuses the promoted candidate's mapping as well.
-        assert_eq!(
-            t.pages_merged,
-            ks.merged + ks.promotions,
-            "KSM scan report vs stats: {t:?} {ks:?}"
-        );
-        assert!(t.pages_merged > 0, "KSM must merge duplicates");
-    }
-    {
-        let cfg = MachineConfig::test_small().with_reserved_top(256);
-        let m = Machine::new(cfg);
-        let wpf = Wpf::new(&m, WpfConfig::default()).expect("reserved region");
-        let mut sys = System::new(m, wpf);
-        let pids = [
-            sys.machine.spawn("a").expect("spawn"),
-            sys.machine.spawn("b").expect("spawn"),
-        ];
-        seed_duplicates(&mut sys, &pids);
-        let t = sys.scan_totals();
-        let ws = sys.policy.stats();
-        assert_eq!(
-            t.pages_merged, ws.merged,
-            "WPF scan report vs stats: {t:?} {ws:?}"
-        );
-        assert!(t.pages_merged > 0, "WPF must merge duplicates");
-    }
-    {
-        let mut m = Machine::new(MachineConfig::test_small());
-        let policy = VUsion::new(
-            &mut m,
-            VUsionConfig {
-                pool_frames: 1024,
-                ..Default::default()
-            },
-        );
-        let mut sys = System::new(m, policy);
-        let pids = [
-            sys.machine.spawn("a").expect("spawn"),
-            sys.machine.spawn("b").expect("spawn"),
-        ];
-        seed_duplicates(&mut sys, &pids);
-        let t = sys.scan_totals();
-        let vs = sys.policy.stats();
-        assert_eq!(
-            t.pages_merged, vs.merged,
-            "VUsion scan report vs stats: {t:?} {vs:?}"
-        );
-        assert_eq!(
-            t.pages_fake_merged, vs.fake_merged,
-            "VUsion fake merges: {t:?} {vs:?}"
-        );
-        assert_eq!(
-            t.huge_pages_broken, vs.huge_broken,
-            "VUsion THP breaks: {t:?} {vs:?}"
-        );
-        assert!(t.pages_merged > 0, "VUsion must merge duplicates");
-        assert!(t.pages_fake_merged > 0, "VUsion must fake-merge uniques");
-    }
+    entry_paths(
+        "KSM",
+        || {
+            System::new(
+                Machine::new(MachineConfig::test_small()),
+                Ksm::default_engine(),
+            )
+        },
+        |sys, label| {
+            // A promotion fuses the promoted candidate's mapping as well.
+            let ks = sys.policy.stats();
+            assert_eq!(
+                sys.machine.stats().scan.pages_merged,
+                ks.merged + ks.promotions,
+                "{label}: scan counts vs engine stats {ks:?}"
+            );
+        },
+    );
+    entry_paths(
+        "WPF",
+        || {
+            let m = Machine::new(MachineConfig::test_small().with_reserved_top(256));
+            let wpf = Wpf::new(&m, WpfConfig::default()).expect("reserved region");
+            System::new(m, wpf)
+        },
+        |_, _| {},
+    );
+    entry_paths(
+        "VUsion",
+        || {
+            let mut m = Machine::new(MachineConfig::test_small());
+            let policy = VUsion::new(
+                &mut m,
+                VUsionConfig {
+                    pool_frames: 1024,
+                    ..Default::default()
+                },
+            );
+            System::new(m, policy)
+        },
+        |sys, label| {
+            let c = sys.machine.stats().scan;
+            assert!(c.pages_fake_merged > 0, "{label} must fake-merge: {c:?}");
+        },
+    );
 }
 
 /// Governor budget flow: every page the governor grants is either
 /// consumed by an engine pass (and then shows up, page for page, in the
-/// aggregated scan reports) or carried to the next wakeup by a parked
+/// machine's scan counts) or carried to the next wakeup by a parked
 /// cursor — and drain-rung executions that released work are visible in
 /// the machine's own deferred-drain counter.
 #[test]
@@ -366,7 +447,7 @@ fn governor_budget_flow_identities() {
             sys.force_scans(8);
         }
         let g = sys.pressure_governor().stats();
-        let t = sys.scan_totals();
+        let t = sys.machine.stats().scan;
         assert!(g.budget_granted > 0, "{kind:?}: governor granted nothing");
         assert_eq!(
             g.budget_granted,
@@ -374,8 +455,8 @@ fn governor_budget_flow_identities() {
             "{kind:?}: granted != used + carried: {g:?}"
         );
         assert_eq!(
-            g.budget_used, t.budget_used,
-            "{kind:?}: governor-accounted usage diverges from scan reports"
+            g.budget_used, t.pages_scanned,
+            "{kind:?}: governor-accounted usage diverges from the scan counts"
         );
         if matches!(kind, EngineKind::Wpf) {
             assert!(

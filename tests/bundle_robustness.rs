@@ -89,18 +89,24 @@ fn scanned_system(extra_scans: usize) -> System<Box<dyn FusionPolicy>> {
 }
 
 /// Restores `bytes` into `target`, which must refuse them and keep its
-/// own snapshot byte for byte.
+/// own snapshot and metrics document byte for byte.
 fn refuse(
     target: &mut System<Box<dyn FusionPolicy>>,
     before: &[u8],
     bytes: &[u8],
 ) -> SnapshotError {
+    let metrics = target.metrics_snapshot().to_json();
     let err = target
         .restore(bytes)
         .expect_err("corrupt snapshot restored");
     assert!(
         target.snapshot() == before,
         "failed restore ({err}) changed the target"
+    );
+    assert_eq!(
+        target.metrics_snapshot().to_json(),
+        metrics,
+        "failed restore ({err}) changed the target's metrics"
     );
     err
 }
@@ -163,11 +169,12 @@ fn resealed(snap: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 fn restore_rejects_bytes_after_the_payload() {
     let snap = scanned_system(0).snapshot();
     let mut target = scanned_system(1);
+    let before = target.snapshot();
     let padded = resealed(&snap, |p| p.push(0));
-    assert!(matches!(
-        target.restore(&padded),
-        Err(SnapshotError::Corrupt(_))
-    ));
+    assert_eq!(
+        refuse(&mut target, &before, &padded),
+        SnapshotError::Corrupt("unread bytes after the last field")
+    );
     target.restore(&snap).expect("intact snapshot restores");
 }
 
@@ -187,10 +194,11 @@ fn restore_rejects_bytes_after_the_engine_blob() {
         p.push(0);
     });
     let mut target = scanned_system(1);
-    assert!(matches!(
-        target.restore(&longer),
-        Err(SnapshotError::Corrupt(_))
-    ));
+    let before = target.snapshot();
+    assert_eq!(
+        refuse(&mut target, &before, &longer),
+        SnapshotError::Corrupt("unread bytes after the last field")
+    );
     target.restore(&snap).expect("intact snapshot restores");
 }
 

@@ -418,7 +418,7 @@ fn restore_at_critical_resumes_identically() {
     restored.force_scans(50);
     guard.check(
         &restored,
-        restored.scan_totals() == sys.scan_totals(),
+        restored.machine.stats().scan == sys.machine.stats().scan,
         "scan totals diverged after restoring at Critical",
     );
     guard.check(

@@ -346,7 +346,7 @@ fn governed_trace_survives_restore_replay_mid_escalation() {
             // whole candidate set is hashed) has not executed — the
             // snapshot below therefore carries a parked cursor, and the
             // byte-identical replay proves it traveled.
-            let t = sys.scan_totals();
+            let t = sys.machine.stats().scan;
             assert!(t.pages_scanned > 0, "WPF hashed nothing before snapshot");
             assert_eq!(
                 t.pages_merged, 0,
@@ -594,15 +594,18 @@ fn access_heavy_snapshot(kind: EngineKind) -> Vec<u8> {
 /// engine blob stores its indexes (and dropped KSM's unread stable-node
 /// counter, its unstable entries' copy of the node frame and VUsion's two
 /// fixed settings): every payload byte before the engine blob, and every
-/// blob byte after the indexes, stayed as it was.
+/// blob byte after the indexes, stayed as it was. They were re-pinned
+/// again when the scan counts moved onto the machine (`FORMAT_VERSION` 9):
+/// decoded field by field, the payloads differ only in the fields its
+/// `v9:` line lists, and the moved counts kept their values.
 /// Only a deliberate change of simulated behaviour or of the payload
 /// layout may re-pin them, and it says why.
 #[test]
 fn access_heavy_snapshot_bytes_are_pinned() {
     for (kind, pinned) in [
-        (EngineKind::Ksm, 0x6d80_4a7a_8a72_26a0),
-        (EngineKind::Wpf, 0xdc2f_48f2_07b6_fc01),
-        (EngineKind::VUsion, 0xc83d_f563_fe83_e5d2),
+        (EngineKind::Ksm, 0xd848_1b8c_9cc5_3c17),
+        (EngineKind::Wpf, 0x9f7a_07b5_2884_7d1d),
+        (EngineKind::VUsion, 0x25e5_4973_e8ed_2d3d),
     ] {
         let snap = access_heavy_snapshot(kind);
         let payload = vusion_snapshot::unseal(&snap).expect("a fresh snapshot unseals");
