@@ -478,10 +478,9 @@ fn bench_snapshot(out: &mut Vec<BenchResult>) {
     });
 }
 
-/// Full-workspace static-contract pass (DESIGN.md §11): lex, parse, and
-/// cross-link every workspace source file, then run all rule families —
-/// including the workspace-wide write-gen/journal fixpoints over
-/// the cross-file call graph. The row keeps the analyzer honest as the
+/// Full-workspace static-contract pass (DESIGN.md §11): lex every
+/// workspace source file and run the per-file rule families over its
+/// tokens. The row keeps the analyzer honest as the
 /// tree grows: bench_gate holds `vlint_*` benches to a generous absolute
 /// wall-time ceiling instead of the ratio gate (the linter's cost
 /// scales with tree size, so ratio-vs-baseline would flag every PR that

@@ -41,8 +41,8 @@ fn gated(name: &str) -> bool {
 /// Absolute wall-time ceiling for `vlint_*` benches: 10 s per pass. The
 /// linter's cost grows with tree size by design, so a ratio-vs-baseline
 /// gate would flag every PR that adds code; the ceiling instead catches
-/// the accidental-quadratic case (a fixpoint that stops converging, a
-/// call-graph blowup) while leaving room for years of normal growth —
+/// the accidental-quadratic case (a rule that rescans the file per
+/// token, say) while leaving room for years of normal growth —
 /// the full-workspace pass currently completes in well under a second.
 const VLINT_MAX_NS: u64 = 10_000_000_000;
 

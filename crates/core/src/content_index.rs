@@ -173,7 +173,7 @@ impl<V> ContentIndex<V> {
     pub(crate) fn stale_frames(&self, mem: &PhysMemory) -> Vec<FrameId> {
         self.frames
             .iter()
-            .filter(|(f, &(_, _, gen))| mem.info(**f).write_gen != gen)
+            .filter(|(f, &(_, _, gen))| mem.write_gen(**f) != gen)
             .map(|(f, _)| *f)
             .collect()
     }
@@ -217,7 +217,7 @@ impl<V> ContentIndex<V> {
 
     fn track(&mut self, mem: &PhysMemory, frame: FrameId, node: NodeId) {
         let hash = mem.hash_page(frame);
-        let gen = mem.info(frame).write_gen;
+        let gen = mem.write_gen(frame);
         let held = self.frames.insert(frame, (node, hash, gen));
         debug_assert!(held.is_none(), "two live nodes hold one frame");
         self.buckets.insert((hash, node));
@@ -704,7 +704,7 @@ mod tests {
                     let hash = content_hash(mem.page(t));
                     assert_eq!(
                         ix.frames.get(&t),
-                        Some(&(node, hash, mem.info(t).write_gen)),
+                        Some(&(node, hash, mem.write_gen(t))),
                         "seed {seed} step {step}"
                     );
                     assert_eq!((ix.frame(node), *ix.value(node)), (t, value));

@@ -127,14 +127,13 @@ impl DirtyTracker {
         va: VirtAddr,
         frame: FrameId,
     ) -> bool {
-        self.seen.get(&(pid, va)) == Some(&(frame, mem.info(frame).write_gen))
+        self.seen.get(&(pid, va)) == Some(&(frame, mem.write_gen(frame)))
     }
 
     /// Records the page's decision point: skip it while `frame` still
     /// backs it and its write generation holds.
     pub(crate) fn mark_seen(&mut self, mem: &PhysMemory, pid: Pid, va: VirtAddr, frame: FrameId) {
-        self.seen
-            .insert((pid, va), (frame, mem.info(frame).write_gen));
+        self.seen.insert((pid, va), (frame, mem.write_gen(frame)));
     }
 
     /// Forgets one page (it will be re-examined next pass).

@@ -142,6 +142,26 @@ impl JournalEvent {
         }
     }
 
+    /// The process this event names, if any.
+    pub fn pid(&self) -> Option<Pid> {
+        match self {
+            Self::Mmap { pid, .. }
+            | Self::Madvise { pid, .. }
+            | Self::Read { pid, .. }
+            | Self::Write { pid, .. }
+            | Self::ReadPage { pid, .. }
+            | Self::WritePage { pid, .. }
+            | Self::Prefetch { pid, .. }
+            | Self::Hammer { pid, .. }
+            | Self::Clflush { pid, .. } => Some(*pid),
+            Self::Spawn { .. }
+            | Self::ForceScans { .. }
+            | Self::Idle { .. }
+            | Self::ArmFaults
+            | Self::SetPressureGovernor { .. } => None,
+        }
+    }
+
     /// Serializes one event.
     pub fn save(&self, w: &mut Writer) {
         match self {

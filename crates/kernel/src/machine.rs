@@ -352,18 +352,27 @@ impl Machine {
     }
 
     /// Suspends recording (composite operations, replay).
-    pub fn suspend_journal(&mut self) {
+    pub(crate) fn suspend_journal(&mut self) {
         self.journal_suspend += 1;
     }
 
     /// Resumes recording after [`Self::suspend_journal`].
-    pub fn resume_journal(&mut self) {
+    pub(crate) fn resume_journal(&mut self) {
         self.journal_suspend = self.journal_suspend.saturating_sub(1);
     }
 
     /// Appends an event if journaling is on; the closure keeps event
-    /// construction (string/box allocation) off the hot path.
-    pub fn record(&mut self, ev: impl FnOnce() -> JournalEvent) {
+    /// construction (string/box allocation) off the hot path. Only the
+    /// kernel's own entry points record, so code outside this crate can
+    /// neither forge an event nor silence recording around a call
+    /// (E0624):
+    ///
+    /// ```compile_fail
+    /// use vusion_kernel::{JournalEvent, Machine, MachineConfig};
+    /// let mut m = Machine::new(MachineConfig::test_small());
+    /// m.record(|| JournalEvent::ArmFaults);
+    /// ```
+    pub(crate) fn record(&mut self, ev: impl FnOnce() -> JournalEvent) {
         if self.journal_on && self.journal_suspend == 0 {
             self.journal.push(ev());
         }

@@ -5,6 +5,10 @@
 //! carries that classification. Reference counting mirrors Linux's
 //! `struct page` refcount and drives unmerge semantics: a stable-tree page is
 //! only released once its last sharer performs copy-on-write (§2.1).
+//!
+//! A frame's write generation is not metadata anyone may set: it lives with
+//! the frame's bytes inside [`crate::PhysMemory`], which bumps it on every
+//! content write (read it with [`crate::PhysMemory::write_gen`]).
 
 /// Classification of what a frame currently backs, used for the Table 3
 /// accounting and for the WPF linear allocator's "steal" heuristic.
@@ -84,12 +88,6 @@ pub struct FrameInfo {
     /// Generation counter bumped on every allocation; lets attack code
     /// detect frame reuse across fusion passes.
     pub generation: u64,
-    /// Write generation: bumped by every content mutation of the frame
-    /// (`write_byte`, `write_u64`, `write_page`, `copy_page`, `zero_page`,
-    /// `flip_bit` — so Rowhammer flips invalidate it like any other
-    /// write). `PhysMemory` keys its content-hash / is-zero memoization on
-    /// this, and engines use it to detect in-place changes of tree pages.
-    pub write_gen: u64,
 }
 
 impl Default for FrameInfo {
@@ -99,7 +97,6 @@ impl Default for FrameInfo {
             page_type: PageType::Free,
             refcount: 0,
             generation: 0,
-            write_gen: 0,
         }
     }
 }
@@ -171,7 +168,6 @@ impl vusion_snapshot::Snapshot for FrameInfo {
         w.u8(self.page_type.index() as u8);
         w.u32(self.refcount);
         w.u64(self.generation);
-        w.u64(self.write_gen);
     }
 
     fn load(
@@ -184,7 +180,6 @@ impl vusion_snapshot::Snapshot for FrameInfo {
             page_type,
             refcount,
             generation,
-            write_gen,
         } = self;
         *state = match r.u8()? {
             0 => FrameState::Free,
@@ -195,7 +190,6 @@ impl vusion_snapshot::Snapshot for FrameInfo {
             PageType::from_index(r.u8()? as usize).ok_or(SnapshotError::Corrupt("page type"))?;
         *refcount = r.u32()?;
         *generation = r.u64()?;
-        *write_gen = r.u64()?;
         Ok(())
     }
 }
@@ -211,7 +205,6 @@ mod tests {
             page_type: PageType::PageCache,
             refcount: 3,
             generation: 5,
-            write_gen: 7,
         };
         let (a, b) = vusion_snapshot::resave(&src, &mut FrameInfo::default()).expect("resave");
         assert_eq!(a, b);

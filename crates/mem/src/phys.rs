@@ -6,12 +6,15 @@
 //! large fraction of fusion candidates, cf. Figure 4).
 //!
 //! Content hashes and zero checks are memoized per frame, keyed on the
-//! frame's [`FrameInfo::write_gen`]: every mutator bumps the generation,
-//! so any write — including a Rowhammer [`PhysMemory::flip_bit`] or an
-//! injected fault — invalidates the cached values for free. The cache
-//! changes wall-clock cost only; every observable value (`hash_page`,
-//! `is_zero`, comparisons) is identical to a fresh computation, which the
-//! chaos suite asserts under interleaved mutation.
+//! frame's write generation ([`PhysMemory::write_gen`]). Frame bytes and
+//! their generations live together in a private store whose only mutable
+//! access to a frame's bytes bumps its generation, so every write —
+//! including a Rowhammer [`PhysMemory::flip_bit`] or an injected fault —
+//! invalidates the cached values, on every path, by construction. The
+//! cache changes wall-clock cost only; every observable value
+//! (`hash_page`, `is_zero`, comparisons) is identical to a fresh
+//! computation, which `tests/write_gen_coherence.rs` and the chaos suite
+//! assert under interleaved mutation.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -94,7 +97,93 @@ const fn zero_page_hash() -> u64 {
 
 const ZERO_PAGE_HASH: u64 = zero_page_hash();
 
-const ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+/// A frame's 4096 content bytes.
+type Page = [u8; PAGE_SIZE as usize];
+
+const ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
+
+/// Frame bytes and their write generations, in one type whose fields
+/// nothing outside this module can reach. Every mutable access to a
+/// frame's bytes bumps that frame's generation, so a memoized value keyed
+/// on the generation cannot outlive the bytes it describes. Only the
+/// `load_*` methods write without a bump, and `PhysMemory::load`, their
+/// one caller, resets the memo wholesale.
+mod store {
+    use super::{Page, ZERO_PAGE};
+
+    pub(super) struct FrameStore {
+        /// `None` is a lazy all-zero frame.
+        pages: Vec<Option<Box<Page>>>,
+        gens: Vec<u64>,
+    }
+
+    impl FrameStore {
+        pub(super) fn new(frames: usize) -> Self {
+            Self {
+                pages: (0..frames).map(|_| None).collect(),
+                gens: vec![0; frames],
+            }
+        }
+
+        /// Frame `i`'s bytes; `None` for a lazy zero page.
+        pub(super) fn page(&self, i: usize) -> Option<&Page> {
+            self.pages[i].as_deref()
+        }
+
+        /// Frame `i`'s write generation.
+        pub(super) fn gen(&self, i: usize) -> u64 {
+            self.gens[i]
+        }
+
+        /// The materialized frames with their indices, in frame order.
+        pub(super) fn materialized(&self) -> impl Iterator<Item = (usize, &Page)> {
+            self.pages
+                .iter()
+                .enumerate()
+                .filter_map(|(i, p)| Some((i, p.as_deref()?)))
+        }
+
+        fn bump(&mut self, i: usize) {
+            self.gens[i] = self.gens[i].wrapping_add(1);
+        }
+
+        /// Frame `i`'s bytes for writing, materialized if lazy. Bumps.
+        pub(super) fn edit(&mut self, i: usize) -> &mut Page {
+            self.bump(i);
+            self.pages[i].get_or_insert_with(|| Box::new(ZERO_PAGE))
+        }
+
+        /// Replaces frame `i`'s bytes (`None`: a lazy zero page). Bumps.
+        pub(super) fn set(&mut self, i: usize, page: Option<Box<Page>>) {
+            self.pages[i] = page;
+            self.bump(i);
+        }
+
+        /// Copies frame `src`'s bytes into `dst` by cloning its box. Bumps
+        /// `dst`.
+        pub(super) fn copy(&mut self, src: usize, dst: usize) {
+            self.pages[dst] = self.pages[src].clone();
+            self.bump(dst);
+        }
+
+        /// Restore: makes every frame a lazy zero page, in place.
+        pub(super) fn load_clear(&mut self) {
+            self.pages.fill(None);
+        }
+
+        /// Restore: materializes frame `i` with `bytes`, decoded in place.
+        pub(super) fn load_page(&mut self, i: usize, bytes: &[u8]) {
+            let mut page = Box::new(ZERO_PAGE);
+            page.copy_from_slice(bytes);
+            self.pages[i] = Some(page);
+        }
+
+        /// Restore: sets frame `i`'s write generation.
+        pub(super) fn load_gen(&mut self, i: usize, gen: u64) {
+            self.gens[i] = gen;
+        }
+    }
+}
 
 /// Pages [`PhysMemory::hash_stale`] hashes per batch: four independent
 /// chains keep four multiplies in flight where one chain keeps one.
@@ -103,7 +192,7 @@ const HASH_LANES: usize = 4;
 /// FNV-1a of [`HASH_LANES`] pages at once: one independent byte-at-a-time
 /// chain per page, advanced in lockstep so the chains' multiplies overlap.
 /// Lane `l` of the result is exactly `content_hash(pages[l])`.
-fn content_hash_lanes(pages: [&[u8; PAGE_SIZE as usize]; HASH_LANES]) -> [u64; HASH_LANES] {
+fn content_hash_lanes(pages: [&Page; HASH_LANES]) -> [u64; HASH_LANES] {
     let mut h = [FNV_INIT; HASH_LANES];
     for i in 0..PAGE_SIZE as usize {
         for (h, page) in h.iter_mut().zip(pages) {
@@ -117,7 +206,7 @@ fn content_hash_lanes(pages: [&[u8; PAGE_SIZE as usize]; HASH_LANES]) -> [u64; H
 /// Wide all-zero check of a materialized page: 32 bytes per iteration,
 /// OR-folding four `u64` lanes (4096 is a multiple of 32, so there is no
 /// remainder to handle).
-fn page_is_zero(page: &[u8; PAGE_SIZE as usize]) -> bool {
+fn page_is_zero(page: &Page) -> bool {
     page.chunks_exact(32).all(|c| {
         let mut acc = 0u64;
         for w in c.chunks_exact(8) {
@@ -130,7 +219,7 @@ fn page_is_zero(page: &[u8; PAGE_SIZE as usize]) -> bool {
 }
 
 /// Memoized derived values for one frame, valid only while the recorded
-/// generation equals the frame's current [`FrameInfo::write_gen`].
+/// generation equals the frame's current write generation.
 #[derive(Clone, Copy, Default)]
 struct FrameCache {
     hash: u64,
@@ -194,7 +283,8 @@ impl Drop for FrameInfoMut<'_> {
 
 /// Simulated physical memory: `n` frames of 4 KiB, with metadata.
 pub struct PhysMemory {
-    data: Vec<Option<Box<[u8; PAGE_SIZE as usize]>>>,
+    /// Frame bytes and their write generations.
+    store: store::FrameStore,
     info: Vec<FrameInfo>,
     /// Memoized hashes: derived, reset by `load`.
     cache: Vec<Cell<FrameCache>>,
@@ -206,7 +296,7 @@ impl PhysMemory {
     /// Creates a physical memory of `frames` frames, all free and zeroed.
     pub fn new(frames: usize) -> Self {
         Self {
-            data: (0..frames).map(|_| None).collect(),
+            store: store::FrameStore::new(frames),
             info: vec![FrameInfo::default(); frames],
             cache: (0..frames)
                 .map(|_| Cell::new(FrameCache::default()))
@@ -231,16 +321,29 @@ impl PhysMemory {
         i
     }
 
-    /// Bumps a frame's write generation, invalidating memoized values.
-    fn touch(&mut self, i: usize) {
-        self.info[i].write_gen = self.info[i].write_gen.wrapping_add(1);
-    }
-
     /// The frame's cached content hash, if still valid at its current
     /// write generation.
     fn cached_hash(&self, i: usize) -> Option<u64> {
         let c = self.cache[i].get();
-        (c.hash_valid && c.hash_gen == self.info[i].write_gen).then_some(c.hash)
+        (c.hash_valid && c.hash_gen == self.store.gen(i)).then_some(c.hash)
+    }
+
+    /// The frame's write generation, bumped by every content mutation
+    /// (`write_byte`, `write_u64`, `write_page`, `copy_page`, `zero_page`,
+    /// and `flip_bit`, so a Rowhammer flip counts like any other write).
+    /// The hash and zero memo keys on it, and engines compare it to
+    /// detect in-place changes of the pages they index.
+    ///
+    /// It can be read, never set: it lives beside the frame's bytes in a
+    /// private store whose only mutable access bumps it, and
+    /// [`FrameInfo`] has no such field (E0609):
+    ///
+    /// ```compile_fail
+    /// let mut mem = vusion_mem::PhysMemory::new(1);
+    /// mem.info_mut(vusion_mem::FrameId(0)).write_gen = 0;
+    /// ```
+    pub fn write_gen(&self, frame: FrameId) -> u64 {
+        self.store.gen(self.idx(frame))
     }
 
     /// Immutable metadata of a frame.
@@ -262,20 +365,17 @@ impl PhysMemory {
 
     /// The 4096 content bytes of a frame.
     pub fn page(&self, frame: FrameId) -> &[u8; PAGE_SIZE as usize] {
-        match &self.data[self.idx(frame)] {
-            Some(b) => b,
-            None => &ZERO_PAGE,
-        }
+        self.store.page(self.idx(frame)).unwrap_or(&ZERO_PAGE)
     }
 
     /// Whether the frame is all zeroes (cheap check for the lazy case;
     /// memoized against the frame's write generation otherwise).
     pub fn is_zero(&self, frame: FrameId) -> bool {
         let i = self.idx(frame);
-        match &self.data[i] {
+        match self.store.page(i) {
             None => true,
             Some(b) => {
-                let gen = self.info[i].write_gen;
+                let gen = self.store.gen(i);
                 let mut c = self.cache[i].get();
                 if c.zero_valid && c.zero_gen == gen {
                     return c.zero;
@@ -298,9 +398,7 @@ impl PhysMemory {
     /// Writes one byte, materializing the frame if needed.
     pub fn write_byte(&mut self, addr: PhysAddr, value: u8) {
         let i = self.idx(addr.frame());
-        let page = self.data[i].get_or_insert_with(|| Box::new(ZERO_PAGE));
-        page[addr.page_offset() as usize] = value;
-        self.touch(i);
+        self.store.edit(i)[addr.page_offset() as usize] = value;
     }
 
     /// Reads a little-endian u64 (must not cross a frame boundary).
@@ -332,35 +430,28 @@ impl PhysMemory {
             "u64 write crosses frame boundary"
         );
         let i = self.idx(addr.frame());
-        let page = self.data[i].get_or_insert_with(|| Box::new(ZERO_PAGE));
-        page[off..off + 8].copy_from_slice(&value.to_le_bytes());
-        self.touch(i);
+        self.store.edit(i)[off..off + 8].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Overwrites a frame's entire content.
     pub fn write_page(&mut self, frame: FrameId, bytes: &[u8; PAGE_SIZE as usize]) {
         let i = self.idx(frame);
-        if page_is_zero(bytes) {
-            self.data[i] = None;
-        } else {
-            self.data[i] = Some(Box::new(*bytes));
-        }
-        self.touch(i);
+        let page = (!page_is_zero(bytes)).then(|| Box::new(*bytes));
+        self.store.set(i, page);
     }
 
     /// Copies the content of `src` into `dst`.
     pub fn copy_page(&mut self, src: FrameId, dst: FrameId) {
         let si = self.idx(src);
         let di = self.idx(dst);
-        self.data[di] = self.data[si].clone();
-        self.touch(di);
+        self.store.copy(si, di);
         // The destination now holds exactly the source's bytes, so any
         // still-valid memoized value of the source seeds the destination
         // at its fresh generation (VUsion's fake merging and
         // re-randomization copy pages constantly).
         let sc = self.cache[si].get();
-        let sgen = self.info[si].write_gen;
-        let dgen = self.info[di].write_gen;
+        let sgen = self.store.gen(si);
+        let dgen = self.store.gen(di);
         let mut dc = FrameCache::default();
         if sc.hash_valid && sc.hash_gen == sgen {
             dc.hash = sc.hash;
@@ -378,10 +469,9 @@ impl PhysMemory {
     /// Zeroes a frame (demand-zero allocation path).
     pub fn zero_page(&mut self, frame: FrameId) {
         let i = self.idx(frame);
-        self.data[i] = None;
-        self.touch(i);
+        self.store.set(i, None);
         // Content is now known exactly; memoize it outright.
-        let gen = self.info[i].write_gen;
+        let gen = self.store.gen(i);
         self.cache[i].set(FrameCache {
             hash: ZERO_PAGE_HASH,
             hash_gen: gen,
@@ -407,7 +497,7 @@ impl PhysMemory {
                 return false;
             }
         }
-        match (&self.data[ia], &self.data[ib]) {
+        match (self.store.page(ia), self.store.page(ib)) {
             (None, None) => true,
             (Some(x), Some(y)) => x == y,
             (None, Some(y)) => page_is_zero(y),
@@ -421,7 +511,7 @@ impl PhysMemory {
     pub fn compare_pages(&self, a: FrameId, b: FrameId) -> Ordering {
         let ia = self.idx(a);
         let ib = self.idx(b);
-        if ia == ib || (self.data[ia].is_none() && self.data[ib].is_none()) {
+        if ia == ib || (self.store.page(ia).is_none() && self.store.page(ib).is_none()) {
             return Ordering::Equal;
         }
         let pa = self.page(a);
@@ -452,10 +542,10 @@ impl PhysMemory {
     /// write generation. Always equal to `content_hash(self.page(frame))`.
     pub fn hash_page(&self, frame: FrameId) -> u64 {
         let i = self.idx(frame);
-        match &self.data[i] {
+        match self.store.page(i) {
             None => ZERO_PAGE_HASH,
             Some(b) => {
-                let gen = self.info[i].write_gen;
+                let gen = self.store.gen(i);
                 let mut c = self.cache[i].get();
                 if c.hash_valid && c.hash_gen == gen {
                     return c.hash;
@@ -475,7 +565,7 @@ impl PhysMemory {
     fn memoize_hash(&self, i: usize, hash: u64) {
         let mut c = self.cache[i].get();
         c.hash = hash;
-        c.hash_gen = self.info[i].write_gen;
+        c.hash_gen = self.store.gen(i);
         c.hash_valid = true;
         self.cache[i].set(c);
     }
@@ -490,12 +580,12 @@ impl PhysMemory {
     ///
     /// [`hash_page`]: PhysMemory::hash_page
     pub fn hash_stale(&self, frames: &[FrameId]) -> usize {
-        let mut stale: Vec<(usize, &[u8; PAGE_SIZE as usize])> = frames
+        let mut stale: Vec<(usize, &Page)> = frames
             .iter()
             .filter_map(|&f| {
                 let i = self.idx(f);
-                match &self.data[i] {
-                    Some(page) if self.cached_hash(i).is_none() => Some((i, &**page)),
+                match self.store.page(i) {
+                    Some(page) if self.cached_hash(i).is_none() => Some((i, page)),
                     _ => None,
                 }
             })
@@ -580,16 +670,15 @@ impl vusion_snapshot::Snapshot for PhysMemory {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.usize(self.info.len());
         // Sparse frame contents: only materialized frames travel.
-        let live = self.data.iter().filter(|d| d.is_some()).count();
-        w.usize(live);
-        for (i, d) in self.data.iter().enumerate() {
-            if let Some(page) = d {
-                w.usize(i);
-                w.bytes(page.as_slice());
-            }
+        w.usize(self.store.materialized().count());
+        for (i, page) in self.store.materialized() {
+            w.usize(i);
+            w.bytes(page);
         }
-        for info in &self.info {
+        // Each frame's write generation follows its metadata record.
+        for (i, info) in self.info.iter().enumerate() {
             info.save(w);
+            w.u64(self.store.gen(i));
         }
     }
 
@@ -599,7 +688,7 @@ impl vusion_snapshot::Snapshot for PhysMemory {
     ) -> Result<(), vusion_snapshot::SnapshotError> {
         use vusion_snapshot::SnapshotError;
         let Self {
-            data,
+            store,
             info,
             cache,
             counts,
@@ -608,25 +697,22 @@ impl vusion_snapshot::Snapshot for PhysMemory {
         if frames != info.len() {
             return Err(SnapshotError::Corrupt("frame count mismatch"));
         }
-        for d in data.iter_mut() {
-            *d = None;
-        }
+        store.load_clear();
         let live = r.usize()?;
         for _ in 0..live {
             let i = r.usize()?;
             if i >= frames {
                 return Err(SnapshotError::Corrupt("frame index out of range"));
             }
-            let bytes = r.bytes(PAGE_SIZE as usize)?;
-            let mut page = Box::new(ZERO_PAGE);
-            page.copy_from_slice(bytes);
-            data[i] = Some(page);
+            store.load_page(i, r.bytes(PAGE_SIZE as usize)?);
         }
-        for f in info.iter_mut() {
+        for (i, f) in info.iter_mut().enumerate() {
             f.load(r)?;
+            store.load_gen(i, r.u64()?);
         }
         // Memoized hashes and the O(1) allocation counters are derived
-        // state: reset the former, recompute the latter.
+        // state: reset the former (no generation was bumped), recompute the
+        // latter.
         for c in cache.iter() {
             c.set(FrameCache::default());
         }
@@ -972,7 +1058,7 @@ mod tests {
             for f in 0..FRAMES {
                 let c = m.cache[f as usize].get();
                 if distinct_written.contains(&f) {
-                    assert!(c.hash_valid && c.hash_gen == m.info(FrameId(f)).write_gen);
+                    assert!(c.hash_valid && c.hash_gen == m.write_gen(FrameId(f)));
                     assert_eq!(c.hash, content_hash(m.page(FrameId(f))), "frame {f}");
                 } else {
                     assert!(!c.hash_valid, "frame {f} was not asked for");

@@ -1,8 +1,11 @@
-//! Regression suite for the write-generation contract (vlint rule W001):
-//! the memoized per-frame content hashes and zero bits must stay coherent
-//! through *every* public mutator — including the Rowhammer `flip_bit`
-//! path — and across snapshot save/restore, where the cache is reset
-//! wholesale instead of bumped per frame.
+//! Regression suite for the write-generation contract: the memoized
+//! per-frame content hashes and zero bits must stay coherent through
+//! *every* public mutator — including the Rowhammer `flip_bit` path — and
+//! across snapshot save/restore, where the cache is reset wholesale
+//! instead of bumped per frame. The compiler enforces the bump itself:
+//! frame bytes and their generations sit in a private store inside
+//! `phys.rs` whose only mutable access bumps. This suite checks what the
+//! memo does with the generations.
 
 use vusion_mem::{content_hash, FrameId, PhysAddr, PhysMemory, PAGE_SIZE};
 use vusion_snapshot::{Reader, Snapshot, Writer};
@@ -96,8 +99,8 @@ fn snapshot_restore_drops_every_memoized_value() {
     warm(&m);
 
     // In-place restore must reset the memoization wholesale (this is the
-    // one mutation path that bumps no per-frame generation — see the
-    // vlint W001 allowance in phys.rs).
+    // one mutation path that bumps no per-frame generation: the store's
+    // load-only methods in phys.rs).
     let mut r = Reader::new(&bytes);
     m.load(&mut r).expect("restore");
     assert_coherent(&m, "restore over hot cache");

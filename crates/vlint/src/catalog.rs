@@ -29,17 +29,6 @@ pub const RULES: &[RuleDoc] = &[
         ok: "fn flush() { /* same behavior everywhere */ }",
     },
     RuleDoc {
-        id: "W001",
-        summary: "&mut self code reaching frame contents must bump a write generation",
-        rationale: "Page hashes are memoized against a frame's write generation. A mutation \
-                    path that touches frame contents (self.data) without bumping the generation \
-                    leaves a stale hash in the memo: the scanner would keep trusting a hash of \
-                    bytes that no longer exist. Checked transitively over the workspace call \
-                    graph: calling a bumper (possibly through another file) satisfies the rule.",
-        bad: "fn poke(&mut self) { self.data[0] = 1; }",
-        ok: "fn poke(&mut self) { self.data[0] = 1; self.write_gen = self.write_gen + 1; }",
-    },
-    RuleDoc {
         id: "E001",
         summary: "no undocumented panic/assert in simulation code (doc `# Panics` or demote)",
         rationale: "A panic in simulation code is a modeling decision (a simulated bus fault, a \
@@ -69,25 +58,14 @@ pub const RULES: &[RuleDoc] = &[
         ok: "if governor.decision().band >= PressureBand::High { self.throttle(); }",
     },
     RuleDoc {
-        id: "J001",
-        summary: "public &mut self System/Machine methods reaching simulation state are journaled",
-        rationale: "Replay reconstructs a run purely from the journal. A public mutator that \
-                    changes simulation state without appending an event is invisible to replay: \
-                    the replayed machine diverges at that call and every downstream artifact \
-                    diff is noise. Methods reachable from a journaled operation (or from the \
-                    replay dispatcher) are covered as internal steps; host-only knobs carry \
-                    `// vlint: allow(J001, host-only — why)`.",
-        bad: "impl Machine {\n    pub fn hammer(&mut self, b: u8) { self.poke(b); }\n}",
-        ok: "impl Machine {\n    pub fn hammer(&mut self, b: u8) {\n        self.record(|| JournalEvent::Hammer { b });\n        self.poke(b);\n    }\n}",
-    },
-    RuleDoc {
         id: "V001",
         summary: "vlint allow annotations name a known rule and give a reason: // vlint: allow(RULE, why)",
         rationale: "A suppression without a reason is a contract violation with the evidence \
                     deleted. The reason is the reviewable artifact: it says why this site is an \
                     exception (a host-only knob, a provably unreachable arm) so the next reader \
                     can re-check the claim. An allow naming a rule the catalog does not have \
-                    (a typo, or a retired rule) suppresses nothing and is flagged too.",
+                    (a typo, or a retired rule such as W001 or J001) suppresses nothing and is \
+                    flagged too.",
         bad: "// vlint: allow(E001)\nunreachable!(\"staged above\");",
         ok: "// vlint: allow(E001, insert always stages the node before returning)\nunreachable!(\"staged above\");",
     },
@@ -117,7 +95,7 @@ mod tests {
 
     #[test]
     fn find_is_case_insensitive() {
-        assert_eq!(find("j001").map(|r| r.id), Some("J001"));
+        assert_eq!(find("g001").map(|r| r.id), Some("G001"));
         assert!(find("Z999").is_none());
     }
 }

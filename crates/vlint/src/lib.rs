@@ -1,18 +1,22 @@
 //! `vlint` — the workspace's static-contract checker.
 //!
-//! The simulator's correctness claims rest on contracts neither the type
-//! system nor clippy can express: reproducibility of every figure from a
-//! seed (determinism), coherence of the memoized page hashes (write-gen),
-//! a uniform error policy in simulation code, and journal coverage for
-//! replay. `vlint` walks the workspace sources with its own lexer (no
-//! rustc, no network, no dependencies) and enforces those contracts as
-//! lint rules:
+//! Most of the simulator's contracts are the compiler's or clippy's job
+//! (DESIGN.md §11): the PTE raw-word conversions and
+//! `MetricsRegistry::observe` are crate-private; frame bytes and their
+//! write generations sit in a private store in `vusion-mem` whose only
+//! mutable access bumps the generation; every snapshot `load` destructures
+//! its type exhaustively, next to a save→load→save round-trip test per
+//! type (DESIGN.md §9); `clippy.toml` bans host clocks, environment
+//! reads, host threads and randomized-order hash collections. Journal
+//! coverage is a test (`tests/journal_coverage.rs`) that drives every
+//! journal event through its public entry point.
+//!
+//! `vlint` checks the conventions none of those can see. It walks the
+//! workspace sources with its own lexer (no rustc, no network, no
+//! dependencies) and runs per-file token passes:
 //!
 //! * **D-rules** — determinism: no platform-conditional compilation
 //!   inside the simulation crates.
-//! * **W-rules** — write-gen coherence: code in `vusion-mem` that can
-//!   reach mutable frame contents must bump the frame's write generation
-//!   (checked transitively across local calls).
 //! * **E-rules** — error policy: no panic-family macros in simulation
 //!   code outside tests unless the function documents the contract with a
 //!   `# Panics` doc section, and no silently-truncating casts on frame or
@@ -21,23 +25,6 @@
 //!   by the pressure governor (`crates/kernel/src/pressure.rs`); engines
 //!   and the rest of the kernel consume its banded decisions so
 //!   throttling stays centralized, hysteresis-damped, and snapshot-exact.
-//! * **J-rules** — journal coverage: every public `&mut self` method on
-//!   `System`/`Machine` that reaches simulation state appends a journal
-//!   event (or is reachable from one that does), so replay reconstructs
-//!   every mutation from the event stream.
-//!
-//! The rest is the compiler's and clippy's job, not vlint's (DESIGN.md
-//! §11): `clippy.toml` bans host clocks, environment reads, host threads
-//! and randomized-order hash collections; the PTE raw-word conversions and
-//! `MetricsRegistry::observe` are crate-private; and every snapshot `load`
-//! destructures its type exhaustively, next to a save→load→save
-//! round-trip test per type (DESIGN.md §9).
-//!
-//! The D/E/G families are per-file token passes. J (and W's
-//! transitive check) run on a workspace level: a lightweight item parser
-//! ([`parser`]) recovers impl blocks and their methods, and a cross-file
-//! symbol table and name-based call graph (`workspace`) answers
-//! reachability questions over the whole tree.
 //!
 //! Findings are deterministic: files are visited in sorted order and
 //! findings sort by `(file, line, rule, message)`, so two runs over the
@@ -47,9 +34,7 @@
 
 pub mod catalog;
 pub mod lexer;
-pub mod parser;
 mod rules;
-mod workspace;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -64,7 +49,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule identifier (`D004`, `W001`, ...).
+    /// Rule identifier (`D004`, `E001`, ...).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -75,34 +60,13 @@ pub struct Finding {
 pub struct Families {
     /// Simulation-crate rules: determinism (D) and error policy (E).
     pub sim: bool,
-    /// Write-gen coherence rules.
-    pub w: bool,
     /// Governor pressure-signal rules.
     pub g: bool,
-    /// Journal-coverage rules.
-    pub j: bool,
 }
 
 impl Families {
     /// Every family on — used by fixtures.
-    pub const ALL: Families = Families {
-        sim: true,
-        w: true,
-        g: true,
-        j: true,
-    };
-}
-
-/// Whether `rule` belongs to a family enabled in `fam` (keyed by the
-/// rule's leading letter; `V001` is always on).
-fn family_enabled(fam: Families, rule: &str) -> bool {
-    match rule.as_bytes().first() {
-        Some(b'D' | b'E') => fam.sim,
-        Some(b'W') => fam.w,
-        Some(b'G') => fam.g,
-        Some(b'J') => fam.j,
-        _ => true,
-    }
+    pub const ALL: Families = Families { sim: true, g: true };
 }
 
 /// Crates whose behavior must be a pure function of the seed: the
@@ -123,29 +87,20 @@ const SIMULATION_SCOPE: &[&str] = &[
 pub fn families_for(rel: &str) -> Families {
     Families {
         sim: SIMULATION_SCOPE.iter().any(|p| rel.starts_with(p)),
-        w: rel.starts_with("crates/mem/src/"),
         // The free-frame pressure signal is read in exactly one place —
         // the governor. Engines and the scan loop see only its banded
         // decisions; the allocator crates that implement `free_frames`
         // are naturally out of scope.
         g: (rel.starts_with("crates/core/src/") || rel.starts_with("crates/kernel/src/"))
             && rel != "crates/kernel/src/pressure.rs",
-        // Journal coverage polices the kernel's public mutator surface
-        // (`System`/`Machine` live there).
-        j: rel.starts_with("crates/kernel/src/"),
     }
 }
 
 /// A function item recovered from the token stream.
 #[derive(Debug)]
 pub(crate) struct FnInfo {
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token range of the body, `tokens[body.0]` being the `{`.
     pub body: (usize, usize),
-    /// Whether the signature takes `&mut self`.
-    pub takes_mut_self: bool,
     /// Whether the doc comment above the item has a `# Panics` section.
     pub has_panics_doc: bool,
 }
@@ -158,11 +113,6 @@ pub(crate) struct FileCtx<'a> {
     /// `#[cfg(debug_assertions)]` item.
     pub test_lines: Vec<bool>,
     pub fns: Vec<FnInfo>,
-    /// Item-level view: impl blocks and their methods.
-    pub items: parser::Items,
-    /// The rule families policing this file (workspace rules consult it
-    /// to decide which files' items to analyze).
-    pub fam: Families,
 }
 
 impl FileCtx<'_> {
@@ -298,30 +248,16 @@ fn collect_fns(tokens: &[Token], lines: &[&str]) -> Vec<FnInfo> {
     let mut i = 0usize;
     while i < tokens.len() {
         if tokens[i].is_ident("fn") && i + 1 < tokens.len() && tokens[i + 1].kind == Kind::Ident {
-            let name = tokens[i + 1].text.clone();
             let fn_line = tokens[i].line;
             // Signature runs to the body `{` or a `;` (trait method decl).
             let mut j = i + 2;
-            let mut takes_mut_self = false;
             while j < tokens.len() && !tokens[j].is_punct('{') && !tokens[j].is_punct(';') {
-                if tokens[j].is_ident("self") {
-                    // `&mut self` / `&'a mut self`.
-                    let back: Vec<&Token> = tokens[..j].iter().rev().take(3).collect();
-                    let has_mut = back.first().is_some_and(|t| t.is_ident("mut"));
-                    let has_amp = back.iter().any(|t| t.is_punct('&'));
-                    if has_mut && has_amp {
-                        takes_mut_self = true;
-                    }
-                }
                 j += 1;
             }
             if j < tokens.len() && tokens[j].is_punct('{') {
                 let close = matching_brace(tokens, j);
                 fns.push(FnInfo {
-                    name,
-                    line: fn_line,
                     body: (j, close),
-                    takes_mut_self,
                     has_panics_doc: has_panics_doc(lines, fn_line),
                 });
                 i += 2;
@@ -387,89 +323,44 @@ fn parse_allows(lines: &[&str]) -> (AllowMap, Vec<(u32, String)>) {
     (allows, malformed)
 }
 
-/// Builds the per-file contexts for a batch of sources.
-pub(crate) fn build_file_ctxs(files: &[(String, String, Families)]) -> Vec<FileCtx<'_>> {
-    files
-        .iter()
-        .map(|(rel, source, fam)| {
-            let lines: Vec<&str> = source.lines().collect();
-            let tokens = lex(source);
-            FileCtx {
-                rel,
-                test_lines: mark_test_regions(&tokens, lines.len()),
-                fns: collect_fns(&tokens, &lines),
-                items: parser::parse_items(&tokens),
-                fam: *fam,
-                tokens,
-            }
-        })
-        .collect()
-}
-
-/// Lints a batch of files as one workspace: per-file token rules first,
-/// then the cross-file rules (W/J) over the shared symbol table and
-/// call graph. Each finding is kept only if its rule's family is enabled
-/// for the file it is anchored in, and per-line allows apply as usual.
-pub fn analyze_files(files: &[(String, String, Families)]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut allows: BTreeMap<&str, AllowMap> = BTreeMap::new();
-    for (rel, source, _) in files {
-        let lines: Vec<&str> = source.lines().collect();
-        let (map, malformed) = parse_allows(&lines);
-        for (line, msg) in malformed {
-            findings.push(Finding {
-                file: rel.clone(),
-                line,
-                rule: "V001",
-                message: msg,
-            });
-        }
-        allows.insert(rel.as_str(), map);
-    }
-
-    let ctxs = build_file_ctxs(files);
-    for ctx in &ctxs {
-        rules::determinism(ctx, &mut findings);
-        rules::error_policy(ctx, &mut findings);
-        rules::governor(ctx, &mut findings);
-    }
-    let ws = workspace::WorkspaceCtx::build(&ctxs);
-    rules::write_gen(&ws, &mut findings);
-    rules::journal_coverage(&ws, &mut findings);
-
-    let fam_of: BTreeMap<&str, Families> = files
-        .iter()
-        .map(|(rel, _, fam)| (rel.as_str(), *fam))
-        .collect();
-    findings.retain(|f| {
-        // V001 (malformed annotation) is always live and cannot be
-        // self-suppressed.
-        if f.rule == "V001" {
-            return true;
-        }
-        let fam = fam_of.get(f.file.as_str()).copied().unwrap_or_default();
-        if !family_enabled(fam, f.rule) {
-            return false;
-        }
-        let allowed = |l: u32| {
-            allows.get(f.file.as_str()).is_some_and(|m| {
-                m.get(&l)
-                    .is_some_and(|rules| rules.iter().any(|r| r == f.rule))
-            })
-        };
-        !allowed(f.line) && !allowed(f.line.saturating_sub(1))
-    });
-    findings.sort();
-    findings.dedup();
-    findings
-}
-
-/// Lints one file's source as a single-file workspace. `rel` is the
-/// workspace-relative path used in findings; `fam` selects the rule
-/// families (callers normally derive it with [`families_for`], fixtures
-/// force [`Families::ALL`]).
+/// Lints one file's source. `rel` is the workspace-relative path used in
+/// findings; `fam` selects the rule families (callers normally derive it
+/// with [`families_for`], fixtures force [`Families::ALL`]). A finding is
+/// kept only if no allow covers its line; malformed allows come back as
+/// V001 findings, which every file gets and nothing suppresses.
 pub fn analyze_source(rel: &str, source: &str, fam: Families) -> Vec<Finding> {
-    analyze_files(&[(rel.to_string(), source.to_string(), fam)])
+    let lines: Vec<&str> = source.lines().collect();
+    let (allows, malformed) = parse_allows(&lines);
+    let tokens = lex(source);
+    let ctx = FileCtx {
+        rel,
+        test_lines: mark_test_regions(&tokens, lines.len()),
+        fns: collect_fns(&tokens, &lines),
+        tokens,
+    };
+    let mut found = Vec::new();
+    if fam.sim {
+        rules::determinism(&ctx, &mut found);
+        rules::error_policy(&ctx, &mut found);
+    }
+    if fam.g {
+        rules::governor(&ctx, &mut found);
+    }
+    let allowed = |f: &Finding, l: u32| {
+        allows
+            .get(&l)
+            .is_some_and(|rules| rules.iter().any(|r| r == f.rule))
+    };
+    found.retain(|f| !allowed(f, f.line) && !allowed(f, f.line.saturating_sub(1)));
+    found.extend(malformed.into_iter().map(|(line, message)| Finding {
+        file: rel.to_string(),
+        line,
+        rule: "V001",
+        message,
+    }));
+    found.sort();
+    found.dedup();
+    found
 }
 
 /// Recursively collects the workspace's `.rs` files, sorted, as paths
@@ -510,13 +401,12 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<String>> {
 /// Lints the whole workspace rooted at `root`. Returns findings with
 /// per-line suppressions already applied.
 pub fn scan_root(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
+    let mut findings = Vec::new();
     for rel in workspace_files(root)? {
         let source = std::fs::read_to_string(root.join(&rel))?;
-        let fam = families_for(&rel);
-        files.push((rel, source, fam));
+        findings.extend(analyze_source(&rel, &source, families_for(&rel)));
     }
-    Ok(analyze_files(&files))
+    Ok(findings)
 }
 
 /// Serializes findings as deterministic JSON: fixed field order, sorted
@@ -581,6 +471,18 @@ let b = m.free_frames();
         let f = analyze_source("crates/mem/src/x.rs", src, Families::ALL);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "V001");
+    }
+
+    #[test]
+    fn allow_naming_a_retired_rule_is_rejected() {
+        // W001 and J001 moved out of vlint: an allow naming either
+        // suppresses nothing and is itself a finding.
+        for rule in ["W001", "J001"] {
+            let src = format!("// vlint: allow({rule}, checked elsewhere now)\nlet x = 1;\n");
+            let f = analyze_source("crates/kernel/src/x.rs", &src, Families::ALL);
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert_eq!((f[0].rule, f[0].line), ("V001", 1));
+        }
     }
 
     #[test]

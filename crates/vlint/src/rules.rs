@@ -1,17 +1,11 @@
-//! The rule implementations. The D/E/G families are per-file passes
-//! over a token stream; the W/J families run on the workspace level, over
-//! the item parser's impl blocks and the cross-file name-based call
-//! graph.
+//! The rule implementations: per-file passes over a token stream.
 //!
 //! Rules are deliberately token-level, not type-level: they trade a
 //! little precision for zero dependencies and total determinism, and the
 //! `// vlint: allow(RULE, reason)` escape hatch absorbs the (rare,
 //! documented) false positives.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use crate::lexer::Kind;
-use crate::workspace::{self, WorkspaceCtx};
 use crate::{FileCtx, Finding};
 
 fn push(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, line: u32, rule: &'static str, msg: String) {
@@ -75,66 +69,6 @@ pub(crate) fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 );
             }
             j += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// W — write-gen coherence
-// ---------------------------------------------------------------------
-
-/// W001: a `&mut self` function that reaches the frame-content store
-/// (`self.data`) must bump a write generation — either directly (a
-/// `.write_gen = ...` assignment in its body) or by calling, possibly
-/// transitively, a function that does. The fixpoint runs over the
-/// *workspace* call graph, so a bump delegated to another file (e.g.
-/// `FrameInfo::bump` called from `PhysMemory`) satisfies the rule. The
-/// rule only reports in files that participate in the write-gen protocol
-/// at all (mention the `write_gen` identifier), so unrelated `data`
-/// fields elsewhere do not trip it.
-pub(crate) fn write_gen(ws: &WorkspaceCtx<'_, '_>, out: &mut Vec<Finding>) {
-    // Fixpoint: a function "bumps" if it writes `.write_gen = ...` itself
-    // or calls (by name, anywhere in the workspace) a bumper.
-    let mut bumpers: BTreeSet<&str> = ws
-        .nodes
-        .iter()
-        .filter(|n| n.writes_gen)
-        .map(|n| n.name.as_str())
-        .collect();
-    loop {
-        let before = bumpers.len();
-        for n in &ws.nodes {
-            if !bumpers.contains(n.name.as_str())
-                && n.calls.iter().any(|c| bumpers.contains(c.as_str()))
-            {
-                bumpers.insert(n.name.as_str());
-            }
-        }
-        if bumpers.len() == before {
-            break;
-        }
-    }
-
-    let in_protocol: Vec<bool> = ws
-        .files
-        .iter()
-        .map(|f| f.tokens.iter().any(|t| t.is_ident("write_gen")))
-        .collect();
-    for n in &ws.nodes {
-        if n.in_test || !in_protocol[n.file] {
-            continue;
-        }
-        if n.takes_mut_self && n.touches_data && !bumpers.contains(n.name.as_str()) {
-            out.push(Finding {
-                file: ws.files[n.file].rel.to_string(),
-                line: n.line,
-                rule: "W001",
-                message: format!(
-                    "`{}` takes `&mut self` and reaches frame contents (`self.data`) but never \
-                     bumps a write generation; stale memoized hashes would survive the mutation",
-                    n.name
-                ),
-            });
         }
     }
 }
@@ -251,128 +185,6 @@ pub(crate) fn governor(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// J — journal coverage
-// ---------------------------------------------------------------------
-
-/// J001: every public `&mut self` method on `System`/`Machine` that
-/// reaches simulation state must append a journal event — replay
-/// reconstructs a run purely from the journal, so an unjournaled public
-/// mutator is invisible to replay and the replayed machine forks at that
-/// call. "Covered" = the method records itself (calls `record`), is named
-/// like the replay dispatcher, or is name-reachable from a covering
-/// function (internal steps of a journaled operation are replayed by
-/// re-executing the operation). "Reaches simulation state" = the
-/// name-closure of its body hits a `&mut self` function in a simulation
-/// state crate, or a write-gen/frame-content mutation. Host-only knobs
-/// carry `// vlint: allow(J001, host-only — why)`.
-pub(crate) fn journal_coverage(ws: &WorkspaceCtx<'_, '_>, out: &mut Vec<Finding>) {
-    const STATE_CRATES: &[&str] = &[
-        "crates/mem/src/",
-        "crates/mmu/src/",
-        "crates/cache/src/",
-        "crates/dram/src/",
-        "crates/core/src/",
-    ];
-
-    // Covering functions and everything they reach.
-    let mut covered: BTreeSet<String> = BTreeSet::new();
-    let mut seeds: BTreeSet<String> = BTreeSet::new();
-    for n in &ws.nodes {
-        if n.in_test || !ws.files[n.file].fam.j {
-            continue;
-        }
-        if n.calls.contains("record") || n.name.contains("replay") {
-            covered.insert(n.name.clone());
-            seeds.extend(n.calls.iter().cloned());
-        }
-    }
-    let (reach_from_covered, _) = ws.closure(&seeds);
-    covered.extend(reach_from_covered);
-
-    // Simulation-state sinks. The path clause catches the real tree's
-    // state crates; the writes_gen/touches_data clause is scope-agnostic
-    // so single-file fixtures exercise the rule too.
-    let sinks: BTreeMap<&str, &str> = ws
-        .nodes
-        .iter()
-        .filter(|n| {
-            !n.in_test
-                && n.takes_mut_self
-                && !workspace::is_opaque(&n.name)
-                && (STATE_CRATES
-                    .iter()
-                    .any(|p| ws.files[n.file].rel.starts_with(p))
-                    || n.writes_gen
-                    || n.touches_data)
-        })
-        .map(|n| (n.name.as_str(), ws.files[n.file].rel))
-        .collect();
-
-    for f in ws.files.iter() {
-        if !f.fam.j {
-            continue;
-        }
-        for im in &f.items.impls {
-            if im.trait_name.is_some() || !(im.type_name == "System" || im.type_name == "Machine") {
-                continue;
-            }
-            for m in &im.methods {
-                if !m.is_pub || !m.takes_mut_self || f.in_test_code(m.line) {
-                    continue;
-                }
-                // The journaling machinery itself is exempt by name.
-                if m.name == "record"
-                    || m.name.contains("journal")
-                    || m.name.contains("replay")
-                    || m.name.contains("restore")
-                {
-                    continue;
-                }
-                if covered.contains(&m.name) {
-                    continue;
-                }
-                let body = &f.tokens[m.body.0..m.body.1];
-                let mseeds = workspace::call_names(body);
-                let (reached, parent) = ws.closure(&mseeds);
-                let direct_mutation =
-                    workspace::writes_gen(body) || workspace::touches_self_data(body);
-                let hit = reached.iter().find(|r| sinks.contains_key(r.as_str()));
-                if let Some(sink) = hit {
-                    out.push(Finding {
-                        file: f.rel.to_string(),
-                        line: m.line,
-                        rule: "J001",
-                        message: format!(
-                            "public mutator `{}::{}` reaches simulation state (`{}` in {}) but \
-                             appends no journal event; replay cannot reconstruct this call — \
-                             journal it with `self.record(...)` or mark it \
-                             `// vlint: allow(J001, host-only — why)`",
-                            im.type_name,
-                            m.name,
-                            ws.chain(&parent, sink),
-                            sinks[sink.as_str()]
-                        ),
-                    });
-                } else if direct_mutation {
-                    out.push(Finding {
-                        file: f.rel.to_string(),
-                        line: m.line,
-                        rule: "J001",
-                        message: format!(
-                            "public mutator `{}::{}` mutates simulation state directly but \
-                             appends no journal event; replay cannot reconstruct this call — \
-                             journal it with `self.record(...)` or mark it \
-                             `// vlint: allow(J001, host-only — why)`",
-                            im.type_name, m.name
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{analyze_source, Families};
@@ -393,41 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn w_rule_needs_a_transitive_bump() {
-        let bad = "
-struct M { data: Vec<u8>, write_gen: u64 }
-impl M {
-    fn poke(&mut self) { self.data[0] = 1; }
-}";
-        assert_eq!(rules(bad), vec![("W001", 4)]);
-        let good_direct = "
-struct M { data: Vec<u8>, write_gen: u64 }
-impl M {
-    fn poke(&mut self) { self.data[0] = 1; self.write_gen = self.write_gen + 1; }
-}";
-        assert!(rules(good_direct).is_empty());
-        let good_transitive = "
-struct M { data: Vec<u8>, write_gen: u64 }
-impl M {
-    fn mark(&mut self) { self.info.write_gen = 1; }
-    fn relay(&mut self) { self.mark(); }
-    fn poke(&mut self) { self.data[0] = 1; self.relay(); }
-}";
-        assert!(rules(good_transitive).is_empty());
-    }
-
-    #[test]
-    fn w_rule_stays_quiet_without_write_gen_protocol() {
-        // A file with an unrelated `data` field is not in the protocol.
-        let src = "
-struct Pool { data: Vec<u8> }
-impl Pool {
-    fn poke(&mut self) { self.data[0] = 1; }
-}";
-        assert!(rules(src).is_empty());
-    }
-
-    #[test]
     fn e001_respects_docs_and_tests() {
         assert_eq!(rules("fn f() { panic!(\"boom\"); }"), vec![("E001", 1)]);
         let documented = "
@@ -441,28 +218,6 @@ fn f() { assert!(on, \"off\"); }";
         let tested = "#[cfg(test)]\nmod tests {\n  fn f() { panic!(\"fine\"); }\n}";
         assert!(rules(tested).is_empty());
         assert!(rules("fn f() { debug_assert!(x > 0); }").is_empty());
-    }
-
-    #[test]
-    fn j001_needs_a_journal_event_on_public_mutators() {
-        let bad = "
-struct Machine { data: Vec<u8> }
-impl Machine {
-    pub fn hammer(&mut self, b: u8) { self.poke(b) }
-    fn poke(&mut self, b: u8) { self.data[0] = b; }
-}";
-        assert_eq!(rules(bad), vec![("J001", 4)]);
-        let good = "
-struct Machine { data: Vec<u8> }
-impl Machine {
-    pub fn hammer(&mut self, b: u8) {
-        self.record(b);
-        self.poke(b)
-    }
-    pub fn record(&mut self, b: u8) { self.log.push(b) }
-    fn poke(&mut self, b: u8) { self.data[0] = b; self.info.write_gen = 1; }
-}";
-        assert!(rules(good).is_empty());
     }
 
     #[test]

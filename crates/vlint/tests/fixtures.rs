@@ -24,12 +24,6 @@ fn d004_platform_cfg() {
 }
 
 #[test]
-fn w001_write_gen_bump() {
-    check("w001_bad.rs", &[("W001", 10)]);
-    check("w001_ok.rs", &[]);
-}
-
-#[test]
 fn e001_undocumented_panics() {
     check("e001_bad.rs", &[("E001", 5), ("E001", 13)]);
     check("e001_ok.rs", &[]);
@@ -45,12 +39,6 @@ fn e002_truncating_casts() {
 fn g001_pressure_signal_reads() {
     check("g001_bad.rs", &[("G001", 4), ("G001", 9)]);
     check("g001_ok.rs", &[]);
-}
-
-#[test]
-fn j001_journal_coverage() {
-    check("j001_bad.rs", &[("J001", 10)]);
-    check("j001_ok.rs", &[]);
 }
 
 #[test]

@@ -31,6 +31,11 @@ pub const REPRO_DIR: &str = "bench_logs/repro";
 /// deleted so a flaky suite cannot fill the disk.
 pub const KEEP_BUNDLES: usize = 8;
 
+/// What [`Bundle::replay_with`] refuses a journal with when one of its
+/// events names a process the replayed machine does not have.
+const MISSING_PID: SnapshotError =
+    SnapshotError::Corrupt("journal names a pid the machine does not have");
+
 /// Everything needed to re-execute a failing chaos run.
 #[derive(Clone)]
 pub struct Bundle {
@@ -304,6 +309,13 @@ impl Bundle {
     /// typically a subset of `self.journal` proposed by the shrinker —
     /// and hands back the whole replayed system so the caller can run any
     /// invariant over it, not just the digest comparison.
+    ///
+    /// A bundle comes from disk, and a shrink candidate may drop the
+    /// `Spawn` a later event needs: an event naming a process the
+    /// replayed machine does not have is refused as
+    /// [`SnapshotError::Corrupt`] before it runs, never a panic. The
+    /// check is against the live process table, so a spawn that fails on
+    /// replay adds no process.
     pub fn replay_with(
         &self,
         journal: &[JournalEvent],
@@ -313,7 +325,12 @@ impl Bundle {
         if self.crashes_armed {
             sys.machine.arm_crashes();
         }
-        sys.replay(journal);
+        for ev in journal {
+            if ev.pid().is_some_and(|p| p.0 >= sys.machine.process_count()) {
+                return Err(MISSING_PID);
+            }
+            sys.replay_event(ev);
+        }
         Ok(sys)
     }
 
@@ -326,6 +343,10 @@ impl Bundle {
     /// elimination: partition the journal into `n` chunks, try dropping
     /// each chunk, keep any drop that still reproduces the *same*
     /// signature, double the granularity when nothing can be dropped.
+    ///
+    /// A candidate that [`Self::replay_with`] refuses for naming a missing
+    /// process (it dropped a `Spawn` a later event needs) does not
+    /// reproduce; a refused full journal returns the error.
     ///
     /// Returns `Ok(None)` when the full journal does not reproduce the
     /// failure (nothing to shrink — the failure is not journal-derived).
@@ -367,7 +388,10 @@ impl Bundle {
                     .cloned()
                     .collect();
                 if candidate.len() < current.len()
-                    && probe(&candidate, &mut replays)? == Some(target)
+                    && match probe(&candidate, &mut replays) {
+                        Err(MISSING_PID) => false,
+                        other => other? == Some(target),
+                    }
                 {
                     // The dropped chunk was irrelevant: keep the smaller
                     // journal and re-partition it coarsely again.

@@ -138,10 +138,27 @@ fn churn_system(kind: EngineKind, surface: bool) -> System<Box<dyn FusionPolicy>
     sys
 }
 
-/// Every hardware fault the machine observes is resolved by exactly one
-/// handler, and every kernel-handled fault performs exactly one fill or
-/// copy. A degraded path that forgets a counter (or bumps two) breaks
-/// these identities.
+/// The fault identities: every hardware fault the machine observes is
+/// resolved by exactly one handler (policy, kernel, or none), and every
+/// kernel-handled fault performs exactly one fill or copy. A degraded
+/// path that forgets a counter (or bumps two) breaks them.
+fn check_fault_identities<P: FusionPolicy>(sys: &System<P>, what: &str) {
+    let m = sys.machine.stats();
+    let s = sys.stats();
+    let hw_faults = m.faults_not_mapped + m.faults_trapped + m.faults_write_protected;
+    let resolved = s.policy_faults + s.kernel_faults + s.unresolved_faults;
+    assert_eq!(
+        hw_faults, resolved,
+        "{what}: machine saw {hw_faults} faults but handlers accounted {resolved}"
+    );
+    let kernel_work = m.demand_zero + m.demand_huge + m.demand_file + m.cow_copies;
+    assert_eq!(
+        s.kernel_faults, kernel_work,
+        "{what}: {} kernel-handled faults vs {} fills/copies",
+        s.kernel_faults, kernel_work
+    );
+}
+
 #[test]
 fn fault_counter_identities() {
     for kind in [
@@ -154,22 +171,15 @@ fn fault_counter_identities() {
         EngineKind::VUsionThp,
     ] {
         let sys = churn_system(kind, false);
+        check_fault_identities(&sys, &format!("{kind:?}"));
         let m = sys.machine.stats();
-        let s = sys.stats();
         let hw_faults = m.faults_not_mapped + m.faults_trapped + m.faults_write_protected;
-        let resolved = s.policy_faults + s.kernel_faults + s.unresolved_faults;
-        assert_eq!(
-            hw_faults, resolved,
-            "{kind:?}: machine saw {hw_faults} faults but handlers accounted {resolved}"
-        );
         assert!(hw_faults > 0, "{kind:?}: workload must fault");
-        let kernel_work = m.demand_zero + m.demand_huge + m.demand_file + m.cow_copies;
         assert_eq!(
-            s.kernel_faults, kernel_work,
-            "{kind:?}: {} kernel-handled faults vs {} fills/copies",
-            s.kernel_faults, kernel_work
+            sys.stats().unresolved_faults,
+            0,
+            "{kind:?}: workload must resolve"
         );
-        assert_eq!(s.unresolved_faults, 0, "{kind:?}: workload must resolve");
     }
 }
 
@@ -249,8 +259,9 @@ fn check_scan_keys<P: FusionPolicy>(sys: &System<P>, what: &str) {
 /// (`idle`), `force_scans`, direct `FusionPolicy::scan` calls, and a
 /// snapshot restored into a fresh system and replayed from its journal.
 /// After each path the metrics document reports exactly the machine's
-/// counts; a direct scan adds exactly the visits it returns; and a
-/// restored, replayed run ends with the recorded run's counts.
+/// counts and the fault identities hold; a direct scan adds exactly the
+/// visits it returns; and a restored, replayed run ends with the
+/// recorded run's counts.
 #[test]
 fn scan_counts_hold_on_every_entry_path() {
     const PAGES: u64 = 32;
@@ -288,6 +299,7 @@ fn scan_counts_hold_on_every_entry_path() {
             "{label}: timed wakes scanned nothing"
         );
         check_scan_keys(&sys, &format!("{label} idle"));
+        check_fault_identities(&sys, &format!("{label} idle"));
         identity(&sys, label);
 
         // 2. Forced scans.
@@ -299,6 +311,7 @@ fn scan_counts_hold_on_every_entry_path() {
             "{label}: forced scans scanned nothing"
         );
         check_scan_keys(&sys, &format!("{label} force_scans"));
+        check_fault_identities(&sys, &format!("{label} force_scans"));
         identity(&sys, label);
 
         // 3. Direct calls, which no driver accounts.
@@ -316,6 +329,7 @@ fn scan_counts_hold_on_every_entry_path() {
         }
         assert!(total > 0, "{label}: direct scans visited nothing");
         check_scan_keys(&sys, &format!("{label} direct scan"));
+        check_fault_identities(&sys, &format!("{label} direct scan"));
         identity(&sys, label);
 
         // 4. Snapshot, restore into a fresh system, replay the journal.
@@ -341,6 +355,7 @@ fn scan_counts_hold_on_every_entry_path() {
             "{label}: replayed counts differ from the recorded run's"
         );
         check_scan_keys(&fresh, &format!("{label} restore + replay"));
+        check_fault_identities(&fresh, &format!("{label} restore + replay"));
         identity(&fresh, label);
 
         let c = sys.machine.stats().scan;

@@ -5,9 +5,14 @@
 //! snapshot inside restores through `System::restore`, which must refuse
 //! the same damage and leave the system it restores into untouched.
 
+use vusion::kernel::JournalEvent;
 use vusion::prelude::*;
 use vusion::repro::{latest_bundle, Bundle};
 use vusion_snapshot::{Snapshot, SnapshotError, Writer};
+
+/// What replaying a journal that names a missing process returns.
+const MISSING_PID: SnapshotError =
+    SnapshotError::Corrupt("journal names a pid the machine does not have");
 
 /// A real captured bundle to mutate.
 fn sample_bundle() -> Bundle {
@@ -36,6 +41,56 @@ fn round_trip_is_lossless() {
     assert_eq!(back.journal.len(), bundle.journal.len());
     assert_eq!(back.snapshot, bundle.snapshot);
     assert!(back.replay().expect("replay").reproduced());
+}
+
+#[test]
+fn replay_refuses_a_journal_naming_a_missing_pid() {
+    // The snapshot holds one process; the journal reads through pid 7.
+    let mut bundle = sample_bundle();
+    bundle.journal.push(JournalEvent::Read {
+        pid: Pid(7),
+        va: VirtAddr(0x10000),
+    });
+    let resealed = Bundle::from_bytes(&bundle.to_bytes()).expect("a sealed bundle decodes");
+    assert_eq!(resealed.replay().err(), Some(MISSING_PID));
+}
+
+#[test]
+fn shrink_keeps_the_spawn_a_failure_needs() {
+    // The failure lives in a process spawned inside the journal: one of
+    // six writes to it. Candidates that drop the spawn name a pid the
+    // replayed machine does not have, and must count as not reproducing.
+    let cfg = MachineConfig::test_small().with_seed(0x5b);
+    let mut sys = EngineKind::Ksm.build_system(cfg);
+    sys.machine.enable_journal();
+    sys.machine.clear_journal();
+    let snap = sys.snapshot();
+    let pid = sys.machine.spawn("late").expect("spawn");
+    sys.machine
+        .mmap(pid, Vma::anon(VirtAddr(0x10000), 8, Protection::rw()));
+    for v in 1..=6u8 {
+        sys.write(pid, VirtAddr(0x10000 + u64::from(v) * PAGE_SIZE), v);
+    }
+    let bundle = Bundle::capture(EngineKind::Ksm, &cfg, snap, &sys, false, "late spawn", "");
+    let failing = |s: &System<Box<dyn FusionPolicy>>| {
+        let va = VirtAddr(0x10000 + 3 * PAGE_SIZE);
+        let pa = (s.machine.process_count() > 0)
+            .then(|| s.machine.translate_quiet(Pid(0), va))
+            .flatten()?;
+        (s.machine.mem().read_byte(pa) == 3).then_some(0x5b)
+    };
+    let out = bundle
+        .shrink(failing, 200)
+        .expect("the full journal replays")
+        .expect("the full journal fails");
+    let labels: Vec<&str> = out.shrunk.journal.iter().map(JournalEvent::label).collect();
+    assert_eq!(
+        labels,
+        ["spawn", "mmap", "write"],
+        "{:?}",
+        out.shrunk.journal
+    );
+    assert!(out.shrunk.replay().expect("replay").reproduced());
 }
 
 #[test]
