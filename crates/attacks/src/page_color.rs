@@ -13,7 +13,7 @@
 //! re-randomization), so a color change carries no information.
 
 use vusion_core::EngineKind;
-use vusion_kernel::{FusionPolicy, Pid, System};
+use vusion_kernel::{FusionPolicy, Pid, System, COSTS};
 use vusion_mem::{VirtAddr, PAGE_SIZE};
 
 use crate::common::{labeled_page, settle, AttackVerdict, TwinSetup};
@@ -73,7 +73,7 @@ fn probe_color(
     target: VirtAddr,
     ev: &EvictionSets,
 ) -> usize {
-    let miss_threshold = sys.machine.costs().llc_hit * 3;
+    let miss_threshold = COSTS.llc_hit * 3;
     let mut best = (0usize, 0u64);
     for (color, set) in ev.sets.iter().enumerate() {
         // PRIME: fill the set.

@@ -11,7 +11,7 @@
 //! flushing), so reload timing is independent of the victim.
 
 use vusion_core::EngineKind;
-use vusion_kernel::{FusionPolicy, System};
+use vusion_kernel::{FusionPolicy, System, COSTS};
 use vusion_mem::VirtAddr;
 
 use crate::common::{labeled_page, settle, AttackVerdict, TwinSetup};
@@ -72,8 +72,7 @@ pub fn run(kind: EngineKind) -> PageSharingOutcome {
     }
     // Classify: a reload is "fast" when it is an LLC hit, i.e. well under
     // DRAM latency. Use the midpoint between hit and row-miss costs.
-    let threshold = (sys.machine.costs().llc_hit + sys.machine.costs().dram_row_hit) / 2
-        + sys.machine.costs().cpu_op;
+    let threshold = (COSTS.llc_hit + COSTS.dram_row_hit) / 2 + COSTS.cpu_op;
     let dup_fast = dup_reloads.iter().filter(|&&t| t <= threshold).count();
     let control_fast = control_reloads.iter().filter(|&&t| t <= threshold).count();
     // The attacker reads the sharing bit iff the duplicate is consistently

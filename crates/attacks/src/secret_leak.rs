@@ -14,6 +14,7 @@
 //! the attacker recovers the byte against KSM and fails against VUsion.
 
 use vusion_core::EngineKind;
+use vusion_kernel::COSTS;
 
 use crate::common::{labeled_page, settle, time_write, AttackVerdict, TwinSetup};
 
@@ -56,7 +57,7 @@ pub fn run(kind: EngineKind, secret: u8) -> SecretLeakOutcome {
     let times: Vec<u64> = (0..CANDIDATES)
         .map(|g| time_write(&mut sys, attacker, setup.merge_page(g), 0xFF))
         .collect();
-    let threshold = sys.machine.costs().fault_base / 2;
+    let threshold = COSTS.fault_base / 2;
     let outliers: Vec<u8> = times
         .iter()
         .enumerate()

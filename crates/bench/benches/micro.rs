@@ -16,7 +16,6 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use vusion_bench::json_quote;
 use vusion_cache::{Llc, LlcConfig};
 use vusion_kernel::{Machine, MachineConfig, ScanGrant};
 use vusion_mem::{
@@ -24,6 +23,7 @@ use vusion_mem::{
     RandomPool, VirtAddr,
 };
 use vusion_mmu::{Protection, Vma};
+use vusion_obs::json::quote;
 
 const SAMPLES: u32 = 20;
 const WARMUP: u32 = 3;
@@ -510,7 +510,7 @@ fn host_facts() -> String {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     format!(
         "{{\"cpu_model\": {}, \"available_parallelism\": {cores}}}",
-        json_quote(&model)
+        quote(&model)
     )
 }
 

@@ -15,6 +15,7 @@ use std::path::PathBuf;
 
 use vusion_core::EngineKind;
 use vusion_kernel::{FusionPolicy, System};
+use vusion_obs::json::quote;
 use vusion_workloads::images::ImageSpec;
 use vusion_workloads::VmHandle;
 
@@ -38,27 +39,6 @@ pub fn slugify(id: &str) -> String {
         }
     }
     out.trim_matches('_').to_string()
-}
-
-/// Escapes a string for inclusion in a JSON document.
-pub fn json_quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Table/figure writer: renders the same text the ad-hoc `println!`
@@ -125,21 +105,21 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", json_quote(TABLE_SCHEMA));
-        let _ = writeln!(out, "  \"id\": {},", json_quote(&self.id));
-        let _ = writeln!(out, "  \"title\": {},", json_quote(&self.title));
+        let _ = writeln!(out, "  \"schema\": {},", quote(TABLE_SCHEMA));
+        let _ = writeln!(out, "  \"id\": {},", quote(&self.id));
+        let _ = writeln!(out, "  \"title\": {},", quote(&self.title));
         out.push_str("  \"rows\": [");
         for (i, (label, cells)) in self.rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    {");
-            let _ = write!(out, "\"label\": {}, \"cells\": {{", json_quote(label));
+            let _ = write!(out, "\"label\": {}, \"cells\": {{", quote(label));
             for (j, (k, v)) in cells.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{}: {}", json_quote(k), json_quote(v));
+                let _ = write!(out, "{}: {}", quote(k), quote(v));
             }
             out.push_str("}}");
         }
@@ -151,7 +131,7 @@ impl Report {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_quote(n));
+            out.push_str(&quote(n));
         }
         out.push_str("]\n}\n");
         out
@@ -222,11 +202,5 @@ mod tests {
         assert!(js.contains("\"title\": \"t\\\"t\""));
         assert!(js.contains("{\"label\": \"a\", \"cells\": {\"k\": \"v\", \"n\": \"1\"}}"));
         assert!(js.contains("\"notes\": [\"done\"]"));
-    }
-
-    #[test]
-    fn quote_escapes_controls() {
-        assert_eq!(json_quote("a\nb"), "\"a\\nb\"");
-        assert_eq!(json_quote("\u{1}"), "\"\\u0001\"");
     }
 }

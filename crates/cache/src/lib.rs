@@ -18,4 +18,4 @@
 
 pub mod llc;
 
-pub use llc::{CacheOutcome, CacheStats, Llc, LlcConfig};
+pub use llc::{CacheOutcome, CacheStats, Llc, LlcConfig, LINE_SIZE};

@@ -2,15 +2,16 @@
 
 use vusion_mem::{FrameId, PhysAddr, PAGE_SIZE};
 
-/// Geometry of the simulated LLC.
+/// Cache line size in bytes, as on the paper's testbed.
+pub const LINE_SIZE: u64 = 64;
+
+/// Geometry of the simulated LLC (lines are [`LINE_SIZE`] bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Number of cache sets.
     pub sets: usize,
     /// Associativity (lines per set).
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_size: u64,
 }
 
 impl LlcConfig {
@@ -20,7 +21,6 @@ impl LlcConfig {
         Self {
             sets: 8192,
             ways: 16,
-            line_size: 64,
         }
     }
 
@@ -29,13 +29,12 @@ impl LlcConfig {
         Self {
             sets: 1024,
             ways: 4,
-            line_size: 64,
         }
     }
 
     /// Number of cache sets a 4 KiB page covers.
     pub fn sets_per_page(&self) -> usize {
-        (PAGE_SIZE / self.line_size) as usize
+        (PAGE_SIZE / LINE_SIZE) as usize
     }
 
     /// Number of page colors: distinct mappings of pages onto set groups.
@@ -45,7 +44,7 @@ impl LlcConfig {
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.sets as u64 * self.ways as u64 * self.line_size
+        self.sets as u64 * self.ways as u64 * LINE_SIZE
     }
 }
 
@@ -88,11 +87,11 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero ways, set count or line
-    /// size not a power of two, or pages smaller than one line group).
+    /// Panics if the geometry is degenerate (zero ways, set count not a
+    /// power of two, or pages smaller than one line group).
     pub fn new(cfg: LlcConfig) -> Self {
         assert!(
-            cfg.sets.is_power_of_two() && cfg.ways > 0 && cfg.line_size.is_power_of_two(),
+            cfg.sets.is_power_of_two() && cfg.ways > 0,
             "degenerate cache geometry"
         );
         assert!(
@@ -119,7 +118,7 @@ impl Llc {
 
     /// The global line index of a physical address.
     fn line_of(&self, addr: PhysAddr) -> u64 {
-        addr.0 >> self.cfg.line_size.trailing_zeros()
+        addr.0 / LINE_SIZE
     }
 
     /// The set a global line index maps to.
@@ -149,7 +148,7 @@ impl Llc {
     /// a capacity miss evicted (if any). State transitions are identical
     /// to `access` — this exists so the side-channel surface recorder can
     /// attribute evictions to the frames whose lines were displaced.
-    /// The victim frame is `line * line_size / PAGE_SIZE`.
+    /// The victim frame is `line * LINE_SIZE / PAGE_SIZE`.
     pub fn access_evicting(&mut self, addr: PhysAddr) -> (CacheOutcome, Option<u64>) {
         let line = self.line_of(addr);
         let set = self.set_of(line);
@@ -206,8 +205,8 @@ impl Llc {
 
     /// Flushes every line of a frame.
     pub fn flush_frame(&mut self, frame: FrameId) {
-        for i in 0..(PAGE_SIZE / self.cfg.line_size) {
-            self.flush(frame.base() + i * self.cfg.line_size);
+        for i in 0..(PAGE_SIZE / LINE_SIZE) {
+            self.flush(frame.base() + i * LINE_SIZE);
         }
     }
 
@@ -223,7 +222,7 @@ impl Llc {
     /// Returns `None` if `candidates` does not contain enough frames of the
     /// right color.
     pub fn eviction_set(&self, target_set: usize, candidates: &[FrameId]) -> Option<Vec<PhysAddr>> {
-        let line_in_page = (target_set % self.cfg.sets_per_page()) as u64 * self.cfg.line_size;
+        let line_in_page = (target_set % self.cfg.sets_per_page()) as u64 * LINE_SIZE;
         let color = target_set / self.cfg.sets_per_page();
         let mut out = Vec::with_capacity(self.cfg.ways);
         for &f in candidates {
@@ -244,7 +243,6 @@ impl vusion_snapshot::Snapshot for Llc {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.usize(self.cfg.sets);
         w.usize(self.cfg.ways);
-        w.u64(self.cfg.line_size);
         for set in 0..self.cfg.sets {
             // MRU-first line order is the LRU state; it travels verbatim.
             w.u64s(self.set_lines(set));
@@ -269,7 +267,7 @@ impl vusion_snapshot::Snapshot for Llc {
             lens,
             stats,
         } = self;
-        if r.usize()? != cfg.sets || r.usize()? != cfg.ways || r.u64()? != cfg.line_size {
+        if r.usize()? != cfg.sets || r.usize()? != cfg.ways {
             return Err(SnapshotError::Corrupt("cache geometry mismatch"));
         }
         let set_mask = cfg.sets as u64 - 1;
@@ -314,7 +312,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_every_field() {
         let mut src = tiny();
-        let stride = src.config().sets as u64 * src.config().line_size;
+        let stride = src.config().sets as u64 * LINE_SIZE;
         for i in 0..6 {
             src.access(PhysAddr(i * stride + 64));
         }
@@ -336,7 +334,6 @@ mod tests {
         let mut w = vusion_snapshot::Writer::new();
         w.usize(cfg.sets);
         w.usize(cfg.ways);
-        w.u64(cfg.line_size);
         for set in 0..cfg.sets {
             w.u64s(if set == 1 { lines } else { &[] });
         }
@@ -398,7 +395,7 @@ mod tests {
     fn lru_evicts_oldest() {
         let mut c = tiny();
         let ways = c.config().ways as u64;
-        let stride = c.config().sets as u64 * c.config().line_size;
+        let stride = c.config().sets as u64 * LINE_SIZE;
         // Fill one set completely, then one more: the first line must go.
         for i in 0..=ways {
             assert_eq!(c.access(PhysAddr(i * stride)), CacheOutcome::Miss);

@@ -5,7 +5,7 @@
 //! steps drive both; every outcome, every evicted line, every counter,
 //! every set's contents and every snapshot image must agree.
 
-use vusion_cache::{CacheOutcome, CacheStats, Llc, LlcConfig};
+use vusion_cache::{CacheOutcome, CacheStats, Llc, LlcConfig, LINE_SIZE};
 use vusion_mem::{FrameId, PhysAddr, PAGE_SIZE};
 use vusion_rng::rngs::StdRng;
 use vusion_rng::{RngExt, SeedableRng};
@@ -28,11 +28,11 @@ impl Model {
     }
 
     fn set_index(&self, addr: PhysAddr) -> usize {
-        ((addr.0 / self.cfg.line_size) % self.cfg.sets as u64) as usize
+        ((addr.0 / LINE_SIZE) % self.cfg.sets as u64) as usize
     }
 
     fn access_evicting(&mut self, addr: PhysAddr) -> (CacheOutcome, Option<u64>) {
-        let line = addr.0 / self.cfg.line_size;
+        let line = addr.0 / LINE_SIZE;
         let ways = self.cfg.ways;
         let set = self.set_index(addr);
         let lines = &mut self.sets[set];
@@ -55,11 +55,11 @@ impl Model {
     }
 
     fn contains(&self, addr: PhysAddr) -> bool {
-        self.sets[self.set_index(addr)].contains(&(addr.0 / self.cfg.line_size))
+        self.sets[self.set_index(addr)].contains(&(addr.0 / LINE_SIZE))
     }
 
     fn flush(&mut self, addr: PhysAddr) {
-        let line = addr.0 / self.cfg.line_size;
+        let line = addr.0 / LINE_SIZE;
         let set = self.set_index(addr);
         let lines = &mut self.sets[set];
         if let Some(pos) = lines.iter().position(|&l| l == line) {
@@ -69,8 +69,8 @@ impl Model {
     }
 
     fn flush_frame(&mut self, frame: FrameId) {
-        for i in 0..(PAGE_SIZE / self.cfg.line_size) {
-            self.flush(frame.base() + i * self.cfg.line_size);
+        for i in 0..(PAGE_SIZE / LINE_SIZE) {
+            self.flush(frame.base() + i * LINE_SIZE);
         }
     }
 
@@ -84,7 +84,6 @@ impl Model {
         let mut w = Writer::new();
         w.usize(self.cfg.sets);
         w.usize(self.cfg.ways);
-        w.u64(self.cfg.line_size);
         for set in &self.sets {
             w.u64s(set);
         }
@@ -111,13 +110,13 @@ fn run(seed: u64, cfg: LlcConfig, hot_sets: u64, steps: usize) -> (CacheStats, u
     let mut llc = Llc::new(cfg);
     let mut model = Model::new(cfg);
     let lines_per_set = 2 * cfg.ways as u64 + 2;
-    let stride = cfg.sets as u64 * cfg.line_size;
+    let stride = cfg.sets as u64 * LINE_SIZE;
     for step in 0..steps {
         let set = rng.random_range(0..hot_sets) * (cfg.sets as u64 / hot_sets);
         let addr = PhysAddr(
             rng.random_range(0..lines_per_set) * stride
-                + set * cfg.line_size
-                + rng.random_range(0..cfg.line_size),
+                + set * LINE_SIZE
+                + rng.random_range(0..LINE_SIZE),
         );
         let ctx = format!("seed {seed} {cfg:?} step {step}");
         // Clears are rare enough that the hot sets fill between them.
@@ -179,11 +178,7 @@ fn assert_all_met(runs: &[(CacheStats, u64)]) {
 }
 
 fn geometry(sets: usize, ways: usize) -> LlcConfig {
-    LlcConfig {
-        sets,
-        ways,
-        line_size: 64,
-    }
+    LlcConfig { sets, ways }
 }
 
 #[test]

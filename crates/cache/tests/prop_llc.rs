@@ -1,7 +1,7 @@
 //! Property-style tests for the LLC model, driven by the in-repo seeded
 //! PRNG: each test sweeps many seeds so failures reproduce exactly by seed.
 
-use vusion_cache::{CacheOutcome, Llc, LlcConfig};
+use vusion_cache::{CacheOutcome, Llc, LlcConfig, LINE_SIZE};
 use vusion_mem::{FrameId, PhysAddr};
 use vusion_rng::rngs::StdRng;
 use vusion_rng::{RngExt, SeedableRng};
@@ -32,7 +32,7 @@ fn set_capacity_is_respected() {
         let extra = rng.random_range(1u64..8);
         let cfg = LlcConfig::tiny();
         let mut c = Llc::new(cfg);
-        let stride = cfg.sets as u64 * cfg.line_size;
+        let stride = cfg.sets as u64 * LINE_SIZE;
         let n = cfg.ways as u64 + extra;
         for i in 0..n {
             c.access(PhysAddr(i * stride));
@@ -58,7 +58,7 @@ fn flush_is_precise() {
         let keep = rng.random_range(1u64..4);
         let cfg = LlcConfig::tiny();
         let mut c = Llc::new(cfg);
-        let stride = cfg.sets as u64 * cfg.line_size;
+        let stride = cfg.sets as u64 * LINE_SIZE;
         for i in 0..=keep {
             c.access(PhysAddr(i * stride));
         }

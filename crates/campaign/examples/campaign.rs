@@ -14,7 +14,9 @@
 //!   unless the two reports are byte-identical
 //! * `--selftest` — also run a small poison-invariant campaign and fail
 //!   unless the planted failure is caught and shrunk to ≤ 10% of its
-//!   original journal
+//!   original journal; with `--out`, the shrunk bundle is written to
+//!   `DIR/selftest.vbun` (`cargo run --example replay -- DIR/selftest.vbun`
+//!   replays it)
 //!
 //! Exit status is non-zero on invariant violations, a failed `--verify`
 //! comparison, or a failed `--selftest`.
@@ -23,6 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vusion::prelude::*;
+use vusion::repro::Bundle;
 use vusion_campaign::{poison_invariant, Campaign, CampaignConfig, ScenarioShape};
 
 struct Args {
@@ -66,8 +69,9 @@ fn parse_args() -> Result<Args, String> {
 
 /// The poison self-test: plant a known-bad invariant in a tiny campaign
 /// and insist the pipeline catches it, shrinks it to ≤ 10% of the
-/// journal, and keeps the failure signature stable under replay.
-fn selftest() -> Result<(), String> {
+/// journal, and keeps the failure signature stable under replay. Returns
+/// the shrunk bundle.
+fn selftest() -> Result<Bundle, String> {
     let mut cfg = CampaignConfig::standard(1);
     cfg.engines = vec![EngineKind::VUsion];
     cfg.plans = vec![("none".to_string(), FaultPlan::NONE)];
@@ -103,7 +107,7 @@ fn selftest() -> Result<(), String> {
         "selftest: poison failure shrunk {} -> {} events in {} replays",
         f.original_events, f.shrunk_events, f.replays
     );
-    Ok(())
+    Ok(f.bundle.clone())
 }
 
 fn main() -> ExitCode {
@@ -190,10 +194,14 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut poison = None;
     if args.selftest {
-        if let Err(e) = selftest() {
-            eprintln!("{e}");
-            ok = false;
+        match selftest() {
+            Ok(bundle) => poison = Some(bundle),
+            Err(e) => {
+                eprintln!("{e}");
+                ok = false;
+            }
         }
     }
 
@@ -202,6 +210,14 @@ fn main() -> ExitCode {
             Ok(written) => println!("wrote {} artifacts to {}", written.len(), dir.display()),
             Err(e) => {
                 eprintln!("error writing artifacts: {e}");
+                ok = false;
+            }
+        }
+        // Written after the report, whose bundle rotation must not drop it.
+        if let Some(bundle) = &poison {
+            let path = dir.join("selftest.vbun");
+            if let Err(e) = std::fs::write(&path, bundle.to_bytes()) {
+                eprintln!("error writing {}: {e}", path.display());
                 ok = false;
             }
         }

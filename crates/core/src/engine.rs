@@ -6,11 +6,11 @@
 //! attacks, and benches can be written once and run against each.
 
 use vusion_kernel::{FusionPolicy, Khugepaged, Machine, MachineConfig, NoFusion, System};
-use vusion_mem::MmError;
 
 use crate::ksm::{Ksm, KsmConfig};
 use crate::vusion::{VUsion, VUsionConfig};
 use crate::wpf::{Wpf, WpfConfig};
+use crate::SCAN_PERIOD_NS;
 
 /// One of the evaluated fusion configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,69 +84,42 @@ impl EngineKind {
         }
     }
 
-    /// Builds the policy for a machine (already adapted). Reports
-    /// [`MmError::MissingReservedRegion`] if WPF is requested on a machine
-    /// whose config was not adapted.
-    pub fn build_policy(
-        self,
-        m: &mut Machine,
-        scan_period_ns: u64,
-        pool_frames: usize,
-    ) -> Result<Box<dyn FusionPolicy>, MmError> {
-        Ok(match self {
+    /// Builds a complete [`System`] over a fresh machine: adapted config,
+    /// policy, and (for the THP configuration) the secured khugepaged.
+    /// Scanners wake every [`SCAN_PERIOD_NS`], WPF passes every 16
+    /// periods, and VUsion's pool is [`default_pool_frames`].
+    pub fn build_system(self, base: MachineConfig) -> System<Box<dyn FusionPolicy>> {
+        let cfg = self.adapt_machine(base);
+        let mut m = Machine::new(cfg);
+        let vusion = VUsionConfig {
+            pool_frames: default_pool_frames(cfg.frames),
+            ..Default::default()
+        };
+        let policy: Box<dyn FusionPolicy> = match self {
             EngineKind::NoFusion => Box::new(NoFusion),
-            EngineKind::Ksm => Box::new(Ksm::new(KsmConfig {
-                scan_period_ns,
-                ..Default::default()
-            })),
+            EngineKind::Ksm => Box::new(Ksm::new(KsmConfig::default())),
             EngineKind::KsmCoa => Box::new(Ksm::new(KsmConfig {
-                scan_period_ns,
                 unmerge_on_read: true,
                 ..Default::default()
             })),
             EngineKind::KsmZeroOnly => Box::new(Ksm::new(KsmConfig {
-                scan_period_ns,
                 zero_only: true,
                 ..Default::default()
             })),
-            EngineKind::Wpf => Box::new(Wpf::new(
-                m,
-                WpfConfig {
-                    pass_period_ns: scan_period_ns * 16,
-                },
-            )?),
-            EngineKind::VUsion => Box::new(VUsion::new(
-                m,
-                VUsionConfig {
-                    scan_period_ns,
-                    pool_frames,
-                    ..Default::default()
-                },
-            )),
-            EngineKind::VUsionThp => Box::new(VUsion::new(
-                m,
-                VUsionConfig {
-                    scan_period_ns,
-                    pool_frames,
-                    thp_enhancements: true,
-                    ..Default::default()
-                },
-            )),
-        })
-    }
-
-    /// Builds a complete [`System`] over a fresh machine: adapted config,
-    /// policy, and (for the THP configuration) the secured khugepaged.
-    pub fn build_system(self, base: MachineConfig) -> System<Box<dyn FusionPolicy>> {
-        let cfg = self.adapt_machine(base);
-        let mut m = Machine::new(cfg);
-        let pool = default_pool_frames(cfg.frames);
-        let policy = match self.build_policy(&mut m, 20_000_000, pool) {
-            Ok(p) => p,
-            // adapt_machine reserved the linear region above, so engine
-            // construction cannot fail on a freshly built machine.
-            // vlint: allow(E001, construction on a fresh machine cannot fail — a panic here is a programming error worth stopping on)
-            Err(e) => unreachable!("engine construction failed: {e}"),
+            EngineKind::Wpf => {
+                let wpf = WpfConfig {
+                    pass_period_ns: 16 * SCAN_PERIOD_NS,
+                };
+                match Wpf::new(&m, wpf) {
+                    Ok(p) => Box::new(p),
+                    // adapt_machine reserved the linear region above, so
+                    // WPF construction cannot fail on a freshly built machine.
+                    // vlint: allow(E001, construction on a fresh machine cannot fail — a panic here is a programming error worth stopping on)
+                    Err(e) => unreachable!("engine construction failed: {e}"),
+                }
+            }
+            EngineKind::VUsion => Box::new(VUsion::new(&mut m, vusion)),
+            EngineKind::VUsionThp => Box::new(VUsion::new(&mut m, vusion.with_thp())),
         };
         let sys = System::new(m, policy);
         if self == EngineKind::VUsionThp {

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition, COSTS,
 };
 use vusion_mem::{CrashSite, FrameId, VirtAddr, PAGE_SIZE};
 use vusion_mmu::{Pte, PteFlags};
@@ -31,15 +31,14 @@ use vusion_mmu::{Pte, PteFlags};
 use crate::content_index::{ContentIndex, NodeId};
 use crate::mapping;
 use crate::scan_cache::{self, CandidateCache, DirtyTracker};
-use crate::TagCounts;
+use crate::{TagCounts, PAGES_PER_SCAN, SCAN_PERIOD_NS};
 
 /// KSM tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct KsmConfig {
-    /// Pages scanned per wakeup (`N`, default 100).
+    /// Pages scanned per wakeup (`N`, default [`PAGES_PER_SCAN`]). KSM
+    /// wakes every [`SCAN_PERIOD_NS`].
     pub pages_per_scan: usize,
-    /// Wakeup period in ns (`T`, default 20 ms ⇒ 5000 pages/s).
-    pub scan_period_ns: u64,
     /// Figure 4 variant: unmerge on *any* fault, not just writes
     /// (copy-on-access). Merged PTEs get the reserved-bit trap.
     pub unmerge_on_read: bool,
@@ -50,8 +49,7 @@ pub struct KsmConfig {
 impl Default for KsmConfig {
     fn default() -> Self {
         Self {
-            pages_per_scan: 100,
-            scan_period_ns: 20_000_000,
+            pages_per_scan: PAGES_PER_SCAN,
             unmerge_on_read: false,
             zero_only: false,
         }
@@ -188,8 +186,7 @@ impl Ksm {
             let _ = m.put_frame(old);
         }
         let _ = m.put_frame(old);
-        let costs = m.costs();
-        m.scan_cost(costs.pte_update + costs.buddy_interaction);
+        m.scan_cost(COSTS.pte_update + COSTS.buddy_interaction);
         m.trace_end(SpanKind::Merge);
         m.surface_transition(SurfaceTransition::Merge);
         self.tags.record(tag);
@@ -222,8 +219,7 @@ impl Ksm {
             m.trace_begin("ksm", SpanKind::ThpBreak);
             let broke = m.break_thp(pid, va).is_ok();
             if broke {
-                let costs = m.costs();
-                m.scan_cost(costs.pte_update);
+                m.scan_cost(COSTS.pte_update);
             }
             m.trace_end(SpanKind::ThpBreak);
             if !broke {
@@ -415,8 +411,7 @@ impl Ksm {
             return false;
         }
         m.mem_mut().copy_page(stable_frame, new);
-        let costs = m.costs();
-        m.charge(costs.copy_page + costs.pte_update + costs.buddy_interaction);
+        m.charge(COSTS.copy_page + COSTS.pte_update + COSTS.buddy_interaction);
         let mut flags = PteFlags::PRESENT | PteFlags::USER | PteFlags::ACCESSED;
         if vma.prot.write {
             flags |= PteFlags::WRITABLE;
@@ -443,7 +438,6 @@ impl Ksm {
 impl vusion_snapshot::Snapshot for Ksm {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.usize(self.cfg.pages_per_scan);
-        w.u64(self.cfg.scan_period_ns);
         w.bool(self.cfg.unmerge_on_read);
         w.bool(self.cfg.zero_only);
         self.stable.save_with(w, |(), _| {});
@@ -490,7 +484,6 @@ impl vusion_snapshot::Snapshot for Ksm {
         } = self;
         *cfg = KsmConfig {
             pages_per_scan: r.usize()?,
-            scan_period_ns: r.u64()?,
             unmerge_on_read: r.bool()?,
             zero_only: r.bool()?,
         };
@@ -629,7 +622,7 @@ impl FusionPolicy for Ksm {
     }
 
     fn scan_period_ns(&self) -> u64 {
-        self.cfg.scan_period_ns
+        SCAN_PERIOD_NS
     }
 
     fn pressure_shrink(&mut self, _m: &mut Machine) -> u64 {
@@ -690,7 +683,6 @@ mod tests {
         assert!(!k.checksums.is_empty() && k.dirty.len() > 0);
         k.cfg = KsmConfig {
             pages_per_scan: 51,
-            scan_period_ns: 52,
             unmerge_on_read: true,
             zero_only: false,
         };

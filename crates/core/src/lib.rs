@@ -43,6 +43,14 @@ pub use ksm::{Ksm, KsmConfig, KsmStats};
 pub use vusion::{VUsion, VUsionConfig, VUsionStats};
 pub use wpf::{Wpf, WpfConfig, WpfStats};
 
+/// KSM's scan period `T` (20 ms): KSM and VUsion wake at it, and the
+/// engine factory runs WPF's passes every 16 of them.
+pub const SCAN_PERIOD_NS: u64 = 20_000_000;
+
+/// KSM's pages per wake `N` (100): KSM's default, and VUsion's at every
+/// wake (`N / T` = 5000 pages/s).
+pub const PAGES_PER_SCAN: usize = 100;
+
 /// Fusion accounting by guest page type (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagCounts {

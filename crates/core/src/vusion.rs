@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition, COSTS,
 };
 use vusion_mem::{
     CrashSite, DeferredFreeQueue, FrameId, MmError, PageType, RandomPool, VirtAddr,
@@ -43,15 +43,12 @@ use vusion_mmu::{Pte, PteFlags};
 use crate::content_index::{ContentIndex, NodeId};
 use crate::mapping;
 use crate::scan_cache::{self, CandidateCache};
-use crate::TagCounts;
+use crate::{TagCounts, PAGES_PER_SCAN, SCAN_PERIOD_NS};
 
-/// VUsion tuning knobs.
+/// VUsion tuning knobs. VUsion scans [`PAGES_PER_SCAN`] pages every
+/// [`SCAN_PERIOD_NS`], matching KSM.
 #[derive(Debug, Clone, Copy)]
 pub struct VUsionConfig {
-    /// Pages scanned per wakeup (default 100, matching KSM).
-    pub pages_per_scan: usize,
-    /// Wakeup period in ns (default 20 ms, matching KSM).
-    pub scan_period_ns: u64,
     /// Random-pool size in frames. The paper reserves 128 MiB = 2¹⁵
     /// frames; scaled experiments use smaller pools (entropy =
     /// log2(pool_frames) bits).
@@ -75,8 +72,6 @@ pub struct VUsionConfig {
 impl Default for VUsionConfig {
     fn default() -> Self {
         Self {
-            pages_per_scan: 100,
-            scan_period_ns: 20_000_000,
             pool_frames: 4096,
             thp_enhancements: false,
             ablate_pcd: false,
@@ -358,8 +353,7 @@ impl VUsion {
                 self.tree.value_mut(node).push((pid, va));
                 self.page_state.insert((pid.0, va.page()), node);
                 self.release_candidate(m, pid, va, frame);
-                let costs = m.costs();
-                m.scan_cost(costs.pte_update + costs.buddy_interaction);
+                m.scan_cost(COSTS.pte_update + COSTS.buddy_interaction);
                 m.trace_end(SpanKind::Merge);
                 m.surface_transition(SurfaceTransition::Merge);
                 self.tags.record(tag);
@@ -392,8 +386,7 @@ impl VUsion {
                 debug_assert!(inserted, "tree had no match a moment ago");
                 self.page_state.insert((pid.0, va.page()), node);
                 self.release_candidate(m, pid, va, frame);
-                let costs = m.costs();
-                m.scan_cost(costs.copy_page + costs.pte_update + costs.buddy_interaction);
+                m.scan_cost(COSTS.copy_page + COSTS.pte_update + COSTS.buddy_interaction);
                 m.trace_end(SpanKind::FakeMerge);
                 m.surface_transition(SurfaceTransition::FakeMerge);
                 m.scan_counts_mut().pages_fake_merged += 1;
@@ -494,16 +487,15 @@ impl VUsion {
         }
         self.page_state.remove(&(fault.pid.0, fault.va.page()));
         let (_, died) = self.detach_mapping(m, fault.pid, fault.va, node);
-        let costs = m.costs();
         if self.cfg.ablate_deferred_free {
             // ABLATION: asymmetric cost — dying (fake-merged) pages pay the
             // allocator; surviving shared pages do not.
             m.charge(
-                costs.copy_page + costs.pte_update + if died { costs.buddy_interaction } else { 0 },
+                COSTS.copy_page + COSTS.pte_update + if died { COSTS.buddy_interaction } else { 0 },
             );
         } else {
             // Identical charge on both the merged and fake-merged paths.
-            m.charge(costs.copy_page + costs.pte_update + costs.deferred_queue_push);
+            m.charge(COSTS.copy_page + COSTS.pte_update + COSTS.deferred_queue_push);
         }
         m.surface_transition(SurfaceTransition::Unmerge);
         self.stats.coa_unmerges += 1;
@@ -607,8 +599,7 @@ impl VUsion {
             // frame's, so this re-index is a cache hit, not a re-hash.
             self.tree.set_frame(m.mem(), node, new);
             self.ra_release(m, old);
-            let costs = m.costs();
-            m.scan_cost(costs.copy_page + costs.pte_update);
+            m.scan_cost(COSTS.copy_page + COSTS.pte_update);
             self.stats.rerandomized += 1;
         }
         m.trace_end(SpanKind::Rerandomize);
@@ -617,8 +608,6 @@ impl VUsion {
 
 impl vusion_snapshot::Snapshot for VUsion {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
-        w.usize(self.cfg.pages_per_scan);
-        w.u64(self.cfg.scan_period_ns);
         w.usize(self.cfg.pool_frames);
         w.bool(self.cfg.thp_enhancements);
         w.bool(self.cfg.ablate_pcd);
@@ -673,8 +662,6 @@ impl vusion_snapshot::Snapshot for VUsion {
             stats,
         } = self;
         *cfg = VUsionConfig {
-            pages_per_scan: r.usize()?,
-            scan_period_ns: r.u64()?,
             pool_frames: r.usize()?,
             thp_enhancements: r.bool()?,
             ablate_pcd: r.bool()?,
@@ -736,10 +723,9 @@ impl FusionPolicy for VUsion {
             .drain(DEFERRED_DRAIN_PER_WAKE, |f| dead.push(f));
         if !dead.is_empty() {
             m.trace_begin("vusion", SpanKind::DeferredDrain);
-            let costs = m.costs();
             for f in dead {
                 self.ra_release(m, f);
-                m.scan_cost(costs.buddy_interaction);
+                m.scan_cost(COSTS.buddy_interaction);
             }
             m.trace_end(SpanKind::DeferredDrain);
         }
@@ -761,7 +747,7 @@ impl FusionPolicy for VUsion {
         // would collect nothing — skip its per-page lookups.
         let limit = match grant.budget {
             Some(b) => b as usize,
-            None => self.cfg.pages_per_scan,
+            None => PAGES_PER_SCAN,
         };
         let all_managed = self.page_state.len() >= pages.len();
         let window = if all_managed {
@@ -851,7 +837,7 @@ impl FusionPolicy for VUsion {
     }
 
     fn scan_period_ns(&self) -> u64 {
-        self.cfg.scan_period_ns
+        SCAN_PERIOD_NS
     }
 
     fn pressure_drain(&mut self, m: &mut Machine) -> u64 {
@@ -949,8 +935,6 @@ mod tests {
         let u = &mut s.policy;
         assert!(u.tree.len() > 0 && !u.page_state.is_empty() && !u.ra_trace.is_empty());
         u.cfg = VUsionConfig {
-            pages_per_scan: 51,
-            scan_period_ns: 52,
             pool_frames: 53,
             thp_enhancements: true,
             ablate_pcd: false,

@@ -24,7 +24,7 @@
 //! counter or output depends on how it is found.
 
 use vusion_kernel::{
-    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition,
+    FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition, COSTS,
 };
 use vusion_mem::{
     CrashSite, FrameAllocator, FrameId, LinearAllocator, MmError, PageType, VirtAddr, PAGE_SIZE,
@@ -145,9 +145,9 @@ impl Wpf {
         &self.last_pass_frames
     }
 
-    /// Repoints `(pid, va)` at tree frame `tree_frame`, releasing its old
-    /// frame to the system. Returns `false` (and changes nothing) if the
-    /// mapping vanished under the scan.
+    /// Repoints `(pid, va)` at tree frame `tree_frame`, taking a
+    /// reference to it and releasing its old frame to the system. Changes
+    /// nothing but the retry count if the PTE write fails.
     fn merge_onto(
         &mut self,
         m: &mut Machine,
@@ -155,7 +155,7 @@ impl Wpf {
         va: VirtAddr,
         old: FrameId,
         tree_frame: FrameId,
-    ) -> bool {
+    ) {
         m.mem_mut().info_mut(tree_frame).get();
         if m.set_leaf(
             pid,
@@ -166,20 +166,18 @@ impl Wpf {
         {
             m.mem_mut().info_mut(tree_frame).put();
             m.note_scan_retry();
-            return false;
+            return;
         }
         let (tag, _) = mapping::vma_info(m, pid, va);
         if mapping::evict_cached_copy(m, pid, va, old) {
             let _ = m.put_frame(old);
         }
         let _ = m.put_frame(old);
-        let costs = m.costs();
-        m.scan_cost(costs.pte_update + costs.buddy_interaction);
+        m.scan_cost(COSTS.pte_update + COSTS.buddy_interaction);
         m.surface_transition(SurfaceTransition::Merge);
         self.tags.record(tag);
         self.merged_live += 1;
         m.scan_counts_mut().pages_merged += 1;
-        true
     }
 
     /// One full fusion pass (§2.2), or the slice of one that `grant`
@@ -356,11 +354,11 @@ impl Wpf {
                         continue; // Linear region exhausted.
                     };
                     let src = group.members[0].2;
+                    // The allocation's reference is dropped after the
+                    // group's merges, each of which takes its own.
                     m.mem_mut().info_mut(f).on_alloc(PageType::Fused);
                     m.mem_mut().copy_page(src, f);
-                    let costs = m.costs();
-                    m.scan_cost(costs.copy_page);
-                    // The first merge consumes the allocation's reference.
+                    m.scan_cost(COSTS.copy_page);
                     let (node, inserted) = self.tree.insert(m.mem(), f, ());
                     debug_assert!(inserted, "tree had no match a moment ago");
                     self.last_pass_frames.push(f);
@@ -368,55 +366,29 @@ impl Wpf {
                     (f, Some(node))
                 }
             };
-            let mut consumed_initial_ref = new_node.is_none();
             for &(pid, va, old) in group.members.iter() {
                 // Re-validate the mapping (it may have CoW'd since hashing).
                 let still = m
                     .leaf(pid, va)
                     .map(|l| l.pte.is_present() && l.pte.frame() == old)
                     .unwrap_or(false);
-                if !still {
-                    continue;
-                }
-                if !consumed_initial_ref {
-                    // The new tree frame's initial reference stands in for
-                    // the first successfully merged mapping.
-                    if m.set_leaf(
-                        pid,
-                        va,
-                        Pte::new(tree_frame, PteFlags::PRESENT | PteFlags::USER),
-                    )
-                    .is_err()
-                    {
-                        m.note_scan_retry();
-                        continue;
-                    }
-                    consumed_initial_ref = true;
-                    let (tag, _) = mapping::vma_info(m, pid, va);
-                    if mapping::evict_cached_copy(m, pid, va, old) {
-                        let _ = m.put_frame(old);
-                    }
-                    let _ = m.put_frame(old);
-                    let costs = m.costs();
-                    m.scan_cost(costs.pte_update + costs.buddy_interaction);
-                    m.surface_transition(SurfaceTransition::Merge);
-                    self.tags.record(tag);
-                    self.merged_live += 1;
-                    m.scan_counts_mut().pages_merged += 1;
-                } else if !self.merge_onto(m, pid, va, old, tree_frame) {
-                    continue;
+                if still {
+                    self.merge_onto(m, pid, va, old, tree_frame);
                 }
             }
-            if let Some(node) = new_node.filter(|_| !consumed_initial_ref) {
-                // Nothing merged onto the freshly reserved frame (every
-                // member CoW'd away or its PTE write failed): roll back the
-                // reservation so the frame is not leaked.
-                self.tree.remove(node);
-                self.last_pass_frames.pop();
-                self.stats.tree_pages_allocated -= 1;
-                m.mem_mut().info_mut(tree_frame).on_free();
-                m.mem_mut().zero_page(tree_frame);
-                let _ = self.linear.free(tree_frame);
+            if let Some(node) = new_node {
+                if m.mem_mut().info_mut(tree_frame).put() {
+                    // The allocation's reference was the frame's last:
+                    // nothing merged onto the freshly reserved frame (every
+                    // member CoW'd away or its PTE write failed). Roll back
+                    // the reservation so the frame is not leaked.
+                    self.tree.remove(node);
+                    self.last_pass_frames.pop();
+                    self.stats.tree_pages_allocated -= 1;
+                    m.mem_mut().info_mut(tree_frame).on_free();
+                    m.mem_mut().zero_page(tree_frame);
+                    let _ = self.linear.free(tree_frame);
+                }
             }
             m.trace_end(SpanKind::Merge);
         }
@@ -485,8 +457,7 @@ impl Wpf {
             return false;
         }
         m.mem_mut().copy_page(tree_frame, new);
-        let costs = m.costs();
-        m.charge(costs.copy_page + costs.pte_update + costs.buddy_interaction);
+        m.charge(COSTS.copy_page + COSTS.pte_update + COSTS.buddy_interaction);
         let mut flags = PteFlags::PRESENT | PteFlags::USER | PteFlags::ACCESSED | PteFlags::DIRTY;
         if vma.prot.write {
             flags |= PteFlags::WRITABLE;
@@ -878,6 +849,47 @@ mod tests {
             .frame();
         assert_eq!(f1, f2);
         assert_eq!(s.policy.pages_saved(), 2);
+    }
+
+    /// A governor-suspended pass resumes after every member of a new
+    /// group CoW'd away from the frame it was hashed from: the freshly
+    /// reserved tree frame, which nothing merged onto, is rolled back.
+    #[test]
+    fn resumed_pass_rolls_back_an_unused_tree_frame() {
+        let mut m = Machine::new(MachineConfig::test_small().with_reserved_top(512));
+        let a = m.spawn("a").expect("spawn");
+        let b = m.spawn("b").expect("spawn");
+        for pid in [a, b] {
+            // Each process maps the page through its own page-cache copy.
+            m.mmap(pid, Vma::file(VirtAddr(BASE), 1, Protection::rw(), 7, 0));
+        }
+        m.mmap(
+            b,
+            Vma::anon(VirtAddr(BASE + PAGE_SIZE), 1, Protection::rw()),
+        );
+        let policy = Wpf::new(&m, WpfConfig::default()).expect("wpf");
+        let mut s = System::new(m, policy);
+        for pid in [a, b] {
+            s.read(pid, VirtAddr(BASE));
+        }
+        s.write(b, VirtAddr(BASE + PAGE_SIZE), 1);
+        let grant = ScanGrant {
+            budget: Some(2),
+            defer_alloc: false,
+        };
+        s.policy.scan(&mut s.machine, grant);
+        assert!(
+            s.policy.pass.is_some(),
+            "the two file pages hashed, then parked"
+        );
+        for pid in [a, b] {
+            s.write(pid, VirtAddr(BASE), 1);
+        }
+        s.policy.scan(&mut s.machine, grant);
+        assert!(s.policy.pass.is_none(), "the pass completed");
+        assert_eq!(s.policy.stats().tree_pages_allocated, 0);
+        assert_eq!(s.policy.tree.len(), 0);
+        assert_eq!(s.machine.audit_frames(), Vec::<String>::new());
     }
 
     #[test]

@@ -2,32 +2,27 @@
 
 use vusion_mem::PhysAddr;
 
-/// Geometry of the simulated memory module.
+/// DRAM row size in bytes: each row spans two 4 KiB pages, as on the
+/// paper's DDR4 testbed.
+pub const ROW_SIZE: u64 = 8192;
+
+/// Geometry of the simulated memory module (rows are [`ROW_SIZE`] bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Number of banks (row buffers).
     pub banks: u64,
-    /// Row size in bytes. 8 KiB ⇒ each row spans two 4 KiB pages, as on the
-    /// paper's DDR4 testbed.
-    pub row_size: u64,
 }
 
 impl DramConfig {
-    /// Default geometry: 8 banks, 8 KiB rows (two pages per row).
+    /// Default geometry: 8 banks (two pages per row).
     pub fn ddr4() -> Self {
-        Self {
-            banks: 8,
-            row_size: 8192,
-        }
+        Self { banks: 8 }
     }
 
     /// A single-bank geometry that makes row adjacency line up with frame
     /// adjacency — convenient for unit tests.
     pub fn single_bank() -> Self {
-        Self {
-            banks: 1,
-            row_size: 8192,
-        }
+        Self { banks: 1 }
     }
 
     /// Maps a physical address to its DRAM location.
@@ -38,17 +33,17 @@ impl DramConfig {
     /// real DDR4 bank XOR functions but preserves the property attacks need:
     /// a deterministic, invertible map the attacker can learn.
     pub fn locate(&self, addr: PhysAddr) -> DramLocation {
-        let chunk = addr.0 / self.row_size;
+        let chunk = addr.0 / ROW_SIZE;
         DramLocation {
             bank: chunk % self.banks,
             row: chunk / self.banks,
-            col: addr.0 % self.row_size,
+            col: addr.0 % ROW_SIZE,
         }
     }
 
     /// Inverse of [`Self::locate`].
     pub fn address_of(&self, loc: DramLocation) -> PhysAddr {
-        PhysAddr((loc.row * self.banks + loc.bank) * self.row_size + loc.col)
+        PhysAddr((loc.row * self.banks + loc.bank) * ROW_SIZE + loc.col)
     }
 }
 
@@ -134,7 +129,6 @@ impl RowBuffers {
 impl vusion_snapshot::Snapshot for RowBuffers {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.u64(self.cfg.banks);
-        w.u64(self.cfg.row_size);
         for slot in &self.open {
             match slot {
                 Some(row) => {
@@ -157,7 +151,7 @@ impl vusion_snapshot::Snapshot for RowBuffers {
             open,
             activations,
         } = self;
-        if r.u64()? != cfg.banks || r.u64()? != cfg.row_size {
+        if r.u64()? != cfg.banks {
             return Err(SnapshotError::Corrupt("dram geometry mismatch"));
         }
         for slot in open.iter_mut() {
@@ -177,8 +171,8 @@ mod tests {
         let cfg = DramConfig::ddr4();
         let mut src = RowBuffers::new(cfg);
         src.access(PhysAddr(0));
-        src.access(PhysAddr(cfg.row_size * (cfg.banks + 1)));
-        src.access(PhysAddr(cfg.row_size * 2));
+        src.access(PhysAddr(ROW_SIZE * (cfg.banks + 1)));
+        src.access(PhysAddr(ROW_SIZE * 2));
         let mut dst = RowBuffers::new(cfg);
         let (a, b) = vusion_snapshot::resave(&src, &mut dst).expect("resave");
         assert_eq!(a, b);
@@ -207,7 +201,7 @@ mod tests {
     fn banks_interleave() {
         let cfg = DramConfig::ddr4();
         let a = cfg.locate(PhysAddr(0));
-        let b = cfg.locate(PhysAddr(cfg.row_size));
+        let b = cfg.locate(PhysAddr(ROW_SIZE));
         assert_eq!(a.bank, 0);
         assert_eq!(b.bank, 1);
         assert_eq!(a.row, b.row);
@@ -241,7 +235,7 @@ mod tests {
         let cfg = DramConfig::ddr4();
         let mut rb = RowBuffers::new(cfg);
         rb.access(PhysAddr(0)); // Bank 0.
-        rb.access(PhysAddr(cfg.row_size)); // Bank 1.
+        rb.access(PhysAddr(ROW_SIZE)); // Bank 1.
         assert_eq!(
             rb.access(PhysAddr(64)),
             RowBufferOutcome::Hit,

@@ -20,5 +20,5 @@
 pub mod geometry;
 pub mod rowhammer;
 
-pub use geometry::{DramConfig, DramLocation, RowBufferOutcome, RowBuffers};
+pub use geometry::{DramConfig, DramLocation, RowBufferOutcome, RowBuffers, ROW_SIZE};
 pub use rowhammer::{FlipEvent, HammerOutcome, RowhammerModel};

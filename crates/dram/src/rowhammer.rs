@@ -12,7 +12,15 @@ use vusion_mem::PhysAddr;
 use vusion_rng::rngs::StdRng;
 use vusion_rng::{RngExt, SeedableRng};
 
-use crate::geometry::{DramConfig, DramLocation};
+use crate::geometry::{DramConfig, DramLocation, ROW_SIZE};
+
+/// Fraction of rows holding at least one weak cell: generous enough that
+/// templating over a few hundred rows finds flips, as on the vulnerable
+/// DDR3/DDR4 modules studied by the Rowhammer literature.
+const WEAK_ROW_FRACTION: f64 = 0.35;
+
+/// Flip thresholds of weak cells, in per-side hammer iterations.
+const THRESHOLDS: std::ops::Range<u64> = 200_000..1_200_000;
 
 /// A bit flip produced by hammering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,10 +45,6 @@ pub struct HammerOutcome {
 pub struct RowhammerModel {
     cfg: DramConfig,
     seed: u64,
-    /// Fraction of rows containing at least one weak cell.
-    weak_row_fraction: f64,
-    /// Threshold range (in per-side hammer iterations) for weak cells.
-    threshold_range: (u64, u64),
 }
 
 /// SplitMix64, used to derive per-row randomness deterministically.
@@ -54,23 +58,8 @@ fn splitmix64(mut x: u64) -> u64 {
 
 impl RowhammerModel {
     /// Creates a fault model for a module with the given geometry and seed.
-    ///
-    /// `weak_row_fraction` is the probability that a row contains weak
-    /// cells; the default used by experiments is 0.35, generous enough that
-    /// templating over a few hundred rows finds flips (as on the vulnerable
-    /// DDR3/DDR4 modules studied by the Rowhammer literature).
-    pub fn new(cfg: DramConfig, seed: u64, weak_row_fraction: f64) -> Self {
-        Self {
-            cfg,
-            seed,
-            weak_row_fraction,
-            threshold_range: (200_000, 1_200_000),
-        }
-    }
-
-    /// Default model used by the Flip Feng Shui experiments.
-    pub fn vulnerable_module(cfg: DramConfig, seed: u64) -> Self {
-        Self::new(cfg, seed, 0.35)
+    pub fn new(cfg: DramConfig, seed: u64) -> Self {
+        Self { cfg, seed }
     }
 
     /// The geometry.
@@ -86,17 +75,16 @@ impl RowhammerModel {
             splitmix64(self.seed ^ bank.wrapping_mul(0x9e37_79b9) ^ row.wrapping_mul(0x85eb_ca6b));
         // Decide whether the row is weak at all.
         let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if frac >= self.weak_row_fraction {
+        if frac >= WEAK_ROW_FRACTION {
             return Vec::new();
         }
         let mut rng = StdRng::seed_from_u64(h);
         let count = rng.random_range(1..=3usize);
-        let (lo, hi) = self.threshold_range;
         (0..count)
             .map(|_| {
-                let col = rng.random_range(0..self.cfg.row_size);
+                let col = rng.random_range(0..ROW_SIZE);
                 let bit = rng.random_range(0..8u8);
-                let threshold = rng.random_range(lo..hi);
+                let threshold = rng.random_range(THRESHOLDS);
                 (col, bit, threshold)
             })
             .collect()
@@ -184,7 +172,7 @@ mod tests {
     use super::*;
 
     fn model() -> RowhammerModel {
-        RowhammerModel::vulnerable_module(DramConfig::single_bank(), 1234)
+        RowhammerModel::new(DramConfig::single_bank(), 1234)
     }
 
     #[test]
@@ -196,7 +184,7 @@ mod tests {
     #[test]
     fn weak_cells_vary_by_row_and_seed() {
         let m1 = model();
-        let m2 = RowhammerModel::vulnerable_module(DramConfig::single_bank(), 9999);
+        let m2 = RowhammerModel::new(DramConfig::single_bank(), 9999);
         let rows_with_cells_1: Vec<u64> = (0..200)
             .filter(|&r| !m1.weak_cells(0, r).is_empty())
             .collect();
@@ -306,19 +294,6 @@ mod tests {
             ds > ss,
             "double-sided ({ds}) must out-flip single-sided ({ss})"
         );
-    }
-
-    #[test]
-    fn strong_module_never_flips() {
-        let m = RowhammerModel::new(DramConfig::single_bank(), 5, 0.0);
-        for row in 1..200u64 {
-            let victim = m.config().address_of(DramLocation {
-                bank: 0,
-                row,
-                col: 0,
-            });
-            assert!(m.hammer_double_sided(victim, 10_000_000).flips.is_empty());
-        }
     }
 
     #[test]

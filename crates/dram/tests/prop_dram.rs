@@ -2,7 +2,9 @@
 //! in-repo seeded PRNG: each test sweeps many seeds so failures reproduce
 //! exactly by seed.
 
-use vusion_dram::{DramConfig, DramLocation, RowBufferOutcome, RowBuffers, RowhammerModel};
+use vusion_dram::{
+    DramConfig, DramLocation, RowBufferOutcome, RowBuffers, RowhammerModel, ROW_SIZE,
+};
 use vusion_mem::PhysAddr;
 use vusion_rng::rngs::StdRng;
 use vusion_rng::{RngCore, RngExt, SeedableRng};
@@ -19,7 +21,7 @@ fn locate_is_invertible() {
             let loc = cfg.locate(PhysAddr(addr));
             assert_eq!(cfg.address_of(loc), PhysAddr(addr), "seed {seed}");
             assert!(loc.bank < cfg.banks, "seed {seed}");
-            assert!(loc.col < cfg.row_size, "seed {seed}");
+            assert!(loc.col < ROW_SIZE, "seed {seed}");
         }
     }
 }
@@ -68,7 +70,7 @@ fn hammer_is_deterministic_and_local() {
         let r1 = rng.random_range(2u64..500);
         let gap = rng.random_range(2u64..6);
         let cfg = DramConfig::single_bank();
-        let m = RowhammerModel::vulnerable_module(cfg, module_seed);
+        let m = RowhammerModel::new(cfg, module_seed);
         let a1 = cfg.address_of(DramLocation {
             bank: 0,
             row: r1,
@@ -101,7 +103,7 @@ fn more_hammering_flips_more() {
         let module_seed = rng.next_u64();
         let row = rng.random_range(2u64..300);
         let cfg = DramConfig::single_bank();
-        let m = RowhammerModel::vulnerable_module(cfg, module_seed);
+        let m = RowhammerModel::new(cfg, module_seed);
         let victim = cfg.address_of(DramLocation {
             bank: 0,
             row,
@@ -126,10 +128,10 @@ fn weak_cells_in_bounds() {
         let module_seed = rng.next_u64();
         let row = rng.random_range(0u64..2000);
         let cfg = DramConfig::ddr4();
-        let m = RowhammerModel::vulnerable_module(cfg, module_seed);
+        let m = RowhammerModel::new(cfg, module_seed);
         for bank in 0..cfg.banks {
             for (col, bit, threshold) in m.weak_cells(bank, row) {
-                assert!(col < cfg.row_size, "seed {seed}");
+                assert!(col < ROW_SIZE, "seed {seed}");
                 assert!(bit < 8, "seed {seed}");
                 assert!(threshold > 0, "seed {seed}");
             }

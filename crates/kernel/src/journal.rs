@@ -11,7 +11,7 @@
 //! which is exactly how the chaos tests verify crash recovery.
 
 use vusion_mem::{VirtAddr, PAGE_SIZE};
-use vusion_mmu::Vma;
+use vusion_mmu::{range_end, Vma};
 use vusion_snapshot::{Reader, SnapshotError, Writer};
 
 use crate::machine::Pid;
@@ -240,7 +240,9 @@ impl JournalEvent {
         }
     }
 
-    /// Deserializes one event.
+    /// Deserializes one event. An `Mmap` area or a `Madvise` range that
+    /// the machine could not apply (past the end of the address space) is
+    /// [`SnapshotError::Corrupt`].
     pub fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(match r.u8()? {
             0 => Self::Spawn { name: r.str()? },
@@ -248,11 +250,14 @@ impl JournalEvent {
                 pid: Pid(r.usize()?),
                 vma: Vma::load(r)?,
             },
-            2 => Self::Madvise {
-                pid: Pid(r.usize()?),
-                start: VirtAddr(r.u64()?),
-                pages: r.u64()?,
-            },
+            2 => {
+                let (pid, start, pages) = (Pid(r.usize()?), VirtAddr(r.u64()?), r.u64()?);
+                // The range `AddressSpace::madvise_mergeable` probes.
+                if range_end(start.page_base(), pages.max(1)).is_none() {
+                    return Err(SnapshotError::Corrupt("madvise range overflows"));
+                }
+                Self::Madvise { pid, start, pages }
+            }
             3 => Self::Read {
                 pid: Pid(r.usize()?),
                 va: VirtAddr(r.u64()?),

@@ -7,10 +7,10 @@
 //!
 //! Design notes:
 //!
-//! * **Time is simulated.** A [`SimClock`] advances by amounts drawn from a
-//!   [`CostModel`] with seeded jitter. Attackers measure the clock exactly
-//!   the way real attackers use `rdtsc`; side channels *emerge* from cost
-//!   differences between code paths rather than being scripted.
+//! * **Time is simulated.** A [`SimClock`] advances by the latencies of
+//!   the [`COSTS`] table with seeded jitter. Attackers measure the clock
+//!   exactly the way real attackers use `rdtsc`; side channels *emerge*
+//!   from cost differences between code paths rather than being scripted.
 //! * **Fusion engines are policies.** The [`FusionPolicy`] trait is the
 //!   boundary between this substrate and the three engines in
 //!   `vusion-core` (KSM, WPF, VUsion). The machine raises page faults; the
@@ -31,7 +31,7 @@ pub mod pressure;
 pub mod process;
 pub mod system;
 
-pub use clock::{CostModel, SimClock};
+pub use clock::{CostModel, SimClock, COSTS};
 pub use journal::JournalEvent;
 pub use khugepaged::{Khugepaged, KhugepagedStats};
 pub use machine::{

@@ -1,7 +1,7 @@
 //! The simulated machine: memory hierarchy, processes, fault generation.
 
 use std::collections::BTreeMap;
-use vusion_cache::{CacheOutcome, Llc, LlcConfig};
+use vusion_cache::{CacheOutcome, Llc, LlcConfig, LINE_SIZE};
 use vusion_dram::{DramConfig, FlipEvent, RowBufferOutcome, RowBuffers, RowhammerModel};
 use vusion_mem::{
     BuddyAllocator, CrashInjector, CrashPlan, CrashSite, FaultInjector, FaultPlan, FrameAllocator,
@@ -14,7 +14,7 @@ use vusion_obs::{
 };
 use vusion_snapshot::{Reader, Snapshot, SnapshotError, Writer};
 
-use crate::clock::{CostModel, Jitter, SimClock};
+use crate::clock::{Jitter, SimClock, COSTS};
 use crate::journal::JournalEvent;
 use crate::process::Process;
 
@@ -133,15 +133,11 @@ pub struct MachineConfig {
     pub llc: LlcConfig,
     /// DRAM geometry.
     pub dram: DramConfig,
-    /// Latency model.
-    pub costs: CostModel,
     /// Master seed (jitter, Rowhammer weak cells).
     pub seed: u64,
     /// Whether anonymous demand faults install 2 MiB mappings when possible
     /// (transparent huge pages).
     pub thp: bool,
-    /// Fraction of DRAM rows with Rowhammer-weak cells.
-    pub weak_row_fraction: f64,
     /// Frames at the top of physical memory excluded from the system buddy
     /// allocator. Windows Page Fusion's `MiAllocatePagesForMdl`-style
     /// allocator serves fused-page backing frames from this region (§2.2).
@@ -165,10 +161,8 @@ impl MachineConfig {
             frames: 65536, // 256 MiB
             llc: LlcConfig::xeon_e3_1240_v5(),
             dram: DramConfig::ddr4(),
-            costs: CostModel::default(),
             seed: 0x5eed,
             thp: false,
-            weak_row_fraction: 0.35,
             reserved_top_frames: 0,
             fault_plan: FaultPlan::NONE,
             crash_plan: CrashPlan::NONE,
@@ -181,10 +175,8 @@ impl MachineConfig {
             frames: 4096,
             llc: LlcConfig::tiny(),
             dram: DramConfig::single_bank(),
-            costs: CostModel::default(),
             seed: 0x5eed,
             thp: false,
-            weak_row_fraction: 0.35,
             reserved_top_frames: 0,
             fault_plan: FaultPlan::NONE,
             crash_plan: CrashPlan::NONE,
@@ -278,9 +270,9 @@ impl Machine {
             buddy,
             llc: Llc::new(cfg.llc),
             rows: RowBuffers::new(cfg.dram),
-            hammer: RowhammerModel::new(cfg.dram, cfg.seed ^ 0xd7a3, cfg.weak_row_fraction),
+            hammer: RowhammerModel::new(cfg.dram, cfg.seed ^ 0xd7a3),
             clock: SimClock::new(),
-            jitter: Jitter::new(cfg.seed ^ 0x1177, cfg.costs.jitter),
+            jitter: Jitter::new(cfg.seed ^ 0x1177),
             scan_injector: FaultInjector::new(FaultPlan::NONE, cfg.seed ^ 0x5ca1),
             crash_injector: CrashInjector::new(CrashPlan::NONE),
             processes: Vec::new(),
@@ -497,7 +489,7 @@ impl Machine {
         for set in 0..cfg.sets {
             let mut fused_lines = 0u64;
             for &line in self.llc.set_lines(set) {
-                let frame = FrameId(line * cfg.line_size / PAGE_SIZE);
+                let frame = FrameId(line * LINE_SIZE / PAGE_SIZE);
                 if self.frame_fused(frame) {
                     fused_lines += 1;
                 }
@@ -561,7 +553,7 @@ impl Machine {
     /// `ceil((pages - l) / 8)` pages' worth, and the total goes to the
     /// open trace span like any other [`Machine::scan_cost`].
     pub fn scan_cost_hashed(&mut self, pages: usize) {
-        let per_page = 64 * self.cfg.costs.llc_hit;
+        let per_page = 64 * COSTS.llc_hit;
         for (l, cost) in self.scan_shard_cost.iter_mut().enumerate() {
             *cost += pages.saturating_sub(l).div_ceil(LOGICAL_SCAN_SHARDS) as u64 * per_page;
         }
@@ -650,11 +642,6 @@ impl Machine {
     /// The configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// The cost model.
-    pub fn costs(&self) -> CostModel {
-        self.cfg.costs
     }
 
     /// Current simulated time (ns).
@@ -809,8 +796,7 @@ impl Machine {
                 Ok(f)
             }
             Err(e) => {
-                self.stats.oom_events += 1;
-                self.trace_instant("kernel", InstantKind::Oom, 0);
+                self.note_oom();
                 Err(e)
             }
         }
@@ -958,9 +944,9 @@ impl Machine {
             self.obs.surface_mut().record_dram(fused, bank, o);
         }
         let cost = match outcome {
-            RowBufferOutcome::Hit => self.cfg.costs.dram_row_hit,
-            RowBufferOutcome::Empty => self.cfg.costs.dram_row_empty,
-            RowBufferOutcome::Conflict => self.cfg.costs.dram_row_conflict,
+            RowBufferOutcome::Hit => COSTS.dram_row_hit,
+            RowBufferOutcome::Empty => COSTS.dram_row_empty,
+            RowBufferOutcome::Conflict => COSTS.dram_row_conflict,
         };
         self.charge(cost);
     }
@@ -976,7 +962,7 @@ impl Machine {
                 .surface_mut()
                 .record_llc_access(fused, outcome == CacheOutcome::Hit, set);
             if let Some(line) = evicted {
-                let victim = FrameId(line * self.llc.config().line_size / PAGE_SIZE);
+                let victim = FrameId(line * LINE_SIZE / PAGE_SIZE);
                 let victim_fused = self.frame_fused(victim);
                 self.obs
                     .surface_mut()
@@ -993,7 +979,7 @@ impl Machine {
             return;
         }
         match self.llc_access_surfaced(pa) {
-            CacheOutcome::Hit => self.charge(self.cfg.costs.llc_hit),
+            CacheOutcome::Hit => self.charge(COSTS.llc_hit),
             CacheOutcome::Miss => self.dram_access(pa),
         }
     }
@@ -1036,7 +1022,7 @@ impl Machine {
         va: VirtAddr,
         kind: AccessKind,
     ) -> Result<PhysAddr, PageFault> {
-        self.charge(self.cfg.costs.cpu_op);
+        self.charge(COSTS.cpu_op);
         // TLB lookup. Trapped PTEs are never cached, so a hit is conclusive
         // unless the access needs write permission the entry lacks.
         let Some((leaf, tlb_hit)) = self.translate(pid, va) else {
@@ -1146,7 +1132,7 @@ impl Machine {
     /// prefetch side channel (§7.1/§9.1).
     pub fn prefetch(&mut self, pid: Pid, va: VirtAddr) {
         self.stats.prefetches += 1;
-        self.charge(self.cfg.costs.cpu_op);
+        self.charge(COSTS.cpu_op);
         if let Some((leaf, _)) = self.translate(pid, va) {
             if leaf.pte.is_present() && !leaf.pte.has(PteFlags::NO_CACHE) {
                 // NOTE: the reserved bit does *not* stop the prefetch — only
@@ -1161,7 +1147,7 @@ impl Machine {
     /// `clflush` of the line containing `va` (attacker flushes its own
     /// accessible memory).
     pub fn clflush(&mut self, pid: Pid, va: VirtAddr) {
-        self.charge(self.cfg.costs.cpu_op * 4);
+        self.charge(COSTS.cpu_op * 4);
         // `clflush` needs a valid, untrapped translation; on a reserved-bit
         // PTE it would fault like any access, so it flushes nothing here.
         if let Some(leaf) = self.leaf(pid, va) {
@@ -1217,11 +1203,7 @@ impl Machine {
                 let Ok(frame) = self.alloc_frame(PageType::Anon) else {
                     return false;
                 };
-                self.charge(
-                    self.cfg.costs.zero_page
-                        + self.cfg.costs.pte_update
-                        + self.cfg.costs.buddy_interaction,
-                );
+                self.charge(COSTS.zero_page + COSTS.pte_update + COSTS.buddy_interaction);
                 let mut flags = PteFlags::PRESENT | PteFlags::USER | PteFlags::ACCESSED;
                 if vma.prot.write {
                     flags |= PteFlags::WRITABLE;
@@ -1239,8 +1221,7 @@ impl Machine {
                 if mapped.is_err() {
                     // A table frame could not be allocated mid-map: give the
                     // data frame back and leave the fault unresolved.
-                    self.stats.oom_events += 1;
-                    self.trace_instant("kernel", InstantKind::Oom, 0);
+                    self.note_oom();
                     let _ = self.put_frame(frame);
                     return false;
                 }
@@ -1253,11 +1234,7 @@ impl Machine {
             } => {
                 let page_in_vma = (fault.va.0 - vma.start.0) / PAGE_SIZE;
                 let file_page = offset_pages + page_in_vma;
-                self.charge(
-                    self.cfg.costs.copy_page
-                        + self.cfg.costs.pte_update
-                        + self.cfg.costs.buddy_interaction,
-                );
+                self.charge(COSTS.copy_page + COSTS.pte_update + COSTS.buddy_interaction);
                 let mapped = {
                     let (mem, buddy, procs) = self.mm_parts();
                     let loaded = procs[fault.pid.0].page_cache_load(mem, file_id, file_page, |m| {
@@ -1292,8 +1269,7 @@ impl Machine {
                         true
                     }
                     Ok(Err(_)) | Err(_) => {
-                        self.stats.oom_events += 1;
-                        self.trace_instant("kernel", InstantKind::Oom, 0);
+                        self.note_oom();
                         false
                     }
                 }
@@ -1324,9 +1300,7 @@ impl Machine {
         // A 2 MiB zero-fill costs 512 page zeroes; hardware does it faster,
         // charge half.
         self.charge(
-            self.cfg.costs.zero_page * HUGE_PAGE_FRAMES / 2
-                + self.cfg.costs.pte_update
-                + self.cfg.costs.buddy_interaction,
+            COSTS.zero_page * HUGE_PAGE_FRAMES / 2 + COSTS.pte_update + COSTS.buddy_interaction,
         );
         let mut flags = PteFlags::PRESENT | PteFlags::USER | PteFlags::ACCESSED;
         if vma.prot.write {
@@ -1342,8 +1316,7 @@ impl Machine {
         if mapped.is_err() {
             // A table frame could not be allocated: release the huge block
             // and fall back to the 4 KiB path.
-            self.stats.oom_events += 1;
-            self.trace_instant("kernel", InstantKind::Oom, 0);
+            self.note_oom();
             let _ = self.free_huge(frame);
             return false;
         }
@@ -1376,9 +1349,7 @@ impl Machine {
             return false;
         };
         self.mem.copy_page(old, new);
-        self.charge(
-            self.cfg.costs.copy_page + self.cfg.costs.pte_update + self.cfg.costs.buddy_interaction,
-        );
+        self.charge(COSTS.copy_page + COSTS.pte_update + COSTS.buddy_interaction);
         let pte = Pte::new(
             new,
             PteFlags::PRESENT
@@ -1425,7 +1396,7 @@ impl Machine {
             return Vec::new();
         };
         // Alternating activations are row conflicts by construction.
-        self.sleep(iterations * 2 * self.cfg.costs.dram_row_conflict);
+        self.sleep(iterations * 2 * COSTS.dram_row_conflict);
         let outcome = self.hammer.hammer(p1, p2, iterations);
         let mut applied = Vec::new();
         for flip in outcome.flips {
@@ -1892,7 +1863,7 @@ mod tests {
         // Faulting access (to page 1), including handler work.
         let t1 = m.now_ns();
         let f1 = m.read(pid, VirtAddr(0x11000)).expect_err("fault");
-        m.charge(m.costs().fault_base);
+        m.charge(COSTS.fault_base);
         m.default_fault(&f1);
         m.read(pid, VirtAddr(0x11000)).expect("after handling");
         let faulted = m.now_ns() - t1;

@@ -9,6 +9,7 @@ use vusion_mem::{MmError, VirtAddr, PAGE_SIZE};
 use vusion_obs::{FaultKind, InstantKind, MetricsSnapshot, PageClass, Profile, SpanKind};
 use vusion_snapshot::{Reader, Snapshot, SnapshotError, Writer};
 
+use crate::clock::COSTS;
 use crate::journal::JournalEvent;
 use crate::khugepaged::{self, Khugepaged};
 use crate::machine::{FaultReason, Machine, PageFault, Pid};
@@ -248,7 +249,7 @@ impl<P: FusionPolicy> System<P> {
             self.machine
                 .trace_begin(self.policy.name(), SpanKind::FaultHandling);
         }
-        let base = self.machine.costs().fault_base;
+        let base = COSTS.fault_base;
         self.machine.charge(base);
         let outcome = if self.policy.handle_fault(&mut self.machine, &fault) {
             self.stats.policy_faults += 1;

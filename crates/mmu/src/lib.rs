@@ -27,4 +27,4 @@ pub use pte::{Pte, PteFlags};
 pub use space::AddressSpace;
 pub use tables::{LeafInfo, PageTables, Walk};
 pub use tlb::{Tlb, TlbEntry};
-pub use vma::{GuestTag, Protection, Vma, VmaBacking};
+pub use vma::{range_end, GuestTag, Protection, Vma, VmaBacking};

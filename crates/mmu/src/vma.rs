@@ -81,6 +81,15 @@ pub enum GuestTag {
     GuestKernel,
 }
 
+/// One past the last address of `pages` pages from `start`, or `None`
+/// when that overflows the address space.
+pub fn range_end(start: VirtAddr, pages: u64) -> Option<VirtAddr> {
+    pages
+        .checked_mul(PAGE_SIZE)
+        .and_then(|len| start.0.checked_add(len))
+        .map(VirtAddr)
+}
+
 /// A contiguous virtual memory area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Vma {
@@ -210,7 +219,9 @@ impl Vma {
         w.bool(self.thp_eligible);
     }
 
-    /// Reads an area previously written by [`Self::save`].
+    /// Reads an area previously written by [`Self::save`]. An unaligned
+    /// or empty area, or one past the end of the address space, is
+    /// [`vusion_snapshot::SnapshotError::Corrupt`].
     pub fn load(
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<Self, vusion_snapshot::SnapshotError> {
@@ -239,7 +250,7 @@ impl Vma {
             _ => return Err(SnapshotError::Corrupt("guest tag")),
         };
         let thp_eligible = r.bool()?;
-        if start.page_offset() != 0 || pages == 0 {
+        if start.page_offset() != 0 || pages == 0 || range_end(start, pages).is_none() {
             return Err(SnapshotError::Corrupt("vma geometry"));
         }
         Ok(Self {

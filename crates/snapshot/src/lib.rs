@@ -55,7 +55,11 @@ use std::fmt;
 /// `huge_broken`, VUsion's `merged`, `fake_merged` and `huge_broken`,
 /// WPF's `merged`); the governor config, in snapshots and journal events,
 /// lost its eight fixed settings, and khugepaged lost its three.
-pub const FORMAT_VERSION: u32 = 9;
+/// v10: the machine frame lost the jitter band, the LLC line size and the
+/// DRAM row size; KSM's engine blob lost its scan period and VUsion's its
+/// scan period and pages per wake; failure bundles lost the weak-row
+/// fraction, and their digest covers the whole sealed system snapshot.
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Magic bytes opening every sealed snapshot or failure bundle.
 pub const MAGIC: &[u8; 4] = b"VSNP";
@@ -711,8 +715,8 @@ mod tests {
 
     #[test]
     fn seal_layout_is_pinned() {
-        let mut want = b"VSNP\x09\x00\x00\x00abc".to_vec();
-        want.extend_from_slice(&[0x0d, 0xef, 0xd4, 0x03, 0xb9, 0x3b, 0x3a, 0x20]);
+        let mut want = b"VSNP\x0a\x00\x00\x00abc".to_vec();
+        want.extend_from_slice(&[0xc2, 0xd7, 0x0f, 0x42, 0x0d, 0xea, 0xfd, 0x56]);
         assert_eq!(seal(b"abc"), want);
     }
 

@@ -5,12 +5,14 @@
 //! cargo run --example replay -- <path>    # a specific bundle
 //! ```
 //!
-//! With no bundles on disk the example exits successfully after saying so
-//! (CI runs it on green builds, where no failure has been dumped). A
-//! reproduced failure exits 0 with the replayed digest matching; a bundle
-//! that *fails to reproduce* exits 1 — that means the failure was not
-//! captured deterministically and the bundle is a bug report against the
-//! journal itself.
+//! With no bundles on disk the example exits successfully after saying so.
+//! CI replays the smoke campaign's `--selftest` bundle
+//! (`bench_logs/campaign/selftest.vbun`), so every run checks one bundle
+//! end to end. A reproduced failure exits 0 with the replayed digest (of
+//! the whole system snapshot) matching; a bundle that *fails to
+//! reproduce* exits 1 — that means the failure was not captured
+//! deterministically and the bundle is a bug report against the journal
+//! itself.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -6,14 +6,15 @@
 //! `replay` example (or [`Bundle::replay`] from test code) rebuilds the
 //! identical system, restores the snapshot, re-arms the crash plan if the
 //! failing run had one armed, re-executes the journal, and checks that
-//! the machine digest matches the one recorded at failure time. A match
-//! means the failure is deterministic and the bundle alone reproduces it.
+//! the digest of the whole system state (its sealed [`System::snapshot`])
+//! matches the one recorded at failure time. A match means the failure is
+//! deterministic and the bundle alone reproduces it.
 //!
 //! Bundles record only the *deltas* from [`MachineConfig::test_small`]
-//! (frame count, reserved region, THP, weak-row fraction, seed, plans) —
-//! the configuration every chaos and security test starts from. A bundle
-//! from an exotic cache/DRAM geometry would fail loudly on restore (the
-//! snapshot verifies geometry), never silently mis-replay.
+//! (frame count, reserved region, THP, seed, plans) — the configuration
+//! every chaos and security test starts from. A bundle from an exotic
+//! cache/DRAM geometry would fail loudly on restore (the snapshot
+//! verifies geometry), never silently mis-replay.
 
 use std::fmt;
 use std::fs;
@@ -21,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use vusion_core::EngineKind;
 use vusion_kernel::{FusionPolicy, JournalEvent, Machine, MachineConfig, System};
-use vusion_mem::{CrashPlan, FaultPlan, FrameId};
+use vusion_mem::{CrashPlan, FaultPlan};
 use vusion_snapshot::{fnv1a64, Reader, SnapshotError, Writer};
 
 /// Where [`Bundle::dump`] writes and `examples/replay.rs` looks.
@@ -36,6 +37,10 @@ pub const KEEP_BUNDLES: usize = 8;
 const MISSING_PID: SnapshotError =
     SnapshotError::Corrupt("journal names a pid the machine does not have");
 
+/// What [`Bundle::replay_with`] refuses a journal with when it maps an
+/// area over one the process already has.
+const MAP_OVERLAP: SnapshotError = SnapshotError::Corrupt("journal maps over an existing area");
+
 /// Everything needed to re-execute a failing chaos run.
 #[derive(Clone)]
 pub struct Bundle {
@@ -47,8 +52,6 @@ pub struct Bundle {
     pub reserved_top_frames: u64,
     /// Whether huge demand paging was on.
     pub thp: bool,
-    /// Rowhammer weak-cell density.
-    pub weak_row_fraction: f64,
     /// Machine seed.
     pub seed: u64,
     /// Fault-injection plan (journaled behavior; replayed).
@@ -67,7 +70,8 @@ pub struct Bundle {
     /// Canonical side-channel surface JSON at failure time — empty when
     /// the failing run had the surface recorder disabled.
     pub surface_tail: String,
-    /// [`machine_digest`] of the machine at failure time.
+    /// Digest of the system's sealed [`System::snapshot`] at failure
+    /// time: every byte of machine, driver and engine state.
     pub digest: u64,
     /// Sealed [`System::snapshot`] taken when journaling began.
     pub snapshot: Vec<u8>,
@@ -80,7 +84,7 @@ pub struct Bundle {
 pub struct ReplayOutcome {
     /// Digest recorded in the bundle at failure time.
     pub digest_expected: u64,
-    /// Digest of the machine after restore + replay.
+    /// Digest of the system after restore + replay.
     pub digest_replayed: u64,
     /// Frame-accounting violations after replay (non-empty exactly when
     /// the original failure was an audit failure).
@@ -175,40 +179,11 @@ fn kind_from_tag(tag: u8) -> Result<EngineKind, SnapshotError> {
     })
 }
 
-/// Order-insensitive-free digest of the externally observable machine
-/// state: every frame's content hash and refcount, plus the full stats
-/// block. Two machines with equal digests hold byte-identical memory
-/// images (up to 64-bit hash collision) and identical accounting — the
-/// equality the replay contract promises.
-pub fn machine_digest(m: &Machine) -> u64 {
-    let mut w = Writer::new();
-    let mem = m.mem();
-    for i in 0..mem.frame_count() {
-        let f = FrameId(i as u64);
-        w.u64(mem.hash_page(f));
-        w.u32(mem.info(f).refcount);
-    }
-    let s = m.stats();
-    for v in [
-        s.reads,
-        s.writes,
-        s.prefetches,
-        s.faults_not_mapped,
-        s.faults_trapped,
-        s.faults_write_protected,
-        s.demand_zero,
-        s.demand_huge,
-        s.demand_file,
-        s.cow_copies,
-        s.bit_flips,
-        s.oom_events,
-        s.injected_faults,
-        s.scan_retries,
-        s.deferred_drains,
-    ] {
-        w.u64(v);
-    }
-    fnv1a64(&w.into_bytes())
+/// The digest a bundle judges a replay by: FNV-1a over the system's
+/// sealed [`System::snapshot`], so page tables, TLBs, the LLC, the clock,
+/// every counter and the engine state all count, not only memory.
+fn state_digest<P: FusionPolicy>(sys: &System<P>) -> u64 {
+    fnv1a64(&sys.snapshot())
 }
 
 /// Asserts that [`Machine::audit_frames`] comes back empty.
@@ -248,7 +223,6 @@ impl Bundle {
             frames: cfg.frames,
             reserved_top_frames: cfg.reserved_top_frames,
             thp: cfg.thp,
-            weak_row_fraction: cfg.weak_row_fraction,
             seed: cfg.seed,
             fault_plan: cfg.fault_plan,
             crash_plan: cfg.crash_plan,
@@ -265,7 +239,7 @@ impl Bundle {
             } else {
                 String::new()
             },
-            digest: machine_digest(&sys.machine),
+            digest: state_digest(sys),
             snapshot: base_snapshot,
             journal: sys.machine.journal().to_vec(),
         }
@@ -282,7 +256,6 @@ impl Bundle {
         cfg.frames = self.frames;
         cfg.reserved_top_frames = self.reserved_top_frames;
         cfg.thp = self.thp;
-        cfg.weak_row_fraction = self.weak_row_fraction;
         cfg
     }
 
@@ -299,7 +272,7 @@ impl Bundle {
         let sys = self.replay_with(&self.journal)?;
         Ok(ReplayOutcome {
             digest_expected: self.digest,
-            digest_replayed: machine_digest(&sys.machine),
+            digest_replayed: state_digest(&sys),
             audit_violations: sys.machine.audit_frames(),
             crashes_fired: sys.machine.crashes_fired(),
         })
@@ -311,11 +284,12 @@ impl Bundle {
     /// invariant over it, not just the digest comparison.
     ///
     /// A bundle comes from disk, and a shrink candidate may drop the
-    /// `Spawn` a later event needs: an event naming a process the
-    /// replayed machine does not have is refused as
-    /// [`SnapshotError::Corrupt`] before it runs, never a panic. The
-    /// check is against the live process table, so a spawn that fails on
-    /// replay adds no process.
+    /// `Spawn` a later event needs, which renumbers the processes spawned
+    /// after it: an event naming a process the replayed machine does not
+    /// have, and an `Mmap` over an area its process already has, are
+    /// refused as [`SnapshotError::Corrupt`] before they run, never a
+    /// panic. The checks are against the live machine, so a spawn that
+    /// fails on replay adds no process.
     pub fn replay_with(
         &self,
         journal: &[JournalEvent],
@@ -328,6 +302,12 @@ impl Bundle {
         for ev in journal {
             if ev.pid().is_some_and(|p| p.0 >= sys.machine.process_count()) {
                 return Err(MISSING_PID);
+            }
+            if let JournalEvent::Mmap { pid, vma } = ev {
+                let space = &sys.machine.process(*pid).space;
+                if space.vmas().iter().any(|v| v.overlaps(vma)) {
+                    return Err(MAP_OVERLAP);
+                }
             }
             sys.replay_event(ev);
         }
@@ -344,9 +324,10 @@ impl Bundle {
     /// each chunk, keep any drop that still reproduces the *same*
     /// signature, double the granularity when nothing can be dropped.
     ///
-    /// A candidate that [`Self::replay_with`] refuses for naming a missing
-    /// process (it dropped a `Spawn` a later event needs) does not
-    /// reproduce; a refused full journal returns the error.
+    /// A candidate that [`Self::replay_with`] refuses (it dropped a
+    /// `Spawn` a later event needs, so an event names a missing process
+    /// or maps over another process's area) does not reproduce; a refused
+    /// full journal returns the error.
     ///
     /// Returns `Ok(None)` when the full journal does not reproduce the
     /// failure (nothing to shrink — the failure is not journal-derived).
@@ -389,7 +370,7 @@ impl Bundle {
                     .collect();
                 if candidate.len() < current.len()
                     && match probe(&candidate, &mut replays) {
-                        Err(MISSING_PID) => false,
+                        Err(MISSING_PID | MAP_OVERLAP) => false,
                         other => other? == Some(target),
                     }
                 {
@@ -413,7 +394,7 @@ impl Bundle {
         // replays green through the ordinary `Bundle::replay` contract.
         let sys = self.replay_with(&current)?;
         let mut shrunk = self.clone();
-        shrunk.digest = machine_digest(&sys.machine);
+        shrunk.digest = state_digest(&sys);
         shrunk.note = format!(
             "{} (shrunk from {} to {} events)",
             self.note,
@@ -438,7 +419,6 @@ impl Bundle {
         w.u64(self.frames);
         w.u64(self.reserved_top_frames);
         w.bool(self.thp);
-        w.f64(self.weak_row_fraction);
         w.u64(self.seed);
         self.fault_plan.save(&mut w);
         self.crash_plan.save(&mut w);
@@ -463,7 +443,6 @@ impl Bundle {
         let frames = r.u64()?;
         let reserved_top_frames = r.u64()?;
         let thp = r.bool()?;
-        let weak_row_fraction = r.f64()?;
         let seed = r.u64()?;
         let fault_plan = FaultPlan::load(&mut r)?;
         let crash_plan = CrashPlan::load(&mut r)?;
@@ -482,7 +461,6 @@ impl Bundle {
             frames,
             reserved_top_frames,
             thp,
-            weak_row_fraction,
             seed,
             fault_plan,
             crash_plan,

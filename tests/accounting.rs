@@ -1,7 +1,7 @@
 //! Resource accounting across the whole stack: no engine may leak or
 //! double-free physical frames, whatever churn it goes through.
 
-use vusion::kernel::ScanGrant;
+use vusion::kernel::{ScanGrant, COSTS};
 use vusion::prelude::*;
 
 const BASE: u64 = 0x10000;
@@ -567,7 +567,7 @@ fn prehash_charges_each_hashed_frame_once() {
             &[pg as u8 + 1; PAGE_SIZE as usize],
         );
     }
-    let per_page = 64 * sys.machine.costs().llc_hit;
+    let per_page = 64 * COSTS.llc_hit;
     let before = shard_costs(&sys);
     sys.force_scans(1);
     let after = shard_costs(&sys);

@@ -43,16 +43,62 @@ fn round_trip_is_lossless() {
     assert!(back.replay().expect("replay").reproduced());
 }
 
+/// What replaying [`sample_bundle`] with `event` appended to its journal
+/// returns, once the bundle has gone through its sealed bytes.
+fn replay_appended(event: JournalEvent) -> Option<SnapshotError> {
+    let mut bundle = sample_bundle();
+    bundle.journal.push(event);
+    Bundle::from_bytes(&bundle.to_bytes())
+        .and_then(|b| b.replay())
+        .err()
+}
+
 #[test]
 fn replay_refuses_a_journal_naming_a_missing_pid() {
     // The snapshot holds one process; the journal reads through pid 7.
-    let mut bundle = sample_bundle();
-    bundle.journal.push(JournalEvent::Read {
+    let event = JournalEvent::Read {
         pid: Pid(7),
         va: VirtAddr(0x10000),
-    });
-    let resealed = Bundle::from_bytes(&bundle.to_bytes()).expect("a sealed bundle decodes");
-    assert_eq!(resealed.replay().err(), Some(MISSING_PID));
+    };
+    assert_eq!(replay_appended(event), Some(MISSING_PID));
+}
+
+#[test]
+fn replay_refuses_a_journal_mapping_over_an_area() {
+    // The snapshot's process maps 0x10000..0x14000.
+    let event = JournalEvent::Mmap {
+        pid: Pid(0),
+        vma: Vma::anon(VirtAddr(0x13000), 2, Protection::rw()),
+    };
+    assert_eq!(
+        replay_appended(event),
+        Some(SnapshotError::Corrupt("journal maps over an existing area"))
+    );
+}
+
+#[test]
+fn decode_refuses_an_mmap_past_the_address_space() {
+    let event = JournalEvent::Mmap {
+        pid: Pid(0),
+        vma: Vma::anon(VirtAddr(0x100000), 1 << 52, Protection::rw()),
+    };
+    assert_eq!(
+        replay_appended(event),
+        Some(SnapshotError::Corrupt("vma geometry"))
+    );
+}
+
+#[test]
+fn decode_refuses_an_madvise_past_the_address_space() {
+    let event = JournalEvent::Madvise {
+        pid: Pid(0),
+        start: VirtAddr(0x10000),
+        pages: 1 << 52,
+    };
+    assert_eq!(
+        replay_appended(event),
+        Some(SnapshotError::Corrupt("madvise range overflows"))
+    );
 }
 
 #[test]

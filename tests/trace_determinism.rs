@@ -597,15 +597,20 @@ fn access_heavy_snapshot(kind: EngineKind) -> Vec<u8> {
 /// blob byte after the indexes, stayed as it was. They were re-pinned
 /// again when the scan counts moved onto the machine (`FORMAT_VERSION` 9):
 /// decoded field by field, the payloads differ only in the fields its
-/// `v9:` line lists, and the moved counts kept their values.
+/// `v9:` line lists, and the moved counts kept their values. And again
+/// when fixed settings became constants (`FORMAT_VERSION` 10): each old
+/// payload is the new one plus the removed words at their old offsets
+/// (the LLC line size, the DRAM row size, the jitter band, KSM's scan
+/// period, VUsion's pages per wake and scan period) and an engine-blob
+/// length grown by them.
 /// Only a deliberate change of simulated behaviour or of the payload
 /// layout may re-pin them, and it says why.
 #[test]
 fn access_heavy_snapshot_bytes_are_pinned() {
     for (kind, pinned) in [
-        (EngineKind::Ksm, 0xd848_1b8c_9cc5_3c17),
-        (EngineKind::Wpf, 0x9f7a_07b5_2884_7d1d),
-        (EngineKind::VUsion, 0x25e5_4973_e8ed_2d3d),
+        (EngineKind::Ksm, 0xfba5_3423_49f0_c8dc),
+        (EngineKind::Wpf, 0x7034_9993_4600_a43d),
+        (EngineKind::VUsion, 0xb192_acfe_b492_9af2),
     ] {
         let snap = access_heavy_snapshot(kind);
         let payload = vusion_snapshot::unseal(&snap).expect("a fresh snapshot unseals");
