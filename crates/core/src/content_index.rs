@@ -18,6 +18,14 @@
 //! frames whose generation moved to the bucket of their new content. After
 //! a refresh every page is found by its current bytes.
 //!
+//! A walk that found every entry fresh stamps the index with the memory
+//! epoch ([`PhysMemory::epoch`]). No write can happen without moving the
+//! epoch, and every entry the index adds records its frame's current
+//! generation, so while the epoch holds the stamp the next walk would find
+//! nothing stale: [`ContentIndex::refresh`] and
+//! [`ContentIndex::evict_stale`] return at once. Debug builds still walk
+//! and check that the walk agrees.
+//!
 //! `hash_page` runs only at the probe of a search (an insert probes first)
 //! and when a frame is indexed: an insert that inserts (a memo hit after
 //! its probe), a frame move and a refresh of a stale frame. Where it runs
@@ -46,6 +54,9 @@ pub(crate) struct ContentIndex<V> {
     frames: BTreeMap<FrameId, (NodeId, u64, u64)>,
     /// The hash buckets: `(hash, node)` for every node.
     buckets: BTreeSet<(u64, NodeId)>,
+    /// The memory epoch at which every entry was last known fresh: derived,
+    /// never saved.
+    fresh_at: Option<u64>,
 }
 
 impl<V> Default for ContentIndex<V> {
@@ -55,6 +66,7 @@ impl<V> Default for ContentIndex<V> {
             free: Vec::new(),
             frames: BTreeMap::new(),
             buckets: BTreeSet::new(),
+            fresh_at: None,
         }
     }
 }
@@ -166,11 +178,13 @@ impl<V> ContentIndex<V> {
         self.free.clear();
         self.frames.clear();
         self.buckets.clear();
+        self.fresh_at = None;
     }
 
     /// Indexed frames whose write generation moved since they were hashed:
-    /// their content changed (or they were freed and rewritten).
-    pub(crate) fn stale_frames(&self, mem: &PhysMemory) -> Vec<FrameId> {
+    /// their content changed (or they were freed and rewritten). Always
+    /// walks the entries.
+    fn stale_frames(&self, mem: &PhysMemory) -> Vec<FrameId> {
         self.frames
             .iter()
             .filter(|(f, &(_, _, gen))| mem.write_gen(**f) != gen)
@@ -178,10 +192,35 @@ impl<V> ContentIndex<V> {
             .collect()
     }
 
+    /// Whether the index is stamped at `mem`'s current epoch, so nothing
+    /// in it can be stale. Debug builds check that against the walk.
+    pub(crate) fn fresh(&self, mem: &PhysMemory) -> bool {
+        let fresh = self.fresh_at == Some(mem.epoch());
+        if fresh {
+            debug_assert_eq!(
+                self.stale_frames(mem),
+                Vec::new(),
+                "stamped index has stale frames"
+            );
+        }
+        fresh
+    }
+
+    /// The stale frames for a caller that re-indexes or removes every one,
+    /// which leaves the index fresh at the current epoch, so it is stamped.
+    /// None, at once, while the epoch holds the stamp.
+    fn take_stale(&mut self, mem: &PhysMemory) -> Vec<FrameId> {
+        if self.fresh(mem) {
+            return Vec::new();
+        }
+        self.fresh_at = Some(mem.epoch());
+        self.stale_frames(mem)
+    }
+
     /// Re-hashes the stale frames, moving each to the bucket of its current
     /// content. Returns how many there were.
     pub(crate) fn refresh(&mut self, mem: &PhysMemory) -> usize {
-        let stale = self.stale_frames(mem);
+        let stale = self.take_stale(mem);
         for &frame in &stale {
             if let Some(node) = self.node_of(frame) {
                 self.untrack(frame);
@@ -189,6 +228,18 @@ impl<V> ContentIndex<V> {
             }
         }
         stale.len()
+    }
+
+    /// Removes the nodes of the stale frames, returning their values in
+    /// frame order.
+    pub(crate) fn evict_stale(&mut self, mem: &PhysMemory) -> Vec<V> {
+        let mut evicted = Vec::new();
+        for frame in self.take_stale(mem) {
+            if let Some(node) = self.node_of(frame) {
+                evicted.push(self.remove(node));
+            }
+        }
+        evicted
     }
 
     /// The live slot of `node`.
@@ -297,6 +348,7 @@ impl<V> ContentIndex<V> {
             free,
             frames: BTreeMap::new(),
             buckets: BTreeSet::new(),
+            fresh_at: None,
         };
         for _ in 0..entries {
             let frame = FrameId(r.frame()?);
@@ -564,7 +616,8 @@ mod tests {
     /// node whose page equals the probe, and `None` only when no indexed
     /// page does; `node_of`, `ids` and `stale_frames` agree with the
     /// model; the frame map and the buckets hold exactly the live nodes;
-    /// and save → load → save is byte-identical.
+    /// save → load → save is byte-identical; and the epoch stamp skips a
+    /// refresh exactly while no frame was written.
     #[test]
     fn matches_model() {
         // How often each operation changed something, over all seeds; the
@@ -645,11 +698,11 @@ mod tests {
                             assert_eq!(ix.refresh(&mem), written.len());
                         } else {
                             met[5] += usize::from(!written.is_empty());
-                            for t in written {
-                                let node = ix.node_of(t).expect("stale frames are indexed");
-                                assert_eq!(ix.remove(node), model[&t].1);
-                                model.remove(&t);
-                            }
+                            let values: Vec<u64> = written
+                                .iter()
+                                .map(|t| model.remove(t).expect("stale frames are indexed").1)
+                                .collect();
+                            assert_eq!(ix.evict_stale(&mem), values, "seed {seed} step {step}");
                         }
                     }
                     18 => {
@@ -714,6 +767,23 @@ mod tests {
                 assert_eq!(ix.buckets, buckets, "seed {seed} step {step}");
                 let (first, _, again) = resave(&ix);
                 assert_eq!(first, again, "seed {seed} step {step}");
+                // The stamp: a refresh at an unchanged epoch returns 0 at
+                // once and leaves nothing stale, and a write to any frame,
+                // indexed or not, makes the next refresh walk. The write
+                // stores a byte's own value, so the model stays as it is.
+                ix.refresh(&mem);
+                assert!(ix.fresh(&mem), "seed {seed} step {step}");
+                assert_eq!(ix.refresh(&mem), 0, "seed {seed} step {step}");
+                assert!(ix.stale_frames(&mem).is_empty(), "seed {seed} step {step}");
+                let t = FrameId(rng.random_range(0..FRAMES));
+                let at = PhysAddr(t.0 * PAGE_SIZE + rng.random_range(0..PAGE_SIZE));
+                mem.write_byte(at, mem.read_byte(at));
+                assert!(!ix.fresh(&mem), "seed {seed} step {step}");
+                assert_eq!(
+                    ix.refresh(&mem),
+                    usize::from(model.contains_key(&t)),
+                    "seed {seed} step {step}: the refresh walks"
+                );
             }
         }
         assert!(met.iter().all(|&n| n > 0), "every operation ran: {met:?}");

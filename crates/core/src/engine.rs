@@ -273,4 +273,289 @@ pub(crate) mod tests {
         assert_eq!(default_pool_frames(65536), 4096);
         assert_eq!(default_pool_frames(100_000_000), 32768);
     }
+
+    /// The scan skips against the walks they stand for. A content index
+    /// stamped at the memory epoch skips its refresh walk, and WPF
+    /// repeats its last all-clean pass at an unchanged `(layout epoch,
+    /// memory epoch)` without walking its candidates. A system restored
+    /// from a snapshot has neither stamp nor record, so it walks. Before
+    /// every wake the running system's snapshot is restored into a fresh
+    /// twin, both wake once, and the two must end in the same snapshot
+    /// bytes and the same metrics. The one exception is
+    /// `scan.shard_cost_ns.*`, which follows the hash memo's warmth, and a
+    /// restore starts the memo cold. Between wakes, seeded steps move
+    /// memory, the layout and the pressure governor, one kind at a time.
+    mod skip_oracle {
+        use std::collections::BTreeMap;
+
+        use vusion_kernel::{FusionPolicy, Machine, MachineConfig, Pid, PressureConfig, System};
+        use vusion_mem::{FrameId, PhysAddr, VirtAddr, PAGE_SIZE};
+        use vusion_mmu::{Protection, PteFlags, Vma};
+        use vusion_rng::rngs::StdRng;
+        use vusion_rng::{RngExt, SeedableRng};
+
+        use crate::{Ksm, KsmConfig, VUsion, VUsionConfig, Wpf, WpfConfig, SCAN_PERIOD_NS};
+
+        const BASE: u64 = 0x10000;
+        /// Pages each process maps at the start.
+        const PAGES: u64 = 128;
+        const PROCS: usize = 2;
+        const WAKES: usize = 240;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Step {
+            Nothing,
+            /// A guest write to a candidate page.
+            GuestWrite,
+            /// A guest write to a fused page: copy-on-write
+            /// (copy-on-access for VUsion).
+            CowWrite,
+            /// A Rowhammer flip in a frame that backs a fused page.
+            FlipTreeBit,
+            /// A new mergeable area.
+            Mmap,
+            /// One more reference to a candidate's frame for one wake: a
+            /// refcount change with no byte written.
+            Refcount,
+            /// Enough absorbed OOMs for the governor to enter Critical at
+            /// the next wake, which runs `pressure_shrink`.
+            Governor,
+        }
+
+        /// Page `fill`'s content: few fills, so duplicates abound.
+        fn page(fill: u64) -> [u8; PAGE_SIZE as usize] {
+            let mut p = [0u8; PAGE_SIZE as usize];
+            for (i, chunk) in p.chunks_exact_mut(8).enumerate() {
+                chunk.copy_from_slice(&(fill ^ (i as u64 % 7)).to_le_bytes());
+            }
+            p
+        }
+
+        /// Every mapped page of every process, with its leaf's frame and
+        /// flags.
+        fn mapped(m: &Machine) -> Vec<(Pid, VirtAddr, FrameId, PteFlags)> {
+            let mut out = Vec::new();
+            for pid in (0..m.process_count()).map(Pid) {
+                for vma in m.process(pid).space.vmas() {
+                    for va in vma.page_addrs() {
+                        if let Some(leaf) = m.leaf(pid, va).filter(|l| l.pte.is_present()) {
+                            out.push((pid, va, leaf.pte.frame(), leaf.pte.flags()));
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// A fused page: write-protected (KSM, WPF) or trapped (VUsion).
+        fn fused(flags: PteFlags) -> bool {
+            !flags.contains(PteFlags::WRITABLE) || flags.contains(PteFlags::RESERVED)
+        }
+
+        /// The metrics document without the memo-dependent shard costs.
+        fn metrics<P: FusionPolicy>(s: &System<P>) -> String {
+            let mut snap = s.metrics_snapshot();
+            snap.counters
+                .retain(|k, _| !k.starts_with("scan.shard_cost_ns."));
+            snap.to_json()
+        }
+
+        /// Runs the oracle on one engine under a governor with budgets up
+        /// to `budget_max`; returns how many wakes the index stamp and the
+        /// WPF record each skipped a walk in.
+        fn run<P: FusionPolicy>(
+            name: &str,
+            budget_max: u64,
+            engine: impl Fn(&mut Machine) -> P,
+            skips: impl Fn(&P, &Machine) -> (bool, bool),
+        ) -> (usize, usize) {
+            let cfg = MachineConfig::test_small().with_reserved_top(256);
+            let fresh = || {
+                let mut m = Machine::new(cfg);
+                let policy = engine(&mut m);
+                (m, policy)
+            };
+            let (mut m, policy) = fresh();
+            let pids: Vec<Pid> = (0..PROCS)
+                .map(|i| m.spawn(&format!("vm{i}")).expect("spawn"))
+                .collect();
+            for &pid in &pids {
+                m.mmap(pid, Vma::anon(VirtAddr(BASE), PAGES, Protection::rw()));
+                m.madvise_mergeable(pid, VirtAddr(BASE), PAGES);
+            }
+            let mut sys = System::new(m, policy);
+            for (p, &pid) in pids.iter().enumerate() {
+                for i in 0..PAGES {
+                    // A third of the pages are unique; the rest come in 24
+                    // fills.
+                    let fill = if i % 3 == 0 {
+                        1000 + i * 8 + p as u64
+                    } else {
+                        i % 24
+                    };
+                    sys.write_page(pid, VirtAddr(BASE + i * PAGE_SIZE), &page(fill));
+                }
+            }
+            sys.set_pressure_governor(PressureConfig {
+                budget_max,
+                budget_add: budget_max / 4,
+                ..PressureConfig::standard()
+            })
+            .expect("a valid governor");
+            let mut rng = StdRng::seed_from_u64(0x5c1f);
+            let mut next_area = BASE + 2 * PAGES * PAGE_SIZE;
+            let mut ran: BTreeMap<Step, usize> = BTreeMap::new();
+            let (mut stamp_skips, mut record_skips) = (0, 0);
+            let mut history = Vec::new();
+            for wake in 0..WAKES {
+                let step = match rng.random_range(0..12u8) {
+                    0..=3 => Step::Nothing,
+                    4 | 5 => Step::GuestWrite,
+                    6 => Step::CowWrite,
+                    7 => Step::FlipTreeBit,
+                    8 => Step::Mmap,
+                    9 | 10 => Step::Refcount,
+                    _ => Step::Governor,
+                };
+                let pages = mapped(&sys.machine);
+                let pick = |rng: &mut StdRng, want: &dyn Fn(PteFlags) -> bool| {
+                    let hits: Vec<_> = pages.iter().filter(|p| want(p.3)).collect();
+                    (!hits.is_empty()).then(|| *hits[rng.random_range(0..hits.len())])
+                };
+                let offset = rng.random_range(0..PAGE_SIZE);
+                let mut held = None;
+                let did = match step {
+                    Step::Nothing => Some(()),
+                    Step::GuestWrite => pick(&mut rng, &|_| true).map(|(pid, va, _, _)| {
+                        sys.write(pid, VirtAddr(va.0 + offset), rng.random_range(0..4u8));
+                    }),
+                    Step::CowWrite => pick(&mut rng, &fused).map(|(pid, va, _, _)| {
+                        sys.write(pid, VirtAddr(va.0 + offset), 0x77);
+                    }),
+                    Step::FlipTreeBit => pick(&mut rng, &fused).map(|(_, _, frame, _)| {
+                        let at = PhysAddr(frame.0 * PAGE_SIZE + offset);
+                        sys.machine.mem_mut().flip_bit(at, rng.random_range(0..8u8));
+                    }),
+                    Step::Mmap => {
+                        let pid = pids[rng.random_range(0..PROCS)];
+                        sys.machine
+                            .mmap(pid, Vma::anon(VirtAddr(next_area), 4, Protection::rw()));
+                        sys.machine.madvise_mergeable(pid, VirtAddr(next_area), 4);
+                        next_area += 8 * PAGE_SIZE;
+                        Some(())
+                    }
+                    Step::Refcount => pick(&mut rng, &|f| !fused(f)).map(|(_, _, frame, _)| {
+                        sys.machine.mem_mut().info_mut(frame).get();
+                        held = Some(frame);
+                    }),
+                    Step::Governor => {
+                        let calm =
+                            sys.pressure_governor().band() != vusion_kernel::PressureBand::Critical;
+                        for _ in 0..4 {
+                            sys.machine.note_oom();
+                        }
+                        calm.then_some(())
+                    }
+                }
+                .is_some();
+                if did {
+                    *ran.entry(step).or_default() += 1;
+                }
+                history.push(step);
+                let (stamp, record) = skips(&sys.policy, &sys.machine);
+                stamp_skips += usize::from(stamp);
+                record_skips += usize::from(record);
+                let (m, policy) = fresh();
+                let mut twin = System::new(m, policy);
+                twin.restore(&sys.snapshot())
+                    .expect("restore into the twin");
+                sys.force_scans(1);
+                twin.force_scans(1);
+                let tail = &history[history.len().saturating_sub(4)..];
+                assert!(
+                    sys.snapshot() == twin.snapshot(),
+                    "{name} wake {wake}: the snapshot differs from a walking twin's (steps {tail:?}, stamp {stamp}, record {record})"
+                );
+                assert_eq!(
+                    metrics(&sys),
+                    metrics(&twin),
+                    "{name} wake {wake}: the metrics differ from a walking twin's (steps {tail:?})"
+                );
+                if let Some(frame) = held {
+                    // The engines leave a frame with a foreign reference
+                    // alone, except KSM, which can merge an unstable-tree
+                    // page away from it: then this reference is the last.
+                    sys.machine
+                        .put_frame(frame)
+                        .expect("drop the extra reference");
+                }
+            }
+            let kinds = [
+                Step::Nothing,
+                Step::GuestWrite,
+                Step::CowWrite,
+                Step::FlipTreeBit,
+                Step::Mmap,
+                Step::Refcount,
+                Step::Governor,
+            ];
+            assert!(
+                kinds.iter().all(|k| ran.contains_key(k)),
+                "{name}: every step kind runs: {ran:?}"
+            );
+            assert!(
+                sys.machine.audit_frames().is_empty(),
+                "{name}: frames audit clean"
+            );
+            (stamp_skips, record_skips)
+        }
+
+        #[test]
+        fn skips_match_the_walks_they_replace() {
+            // KSM and VUsion visit at most 64 of their 256 or more
+            // candidates per wake, so most wakes end inside a round (a
+            // round's end re-randomizes VUsion's tree, which moves memory).
+            // A WPF pass hashes every candidate in one wake unless a
+            // pressure step has cut the budget, after which passes suspend
+            // and resume for a few wakes.
+            let (ksm, _) = run(
+                "ksm",
+                64,
+                |_| Ksm::new(KsmConfig::default()),
+                |k: &Ksm, m| k.skips(m),
+            );
+            let (wpf, record) = run(
+                "wpf",
+                1024,
+                |m| {
+                    Wpf::new(
+                        m,
+                        WpfConfig {
+                            pass_period_ns: 16 * SCAN_PERIOD_NS,
+                        },
+                    )
+                    .expect("the machine reserves a linear region")
+                },
+                |w: &Wpf, m| w.skips(m),
+            );
+            let (vusion, _) = run(
+                "vusion",
+                64,
+                |m| {
+                    VUsion::new(
+                        m,
+                        VUsionConfig {
+                            pool_frames: 512,
+                            ..Default::default()
+                        },
+                    )
+                },
+                |v: &VUsion, m| v.skips(m),
+            );
+            assert!(
+                ksm > 0 && wpf > 0 && vusion > 0 && record > 0,
+                "every skip is taken: index stamps ksm {ksm} wpf {wpf} vusion {vusion}, wpf record {record}"
+            );
+        }
+    }
 }

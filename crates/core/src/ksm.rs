@@ -435,6 +435,15 @@ impl Ksm {
     }
 }
 
+#[cfg(test)]
+impl Ksm {
+    /// Whether the next wake's stable-tree refresh returns at once (the
+    /// unstable tree is stamped at the same epoch unless it was cleared).
+    pub(crate) fn skips(&self, m: &Machine) -> (bool, bool) {
+        (self.stable.fresh(m.mem()), false)
+    }
+}
+
 impl vusion_snapshot::Snapshot for Ksm {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.usize(self.cfg.pages_per_scan);
@@ -543,12 +552,10 @@ impl FusionPolicy for Ksm {
         // the whole tree every round, whose content order they break;
         // with the dirty-driven pass list the tree persists and changed
         // entries are evicted surgically, so clean candidates can still
-        // be matched by late-arriving duplicates.)
-        for frame in self.unstable.stale_frames(m.mem()) {
-            if let Some(node) = self.unstable.node_of(frame) {
-                let entry = self.unstable.remove(node);
-                self.dirty.forget(entry.pid, entry.va);
-            }
+        // be matched by late-arriving duplicates.) Both walks return at
+        // once while the memory epoch holds their index's stamp.
+        for entry in self.unstable.evict_stale(m.mem()) {
+            self.dirty.forget(entry.pid, entry.va);
         }
         // Stable pages may have changed in place (Rowhammer — guests
         // cannot write them): move them to the buckets of their current

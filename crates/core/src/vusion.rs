@@ -606,6 +606,15 @@ impl VUsion {
     }
 }
 
+#[cfg(test)]
+impl VUsion {
+    /// Whether the next wake's tree refresh returns at once: the tree is
+    /// stamped at the memory epoch and no deferred free will move it.
+    pub(crate) fn skips(&self, m: &Machine) -> (bool, bool) {
+        (self.deferred.is_empty() && self.tree.fresh(m.mem()), false)
+    }
+}
+
 impl vusion_snapshot::Snapshot for VUsion {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.usize(self.cfg.pool_frames);

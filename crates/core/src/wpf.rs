@@ -79,6 +79,16 @@ struct PassState {
     hashed: Vec<(u64, u64, u64, u64)>,
 }
 
+/// The last pass that took the all-clean fast path: what it read was
+/// fixed by `key`, so a pass at the same key repeats it.
+#[derive(Clone, Copy)]
+struct CleanPass {
+    /// `(Machine::layout_epoch(), PhysMemory::epoch())` at the pass.
+    key: ((usize, u64), u64),
+    /// The candidates it skipped.
+    candidates: u64,
+}
+
 /// The WPF engine.
 pub struct Wpf {
     cfg: WpfConfig,
@@ -105,6 +115,9 @@ pub struct Wpf {
     dirty: DirtyTracker,
     /// Suspended pass, if the previous wakeup's budget ran out mid-stage.
     pass: Option<PassState>,
+    /// The last all-clean pass, while nothing but another all-clean pass
+    /// ran since: derived, never saved.
+    clean: Option<CleanPass>,
 }
 
 impl Wpf {
@@ -126,6 +139,7 @@ impl Wpf {
             last_pass_frames: Vec::new(),
             dirty: DirtyTracker::default(),
             pass: None,
+            clean: None,
         })
     }
 
@@ -180,19 +194,12 @@ impl Wpf {
         m.scan_counts_mut().pages_merged += 1;
     }
 
-    /// One full fusion pass (§2.2), or the slice of one that `grant`
-    /// allows. Returns the pages it hashed.
-    fn full_pass(&mut self, m: &mut Machine, grant: ScanGrant) -> u64 {
-        self.last_pass_frames.clear();
-        // Tree pages can change in place between passes (Rowhammer on a
-        // fused page — the §5.2 attack). Move them to the buckets of their
-        // current content and note whether any did: a changed tree page can turn a previously
-        // singleton candidate into a merge, so it disqualifies the
-        // all-clean fast path below.
-        let tree_dirty = self.tree.refresh(m.mem()) > 0;
-        // 1. Enumerate candidate pages of every process (no opt-in),
-        // read-only. The page enumeration is cached against the layout
-        // epoch; the per-page leaf checks still run every pass.
+    /// Step 1 of a pass: enumerates the candidate pages of every process
+    /// (no opt-in), read-only, and notes whether each is clean since the
+    /// last completed pass. The page enumeration is cached against the
+    /// layout epoch; the per-page leaf checks run on every walk. Returns
+    /// `(candidates, all clean, enumeration rebuilt)`.
+    fn walk_candidates(&mut self, m: &Machine) -> (Vec<(Pid, VirtAddr, FrameId)>, bool, bool) {
         let (pages, rebuilt) = self.candidates.take(m, /* mergeable_only */ false);
         if rebuilt {
             // (pid, va) keys may be stale after a layout change.
@@ -220,16 +227,65 @@ impl Wpf {
             cands.push((pid, va, frame));
         }
         self.candidates.put_back(pages);
+        (cands, all_clean, rebuilt)
+    }
+
+    /// The last all-clean pass if a pass now would repeat it: nothing
+    /// moved its key and no pass is suspended.
+    fn repeatable(&self, m: &Machine) -> Option<CleanPass> {
+        let key = (m.layout_epoch(), m.mem().epoch());
+        self.clean.filter(|c| c.key == key && self.pass.is_none())
+    }
+
+    /// The all-clean fast path's effects: the skipped candidates, the
+    /// crash poll a full pass makes, and the pass count. Returns the pages
+    /// hashed: none.
+    fn skip_clean_pass(&mut self, m: &mut Machine, candidates: u64) -> u64 {
+        m.scan_counts_mut().pages_skipped_clean += candidates;
+        let _ = m.crash_now(CrashSite::MidScan);
+        self.stats.passes += 1;
+        0
+    }
+
+    /// One full fusion pass (§2.2), or the slice of one that `grant`
+    /// allows. Returns the pages it hashed.
+    fn full_pass(&mut self, m: &mut Machine, grant: ScanGrant) -> u64 {
+        self.last_pass_frames.clear();
+        // Tree pages can change in place between passes (Rowhammer on a
+        // fused page — the §5.2 attack). Move them to the buckets of their
+        // current content and note whether any did: a changed tree page
+        // can turn a previously singleton candidate into a merge, so it
+        // disqualifies the all-clean fast path below.
+        let tree_dirty = self.tree.refresh(m.mem()) > 0;
+        // The candidate walk reads the layout (the enumeration, VMAs) and
+        // memory (page tables, write generations, refcounts); the engine
+        // state it reads changes only in passes past the fast path, in
+        // unmerges and in a shrink, which all drop the record. So at the
+        // key of the last all-clean pass it would find that pass's
+        // candidates, all clean again: repeat the pass without walking.
+        if let Some(clean) = self.repeatable(m) {
+            if cfg!(debug_assertions) {
+                let (cands, all_clean, rebuilt) = self.walk_candidates(m);
+                debug_assert_eq!(
+                    (cands.len() as u64, all_clean, rebuilt, tree_dirty),
+                    (clean.candidates, true, false, false),
+                    "a repeated all-clean pass differs from its walk"
+                );
+            }
+            return self.skip_clean_pass(m, clean.candidates);
+        }
+        self.clean = None;
+        let key = (m.layout_epoch(), m.mem().epoch());
+        let (cands, all_clean, rebuilt) = self.walk_candidates(m);
         if all_clean && !tree_dirty && !cands.is_empty() && self.pass.is_none() {
             // Dirty-driven fast path: every candidate is byte-for-byte the
             // page the previous completed pass declined to merge, and no
             // tree page changed — re-running the sort/group/merge stages
             // would provably reproduce "no merges". A suspended pass
             // disqualifies it: those rows were hashed under older contents.
-            m.scan_counts_mut().pages_skipped_clean += cands.len() as u64;
-            let _ = m.crash_now(CrashSite::MidScan);
-            self.stats.passes += 1;
-            return 0;
+            let candidates = cands.len() as u64;
+            self.clean = Some(CleanPass { key, candidates });
+            return self.skip_clean_pass(m, candidates);
         }
         // Resume the suspended pass, or start a fresh one. A layout-epoch
         // rebuild or a candidate-count drift invalidates the parked rows.
@@ -420,6 +476,8 @@ impl Wpf {
     /// Copy-on-write unmerge; dead tree frames return to the linear
     /// allocator (the predictable-reuse weakness).
     fn unmerge(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
+        // An unmerge can shrink the tree the candidate walk consults.
+        self.clean = None;
         let Some(leaf) = m.leaf(fault.pid, fault.va) else {
             return false;
         };
@@ -486,6 +544,15 @@ impl Wpf {
     }
 }
 
+#[cfg(test)]
+impl Wpf {
+    /// Whether the next pass's tree refresh returns at once, and whether
+    /// the pass repeats the last all-clean pass without walking.
+    pub(crate) fn skips(&self, m: &Machine) -> (bool, bool) {
+        (self.tree.fresh(m.mem()), self.repeatable(m).is_some())
+    }
+}
+
 impl vusion_snapshot::Snapshot for Wpf {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.u64(self.cfg.pass_period_ns);
@@ -530,7 +597,9 @@ impl vusion_snapshot::Snapshot for Wpf {
             last_pass_frames,
             dirty,
             pass,
+            clean,
         } = self;
+        *clean = None;
         *cfg = WpfConfig {
             pass_period_ns: r.u64()?,
         };
@@ -619,6 +688,7 @@ impl FusionPolicy for Wpf {
         // dirty-driven pass list, and any suspended pass's hashed rows
         // (the next wakeup simply restarts the pass).
         let parked = self.pass.take().map(|p| p.hashed.len() as u64).unwrap_or(0);
+        self.clean = None;
         self.candidates.shed() + self.dirty.shed() + parked
     }
 }

@@ -15,6 +15,10 @@
 //! (`hash_page`, `is_zero`, comparisons) is identical to a fresh
 //! computation, which `tests/write_gen_coherence.rs` and the chaos suite
 //! assert under interleaved mutation.
+//!
+//! One more counter, the memory [epoch](PhysMemory::epoch), moves with
+//! every generation bump and every metadata borrow, so a scanner that
+//! recorded it can prove in O(1) that nothing in memory changed since.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -104,10 +108,12 @@ const ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
 
 /// Frame bytes and their write generations, in one type whose fields
 /// nothing outside this module can reach. Every mutable access to a
-/// frame's bytes bumps that frame's generation, so a memoized value keyed
-/// on the generation cannot outlive the bytes it describes. Only the
-/// `load_*` methods write without a bump, and `PhysMemory::load`, their
-/// one caller, resets the memo wholesale.
+/// frame's bytes bumps that frame's generation and the memory epoch, so a
+/// memoized value keyed on the generation cannot outlive the bytes it
+/// describes, and an unchanged epoch proves no frame was written. Only the
+/// `load_*` methods write without a bump. `PhysMemory::load`, their one
+/// caller, runs `load_clear` first, which moves the epoch, and resets the
+/// memo wholesale.
 mod store {
     use super::{Page, ZERO_PAGE};
 
@@ -115,6 +121,8 @@ mod store {
         /// `None` is a lazy all-zero frame.
         pages: Vec<Option<Box<Page>>>,
         gens: Vec<u64>,
+        /// Moves on every generation bump and on every `touch`.
+        epoch: u64,
     }
 
     impl FrameStore {
@@ -122,7 +130,18 @@ mod store {
             Self {
                 pages: (0..frames).map(|_| None).collect(),
                 gens: vec![0; frames],
+                epoch: 0,
             }
+        }
+
+        /// The memory epoch.
+        pub(super) fn epoch(&self) -> u64 {
+            self.epoch
+        }
+
+        /// Moves the epoch without writing a frame: a metadata change.
+        pub(super) fn touch(&mut self) {
+            self.epoch = self.epoch.wrapping_add(1);
         }
 
         /// Frame `i`'s bytes; `None` for a lazy zero page.
@@ -145,6 +164,7 @@ mod store {
 
         fn bump(&mut self, i: usize) {
             self.gens[i] = self.gens[i].wrapping_add(1);
+            self.touch();
         }
 
         /// Frame `i`'s bytes for writing, materialized if lazy. Bumps.
@@ -166,9 +186,11 @@ mod store {
             self.bump(dst);
         }
 
-        /// Restore: makes every frame a lazy zero page, in place.
+        /// Restore: makes every frame a lazy zero page, in place, and
+        /// moves the epoch.
         pub(super) fn load_clear(&mut self) {
             self.pages.fill(None);
+            self.touch();
         }
 
         /// Restore: materializes frame `i` with `bytes`, decoded in place.
@@ -346,6 +368,17 @@ impl PhysMemory {
         self.store.gen(self.idx(frame))
     }
 
+    /// The memory epoch: a counter that moves on every mutable path to
+    /// frame bytes or metadata (each write-generation bump, each
+    /// [`Self::info_mut`] borrow, and a snapshot `load`) and on no read.
+    /// An unchanged epoch therefore proves that no frame's bytes, write
+    /// generation, refcount, state or type changed, which lets a scanner
+    /// skip re-checking what it checked at that epoch. It is derived state
+    /// of this one memory: never saved, and meaningless across memories.
+    pub fn epoch(&self) -> u64 {
+        self.store.epoch()
+    }
+
     /// Immutable metadata of a frame.
     pub fn info(&self, frame: FrameId) -> &FrameInfo {
         &self.info[self.idx(frame)]
@@ -353,8 +386,10 @@ impl PhysMemory {
 
     /// Mutable metadata of a frame. The guard keeps the allocation
     /// counters in sync with whatever transition is performed through it.
+    /// The borrow alone moves the [epoch](Self::epoch).
     pub fn info_mut(&mut self, frame: FrameId) -> FrameInfoMut<'_> {
         let i = self.idx(frame);
+        self.store.touch();
         let was = contribution(&self.info[i]);
         FrameInfoMut {
             info: &mut self.info[i],
@@ -748,6 +783,61 @@ mod tests {
         // The derived tallies are recounted, not carried.
         assert_eq!(dst.allocated_frames(), 2);
         assert_eq!(dst.hash_page(FrameId(1)), src.hash_page(FrameId(1)));
+    }
+
+    #[test]
+    fn epoch_moves_on_every_mutation_and_no_read() {
+        let mut m = PhysMemory::new(3);
+        let (f, g) = (FrameId(1), FrameId(2));
+        let moves = |m: &mut PhysMemory, what: &str, op: &dyn Fn(&mut PhysMemory)| {
+            let before = m.epoch();
+            op(m);
+            assert_ne!(m.epoch(), before, "{what} must move the epoch");
+        };
+        let mut page = [0u8; PAGE_SIZE as usize];
+        page[9] = 3;
+        moves(&mut m, "write_byte", &|m| {
+            m.write_byte(PhysAddr(PAGE_SIZE), 1)
+        });
+        moves(&mut m, "write_u64", &|m| {
+            m.write_u64(PhysAddr(PAGE_SIZE + 8), 2)
+        });
+        moves(&mut m, "write_page", &|m| m.write_page(g, &page));
+        moves(&mut m, "copy_page", &|m| m.copy_page(f, g));
+        moves(&mut m, "zero_page", &|m| m.zero_page(g));
+        moves(&mut m, "flip_bit", &|m| {
+            m.flip_bit(PhysAddr(2 * PAGE_SIZE + 5), 3);
+        });
+        // A borrow with no change counts: the guard cannot tell.
+        moves(&mut m, "info_mut", &|m| {
+            m.info_mut(f);
+        });
+        moves(&mut m, "info_mut().on_alloc()", &|m| {
+            m.info_mut(f).on_alloc(PageType::Anon);
+        });
+        moves(&mut m, "info_mut().get()", &|m| {
+            m.info_mut(f).get();
+        });
+        let mut w = vusion_snapshot::Writer::new();
+        vusion_snapshot::Snapshot::save(&m, &mut w);
+        let image = w.into_bytes();
+        moves(&mut m, "load", &|m| {
+            let mut r = vusion_snapshot::Reader::new(&image);
+            vusion_snapshot::Snapshot::load(m, &mut r).expect("load");
+        });
+        let still = m.epoch();
+        let _ = m.read_byte(PhysAddr(PAGE_SIZE));
+        let _ = m.read_u64(PhysAddr(PAGE_SIZE + 8));
+        let _ = m.page(f);
+        let _ = m.hash_page(f);
+        assert_eq!(m.hash_stale(&[f, g]), 1, "the restored memo is cold");
+        let _ = m.is_zero(g);
+        let _ = m.pages_equal(f, g);
+        let _ = m.compare_pages(f, g);
+        let _ = m.info(f);
+        let _ = m.write_gen(f);
+        vusion_snapshot::Snapshot::save(&m, &mut vusion_snapshot::Writer::new());
+        assert_eq!(m.epoch(), still, "reads must not move the epoch");
     }
 
     #[test]

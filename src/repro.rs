@@ -41,6 +41,17 @@ const MISSING_PID: SnapshotError =
 /// area over one the process already has.
 const MAP_OVERLAP: SnapshotError = SnapshotError::Corrupt("journal maps over an existing area");
 
+/// Most scanner wakes one replayed event may run: 2²⁰, about 5.8 simulated
+/// hours at KSM's 20 ms period. `System::idle` and `System::force_scans`
+/// wake the scanner once per period or per count, so a crafted `Idle` or
+/// `ForceScans` could otherwise keep a replay running for days.
+const MAX_REPLAY_WAKES: u64 = 1 << 20;
+
+/// What [`Bundle::replay_with`] refuses a journal with when one of its
+/// events asks for more than [`MAX_REPLAY_WAKES`] scanner wakes.
+const TOO_MANY_WAKES: SnapshotError =
+    SnapshotError::Corrupt("journal asks for more scanner wakes than replay runs");
+
 /// Everything needed to re-execute a failing chaos run.
 #[derive(Clone)]
 pub struct Bundle {
@@ -289,7 +300,8 @@ impl Bundle {
     /// have, and an `Mmap` over an area its process already has, are
     /// refused as [`SnapshotError::Corrupt`] before they run, never a
     /// panic. The checks are against the live machine, so a spawn that
-    /// fails on replay adds no process.
+    /// fails on replay adds no process. An `Idle` or `ForceScans` that
+    /// would wake the scanner more than 2²⁰ times is refused the same way.
     pub fn replay_with(
         &self,
         journal: &[JournalEvent],
@@ -308,6 +320,14 @@ impl Bundle {
                 if space.vmas().iter().any(|v| v.overlaps(vma)) {
                     return Err(MAP_OVERLAP);
                 }
+            }
+            let wakes = match *ev {
+                JournalEvent::Idle { ns } => ns / sys.policy.scan_period_ns().max(1),
+                JournalEvent::ForceScans { n } => u64::try_from(n).unwrap_or(u64::MAX),
+                _ => 0,
+            };
+            if wakes > MAX_REPLAY_WAKES {
+                return Err(TOO_MANY_WAKES);
             }
             sys.replay_event(ev);
         }

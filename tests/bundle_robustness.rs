@@ -76,6 +76,46 @@ fn replay_refuses_a_journal_mapping_over_an_area() {
     );
 }
 
+/// What replaying a journal event that would wake the scanner more than
+/// 2²⁰ times returns.
+const TOO_MANY_WAKES: SnapshotError =
+    SnapshotError::Corrupt("journal asks for more scanner wakes than replay runs");
+
+/// A KSM bundle whose whole journal is `event`, through its sealed bytes.
+fn ksm_bundle_of(event: JournalEvent) -> Bundle {
+    let cfg = MachineConfig::test_small().with_seed(0xb0b);
+    let mut sys = EngineKind::Ksm.build_system(cfg);
+    let pid = sys.machine.spawn("p0").expect("spawn");
+    sys.machine
+        .mmap(pid, Vma::anon(VirtAddr(0x10000), 4, Protection::rw()));
+    sys.machine.madvise_mergeable(pid, VirtAddr(0x10000), 4);
+    let snap = sys.snapshot();
+    let mut bundle = Bundle::capture(EngineKind::Ksm, &cfg, snap, &sys, false, "test", "none");
+    bundle.journal = vec![event];
+    Bundle::from_bytes(&bundle.to_bytes()).expect("round trip")
+}
+
+#[test]
+fn replay_refuses_an_idle_of_too_many_wakes() {
+    // At clock 0 this idle would wake KSM every 20 ms until the clock
+    // reached u64::MAX: about 9×10¹¹ wakes.
+    let bundle = ksm_bundle_of(JournalEvent::Idle { ns: u64::MAX });
+    assert_eq!(bundle.replay().err(), Some(TOO_MANY_WAKES));
+    assert_eq!(bundle.shrink(|_| Some(1), 8).err(), Some(TOO_MANY_WAKES));
+    // The largest idle an in-repo caller makes (2 s: 100 wakes) replays.
+    let fine = ksm_bundle_of(JournalEvent::Idle { ns: 2_000_000_000 });
+    assert!(fine.replay().is_ok());
+}
+
+#[test]
+fn replay_refuses_forced_scans_of_too_many_wakes() {
+    let bundle = ksm_bundle_of(JournalEvent::ForceScans { n: usize::MAX });
+    assert_eq!(bundle.replay().err(), Some(TOO_MANY_WAKES));
+    assert_eq!(bundle.shrink(|_| Some(1), 8).err(), Some(TOO_MANY_WAKES));
+    let fine = ksm_bundle_of(JournalEvent::ForceScans { n: 100 });
+    assert!(fine.replay().is_ok());
+}
+
 #[test]
 fn decode_refuses_an_mmap_past_the_address_space() {
     let event = JournalEvent::Mmap {
