@@ -37,24 +37,37 @@ struct BenchResult {
 }
 
 fn bench(out: &mut Vec<BenchResult>, name: &'static str, mut f: impl FnMut()) {
-    for _ in 0..WARMUP {
-        f();
-    }
-    let mut times = Vec::with_capacity(SAMPLES as usize);
-    for _ in 0..SAMPLES {
+    bench_with_setup(out, name, || (), |()| f());
+}
+
+/// [`bench`] for a case that consumes its state: `setup` builds a fresh
+/// state before every warm-up pass and every sample, outside the timed
+/// region, so the number of passes cannot change what a sample measures.
+fn bench_with_setup<S>(
+    out: &mut Vec<BenchResult>,
+    name: &'static str,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(&mut S),
+) {
+    let mut run = || {
+        let mut state = setup();
         #[expect(
             clippy::disallowed_methods,
             reason = "the micro bench measures host time, which never feeds simulation state"
         )]
         let start = Instant::now();
-        f();
-        times.push(start.elapsed().as_nanos() as u64);
+        f(&mut state);
+        start.elapsed().as_nanos() as u64
+    };
+    for _ in 0..WARMUP {
+        run();
     }
+    let mut times: Vec<u64> = (0..SAMPLES).map(|_| run()).collect();
     times.sort_unstable();
     let min_ns = times[0];
     let mean_ns = times.iter().sum::<u64>() / u64::from(SAMPLES);
     let mid = times.len() / 2;
-    let median_ns = if times.len() % 2 == 0 {
+    let median_ns = if times.len().is_multiple_of(2) {
         (times[mid - 1] + times[mid]) / 2
     } else {
         times[mid]
@@ -135,14 +148,21 @@ fn bench_allocators(out: &mut Vec<BenchResult>) {
             a.free(f).expect("free");
         }
     });
-    let mut buddy = BuddyAllocator::new(FrameId(0), 8192);
-    let mut pool = RandomPool::new(2048, &mut buddy, 9);
-    bench(out, "random_pool_cycle_1k", || {
-        for _ in 0..1024 {
-            let f = pool.alloc_random(&mut buddy).expect("frame");
-            pool.free_random(f, &mut buddy).expect("free");
-        }
-    });
+    bench_with_setup(
+        out,
+        "random_pool_cycle_1k",
+        || {
+            let mut buddy = BuddyAllocator::new(FrameId(0), 8192);
+            let pool = RandomPool::new(2048, &mut buddy, 9);
+            (buddy, pool)
+        },
+        |(buddy, pool)| {
+            for _ in 0..1024 {
+                let f = pool.alloc_random(buddy).expect("frame");
+                pool.free_random(f, buddy).expect("free");
+            }
+        },
+    );
 }
 
 fn bench_llc(out: &mut Vec<BenchResult>) {
@@ -457,6 +477,53 @@ fn bench_scan_throttled(out: &mut Vec<BenchResult>) {
     }
 }
 
+/// One re-randomization round (§7.1 decision iii) at steady state: five
+/// wakes' worth of candidate pages (500) in 125 groups of four
+/// duplicates, all merged, so the tree holds 125 fused pages of four
+/// mappings each. Each iteration runs the five wakes of one cycle over
+/// the candidates: every visit finds its page already managed, and the
+/// cycle's last page wraps the cursor into exactly one round.
+fn bench_rerandomize_round(out: &mut Vec<BenchResult>) {
+    use vusion_core::{VUsion, VUsionConfig, PAGES_PER_SCAN};
+    use vusion_kernel::{FusionPolicy, System};
+    const WAKES: u64 = 5;
+    const GROUPS: u64 = 125;
+    let pages = WAKES * PAGES_PER_SCAN as u64;
+    let mut m = Machine::new(MachineConfig::test_small());
+    let pid = m.spawn("t").expect("spawn");
+    m.mmap(pid, Vma::anon(VirtAddr(0x10000), pages, Protection::rw()));
+    m.madvise_mergeable(pid, VirtAddr(0x10000), pages);
+    let vusion = VUsion::new(
+        &mut m,
+        VUsionConfig {
+            pool_frames: 1024,
+            ..Default::default()
+        },
+    );
+    let mut sys = System::new(m, vusion);
+    for i in 0..pages {
+        sys.write(pid, VirtAddr(0x10000 + i * 4096), (i % GROUPS) as u8 + 1);
+    }
+    // Whole cycles from cursor 0 to steady state: every page merged and
+    // the cursor back at a cycle boundary.
+    for _ in 0..4 * WAKES {
+        sys.policy.scan(&mut sys.machine, ScanGrant::default());
+    }
+    assert_eq!(sys.policy.pages_saved(), pages - GROUPS, "steady state");
+    let moved = sys.policy.stats().rerandomized;
+    bench(out, "scan_rerandomize_round_vusion", || {
+        for _ in 0..WAKES {
+            black_box(sys.policy.scan(&mut sys.machine, ScanGrant::default()));
+        }
+    });
+    let passes = u64::from(WARMUP + SAMPLES);
+    assert_eq!(
+        sys.policy.stats().rerandomized - moved,
+        GROUPS * passes,
+        "one round per pass"
+    );
+}
+
 /// One `System::snapshot` plus one `System::restore` of the image simbench's
 /// `traced_replay` workload seals: three small guests of distinct families
 /// booted on a `guest_2g_scaled` KSM host (about 11.6 MB sealed). The
@@ -608,6 +675,7 @@ fn main() {
     let metrics = bench_engine_scans(&mut results);
     bench_scan_cold(&mut results);
     bench_scan_throttled(&mut results);
+    bench_rerandomize_round(&mut results);
     bench_snapshot(&mut results);
     bench_vlint(&mut results);
 

@@ -136,22 +136,21 @@ impl<V> ContentIndex<V> {
 
     /// Repoints `node` at `new`, a frame **with identical content** (the
     /// VUsion re-randomization of backing frames, §7.1 decision iii).
-    /// `copy_page` carried the hash over, so indexing `new` hits the memo.
-    /// Panics on a stale id.
+    /// `move_page` carried the hash over, so indexing `new` hits the memo,
+    /// and the node keeps its bucket unless the old entry's hash was
+    /// stale. Panics on a stale id.
     pub(crate) fn set_frame(&mut self, mem: &PhysMemory, node: NodeId, new: FrameId) {
-        self.untrack(self.slot(node).0);
-        self.slot_mut(node).0 = new;
-        self.track(mem, new, node);
+        let old = std::mem::replace(&mut self.slot_mut(node).0, new);
+        let was = self.frames.remove(&old).map(|(_, hash, _)| hash);
+        let hash = self.track(mem, new, node);
+        if let Some(was) = was.filter(|&was| was != hash) {
+            self.buckets.remove(&(was, node));
+        }
     }
 
     /// The frame a node references. Panics on a stale id.
     pub(crate) fn frame(&self, node: NodeId) -> FrameId {
         self.slot(node).0
-    }
-
-    /// The value stored at a node. Panics on a stale id.
-    pub(crate) fn value(&self, node: NodeId) -> &V {
-        &self.slot(node).1
     }
 
     /// The value stored at a node, mutably. Panics on a stale id.
@@ -266,12 +265,15 @@ impl<V> ContentIndex<V> {
         }
     }
 
-    fn track(&mut self, mem: &PhysMemory, frame: FrameId, node: NodeId) {
+    /// Indexes `frame` as `node`'s page and returns its hash. A bucket the
+    /// node is already in is kept as it is.
+    fn track(&mut self, mem: &PhysMemory, frame: FrameId, node: NodeId) -> u64 {
         let hash = mem.hash_page(frame);
         let gen = mem.write_gen(frame);
         let held = self.frames.insert(frame, (node, hash, gen));
         debug_assert!(held.is_none(), "two live nodes hold one frame");
         self.buckets.insert((hash, node));
+        hash
     }
 
     fn untrack(&mut self, frame: FrameId) {
@@ -760,7 +762,7 @@ mod tests {
                         Some(&(node, hash, mem.write_gen(t))),
                         "seed {seed} step {step}"
                     );
-                    assert_eq!((ix.frame(node), *ix.value(node)), (t, value));
+                    assert_eq!(*ix.slot(node), (t, value));
                     buckets.insert((hash, node));
                 }
                 assert_eq!(ix.frames.len(), model.len(), "seed {seed} step {step}");

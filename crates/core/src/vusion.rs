@@ -210,10 +210,17 @@ impl VUsion {
         Ok(f)
     }
 
-    /// Returns a dead (refcount 0, still `Allocated`) frame to the pool.
+    /// Returns a dead (refcount 0, still `Allocated`) frame to the pool,
+    /// zeroed.
     fn ra_release(&mut self, m: &mut Machine, frame: FrameId) {
-        m.mem_mut().info_mut(frame).on_free();
         m.mem_mut().zero_page(frame);
+        self.ra_free(m, frame);
+    }
+
+    /// Returns a dead frame whose bytes are already zero (its page moved
+    /// out) to the pool.
+    fn ra_free(&mut self, m: &mut Machine, frame: FrameId) {
+        m.mem_mut().info_mut(frame).on_free();
         let _ = self.pool.free_random(frame, m.buddy_mut());
     }
 
@@ -549,39 +556,30 @@ impl VUsion {
                 continue;
             }
             let old = self.tree.frame(node);
-            let mappings = self.tree.value(node).clone();
             let Ok(new) = self.ra_alloc(m, PageType::Fused) else {
                 // Pool exhausted: keep the old backing frame this round
                 // (weaker randomization, never a crash) and retry later.
                 m.note_scan_retry();
                 continue;
             };
-            m.mem_mut().copy_page(old, new);
+            let mappings = std::mem::take(self.tree.value_mut(node));
             // Transfer one reference per mapping.
             for _ in 1..mappings.len() {
                 m.mem_mut().info_mut(new).get();
             }
-            let mut moved: Vec<(Pid, VirtAddr)> = Vec::new();
-            let mut all_moved = true;
-            for &(pid, va) in &mappings {
-                let repointed = match m.leaf(pid, va) {
-                    Some(leaf) => m.set_leaf(pid, va, leaf.pte.with_frame(new)).is_ok(),
-                    None => false,
-                };
-                if repointed {
-                    moved.push((pid, va));
-                } else {
-                    all_moved = false;
-                    break;
-                }
-            }
-            if !all_moved {
+            let moved = mappings
+                .iter()
+                .take_while(|&&(pid, va)| m.repoint_leaf(pid, va, new))
+                .count();
+            if moved < mappings.len() {
                 // A mapping vanished mid-transfer: point everything back at
-                // the old frame and give the new one back.
-                for &(pid, va) in &moved {
-                    if let Some(leaf) = m.leaf(pid, va) {
-                        let _ = m.set_leaf(pid, va, leaf.pte.with_frame(old));
-                    }
+                // the old frame and give the new one back. The new frame
+                // still takes a copy before its release: the write
+                // generations this path leaves are pinned
+                // (`rerandomize_rolls_back_when_a_mapping_vanishes`).
+                m.mem_mut().copy_page(old, new);
+                for &(pid, va) in &mappings[..moved] {
+                    m.repoint_leaf(pid, va, old);
                 }
                 for _ in 1..mappings.len() {
                     let _ = m.mem_mut().info_mut(new).put();
@@ -589,16 +587,20 @@ impl VUsion {
                 if m.mem_mut().info_mut(new).put() {
                     self.ra_release(m, new);
                 }
+                *self.tree.value_mut(node) = mappings;
                 m.note_scan_retry();
                 continue;
             }
             for _ in 0..mappings.len() {
                 m.mem_mut().info_mut(old).put();
             }
-            // `copy_page` seeded the new frame's hash cache from the old
-            // frame's, so this re-index is a cache hit, not a re-hash.
+            // No reference to the old frame is left, so its page moves
+            // rather than copies. The move carries the hash memo over, so
+            // the re-index below is a memo hit that keeps the node's bucket.
+            m.mem_mut().move_page(old, new);
+            *self.tree.value_mut(node) = mappings;
             self.tree.set_frame(m.mem(), node, new);
-            self.ra_release(m, old);
+            self.ra_free(m, old);
             m.scan_cost(COSTS.copy_page + COSTS.pte_update);
             self.stats.rerandomized += 1;
         }
@@ -1128,6 +1130,60 @@ mod tests {
         assert_ne!(f1, f2, "decision iii: new backing frame each round");
         assert!(s.policy.stats().rerandomized > 0);
         assert_eq!(s.read_page(a, VirtAddr(BASE)), page(8), "content preserved");
+    }
+
+    #[test]
+    fn rerandomize_rolls_back_when_a_mapping_vanishes() {
+        let (mut s, a, v) = system(small_cfg());
+        let shared = [
+            (a, VirtAddr(BASE)),
+            (a, VirtAddr(BASE + PAGE_SIZE)),
+            (v, VirtAddr(BASE)),
+        ];
+        for &(pid, va) in &shared {
+            s.write_page(pid, va, &page(9));
+        }
+        settle(&mut s);
+        let node = s.policy.tree.ids()[0];
+        let mappings = s.policy.tree.value_mut(node).clone();
+        assert_eq!((s.policy.tree.len(), mappings.len()), (1, 3));
+        let old = s.policy.tree.frame(node);
+        // Unmap the last mapping behind VUsion's back, so the next round
+        // repoints the first two and then finds the third gone.
+        let (gone_pid, gone_va) = mappings[2];
+        let (mem, _, procs) = s.machine.mm_parts();
+        procs[gone_pid.0]
+            .space
+            .tables_mut()
+            .unmap(mem, gone_va)
+            .expect("mapped");
+        let (rounds, moved, retries) = (
+            s.policy.stats().full_rounds,
+            s.policy.stats().rerandomized,
+            s.machine.stats().scan_retries,
+        );
+        while s.policy.stats().full_rounds == rounds {
+            s.force_scans(1);
+        }
+        for &(pid, va) in &mappings[..2] {
+            let leaf = s.machine.leaf(pid, va).expect("still mapped");
+            assert_eq!(leaf.pte.frame(), old, "{pid:?} {va:?} points back");
+        }
+        assert_eq!(s.policy.tree.frame(node), old);
+        assert_eq!(
+            s.machine.mem().page(old),
+            &page(9),
+            "the old frame keeps its bytes"
+        );
+        assert_eq!(s.policy.stats().rerandomized, moved, "the node is skipped");
+        assert_eq!(s.machine.stats().scan_retries, retries + 1);
+        // Generations, refcounts, pool draws and buddy state, byte for byte
+        // as the copy-based round left them.
+        assert_eq!(
+            vusion_snapshot::fnv1a64(&s.snapshot()),
+            0xc7d3_a37d_0e57_f6d3,
+            "rollback state digest"
+        );
     }
 
     #[test]

@@ -902,6 +902,22 @@ impl Machine {
         Ok(())
     }
 
+    /// Points the leaf PTE mapping `va` at `frame`, keeping its flags,
+    /// with one walk, and shoots down the TLB entry as [`Self::set_leaf`]
+    /// does. Returns `false`, changing nothing, if `va` has no leaf entry.
+    pub fn repoint_leaf(&mut self, pid: Pid, va: VirtAddr, frame: FrameId) -> bool {
+        let p = &mut self.processes[pid.0];
+        let Some(leaf) = p.space.tables().leaf(&self.mem, va) else {
+            return false;
+        };
+        p.space
+            .tables_mut()
+            .set_at(&mut self.mem, &leaf, leaf.pte.with_frame(frame));
+        p.tlb.invalidate(va);
+        self.trace_instant("mmu", InstantKind::TlbShootdown, va.0);
+        true
+    }
+
     /// Per-process TLB counters summed machine-wide:
     /// `(hits, misses, invalidations, full flushes)`.
     pub fn tlb_totals(&self) -> (u64, u64, u64, u64) {
@@ -1846,6 +1862,56 @@ mod tests {
             m.read(pid, va).is_err(),
             "stale TLB entry would be a security hole"
         );
+    }
+
+    #[test]
+    fn repoint_leaf_matches_leaf_then_set_leaf() {
+        let (va, unmapped, target) = (VirtAddr(0x10000), VirtAddr(0x11000), FrameId(200));
+        let setup = || {
+            let mut m = machine();
+            m.enable_tracing();
+            let pid = m.spawn("t").expect("spawn");
+            anon_vma(&mut m, pid, 0x10000, 2);
+            let f = m.read(pid, va).expect_err("fault");
+            assert!(m.default_fault(&f));
+            m.read(pid, va).expect("fills the TLB");
+            m.mem_mut().write_byte(target.base(), 0x77);
+            (m, pid)
+        };
+        let image = |m: &Machine| {
+            let mut w = Writer::new();
+            m.save(&mut w);
+            w.into_bytes()
+        };
+        let (mut moved, pid) = setup();
+        let (mut twin, _) = setup();
+        assert!(moved.repoint_leaf(pid, va, target));
+        let leaf = twin.leaf(pid, va).expect("leaf");
+        twin.set_leaf(pid, va, leaf.pte.with_frame(target))
+            .expect("set leaf");
+        assert_eq!(image(&moved), image(&twin));
+        let last = moved.obs().tracer().events().pop().expect("traced");
+        assert_eq!(
+            (last.phase, last.cat, last.arg),
+            (
+                vusion_obs::Phase::Instant(InstantKind::TlbShootdown),
+                "mmu",
+                va.0
+            )
+        );
+        assert_eq!(
+            moved.obs().tracer().export_bytes(),
+            twin.obs().tracer().export_bytes()
+        );
+        // The stale translation is gone: the next access walks to `target`.
+        let misses = moved.tlb_totals().1;
+        assert_eq!(moved.read(pid, va).expect("mapped"), 0x77);
+        assert_eq!(moved.tlb_totals().1, misses + 1);
+        // No leaf: nothing changes, not even the memory epoch.
+        let (before, epoch) = (image(&moved), moved.mem().epoch());
+        assert!(!moved.repoint_leaf(pid, unmapped, target));
+        assert_eq!(image(&moved), before);
+        assert_eq!(moved.mem().epoch(), epoch);
     }
 
     #[test]

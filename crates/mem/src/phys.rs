@@ -186,6 +186,14 @@ mod store {
             self.bump(dst);
         }
 
+        /// Hands frame `src`'s box to `dst`, leaving `src` a lazy zero
+        /// page. Bumps `dst`, then `src`.
+        pub(super) fn move_page(&mut self, src: usize, dst: usize) {
+            self.pages[dst] = self.pages[src].take();
+            self.bump(dst);
+            self.bump(src);
+        }
+
         /// Restore: makes every frame a lazy zero page, in place, and
         /// moves the epoch.
         pub(super) fn load_clear(&mut self) {
@@ -352,7 +360,8 @@ impl PhysMemory {
 
     /// The frame's write generation, bumped by every content mutation
     /// (`write_byte`, `write_u64`, `write_page`, `copy_page`, `zero_page`,
-    /// and `flip_bit`, so a Rowhammer flip counts like any other write).
+    /// both frames of a `move_page`, and `flip_bit`, so a Rowhammer flip
+    /// counts like any other write).
     /// The hash and zero memo keys on it, and engines compare it to
     /// detect in-place changes of the pages they index.
     ///
@@ -482,19 +491,45 @@ impl PhysMemory {
         self.store.copy(si, di);
         // The destination now holds exactly the source's bytes, so any
         // still-valid memoized value of the source seeds the destination
-        // at its fresh generation (VUsion's fake merging and
-        // re-randomization copy pages constantly).
-        let sc = self.cache[si].get();
-        let sgen = self.store.gen(si);
+        // at its fresh generation (VUsion's fake merging copies pages
+        // constantly).
+        self.carry_memo(self.cache[si].get(), self.store.gen(si), di);
+    }
+
+    /// Moves the content of `src` into `dst` and leaves `src` zeroed,
+    /// without copying the bytes: it leaves exactly the state of
+    /// `copy_page(src, dst)` followed by `zero_page(src)`. Both write
+    /// generations bump once (`dst` first), `dst`'s memo is seeded from
+    /// `src`'s, and `src` is memoized as zero. VUsion's re-randomization
+    /// hands each fused page to its fresh frame this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either frame is out of range, or if `src == dst`: a page
+    /// cannot move onto itself.
+    pub fn move_page(&mut self, src: FrameId, dst: FrameId) {
+        let si = self.idx(src);
+        let di = self.idx(dst);
+        assert_ne!(si, di, "a page cannot move onto its own frame");
+        let (memo, gen) = (self.cache[si].get(), self.store.gen(si));
+        self.store.move_page(si, di);
+        self.carry_memo(memo, gen, di);
+        self.memoize_zero(si);
+    }
+
+    /// Seeds frame `di`'s memo, at its current generation, with the values
+    /// of `memo` that were valid at `gen`: the memo of a frame whose bytes
+    /// `di` now holds, read at that frame's generation.
+    fn carry_memo(&self, memo: FrameCache, gen: u64, di: usize) {
         let dgen = self.store.gen(di);
         let mut dc = FrameCache::default();
-        if sc.hash_valid && sc.hash_gen == sgen {
-            dc.hash = sc.hash;
+        if memo.hash_valid && memo.hash_gen == gen {
+            dc.hash = memo.hash;
             dc.hash_gen = dgen;
             dc.hash_valid = true;
         }
-        if sc.zero_valid && sc.zero_gen == sgen {
-            dc.zero = sc.zero;
+        if memo.zero_valid && memo.zero_gen == gen {
+            dc.zero = memo.zero;
             dc.zero_gen = dgen;
             dc.zero_valid = true;
         }
@@ -505,7 +540,12 @@ impl PhysMemory {
     pub fn zero_page(&mut self, frame: FrameId) {
         let i = self.idx(frame);
         self.store.set(i, None);
-        // Content is now known exactly; memoize it outright.
+        self.memoize_zero(i);
+    }
+
+    /// Memoizes frame `i`, a lazy zero page, as zero at its current
+    /// generation: its content is known exactly.
+    fn memoize_zero(&self, i: usize) {
         let gen = self.store.gen(i);
         self.cache[i].set(FrameCache {
             hash: ZERO_PAGE_HASH,
@@ -805,6 +845,7 @@ mod tests {
         moves(&mut m, "write_page", &|m| m.write_page(g, &page));
         moves(&mut m, "copy_page", &|m| m.copy_page(f, g));
         moves(&mut m, "zero_page", &|m| m.zero_page(g));
+        moves(&mut m, "move_page", &|m| m.move_page(g, f));
         moves(&mut m, "flip_bit", &|m| {
             m.flip_bit(PhysAddr(2 * PAGE_SIZE + 5), 3);
         });
@@ -967,6 +1008,70 @@ mod tests {
         m.zero_page(f);
         assert_eq!(m.hash_page(f), ZERO_PAGE_HASH);
         assert!(m.is_zero(f));
+    }
+
+    #[test]
+    fn move_page_matches_copy_then_zero() {
+        let (src, dst) = (FrameId(1), FrameId(2));
+        let mut bytes = [0u8; PAGE_SIZE as usize];
+        bytes[77] = 0x5c;
+        // The memoized (hash, zero) values still valid at `f`'s generation.
+        let memo = |m: &PhysMemory, f: FrameId| {
+            let i = m.idx(f);
+            let c = m.cache[i].get();
+            let zero = (c.zero_valid && c.zero_gen == m.store.gen(i)).then_some(c.zero);
+            (m.cached_hash(i), zero)
+        };
+        let image = |m: &PhysMemory| {
+            let mut w = vusion_snapshot::Writer::new();
+            vusion_snapshot::Snapshot::save(m, &mut w);
+            w.into_bytes()
+        };
+        for materialized in [true, false] {
+            for warm in [true, false] {
+                let case = format!("materialized {materialized}, warm {warm}");
+                let setup = || {
+                    let mut m = PhysMemory::new(3);
+                    // The destination held a page of its own.
+                    m.write_byte(PhysAddr(2 * PAGE_SIZE + 5), 9);
+                    match (materialized, warm) {
+                        (true, _) => m.write_page(src, &bytes),
+                        (false, true) => m.zero_page(src),
+                        (false, false) => m.write_page(src, &ZERO_PAGE),
+                    }
+                    if warm {
+                        let _ = (m.hash_page(src), m.is_zero(src));
+                    }
+                    assert_eq!(memo(&m, src).0.is_some(), warm, "{case}: set-up");
+                    m
+                };
+                let (mut moved, mut twin) = (setup(), setup());
+                let before = moved.epoch();
+                moved.move_page(src, dst);
+                twin.copy_page(src, dst);
+                twin.zero_page(src);
+                assert_ne!(moved.epoch(), before, "{case}: epoch");
+                assert_eq!(moved.epoch(), twin.epoch(), "{case}: epoch");
+                for f in [src, dst] {
+                    assert_eq!(memo(&moved, f), memo(&twin, f), "{case}: memo of {f:?}");
+                    assert_eq!(moved.page(f), twin.page(f), "{case}: bytes of {f:?}");
+                    assert_eq!(
+                        moved.write_gen(f),
+                        twin.write_gen(f),
+                        "{case}: gen of {f:?}"
+                    );
+                    assert_eq!(
+                        moved.hash_page(f),
+                        twin.hash_page(f),
+                        "{case}: hash of {f:?}"
+                    );
+                    assert_eq!(moved.is_zero(f), twin.is_zero(f), "{case}: zero of {f:?}");
+                }
+                let want = if materialized { &bytes } else { &ZERO_PAGE };
+                assert_eq!(moved.page(dst), want, "{case}: moved bytes");
+                assert_eq!(image(&moved), image(&twin), "{case}: saved image");
+            }
+        }
     }
 
     #[test]

@@ -244,6 +244,14 @@ impl PageTables {
         Ok(())
     }
 
+    /// Overwrites the leaf entry `leaf` describes, which a walk of these
+    /// tables returned with no table write since, with `pte`. Saves the
+    /// second walk [`Self::set_leaf`] would take.
+    #[inline]
+    pub fn set_at(&mut self, mem: &mut PhysMemory, leaf: &LeafInfo, pte: Pte) {
+        mem.write_u64(leaf.entry_addr, pte.0);
+    }
+
     /// ORs `flags` into the leaf entry `leaf` describes, which a walk of
     /// these tables returned with no table write since, and returns the
     /// entry written. Saves the second walk [`Self::set_leaf`] would take.
