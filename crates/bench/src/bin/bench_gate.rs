@@ -1,16 +1,17 @@
 //! CI bench-regression gate over `BENCH_micro.json`.
 //!
-//! Compares the fresh run's gated medians — the `scan_*` rows and the
-//! access-path `tlb_*` and `boot_*` rows — against the carried
-//! `"baseline"` object (the pre-optimization numbers pinned by the micro
-//! harness) and fails — exit code 1 — if any shared bench regressed by
-//! more than 25% *and* more than an absolute 50 µs. The dual threshold is
-//! the usual defense against noise-dominated cases: a steady-state scan
-//! visit completes in single-digit microseconds, where timer granularity
-//! and host drift between the baseline's machine and the current runner
-//! routinely swing 2–3×, while a real scan-path or access-path regression
-//! (the thing the gate exists to catch) costs hundreds of microseconds
-//! per pass. A per-bench diff is written to `BENCH_gate_diff.json` either
+//! Compares the fresh run's gated medians — the `scan_*` rows, the
+//! access-path `tlb_*` and `boot_*` rows and the buddy allocator's
+//! `buddy_*` rows — against the carried `"baseline"` object (the
+//! pre-optimization numbers pinned by the micro harness) and fails — exit
+//! code 1 — if any shared bench regressed by more than 25% *and* more than
+//! an absolute 50 µs. The dual threshold is the usual defense against
+//! noise-dominated cases: a steady-state scan visit completes in
+//! single-digit microseconds, where timer granularity and host drift
+//! between the baseline's machine and the current runner routinely swing
+//! 2–3×, while a real scan-path, access-path or allocator regression (the
+//! thing the gate exists to catch) costs hundreds of microseconds per
+//! pass. A per-bench diff is written to `BENCH_gate_diff.json` either
 //! way, so CI can upload it as an artifact. `vlint_*` benches are held to an
 //! absolute wall-time ceiling instead of the ratio gate (the linter's
 //! cost tracks tree size, which every PR is allowed to grow).
@@ -32,7 +33,7 @@ const MAX_RATIO: f64 = 1.25;
 const MIN_DELTA_NS: u64 = 50_000;
 
 /// Name prefixes of the rows the ratio gate applies to.
-const GATED_PREFIXES: [&str; 3] = ["scan_", "tlb_", "boot_"];
+const GATED_PREFIXES: [&str; 4] = ["scan_", "tlb_", "boot_", "buddy_"];
 
 fn gated(name: &str) -> bool {
     GATED_PREFIXES.iter().any(|p| name.starts_with(p))
@@ -281,6 +282,7 @@ mod tests {
             "scan_full_pass_wpf_512",
             "tlb_hit_load_4k",
             "boot_small_image",
+            "buddy_alloc_free_1k",
         ] {
             // +50% and +150 µs: regressed.
             assert_eq!(
@@ -305,7 +307,7 @@ mod tests {
 
     #[test]
     fn ungated_rows_never_regress() {
-        let (status, ratio) = row("buddy_alloc_free_1k", Some(100_000), Some(900_000)).verdict();
+        let (status, ratio) = row("random_pool_cycle_1k", Some(100_000), Some(900_000)).verdict();
         assert_eq!(status, "ok");
         assert_eq!(ratio, Some(9.0));
     }

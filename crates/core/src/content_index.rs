@@ -13,10 +13,10 @@
 //! rules out collisions: the answer is exact.
 //!
 //! Indexed pages are not immutable — guest writes hit unstable-tree pages
-//! and Rowhammer hits anything — so each frame's entry records the write
-//! generation it was hashed at, and [`ContentIndex::refresh`] moves the
-//! frames whose generation moved to the bucket of their new content. After
-//! a refresh every page is found by its current bytes.
+//! and Rowhammer hits anything — so each node records the write generation
+//! its frame was hashed at, and [`ContentIndex::refresh`] moves the frames
+//! whose generation moved to the bucket of their new content. After a
+//! refresh every page is found by its current bytes.
 //!
 //! A walk that found every entry fresh stamps the index with the memory
 //! epoch ([`PhysMemory::epoch`]). No write can happen without moving the
@@ -32,7 +32,7 @@
 //! decides which frames the hash memo holds warm, and with it how many
 //! frames the next scan pre-hash counts and charges.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use vusion_mem::{FrameId, PhysMemory};
 use vusion_snapshot::{Reader, SnapshotError, Writer};
@@ -42,16 +42,25 @@ use vusion_snapshot::{Reader, SnapshotError, Writer};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct NodeId(pub(crate) usize);
 
+/// A live slot: the indexed frame, its value, and the frame's hash and
+/// write generation when it was hashed.
+#[derive(Debug, PartialEq)]
+struct Node<V> {
+    frame: FrameId,
+    value: V,
+    hash: u64,
+    gen: u64,
+}
+
 /// Indexed pages, found by content.
 pub(crate) struct ContentIndex<V> {
-    /// Node arena: each live slot holds its frame and value, `None` marks a
-    /// free slot.
-    slots: Vec<Option<(FrameId, V)>>,
+    /// Node arena: `None` marks a free slot.
+    slots: Vec<Option<Node<V>>>,
     /// The free slots; `insert` reuses the last one.
     free: Vec<usize>,
-    /// Indexed frame → (its node, its hash, its write generation when
-    /// hashed).
-    frames: BTreeMap<FrameId, (NodeId, u64, u64)>,
+    /// Per frame: the slot + 1 of the node holding it, or 0. Grows to the
+    /// highest frame indexed so far.
+    by_frame: Vec<u32>,
     /// The hash buckets: `(hash, node)` for every node.
     buckets: BTreeSet<(u64, NodeId)>,
     /// The memory epoch at which every entry was last known fresh: derived,
@@ -64,7 +73,7 @@ impl<V> Default for ContentIndex<V> {
         Self {
             slots: Vec::new(),
             free: Vec::new(),
-            frames: BTreeMap::new(),
+            by_frame: Vec::new(),
             buckets: BTreeSet::new(),
             fresh_at: None,
         }
@@ -79,17 +88,18 @@ impl<V> ContentIndex<V> {
         self.buckets
             .range((hash, NodeId(0))..=(hash, NodeId(usize::MAX)))
             .map(|&(_, node)| node)
-            .find(|&node| mem.pages_equal(self.slot(node).0, probe))
+            .find(|&node| mem.pages_equal(self.slot(node).frame, probe))
     }
 
     /// The node holding `frame`, if any.
     pub(crate) fn node_of(&self, frame: FrameId) -> Option<NodeId> {
-        self.frames.get(&frame).map(|&(node, _, _)| node)
+        let slot = self.by_frame.get(frame.0 as usize)?.checked_sub(1)?;
+        Some(NodeId(slot as usize))
     }
 
     /// Whether a node holds `frame`.
     pub(crate) fn contains_frame(&self, frame: FrameId) -> bool {
-        self.frames.contains_key(&frame)
+        self.node_of(frame).is_some()
     }
 
     /// Whether `node` names a live node.
@@ -106,13 +116,20 @@ impl<V> ContentIndex<V> {
         if let Some(node) = self.find(mem, frame) {
             return (node, false);
         }
+        // `track` fills in the hash and the write generation.
+        let live = Some(Node {
+            frame,
+            value,
+            hash: 0,
+            gen: 0,
+        });
         let node = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot] = Some((frame, value));
+                self.slots[slot] = live;
                 NodeId(slot)
             }
             None => {
-                self.slots.push(Some((frame, value)));
+                self.slots.push(live);
                 NodeId(self.slots.len() - 1)
             }
         };
@@ -126,10 +143,10 @@ impl<V> ContentIndex<V> {
     ///
     /// Panics on a stale id: an engine bug.
     pub(crate) fn remove(&mut self, node: NodeId) -> V {
-        let Some((frame, value)) = self.slots.get_mut(node.0).and_then(Option::take) else {
+        self.untrack(node);
+        let Some(Node { value, .. }) = self.slots[node.0].take() else {
             panic!("stale node id {node:?}");
         };
-        self.untrack(frame);
         self.free.push(node.0);
         value
     }
@@ -140,27 +157,28 @@ impl<V> ContentIndex<V> {
     /// and the node keeps its bucket unless the old entry's hash was
     /// stale. Panics on a stale id.
     pub(crate) fn set_frame(&mut self, mem: &PhysMemory, node: NodeId, new: FrameId) {
-        let old = std::mem::replace(&mut self.slot_mut(node).0, new);
-        let was = self.frames.remove(&old).map(|(_, hash, _)| hash);
-        let hash = self.track(mem, new, node);
-        if let Some(was) = was.filter(|&was| was != hash) {
+        let slot = self.slot_mut(node);
+        let old = std::mem::replace(&mut slot.frame, new);
+        let was = slot.hash;
+        self.by_frame[old.0 as usize] = 0;
+        if self.track(mem, new, node) != was {
             self.buckets.remove(&(was, node));
         }
     }
 
     /// The frame a node references. Panics on a stale id.
     pub(crate) fn frame(&self, node: NodeId) -> FrameId {
-        self.slot(node).0
+        self.slot(node).frame
     }
 
     /// The value stored at a node, mutably. Panics on a stale id.
     pub(crate) fn value_mut(&mut self, node: NodeId) -> &mut V {
-        &mut self.slot_mut(node).1
+        &mut self.slot_mut(node).value
     }
 
-    /// Number of indexed pages.
+    /// Number of indexed pages: the live slots.
     pub(crate) fn len(&self) -> usize {
-        self.frames.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Ids of all live nodes, in slot order.
@@ -175,20 +193,24 @@ impl<V> ContentIndex<V> {
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
-        self.frames.clear();
+        self.by_frame.clear();
         self.buckets.clear();
         self.fresh_at = None;
     }
 
-    /// Indexed frames whose write generation moved since they were hashed:
-    /// their content changed (or they were freed and rewritten). Always
-    /// walks the entries.
+    /// Indexed frames whose write generation moved since they were hashed
+    /// (their content changed, or they were freed and rewritten), in frame
+    /// order. Always walks the slots.
     fn stale_frames(&self, mem: &PhysMemory) -> Vec<FrameId> {
-        self.frames
+        let mut stale: Vec<FrameId> = self
+            .slots
             .iter()
-            .filter(|(f, &(_, _, gen))| mem.write_gen(**f) != gen)
-            .map(|(f, _)| *f)
-            .collect()
+            .flatten()
+            .filter(|n| mem.write_gen(n.frame) != n.gen)
+            .map(|n| n.frame)
+            .collect();
+        stale.sort_unstable();
+        stale
     }
 
     /// Whether the index is stamped at `mem`'s current epoch, so nothing
@@ -222,7 +244,7 @@ impl<V> ContentIndex<V> {
         let stale = self.take_stale(mem);
         for &frame in &stale {
             if let Some(node) = self.node_of(frame) {
-                self.untrack(frame);
+                self.untrack(node);
                 self.track(mem, frame, node);
             }
         }
@@ -246,7 +268,7 @@ impl<V> ContentIndex<V> {
     /// # Panics
     ///
     /// Panics on a stale id: an engine bug.
-    fn slot(&self, node: NodeId) -> &(FrameId, V) {
+    fn slot(&self, node: NodeId) -> &Node<V> {
         match self.slots.get(node.0) {
             Some(Some(slot)) => slot,
             _ => panic!("stale node id {node:?}"),
@@ -258,28 +280,55 @@ impl<V> ContentIndex<V> {
     /// # Panics
     ///
     /// Panics on a stale id: an engine bug.
-    fn slot_mut(&mut self, node: NodeId) -> &mut (FrameId, V) {
+    fn slot_mut(&mut self, node: NodeId) -> &mut Node<V> {
         match self.slots.get_mut(node.0) {
             Some(Some(slot)) => slot,
             _ => panic!("stale node id {node:?}"),
         }
     }
 
-    /// Indexes `frame` as `node`'s page and returns its hash. A bucket the
-    /// node is already in is kept as it is.
+    /// Indexes `frame` as `node`'s page, which `node`'s slot already
+    /// names, and returns its hash. A bucket the node is already in is kept
+    /// as it is.
     fn track(&mut self, mem: &PhysMemory, frame: FrameId, node: NodeId) -> u64 {
         let hash = mem.hash_page(frame);
-        let gen = mem.write_gen(frame);
-        let held = self.frames.insert(frame, (node, hash, gen));
-        debug_assert!(held.is_none(), "two live nodes hold one frame");
+        let slot = self.slot_mut(node);
+        slot.hash = hash;
+        slot.gen = mem.write_gen(frame);
+        let mapped = self.map_frame(frame, node);
+        debug_assert!(mapped, "two live nodes hold one frame");
         self.buckets.insert((hash, node));
         hash
     }
 
-    fn untrack(&mut self, frame: FrameId) {
-        if let Some((node, hash, _)) = self.frames.remove(&frame) {
-            self.buckets.remove(&(hash, node));
+    /// Points the frame map's entry for `frame` at `node`, growing the map
+    /// to reach it. False, with the entry unchanged, when a node holds
+    /// `frame` already.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slot past `u32::MAX - 1`: an arena that large needs more
+    /// frames than the machine has.
+    fn map_frame(&mut self, frame: FrameId, node: NodeId) -> bool {
+        let Ok(entry) = u32::try_from(node.0 + 1) else {
+            panic!("index slot {} past the frame map's range", node.0);
+        };
+        let at = frame.0 as usize;
+        if at >= self.by_frame.len() {
+            self.by_frame.resize(at + 1, 0);
         }
+        if self.by_frame[at] != 0 {
+            return false;
+        }
+        self.by_frame[at] = entry;
+        true
+    }
+
+    /// Drops `node`'s frame map entry and its bucket.
+    fn untrack(&mut self, node: NodeId) {
+        let &Node { frame, hash, .. } = self.slot(node);
+        self.by_frame[frame.0 as usize] = 0;
+        self.buckets.remove(&(hash, node));
     }
 
     /// Writes the arena slot for slot (a live flag, then a live slot's
@@ -289,17 +338,24 @@ impl<V> ContentIndex<V> {
         w.usize(self.slots.len());
         for slot in &self.slots {
             w.bool(slot.is_some());
-            if let Some((frame, value)) = slot {
-                w.u64(frame.0);
-                save_value(value, w);
+            if let Some(n) = slot {
+                w.u64(n.frame.0);
+                save_value(&n.value, w);
             }
         }
         w.usize(self.free.len());
         for &slot in &self.free {
             w.usize(slot);
         }
-        w.usize(self.frames.len());
-        for (frame, &(_, hash, gen)) in &self.frames {
+        let mut entries: Vec<(FrameId, u64, u64)> = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|n| (n.frame, n.hash, n.gen))
+            .collect();
+        entries.sort_unstable();
+        w.usize(entries.len());
+        for (frame, hash, gen) in entries {
             w.u64(frame.0);
             w.u64(hash);
             w.u64(gen);
@@ -307,37 +363,51 @@ impl<V> ContentIndex<V> {
     }
 
     /// Rebuilds an index written by [`Self::save_with`], with node ids
-    /// unchanged. Frames are read through [`Reader::frame`]. The free list
-    /// must name exactly the dead slots, once each; the entries must name
-    /// exactly the live frames; and no frame may sit in two slots.
+    /// unchanged. Frames are read through [`Reader::frame`], which a
+    /// restore bounds by the machine, so the frame map grows no longer
+    /// than its memory. The free list must name exactly the dead slots,
+    /// once each; the entries must name exactly the live frames; and no
+    /// frame may sit in two slots.
     pub(crate) fn load_with(
         r: &mut Reader<'_>,
         mut load_value: impl FnMut(&mut Reader<'_>) -> Result<V, SnapshotError>,
     ) -> Result<Self, SnapshotError> {
         // A slot takes at least its live flag: one byte.
         let count = r.len_prefix(1)?;
-        let mut slots = Vec::with_capacity(count);
-        let mut nodes = BTreeMap::new();
+        if u32::try_from(count).is_err() {
+            return Err(SnapshotError::Corrupt(
+                "index arena past the frame map's range",
+            ));
+        }
+        let mut index = Self {
+            slots: Vec::with_capacity(count),
+            ..Self::default()
+        };
         for slot in 0..count {
             if !r.bool()? {
-                slots.push(None);
+                index.slots.push(None);
                 continue;
             }
             let frame = FrameId(r.frame()?);
-            if nodes.insert(frame, NodeId(slot)).is_some() {
+            if !index.map_frame(frame, NodeId(slot)) {
                 return Err(SnapshotError::Corrupt("two index slots hold one frame"));
             }
-            slots.push(Some((frame, load_value(r)?)));
+            index.slots.push(Some(Node {
+                frame,
+                value: load_value(r)?,
+                hash: 0,
+                gen: 0,
+            }));
         }
         let free_count = r.len_prefix(8)?;
-        let free = (0..free_count)
+        index.free = (0..free_count)
             .map(|_| r.usize())
             .collect::<Result<Vec<_>, _>>()?;
-        let mut sorted = free.clone();
+        let mut sorted = index.free.clone();
         sorted.sort_unstable();
         if !sorted
             .into_iter()
-            .eq((0..slots.len()).filter(|&slot| slots[slot].is_none()))
+            .eq((0..count).filter(|&slot| index.slots[slot].is_none()))
         {
             return Err(SnapshotError::Corrupt(
                 "free list is not exactly the dead slots",
@@ -345,26 +415,24 @@ impl<V> ContentIndex<V> {
         }
         // An entry is a frame, a hash and a write generation: 24 bytes.
         let entries = r.len_prefix(24)?;
-        let mut index = Self {
-            slots,
-            free,
-            frames: BTreeMap::new(),
-            buckets: BTreeSet::new(),
-            fresh_at: None,
-        };
+        // Each live slot takes exactly one entry.
+        let mut hashed = vec![false; index.slots.len()];
         for _ in 0..entries {
             let frame = FrameId(r.frame()?);
             let hash = r.u64()?;
             let gen = r.u64()?;
-            let Some(node) = nodes.remove(&frame) else {
+            let Some(node) = index.node_of(frame).filter(|node| !hashed[node.0]) else {
                 return Err(SnapshotError::Corrupt(
                     "hash entry for a frame no index slot holds",
                 ));
             };
-            index.frames.insert(frame, (node, hash, gen));
+            hashed[node.0] = true;
+            let slot = index.slot_mut(node);
+            slot.hash = hash;
+            slot.gen = gen;
             index.buckets.insert((hash, node));
         }
-        if !nodes.is_empty() {
+        if entries != index.len() {
             return Err(SnapshotError::Corrupt("index frame without a hash entry"));
         }
         Ok(index)
@@ -616,10 +684,11 @@ mod tests {
     /// eviction, clears and save → load → continue. In-place writes may
     /// make two indexed pages equal. After every step: `find` returns a
     /// node whose page equals the probe, and `None` only when no indexed
-    /// page does; `node_of`, `ids` and `stale_frames` agree with the
-    /// model; the frame map and the buckets hold exactly the live nodes;
-    /// save → load → save is byte-identical; and the epoch stamp skips a
-    /// refresh exactly while no frame was written.
+    /// page does; `node_of` and `contains_frame` (for every frame, past the
+    /// frame map's end too), `len`, `ids` and `stale_frames` agree with
+    /// the model; the slots, the frame map and the buckets hold exactly
+    /// the live nodes; save → load → save is byte-identical; and the epoch
+    /// stamp skips a refresh exactly while no frame was written.
     #[test]
     fn matches_model() {
         // How often each operation changed something, over all seeds; the
@@ -737,9 +806,15 @@ mod tests {
                         exact,
                         "seed {seed} step {step} find {probe:?}: got {got:?}, equal nodes {equal:?}"
                     );
+                }
+                // Every frame of the memory and a few past it, whether or
+                // not the frame map reaches that far yet.
+                for probe in (0..FRAMES + 4).map(FrameId) {
+                    let node = model.get(&probe).map(|&(node, _)| node);
+                    assert_eq!(ix.node_of(probe), node, "seed {seed} step {step}");
                     assert_eq!(
-                        ix.node_of(probe),
-                        model.get(&probe).map(|&(node, _)| node),
+                        ix.contains_frame(probe),
+                        node.is_some(),
                         "seed {seed} step {step}"
                     );
                 }
@@ -757,15 +832,21 @@ mod tests {
                 let mut buckets = BTreeSet::new();
                 for (&t, &(node, value)) in &model {
                     let hash = content_hash(mem.page(t));
+                    let gen = mem.write_gen(t);
                     assert_eq!(
-                        ix.frames.get(&t),
-                        Some(&(node, hash, mem.write_gen(t))),
+                        *ix.slot(node),
+                        Node {
+                            frame: t,
+                            value,
+                            hash,
+                            gen
+                        },
                         "seed {seed} step {step}"
                     );
-                    assert_eq!(*ix.slot(node), (t, value));
                     buckets.insert((hash, node));
                 }
-                assert_eq!(ix.frames.len(), model.len(), "seed {seed} step {step}");
+                let mapped = ix.by_frame.iter().filter(|&&entry| entry != 0).count();
+                assert_eq!(mapped, model.len(), "seed {seed} step {step}");
                 assert_eq!(ix.buckets, buckets, "seed {seed} step {step}");
                 let (first, _, again) = resave(&ix);
                 assert_eq!(first, again, "seed {seed} step {step}");

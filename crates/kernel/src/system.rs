@@ -399,9 +399,17 @@ impl<P: FusionPolicy> System<P> {
     }
 
     /// Lets simulated time pass, running background daemons on schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `idle past the end of simulated time` when the clock
+    /// cannot reach `now + ns` in a `u64` of nanoseconds. Saturating
+    /// instead would run a scanner wake every scan period until then.
     pub fn idle(&mut self, ns: u64) {
+        let Some(target) = self.machine.now_ns().checked_add(ns) else {
+            panic!("idle past the end of simulated time");
+        };
         self.machine.record(|| JournalEvent::Idle { ns });
-        let target = self.machine.now_ns() + ns;
         while self.machine.now_ns() < target {
             let step = (target - self.machine.now_ns()).min(self.policy.scan_period_ns().max(1));
             self.machine.sleep(step);
@@ -793,6 +801,14 @@ mod tests {
         s.idle(100_000_000); // 100 ms = 5 scan periods.
         assert!(s.machine.now_ns() >= t0 + 100_000_000);
         assert_eq!(s.stats().scan_wakeups, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "idle past the end of simulated time")]
+    fn idle_past_the_end_of_time_panics() {
+        let (mut s, _) = system();
+        s.idle(1);
+        s.idle(u64::MAX);
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! chaos suite drives this allocator straight into OOM (optionally via an
 //! attached [`FaultInjector`]) and the engines must degrade gracefully.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use crate::addr::FrameId;
 use crate::error::MmError;
 use crate::fault::{FaultInjector, InjectionStats};
@@ -26,6 +24,9 @@ use crate::FrameAllocator;
 
 /// Largest supported order: blocks of `2^10 = 1024` frames (4 MiB).
 pub const MAX_ORDER: u8 = 10;
+
+/// The orders `0..=MAX_ORDER`.
+const ORDERS: usize = MAX_ORDER as usize + 1;
 
 /// Allocation statistics, exposed for benches and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,17 +42,26 @@ pub struct BuddyStats {
 }
 
 /// Binary buddy allocator over the frame range `[base, base + frames)`.
+///
+/// Its bookkeeping is one byte per frame for free blocks and one for
+/// allocations, so, as with Linux's PageBuddy flag and order in a page's
+/// own `struct page`, finding a buddy or an allocation record is an array
+/// read.
 pub struct BuddyAllocator {
     base: u64,
     frames: u64,
     /// Per-order LIFO stacks of block starts (relative to `base`). Entries
-    /// may be stale (consumed by coalescing); `free_set` is authoritative.
+    /// may be stale (consumed by coalescing); `free_at` is authoritative.
     free_stacks: Vec<Vec<u64>>,
-    /// Per-order set of genuinely free block starts.
-    free_sets: Vec<BTreeSet<u64>>,
-    /// Order of each outstanding allocation, for free-time validation.
-    allocated: BTreeMap<u64, u8>,
-    free_frames: u64,
+    /// Per relative frame: order + 1 of the genuinely free block that
+    /// starts there, or 0.
+    free_at: Vec<u8>,
+    /// Genuinely free blocks of each order: the free frames are
+    /// `free_blocks[o] << o` summed over the orders.
+    free_blocks: [usize; ORDERS],
+    /// Per relative frame: order + 1 of the outstanding allocation that
+    /// starts there, or 0, for free-time validation.
+    alloc_at: Vec<u8>,
     stats: BuddyStats,
     /// Optional deterministic failure source (chaos runs).
     injector: Option<FaultInjector>,
@@ -72,10 +82,10 @@ impl BuddyAllocator {
         let mut a = Self {
             base: base.0,
             frames,
-            free_stacks: vec![Vec::new(); usize::from(MAX_ORDER) + 1],
-            free_sets: vec![BTreeSet::new(); usize::from(MAX_ORDER) + 1],
-            allocated: BTreeMap::new(),
-            free_frames: frames,
+            free_stacks: vec![Vec::new(); ORDERS],
+            free_at: vec![0; frames as usize],
+            free_blocks: [0; ORDERS],
+            alloc_at: vec![0; frames as usize],
             stats: BuddyStats::default(),
             injector: None,
         };
@@ -128,15 +138,26 @@ impl BuddyAllocator {
     }
 
     fn push_free(&mut self, rel: u64, order: u8) {
-        self.free_sets[usize::from(order)].insert(rel);
+        self.free_at[rel as usize] = order + 1;
+        self.free_blocks[usize::from(order)] += 1;
         self.free_stacks[usize::from(order)].push(rel);
+    }
+
+    /// Takes the free block of `order` starting at `rel`, if there is one.
+    fn take_free(&mut self, rel: u64, order: u8) -> bool {
+        let at = &mut self.free_at[rel as usize];
+        if *at != order + 1 {
+            return false;
+        }
+        *at = 0;
+        self.free_blocks[usize::from(order)] -= 1;
+        true
     }
 
     /// Pops the most recently freed genuinely-free block of `order`.
     fn pop_free(&mut self, order: u8) -> Option<u64> {
-        let o = usize::from(order);
-        while let Some(rel) = self.free_stacks[o].pop() {
-            if self.free_sets[o].remove(&rel) {
+        while let Some(rel) = self.free_stacks[usize::from(order)].pop() {
+            if self.take_free(rel, order) {
                 return Some(rel);
             }
             // Stale entry: the block was coalesced away. Skip it.
@@ -149,6 +170,22 @@ impl BuddyAllocator {
             Ok(())
         } else {
             Err(MmError::ForeignFrame(frame))
+        }
+    }
+
+    /// The relative start of the outstanding allocation of `order` at
+    /// `frame`, or the misuse that names it otherwise.
+    fn allocation(&self, frame: FrameId, order: u8) -> Result<usize, MmError> {
+        self.check_managed(frame)?;
+        let rel = (frame.0 - self.base) as usize;
+        match self.alloc_at[rel] {
+            0 => Err(MmError::DoubleFree(frame)),
+            at if at - 1 == order => Ok(rel),
+            at => Err(MmError::OrderMismatch {
+                frame,
+                recorded: at - 1,
+                claimed: order,
+            }),
         }
     }
 
@@ -166,14 +203,9 @@ impl BuddyAllocator {
             }
         }
         // Find the smallest order with a free block.
-        let mut have = None;
-        for o in order..=MAX_ORDER {
-            if !self.free_sets[usize::from(o)].is_empty() {
-                have = Some(o);
-                break;
-            }
-        }
-        let mut o = have.ok_or(MmError::OutOfFrames)?;
+        let mut o = (order..=MAX_ORDER)
+            .find(|&o| self.free_blocks[usize::from(o)] > 0)
+            .ok_or(MmError::OutOfFrames)?;
         let rel = self.pop_free(o).ok_or(MmError::OutOfFrames)?;
         // Split down to the requested order, keeping the upper halves free.
         while o > order {
@@ -182,8 +214,7 @@ impl BuddyAllocator {
             self.push_free(upper, o);
             self.stats.splits += 1;
         }
-        self.allocated.insert(rel, order);
-        self.free_frames -= 1 << order;
+        self.alloc_at[rel as usize] = order + 1;
         self.stats.allocs += 1;
         Ok(FrameId(self.base + rel))
     }
@@ -194,28 +225,15 @@ impl BuddyAllocator {
     /// [`MmError::ForeignFrame`], [`MmError::OrderMismatch`]. A failed
     /// free leaves the allocator state unchanged.
     pub fn free_order(&mut self, frame: FrameId, order: u8) -> Result<(), MmError> {
-        self.check_managed(frame)?;
-        let mut rel = frame.0 - self.base;
-        let recorded = self
-            .allocated
-            .remove(&rel)
-            .ok_or(MmError::DoubleFree(frame))?;
-        if recorded != order {
-            // Restore the record: a rejected free must not alter state.
-            self.allocated.insert(rel, recorded);
-            return Err(MmError::OrderMismatch {
-                frame,
-                recorded,
-                claimed: order,
-            });
-        }
-        self.free_frames += 1 << order;
+        let start = self.allocation(frame, order)?;
+        self.alloc_at[start] = 0;
         self.stats.frees += 1;
         // Coalesce with the buddy while it is free.
+        let mut rel = start as u64;
         let mut o = order;
         while o < MAX_ORDER {
             let buddy = rel ^ (1u64 << o);
-            if buddy + (1 << o) > self.frames || !self.free_sets[usize::from(o)].remove(&buddy) {
+            if buddy + (1 << o) > self.frames || !self.take_free(buddy, o) {
                 break;
             }
             self.stats.merges += 1;
@@ -231,40 +249,48 @@ impl BuddyAllocator {
     /// individually. Used when a transparent huge page is broken up into
     /// base pages (KSM and VUsion both do this before fusing, §8.1).
     pub fn split_allocated(&mut self, frame: FrameId, order: u8) -> Result<(), MmError> {
-        self.check_managed(frame)?;
-        let rel = frame.0 - self.base;
-        let recorded = self
-            .allocated
-            .remove(&rel)
-            .ok_or(MmError::DoubleFree(frame))?;
-        if recorded != order {
-            self.allocated.insert(rel, recorded);
-            return Err(MmError::OrderMismatch {
-                frame,
-                recorded,
-                claimed: order,
-            });
-        }
-        for i in 0..(1u64 << order) {
-            self.allocated.insert(rel + i, 0);
-        }
+        let start = self.allocation(frame, order)?;
+        self.alloc_at[start..start + (1 << order)].fill(1);
         Ok(())
     }
 
     /// Whether a specific frame is currently inside any free block.
     pub fn is_frame_free(&self, frame: FrameId) -> bool {
-        if frame.0 < self.base || frame.0 >= self.base + self.frames {
+        if self.check_managed(frame).is_err() {
             return false;
         }
         let rel = frame.0 - self.base;
-        for o in 0..=MAX_ORDER {
-            let block = rel & !((1u64 << o) - 1);
-            if self.free_sets[usize::from(o)].contains(&block) {
-                return true;
-            }
-        }
-        false
+        (0..=MAX_ORDER).any(|o| self.free_at[(rel & !((1u64 << o) - 1)) as usize] == o + 1)
     }
+}
+
+/// Marks the block of `order` at `rel` in `starts` and its frames in
+/// `covered`, for [`BuddyAllocator`]'s `load`: a block that is misaligned,
+/// runs past the region or covers a frame another block covers is corrupt.
+fn claim(
+    covered: &mut [bool],
+    starts: &mut [u8],
+    rel: u64,
+    order: u8,
+) -> Result<(), vusion_snapshot::SnapshotError> {
+    use vusion_snapshot::SnapshotError;
+    if order > MAX_ORDER {
+        return Err(SnapshotError::Corrupt("buddy block order above MAX_ORDER"));
+    }
+    let size = 1u64 << order;
+    if !rel.is_multiple_of(size) || rel >= covered.len() as u64 || size > covered.len() as u64 - rel
+    {
+        return Err(SnapshotError::Corrupt(
+            "buddy block misaligned or past the region",
+        ));
+    }
+    let frames = &mut covered[rel as usize..(rel + size) as usize];
+    if frames.contains(&true) {
+        return Err(SnapshotError::Corrupt("buddy blocks overlap"));
+    }
+    frames.fill(true);
+    starts[rel as usize] = order + 1;
+    Ok(())
 }
 
 impl vusion_snapshot::Snapshot for BuddyAllocator {
@@ -277,20 +303,23 @@ impl vusion_snapshot::Snapshot for BuddyAllocator {
         for stack in &self.free_stacks {
             w.u64s(stack);
         }
-        for set in &self.free_sets {
-            w.usize(set.len());
-            for &rel in set {
-                w.u64(rel);
+        // Each order's free blocks, then the allocations, in frame order.
+        for order in 0..=MAX_ORDER {
+            w.usize(self.free_blocks[usize::from(order)]);
+            for rel in (0..self.frames).step_by(1 << order) {
+                if self.free_at[rel as usize] == order + 1 {
+                    w.u64(rel);
+                }
             }
         }
-        w.usize(self.allocated.len());
-        let mut allocs: Vec<(u64, u8)> = self.allocated.iter().map(|(&k, &v)| (k, v)).collect();
-        allocs.sort_unstable();
-        for (rel, order) in allocs {
-            w.u64(rel);
-            w.u8(order);
+        w.usize(self.alloc_at.iter().filter(|&&at| at != 0).count());
+        for (rel, &at) in self.alloc_at.iter().enumerate() {
+            if at != 0 {
+                w.u64(rel as u64);
+                w.u8(at - 1);
+            }
         }
-        w.u64(self.free_frames);
+        w.u64(self.free_frames() as u64);
         w.u64(self.stats.allocs);
         w.u64(self.stats.frees);
         w.u64(self.stats.splits);
@@ -304,6 +333,13 @@ impl vusion_snapshot::Snapshot for BuddyAllocator {
         }
     }
 
+    /// Restores a state written by `save`. The image must describe a
+    /// buddy state of this region: stack entries inside it, every block
+    /// aligned to its order, inside the region and listed once, no frame
+    /// in two blocks, free or allocated, and a free-frame count equal to
+    /// the frames the free blocks hold. Anything else is
+    /// [`vusion_snapshot::SnapshotError::Corrupt`], and the allocator is
+    /// left as it was.
     fn load(
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
@@ -313,50 +349,64 @@ impl vusion_snapshot::Snapshot for BuddyAllocator {
             base,
             frames,
             free_stacks,
-            free_sets,
-            allocated,
-            free_frames,
+            free_at,
+            free_blocks,
+            alloc_at,
             stats,
             injector,
         } = self;
         if r.u64()? != *base || r.u64()? != *frames {
             return Err(SnapshotError::Corrupt("buddy geometry mismatch"));
         }
-        let orders = r.usize()?;
-        if orders != free_stacks.len() {
+        if r.usize()? != ORDERS {
             return Err(SnapshotError::Corrupt("buddy order count mismatch"));
         }
-        for stack in free_stacks.iter_mut() {
-            *stack = r.u64s()?;
+        let stacks = (0..ORDERS)
+            .map(|_| r.u64s())
+            .collect::<Result<Vec<_>, _>>()?;
+        if stacks.iter().flatten().any(|&rel| rel >= *frames) {
+            return Err(SnapshotError::Corrupt("buddy stack entry past the region"));
         }
-        for set in free_sets.iter_mut() {
-            set.clear();
-            let n = r.usize()?;
-            for _ in 0..n {
-                set.insert(r.u64()?);
+        let mut covered = vec![false; *frames as usize];
+        let mut free_starts = vec![0; *frames as usize];
+        let mut blocks = [0; ORDERS];
+        let mut held = 0u64;
+        for (order, count) in (0..=MAX_ORDER).zip(&mut blocks) {
+            *count = r.usize()?;
+            for _ in 0..*count {
+                claim(&mut covered, &mut free_starts, r.u64()?, order)?;
             }
+            held += (*count as u64) << order;
         }
-        allocated.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
+        let mut alloc_starts = vec![0; *frames as usize];
+        for _ in 0..r.usize()? {
             let rel = r.u64()?;
-            let order = r.u8()?;
-            allocated.insert(rel, order);
+            claim(&mut covered, &mut alloc_starts, rel, r.u8()?)?;
         }
-        *free_frames = r.u64()?;
-        *stats = BuddyStats {
+        if r.u64()? != held {
+            return Err(SnapshotError::Corrupt(
+                "buddy free-frame count differs from its free blocks",
+            ));
+        }
+        let loaded_stats = BuddyStats {
             allocs: r.u64()?,
             frees: r.u64()?,
             splits: r.u64()?,
             merges: r.u64()?,
         };
-        *injector = if r.bool()? {
+        let loaded_injector = if r.bool()? {
             let mut inj = FaultInjector::new(crate::fault::FaultPlan::NONE, 0);
             inj.load(r)?;
             Some(inj)
         } else {
             None
         };
+        *free_stacks = stacks;
+        *free_at = free_starts;
+        *free_blocks = blocks;
+        *alloc_at = alloc_starts;
+        *stats = loaded_stats;
+        *injector = loaded_injector;
         Ok(())
     }
 }
@@ -371,7 +421,7 @@ impl FrameAllocator for BuddyAllocator {
     }
 
     fn free_frames(&self) -> usize {
-        self.free_frames as usize
+        (0..ORDERS).map(|o| self.free_blocks[o] << o).sum()
     }
 }
 
@@ -563,5 +613,136 @@ mod tests {
         assert_eq!(b.injection_stats().injected_allocs, 3);
         // Injected failures must not consume frames.
         assert_eq!(b.free_frames(), 64 - 6);
+    }
+
+    /// An image of an 8-frame region at frame 0 in `save`'s layout, with
+    /// zeroed stats and no injector.
+    #[derive(Clone)]
+    struct Image {
+        /// `(order, rel)` stack entries, each stack bottom first.
+        stacks: Vec<(u8, u64)>,
+        /// `(order, rel)` free-set entries.
+        free: Vec<(u8, u64)>,
+        /// `(rel, order)` allocation records.
+        allocs: Vec<(u64, u8)>,
+        free_frames: u64,
+    }
+
+    impl Image {
+        fn bytes(&self) -> Vec<u8> {
+            let of = |entries: &[(u8, u64)], order| -> Vec<u64> {
+                entries
+                    .iter()
+                    .filter(|&&(o, _)| o == order)
+                    .map(|&(_, rel)| rel)
+                    .collect()
+            };
+            let mut w = vusion_snapshot::Writer::new();
+            w.u64(0);
+            w.u64(8);
+            w.usize(ORDERS);
+            for order in 0..=MAX_ORDER {
+                w.u64s(&of(&self.stacks, order));
+            }
+            for order in 0..=MAX_ORDER {
+                let set = of(&self.free, order);
+                w.usize(set.len());
+                for rel in set {
+                    w.u64(rel);
+                }
+            }
+            w.usize(self.allocs.len());
+            for &(rel, order) in &self.allocs {
+                w.u64(rel);
+                w.u8(order);
+            }
+            w.u64(self.free_frames);
+            for _ in 0..4 {
+                w.u64(0);
+            }
+            w.bool(false);
+            w.into_bytes()
+        }
+    }
+
+    fn load(b: &mut BuddyAllocator, image: &Image) -> Result<(), vusion_snapshot::SnapshotError> {
+        use vusion_snapshot::Snapshot;
+        b.load(&mut vusion_snapshot::Reader::new(&image.bytes()))
+    }
+
+    fn save(b: &BuddyAllocator) -> Vec<u8> {
+        use vusion_snapshot::Snapshot;
+        let mut w = vusion_snapshot::Writer::new();
+        b.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_rejects_blocks_outside_the_region() {
+        use vusion_snapshot::SnapshotError;
+        // One frame allocated: frame 0, with blocks 1 (order 0), 2 (order
+        // 1) and 4 (order 2) free.
+        let good = Image {
+            stacks: vec![(2, 4), (1, 2), (0, 1)],
+            free: vec![(0, 1), (1, 2), (2, 4)],
+            allocs: vec![(0, 0)],
+            free_frames: 7,
+        };
+        let mut b = BuddyAllocator::new(FrameId(0), 8);
+        load(&mut b, &good).expect("a well-formed image loads");
+        assert_eq!(save(&b), good.bytes(), "the image is in save's layout");
+        let loaded = save(&b);
+        // A fresh region's image with its order-3 block moved to rel 64:
+        // the next allocation would hand out a frame the region lacks.
+        let fresh = Image {
+            stacks: vec![(3, 64)],
+            free: vec![(3, 64)],
+            allocs: vec![],
+            free_frames: 8,
+        };
+        let edit = |f: fn(&mut Image)| {
+            let mut image = good.clone();
+            f(&mut image);
+            image
+        };
+        for (image, why) in [
+            (fresh, "buddy stack entry past the region"),
+            (
+                edit(|i| i.stacks.push((0, 8))),
+                "buddy stack entry past the region",
+            ),
+            (
+                edit(|i| i.free[1] = (1, 3)),
+                "buddy block misaligned or past the region",
+            ),
+            (
+                edit(|i| i.free[2] = (2, 8)),
+                "buddy block misaligned or past the region",
+            ),
+            (
+                edit(|i| i.allocs[0] = (1, 1)),
+                "buddy block misaligned or past the region",
+            ),
+            (
+                edit(|i| i.allocs.push((0, 4))),
+                "buddy block misaligned or past the region",
+            ),
+            (
+                edit(|i| i.allocs[0] = (0, MAX_ORDER + 1)),
+                "buddy block order above MAX_ORDER",
+            ),
+            (edit(|i| i.free.push((0, 1))), "buddy blocks overlap"),
+            (edit(|i| i.allocs.push((0, 0))), "buddy blocks overlap"),
+            (edit(|i| i.allocs.push((5, 0))), "buddy blocks overlap"),
+            (edit(|i| i.free.push((1, 0))), "buddy blocks overlap"),
+            (
+                edit(|i| i.free_frames = 0),
+                "buddy free-frame count differs from its free blocks",
+            ),
+        ] {
+            assert_eq!(load(&mut b, &image), Err(SnapshotError::Corrupt(why)));
+            assert_eq!(save(&b), loaded, "{why}: a refused load changes nothing");
+        }
+        assert_eq!(b.alloc(), Ok(FrameId(1)));
     }
 }

@@ -231,3 +231,353 @@ fn pages_equal_matches_bytes() {
         }
     }
 }
+
+/// The buddy allocator as it was kept with B-trees: per-order free sets
+/// and a map of allocation records beside the same LIFO stacks. The
+/// reference for [`buddy_matches_btree_reference`].
+mod btree_buddy {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use vusion_mem::buddy::MAX_ORDER;
+    use vusion_mem::{BuddyStats, FaultInjector, FrameId, MmError};
+    use vusion_snapshot::{Snapshot, Writer};
+
+    pub struct BTreeBuddy {
+        base: u64,
+        frames: u64,
+        free_stacks: Vec<Vec<u64>>,
+        free_sets: Vec<BTreeSet<u64>>,
+        allocated: BTreeMap<u64, u8>,
+        free_frames: u64,
+        stats: BuddyStats,
+        injector: Option<FaultInjector>,
+    }
+
+    impl BTreeBuddy {
+        pub fn new(base: FrameId, frames: u64) -> Self {
+            let mut a = Self {
+                base: base.0,
+                frames,
+                free_stacks: vec![Vec::new(); usize::from(MAX_ORDER) + 1],
+                free_sets: vec![BTreeSet::new(); usize::from(MAX_ORDER) + 1],
+                allocated: BTreeMap::new(),
+                free_frames: frames,
+                stats: BuddyStats::default(),
+                injector: None,
+            };
+            let mut carved: Vec<(u64, u8)> = Vec::new();
+            let mut start = 0u64;
+            while start < frames {
+                let align_order = if start == 0 {
+                    MAX_ORDER
+                } else {
+                    start.trailing_zeros().min(u32::from(MAX_ORDER)) as u8
+                };
+                let mut order = align_order;
+                while (1u64 << order) > frames - start {
+                    order -= 1;
+                }
+                carved.push((start, order));
+                start += 1 << order;
+            }
+            for &(s, o) in carved.iter().rev() {
+                a.push_free(s, o);
+            }
+            a
+        }
+
+        pub fn stats(&self) -> BuddyStats {
+            self.stats
+        }
+
+        pub fn free_frames(&self) -> usize {
+            self.free_frames as usize
+        }
+
+        pub fn set_fault_injector(&mut self, injector: FaultInjector) {
+            self.injector = Some(injector);
+        }
+
+        fn push_free(&mut self, rel: u64, order: u8) {
+            self.free_sets[usize::from(order)].insert(rel);
+            self.free_stacks[usize::from(order)].push(rel);
+        }
+
+        fn pop_free(&mut self, order: u8) -> Option<u64> {
+            let o = usize::from(order);
+            while let Some(rel) = self.free_stacks[o].pop() {
+                if self.free_sets[o].remove(&rel) {
+                    return Some(rel);
+                }
+            }
+            None
+        }
+
+        fn check_managed(&self, frame: FrameId) -> Result<(), MmError> {
+            if frame.0 >= self.base && frame.0 < self.base + self.frames {
+                Ok(())
+            } else {
+                Err(MmError::ForeignFrame(frame))
+            }
+        }
+
+        pub fn alloc_order(&mut self, order: u8) -> Result<FrameId, MmError> {
+            if order > MAX_ORDER {
+                return Err(MmError::OutOfFrames);
+            }
+            if let Some(inj) = &mut self.injector {
+                if inj.should_fail_alloc() {
+                    return Err(MmError::OutOfFrames);
+                }
+            }
+            let mut have = None;
+            for o in order..=MAX_ORDER {
+                if !self.free_sets[usize::from(o)].is_empty() {
+                    have = Some(o);
+                    break;
+                }
+            }
+            let mut o = have.ok_or(MmError::OutOfFrames)?;
+            let rel = self.pop_free(o).ok_or(MmError::OutOfFrames)?;
+            while o > order {
+                o -= 1;
+                let upper = rel + (1 << o);
+                self.push_free(upper, o);
+                self.stats.splits += 1;
+            }
+            self.allocated.insert(rel, order);
+            self.free_frames -= 1 << order;
+            self.stats.allocs += 1;
+            Ok(FrameId(self.base + rel))
+        }
+
+        pub fn free_order(&mut self, frame: FrameId, order: u8) -> Result<(), MmError> {
+            self.check_managed(frame)?;
+            let mut rel = frame.0 - self.base;
+            let recorded = self
+                .allocated
+                .remove(&rel)
+                .ok_or(MmError::DoubleFree(frame))?;
+            if recorded != order {
+                self.allocated.insert(rel, recorded);
+                return Err(MmError::OrderMismatch {
+                    frame,
+                    recorded,
+                    claimed: order,
+                });
+            }
+            self.free_frames += 1 << order;
+            self.stats.frees += 1;
+            let mut o = order;
+            while o < MAX_ORDER {
+                let buddy = rel ^ (1u64 << o);
+                if buddy + (1 << o) > self.frames || !self.free_sets[usize::from(o)].remove(&buddy)
+                {
+                    break;
+                }
+                self.stats.merges += 1;
+                rel = rel.min(buddy);
+                o += 1;
+            }
+            self.push_free(rel, o);
+            Ok(())
+        }
+
+        pub fn split_allocated(&mut self, frame: FrameId, order: u8) -> Result<(), MmError> {
+            self.check_managed(frame)?;
+            let rel = frame.0 - self.base;
+            let recorded = self
+                .allocated
+                .remove(&rel)
+                .ok_or(MmError::DoubleFree(frame))?;
+            if recorded != order {
+                self.allocated.insert(rel, recorded);
+                return Err(MmError::OrderMismatch {
+                    frame,
+                    recorded,
+                    claimed: order,
+                });
+            }
+            for i in 0..(1u64 << order) {
+                self.allocated.insert(rel + i, 0);
+            }
+            Ok(())
+        }
+
+        /// `is_frame_free` of every frame below `end`, in one walk of the
+        /// free sets: a frame is free when a free block covers it.
+        pub fn free_map(&self, end: u64) -> Vec<bool> {
+            let mut free = vec![false; end as usize];
+            for (o, set) in self.free_sets.iter().enumerate() {
+                for &rel in set {
+                    let start = (self.base + rel) as usize;
+                    free[start..start + (1 << o)].fill(true);
+                }
+            }
+            free
+        }
+
+        pub fn save(&self, w: &mut Writer) {
+            w.u64(self.base);
+            w.u64(self.frames);
+            w.usize(self.free_stacks.len());
+            for stack in &self.free_stacks {
+                w.u64s(stack);
+            }
+            for set in &self.free_sets {
+                w.usize(set.len());
+                for &rel in set {
+                    w.u64(rel);
+                }
+            }
+            w.usize(self.allocated.len());
+            let mut allocs: Vec<(u64, u8)> = self.allocated.iter().map(|(&k, &v)| (k, v)).collect();
+            allocs.sort_unstable();
+            for (rel, order) in allocs {
+                w.u64(rel);
+                w.u8(order);
+            }
+            w.u64(self.free_frames);
+            w.u64(self.stats.allocs);
+            w.u64(self.stats.frees);
+            w.u64(self.stats.splits);
+            w.u64(self.stats.merges);
+            match &self.injector {
+                None => w.bool(false),
+                Some(inj) => {
+                    w.bool(true);
+                    inj.save(w);
+                }
+            }
+        }
+    }
+}
+
+/// The per-frame-array buddy allocator against [`btree_buddy`], the
+/// B-tree allocator it replaced, on a 1,000-frame region (not a power of
+/// two): seeded steps of `alloc_order` at every order, `free_order` (of
+/// live blocks, at wrong orders, twice, and of frames inside a block or
+/// outside the region) and `split_allocated`, with a failure injector on
+/// half the seeds. After every step both return the same value and agree
+/// on `free_frames`, `stats`, `is_frame_free` of every frame and the
+/// `save` bytes, so the frame the LIFO stacks hand out next is the same.
+#[test]
+fn buddy_matches_btree_reference() {
+    use btree_buddy::BTreeBuddy;
+    use vusion_mem::buddy::MAX_ORDER;
+    use vusion_mem::{FaultInjector, FaultPlan};
+    use vusion_snapshot::{Snapshot, Writer};
+
+    const FRAMES: u64 = 1000;
+    // How often each kind of step ran, over all seeds: successful and
+    // failed allocations, good frees, misused frees, good splits and
+    // misused splits.
+    let mut met = [0usize; 6];
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xb7ee);
+        let mut b = BuddyAllocator::new(FrameId(0), FRAMES);
+        let mut reference = BTreeBuddy::new(FrameId(0), FRAMES);
+        if seed % 2 == 1 {
+            let nth = rng.random_range(2..9u64);
+            b.set_fault_injector(FaultInjector::new(FaultPlan::every_nth_alloc(nth), seed));
+            reference.set_fault_injector(FaultInjector::new(FaultPlan::every_nth_alloc(nth), seed));
+        }
+        // Outstanding blocks, and frames freed since (for double frees).
+        let mut live: Vec<(FrameId, u8)> = Vec::new();
+        let mut freed: Vec<FrameId> = Vec::new();
+        for step in 0..400 {
+            let (got, want, kind) = match rng.random_range(0..10u8) {
+                0..=3 => {
+                    // Low orders most of the time, so the region fills.
+                    let order = if rng.random_bool(0.8) {
+                        rng.random_range(0..3u8)
+                    } else {
+                        rng.random_range(0..=MAX_ORDER)
+                    };
+                    let got = b.alloc_order(order);
+                    let want = reference.alloc_order(order);
+                    if let Ok(f) = want {
+                        live.push((f, order));
+                    }
+                    let kind = usize::from(want.is_err());
+                    (got.map(|f| f.0), want.map(|f| f.0), kind)
+                }
+                4..=6 => {
+                    let (frame, order, good) = match rng.random_range(0..6u8) {
+                        0..=2 if !live.is_empty() => {
+                            let (f, o) = live.swap_remove(rng.random_range(0..live.len()));
+                            freed.push(f);
+                            (f, o, true)
+                        }
+                        3 if !live.is_empty() => {
+                            let (f, o) = live[rng.random_range(0..live.len())];
+                            (
+                                f,
+                                (o + rng.random_range(1..=MAX_ORDER)) % (MAX_ORDER + 1),
+                                false,
+                            )
+                        }
+                        4 if !freed.is_empty() => {
+                            (freed[rng.random_range(0..freed.len())], 0, false)
+                        }
+                        _ => (FrameId(rng.random_range(0..FRAMES + 40)), 0, false),
+                    };
+                    let got = b.free_order(frame, order);
+                    let want = reference.free_order(frame, order);
+                    if !good && want.is_ok() {
+                        // A frame drawn at random was a live order-0 block.
+                        live.retain(|&(f, _)| f != frame);
+                    }
+                    (got.map(|()| 0), want.map(|()| 0), if good { 2 } else { 3 })
+                }
+                _ => {
+                    let (frame, order, good) = if !live.is_empty() && rng.random_bool(0.7) {
+                        let i = rng.random_range(0..live.len());
+                        let (f, o) = live[i];
+                        if rng.random_bool(0.8) {
+                            live.swap_remove(i);
+                            (f, o, true)
+                        } else {
+                            (f, (o + 1) % (MAX_ORDER + 1), false)
+                        }
+                    } else {
+                        (FrameId(rng.random_range(0..FRAMES + 40)), 0, false)
+                    };
+                    let got = b.split_allocated(frame, order);
+                    let want = reference.split_allocated(frame, order);
+                    if good {
+                        live.extend((0..1u64 << order).map(|i| (FrameId(frame.0 + i), 0)));
+                    }
+                    (got.map(|()| 0), want.map(|()| 0), if good { 4 } else { 5 })
+                }
+            };
+            met[kind] += 1;
+            assert_eq!(got, want, "seed {seed} step {step}");
+            assert_eq!(
+                b.free_frames(),
+                reference.free_frames(),
+                "seed {seed} step {step}"
+            );
+            assert_eq!(b.stats(), reference.stats(), "seed {seed} step {step}");
+            let free: Vec<bool> = (0..FRAMES + 8)
+                .map(|f| b.is_frame_free(FrameId(f)))
+                .collect();
+            assert!(
+                free == reference.free_map(FRAMES + 8),
+                "seed {seed} step {step}: free frames differ"
+            );
+            let mut w = Writer::new();
+            b.save(&mut w);
+            let mut expect = Writer::new();
+            reference.save(&mut expect);
+            assert!(
+                w.into_bytes() == expect.into_bytes(),
+                "seed {seed} step {step}: save bytes differ"
+            );
+        }
+    }
+    assert!(
+        met.iter().all(|&n| n > 0),
+        "every kind of step ran: {met:?}"
+    );
+}
