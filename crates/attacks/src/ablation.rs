@@ -86,7 +86,7 @@ pub fn prefetch_leaks(ablation: Ablation) -> bool {
     sys.write_page(a, VirtAddr(BASE), &labeled_page(0x11));
     sys.force_scans(16);
     assert!(
-        sys.policy.is_managed(a, VirtAddr(BASE)),
+        sys.policy.is_managed(&sys.machine, a, VirtAddr(BASE)),
         "page must be under management"
     );
     let pa = sys
@@ -115,7 +115,7 @@ pub fn coa_timing_asymmetry(ablation: Ablation) -> KsResult {
     let mut fake = Vec::new();
     for i in 0..N {
         let va = VirtAddr(BASE + i * PAGE_SIZE);
-        if !sys.policy.is_managed(a, va) {
+        if !sys.policy.is_managed(&sys.machine, a, va) {
             continue;
         }
         let t0 = sys.machine.now_ns();
@@ -139,7 +139,7 @@ pub fn backing_frame_stable_across_rounds(ablation: Ablation) -> bool {
     let (mut sys, a, _v) = build(ablation);
     sys.write_page(a, VirtAddr(BASE), &labeled_page(0x33));
     sys.force_scans(16);
-    assert!(sys.policy.is_managed(a, VirtAddr(BASE)));
+    assert!(sys.policy.is_managed(&sys.machine, a, VirtAddr(BASE)));
     let f1 = sys
         .machine
         .translate_quiet(a, VirtAddr(BASE))

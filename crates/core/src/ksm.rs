@@ -167,32 +167,20 @@ impl Ksm {
         let stable_frame = self.stable.frame(node);
         debug_assert_ne!(stable_frame, old);
         m.trace_begin("ksm", SpanKind::Merge);
-        m.mem_mut().info_mut(stable_frame).get();
-        if m.crash_now(CrashSite::MidMerge)
-            || m.set_leaf(pid, va, Pte::new(stable_frame, self.merged_flags()))
-                .is_err()
-        {
-            // The mapping vanished under us — or the scanner daemon died
-            // mid-merge: undo the stable reference and leave the page
-            // alone for a later round.
-            m.mem_mut().info_mut(stable_frame).put();
+        if m.crash_now(CrashSite::MidMerge) {
+            // The scanner daemon died mid-merge: leave the page alone for
+            // a later round.
             m.note_scan_retry();
             m.trace_end(SpanKind::Merge);
             return;
         }
-        // Release the duplicate: cache reference first, then the mapping's.
-        let (tag, _) = mapping::vma_info(m, pid, va);
-        if mapping::evict_cached_copy(m, pid, va, old) {
-            let _ = m.put_frame(old);
-        }
-        let _ = m.put_frame(old);
-        m.scan_cost(COSTS.pte_update + COSTS.buddy_interaction);
+        let merged = mapping::merge_onto(m, pid, va, old, stable_frame, self.merged_flags());
         m.trace_end(SpanKind::Merge);
-        m.surface_transition(SurfaceTransition::Merge);
-        self.tags.record(tag);
-        self.merged_live += 1;
-        self.stats.merged += 1;
-        m.scan_counts_mut().pages_merged += 1;
+        if let Some(tag) = merged {
+            self.tags.record(tag);
+            self.merged_live += 1;
+            self.stats.merged += 1;
+        }
     }
 
     /// Resolves the 4 KiB frame backing `leaf` at `va` (huge-aware).
@@ -264,13 +252,9 @@ impl Ksm {
             self.dirty.mark_seen(m.mem(), pid, va, frame);
             return;
         }
-        // Only merge frames we can account for: sole mapping, possibly plus
-        // the page-cache reference. Not a terminal state — the refcount can
-        // drop without the frame's write generation moving.
-        let refs = m.mem().info(frame).refcount;
-        let (_, cache_key) = mapping::vma_info(m, pid, va);
-        let max_refs = if cache_key.is_some() { 2 } else { 1 };
-        if refs > max_refs {
+        // Only merge frames we can account for. Not a terminal state — the
+        // refcount can drop without the frame's write generation moving.
+        if mapping::sole_owner(m, pid, va, frame).is_none() {
             return;
         }
         if self.cfg.zero_only && !m.mem().is_zero(frame) {
@@ -372,66 +356,24 @@ impl Ksm {
 
     /// Copy-on-write (or copy-on-access) unmerge.
     fn unmerge(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
-        let Some(leaf) = m.leaf(fault.pid, fault.va) else {
-            return false;
-        };
-        let stable_frame = leaf.pte.frame();
-        let Some(node) = self.stable.node_of(stable_frame) else {
-            return false;
-        };
-        let Some(vma) = m.process(fault.pid).space.find_vma(fault.va).copied() else {
+        let Some((stable_frame, node, writable)) = mapping::fused_page(m, fault, &self.stable)
+        else {
             return false;
         };
         // The page is ours: from here on the work is an unmerge attempt
         // (span opened only now, so foreign CoW faults never pollute it).
         m.trace_begin("ksm", SpanKind::Unmerge);
-        let handled = self.unmerge_owned(m, fault, stable_frame, node, vma);
+        let copied = mapping::cow_copy(m, fault, stable_frame, writable);
+        if copied {
+            if m.put_frame(stable_frame).unwrap_or(false) {
+                self.stable.remove(node);
+            }
+            self.merged_live -= 1;
+            m.surface_transition(SurfaceTransition::Unmerge);
+            self.stats.unmerged += 1;
+        }
         m.trace_end(SpanKind::Unmerge);
-        handled
-    }
-
-    /// The unmerge proper, once ownership is established.
-    fn unmerge_owned(
-        &mut self,
-        m: &mut Machine,
-        fault: &PageFault,
-        stable_frame: FrameId,
-        node: NodeId,
-        vma: vusion_mmu::Vma,
-    ) -> bool {
-        // Copy into a fresh frame from the system allocator (Linux uses the
-        // buddy allocator here — its LIFO reuse is attacker-predictable).
-        let Ok(new) = m.alloc_frame(vusion_mem::PageType::Anon) else {
-            return false; // OOM: stay merged; the access retries later.
-        };
-        if m.crash_now(CrashSite::MidUnmerge) {
-            // Died after allocating the private copy: recovery frees it;
-            // the page is still merged and the access simply retries.
-            let _ = m.put_frame(new);
-            return false;
-        }
-        m.mem_mut().copy_page(stable_frame, new);
-        m.charge(COSTS.copy_page + COSTS.pte_update + COSTS.buddy_interaction);
-        let mut flags = PteFlags::PRESENT | PteFlags::USER | PteFlags::ACCESSED;
-        if vma.prot.write {
-            flags |= PteFlags::WRITABLE;
-        }
-        if fault.kind == vusion_kernel::AccessKind::Write {
-            flags |= PteFlags::DIRTY;
-        }
-        if m.set_leaf(fault.pid, fault.va.page_base(), Pte::new(new, flags))
-            .is_err()
-        {
-            let _ = m.put_frame(new);
-            return false;
-        }
-        if m.put_frame(stable_frame).unwrap_or(false) {
-            self.stable.remove(node);
-        }
-        self.merged_live -= 1;
-        m.surface_transition(SurfaceTransition::Unmerge);
-        self.stats.unmerged += 1;
-        true
+        copied
     }
 }
 
@@ -612,16 +554,7 @@ impl FusionPolicy for Ksm {
     }
 
     fn prepare_collapse(&mut self, m: &mut Machine, pid: Pid, huge_base: VirtAddr) -> bool {
-        // Linux khugepaged skips ranges containing KSM pages.
-        for i in 0..vusion_mem::HUGE_PAGE_FRAMES {
-            let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
-            if let Some(leaf) = m.leaf(pid, va) {
-                if self.stable.contains_frame(leaf.pte.frame()) {
-                    return false;
-                }
-            }
-        }
-        true
+        !mapping::range_holds(m, pid, huge_base, &self.stable)
     }
 
     fn pages_saved(&self) -> u64 {

@@ -29,8 +29,6 @@
 //! [`FusionPolicy::prepare_collapse`] lets the (secured) `khugepaged`
 //! fake-unmerge sub-pages before re-collapsing hot ranges.
 
-use std::collections::BTreeMap;
-
 use vusion_kernel::{
     FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition, COSTS,
 };
@@ -120,8 +118,6 @@ pub struct VUsion {
     tree: ContentIndex<Vec<(Pid, VirtAddr)>>,
     /// Cached mergeable-page list, invalidated by the layout epoch.
     candidates: CandidateCache,
-    /// Reverse map: trapped page → node.
-    page_state: BTreeMap<(usize, u64), NodeId>,
     pool: RandomPool,
     deferred: DeferredFreeQueue,
     cursor: u64,
@@ -142,7 +138,6 @@ impl VUsion {
             cfg,
             tree: ContentIndex::default(),
             candidates: CandidateCache::default(),
-            page_state: BTreeMap::new(),
             pool,
             deferred: DeferredFreeQueue::new(),
             cursor: 0,
@@ -169,8 +164,19 @@ impl VUsion {
     }
 
     /// Whether a page is currently under fusion management (trapped).
-    pub fn is_managed(&self, pid: Pid, va: VirtAddr) -> bool {
-        self.page_state.contains_key(&(pid.0, va.page()))
+    pub fn is_managed(&self, m: &Machine, pid: Pid, va: VirtAddr) -> bool {
+        self.managed_node(m, pid, va).is_some()
+    }
+
+    /// The tree node of a managed page: its leaf is trapped and maps a
+    /// tree frame. The page tables and the tree are the only record of
+    /// which pages VUsion manages.
+    fn managed_node(&self, m: &Machine, pid: Pid, va: VirtAddr) -> Option<NodeId> {
+        let leaf = m.leaf(pid, va)?;
+        if !leaf.pte.is_trapped() {
+            return None;
+        }
+        self.tree.node_of(leaf.pte.frame())
     }
 
     fn trace_alloc(&mut self, frame: FrameId) {
@@ -217,6 +223,14 @@ impl VUsion {
         self.ra_free(m, frame);
     }
 
+    /// Drops one reference to a pool frame and returns the frame to the
+    /// pool, zeroed, if that was the last.
+    fn ra_put(&mut self, m: &mut Machine, frame: FrameId) {
+        if m.mem_mut().info_mut(frame).put() {
+            self.ra_release(m, frame);
+        }
+    }
+
     /// Returns a dead frame whose bytes are already zero (its page moved
     /// out) to the pool.
     fn ra_free(&mut self, m: &mut Machine, frame: FrameId) {
@@ -240,21 +254,19 @@ impl VUsion {
         if mapping::evict_cached_copy(m, pid, va, frame) {
             m.mem_mut().info_mut(frame).put();
         }
-        if m.mem_mut().info_mut(frame).put() {
-            self.ra_release(m, frame);
-        }
+        self.ra_put(m, frame);
     }
 
     /// One page through the S⊕F pipeline. `defer_alloc` is the wake's
     /// rung-3 flag.
     fn scan_one(&mut self, m: &mut Machine, pid: Pid, va: VirtAddr, defer_alloc: bool) {
         m.scan_counts_mut().pages_scanned += 1;
-        if self.page_state.contains_key(&(pid.0, va.page())) {
-            return; // Already under management.
-        }
         let Some(mut leaf) = m.leaf(pid, va) else {
             return;
         };
+        if leaf.pte.is_trapped() && self.tree.contains_frame(leaf.pte.frame()) {
+            return; // Already under management.
+        }
         if m.observed_scan_flip() {
             // Injected bit flip: the page comparison is unreliable this
             // round, so skip and retry later.
@@ -324,12 +336,10 @@ impl VUsion {
         if self.tree.contains_frame(frame) {
             return; // This frame already backs a tree page elsewhere.
         }
-        // Accounting guard, as in KSM: sole mapping (+ cache ref for file).
-        let (tag, cache_key) = mapping::vma_info(m, pid, va);
-        let max_refs = if cache_key.is_some() { 2 } else { 1 };
-        if m.mem().info(frame).refcount > max_refs {
+        // Accounting guard, as in KSM and WPF.
+        let Some(tag) = mapping::sole_owner(m, pid, va, frame) else {
             return;
-        }
+        };
         if defer_alloc {
             // Rung 3: a fake merge would draw a pool frame under critical
             // pressure, so the whole merge decision waits for the band to
@@ -358,7 +368,6 @@ impl VUsion {
                     return;
                 }
                 self.tree.value_mut(node).push((pid, va));
-                self.page_state.insert((pid.0, va.page()), node);
                 self.release_candidate(m, pid, va, frame);
                 m.scan_cost(COSTS.pte_update + COSTS.buddy_interaction);
                 m.trace_end(SpanKind::Merge);
@@ -382,16 +391,13 @@ impl VUsion {
                     || m.set_leaf(pid, va, Pte::new(new, self.trapped_flags()))
                         .is_err()
                 {
-                    if m.mem_mut().info_mut(new).put() {
-                        self.ra_release(m, new);
-                    }
+                    self.ra_put(m, new);
                     m.note_scan_retry();
                     m.trace_end(SpanKind::FakeMerge);
                     return;
                 }
-                let (node, inserted) = self.tree.insert(m.mem(), new, vec![(pid, va)]);
+                let (_, inserted) = self.tree.insert(m.mem(), new, vec![(pid, va)]);
                 debug_assert!(inserted, "tree had no match a moment ago");
-                self.page_state.insert((pid.0, va.page()), node);
                 self.release_candidate(m, pid, va, frame);
                 m.scan_cost(COSTS.copy_page + COSTS.pte_update + COSTS.buddy_interaction);
                 m.trace_end(SpanKind::FakeMerge);
@@ -447,7 +453,7 @@ impl VUsion {
     /// and unhandled; the faulting access retries, indistinguishably from
     /// a slow success — the Same Behavior principle extended to errors.
     fn copy_on_access(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
-        let Some(&node) = self.page_state.get(&(fault.pid.0, fault.va.page())) else {
+        let Some(node) = self.managed_node(m, fault.pid, fault.va) else {
             return false;
         };
         // The page is ours: from here on the work is a CoA attempt (span
@@ -471,9 +477,7 @@ impl VUsion {
         if m.crash_now(CrashSite::MidUnmerge) {
             // Died after drawing the private copy: recovery returns it to
             // the pool; the page stays merged and the access retries.
-            if m.mem_mut().info_mut(new).put() {
-                self.ra_release(m, new);
-            }
+            self.ra_put(m, new);
             return false;
         }
         m.mem_mut().copy_page(shared, new);
@@ -487,12 +491,9 @@ impl VUsion {
         if m.set_leaf(fault.pid, fault.va.page_base(), Pte::new(new, flags))
             .is_err()
         {
-            if m.mem_mut().info_mut(new).put() {
-                self.ra_release(m, new);
-            }
+            self.ra_put(m, new);
             return false;
         }
-        self.page_state.remove(&(fault.pid.0, fault.va.page()));
         let (_, died) = self.detach_mapping(m, fault.pid, fault.va, node);
         if self.cfg.ablate_deferred_free {
             // ABLATION: asymmetric cost — dying (fake-merged) pages pay the
@@ -530,12 +531,9 @@ impl VUsion {
         if m.set_leaf(pid, va.page_base(), Pte::new(new, flags))
             .is_err()
         {
-            if m.mem_mut().info_mut(new).put() {
-                self.ra_release(m, new);
-            }
+            self.ra_put(m, new);
             return false;
         }
-        self.page_state.remove(&(pid.0, va.page()));
         let _ = self.detach_mapping(m, pid, va, node);
         m.surface_transition(SurfaceTransition::Unmerge);
         self.stats.collapse_unmerges += 1;
@@ -549,9 +547,9 @@ impl VUsion {
         m.trace_begin("vusion", SpanKind::Rerandomize);
         for node in self.tree.ids() {
             if m.crash_now(CrashSite::MidRerandomization) {
-                // Died between nodes: pages re-randomized so far keep
-                // their new frames, the rest keep their old ones — every
-                // intermediate state is a valid tree.
+                // Died at this node: it keeps its old frame this round.
+                // The injector fires once, so the round goes on with the
+                // next node — every intermediate state is a valid tree.
                 m.note_scan_retry();
                 continue;
             }
@@ -584,9 +582,7 @@ impl VUsion {
                 for _ in 1..mappings.len() {
                     let _ = m.mem_mut().info_mut(new).put();
                 }
-                if m.mem_mut().info_mut(new).put() {
-                    self.ra_release(m, new);
-                }
+                self.ra_put(m, new);
                 *self.tree.value_mut(node) = mappings;
                 m.note_scan_retry();
                 continue;
@@ -632,15 +628,6 @@ impl vusion_snapshot::Snapshot for VUsion {
             }
         });
         self.candidates.save(w);
-        let mut pages: Vec<((usize, u64), usize)> =
-            self.page_state.iter().map(|(&k, &v)| (k, v.0)).collect();
-        pages.sort_unstable();
-        w.usize(pages.len());
-        for ((pid, page), node) in pages {
-            w.usize(pid);
-            w.u64(page);
-            w.usize(node);
-        }
         self.pool.save(w);
         self.deferred.save(w);
         w.u64(self.cursor);
@@ -663,7 +650,6 @@ impl vusion_snapshot::Snapshot for VUsion {
             cfg,
             tree,
             candidates,
-            page_state,
             pool,
             deferred,
             cursor,
@@ -689,21 +675,6 @@ impl vusion_snapshot::Snapshot for VUsion {
             Ok(mappings)
         })?;
         *candidates = CandidateCache::load(r)?;
-        // Slot-exact index restore keeps NodeIds valid, so the trapped-page
-        // map reloads verbatim; each entry must name a live node, or the
-        // page's next copy-on-access would dereference a freed slot.
-        let pages = r.usize()?;
-        page_state.clear();
-        for _ in 0..pages {
-            let key = (r.pid()?, r.u64()?);
-            let node = NodeId(r.usize()?);
-            if !tree.contains_node(node) {
-                return Err(vusion_snapshot::SnapshotError::Corrupt(
-                    "trapped page names a dead tree node",
-                ));
-            }
-            page_state.insert(key, node);
-        }
         pool.load(r)?;
         deferred.load(r)?;
         *cursor = r.u64()?;
@@ -755,12 +726,14 @@ impl FusionPolicy for VUsion {
         // hash is taken.
         // Steady-state fast-out: when every candidate is already under
         // management (fake- or real-merged, trapped), the window below
-        // would collect nothing — skip its per-page lookups.
+        // would collect nothing — skip its per-page lookups. The tree
+        // holds one mapping per managed page: one per node, plus one per
+        // page saved.
         let limit = match grant.budget {
             Some(b) => b as usize,
             None => PAGES_PER_SCAN,
         };
-        let all_managed = self.page_state.len() >= pages.len();
+        let all_managed = self.tree.len() as u64 + self.saved >= pages.len() as u64;
         let window = if all_managed {
             0
         } else {
@@ -770,9 +743,6 @@ impl FusionPolicy for VUsion {
         for i in 0..window {
             let idx = ((self.cursor + i as u64) % pages.len() as u64) as usize;
             let (pid, va) = pages[idx];
-            if self.page_state.contains_key(&(pid.0, va.page())) {
-                continue; // Already under management.
-            }
             if let Some(leaf) = m.leaf(pid, va) {
                 if !leaf.huge && leaf.pte.is_present() && !leaf.pte.is_trapped() {
                     visit_frames.push(leaf.pte.frame());
@@ -821,20 +791,17 @@ impl FusionPolicy for VUsion {
             // The plain §7 implementation must not let khugepaged collapse
             // managed pages; without the §8 machinery, veto anything
             // containing them.
-            for i in 0..HUGE_PAGE_FRAMES {
+            return (0..HUGE_PAGE_FRAMES).all(|i| {
                 let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
-                if self.page_state.contains_key(&(pid.0, va.page())) {
-                    return false;
-                }
-            }
-            return true;
+                self.managed_node(m, pid, va).is_none()
+            });
         }
         // §8.2: fake-unmerge every managed sub-page, then allow. If any
         // sub-page cannot be privatized (pool exhausted), veto the collapse
         // — khugepaged retries the range later.
         for i in 0..HUGE_PAGE_FRAMES {
             let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
-            if let Some(&node) = self.page_state.get(&(pid.0, va.page())) {
+            if let Some(node) = self.managed_node(m, pid, va) {
                 if !self.unmerge_quiet(m, pid, va, node) {
                     return false;
                 }
@@ -944,7 +911,7 @@ mod tests {
         s.write_page(a, VirtAddr(BASE + PAGE_SIZE), &page(99));
         settle(&mut s);
         let u = &mut s.policy;
-        assert!(u.tree.len() > 0 && !u.page_state.is_empty() && !u.ra_trace.is_empty());
+        assert!(u.tree.len() > 0 && !u.ra_trace.is_empty());
         u.cfg = VUsionConfig {
             pool_frames: 53,
             thp_enhancements: true,
@@ -997,36 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_trapped_pages_on_dead_nodes() {
-        use vusion_snapshot::{Reader, Snapshot, SnapshotError, Writer};
-        let (mut s, a, v) = system(small_cfg());
-        s.write_page(a, VirtAddr(BASE), &page(3));
-        s.write_page(v, VirtAddr(BASE), &page(3));
-        s.write_page(a, VirtAddr(BASE + PAGE_SIZE), &page(99));
-        settle(&mut s);
-        // Copy-on-access of the fake-merged page frees its node's slot.
-        let unique = (a.0, VirtAddr(BASE + PAGE_SIZE).page());
-        let freed = s.policy.page_state[&unique];
-        s.read(a, VirtAddr(BASE + PAGE_SIZE));
-        assert!(!s.policy.tree.contains_node(freed));
-        let mut m = Machine::new(MachineConfig::test_small());
-        let mut dst = VUsion::new(&mut m, VUsionConfig::default());
-        let load = |src: &VUsion, dst: &mut VUsion| {
-            let mut w = Writer::new();
-            src.save(&mut w);
-            dst.load(&mut Reader::new(&w.into_bytes()))
-        };
-        load(&s.policy, &mut dst).expect("a real image loads");
-        for dead in [freed, NodeId(999)] {
-            s.policy.page_state.insert(unique, dead);
-            assert!(
-                matches!(load(&s.policy, &mut dst), Err(SnapshotError::Corrupt(_))),
-                "a trapped page on {dead:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn all_considered_pages_are_trapped_identically() {
         // SB: merged and fake-merged pages have byte-identical PTE flags.
         let (mut s, a, v) = system(small_cfg());
@@ -1053,10 +990,10 @@ mod tests {
         s.write_page(a, VirtAddr(BASE), &page(4));
         s.write_page(v, VirtAddr(BASE), &page(4));
         settle(&mut s);
-        assert!(s.policy.is_managed(a, VirtAddr(BASE)));
+        assert!(s.policy.is_managed(&s.machine, a, VirtAddr(BASE)));
         // A *read* unmerges (S⊕F), content intact.
         assert_eq!(s.read(a, VirtAddr(BASE + 7)), page(4)[7]);
-        assert!(!s.policy.is_managed(a, VirtAddr(BASE)));
+        assert!(!s.policy.is_managed(&s.machine, a, VirtAddr(BASE)));
         assert_eq!(s.policy.stats().coa_unmerges, 1);
         // Victim's copy still trapped and intact.
         assert_eq!(s.read_page(v, VirtAddr(BASE)), page(4));
@@ -1132,6 +1069,12 @@ mod tests {
         assert_eq!(s.read_page(a, VirtAddr(BASE)), page(8), "content preserved");
     }
 
+    /// A round that finds a mapping gone points the node's other mappings
+    /// back at its old frame and returns the drawn one. The digest of the
+    /// sealed snapshot pins the state this leaves; it was re-pinned at
+    /// `FORMAT_VERSION` 11, which moved the seal's version field and
+    /// dropped the trapped-page list from VUsion's blob. Written with the
+    /// list derived from the mapping lists, the image kept the old digest.
     #[test]
     fn rerandomize_rolls_back_when_a_mapping_vanishes() {
         let (mut s, a, v) = system(small_cfg());
@@ -1181,7 +1124,7 @@ mod tests {
         // as the copy-based round left them.
         assert_eq!(
             vusion_snapshot::fnv1a64(&s.snapshot()),
-            0xc7d3_a37d_0e57_f6d3,
+            0xa81a_30f2_a96b_a780,
             "rollback state digest"
         );
     }
@@ -1256,14 +1199,14 @@ mod tests {
         let mut s = System::new(m, policy);
         s.write_page(pid, VirtAddr(BASE), &page(12));
         s.force_scans(12);
-        assert!(s.policy.is_managed(pid, VirtAddr(BASE)));
+        assert!(s.policy.is_managed(&s.machine, pid, VirtAddr(BASE)));
         let ok = s.policy.prepare_collapse(&mut s.machine, pid, VirtAddr(0));
         assert!(ok);
         // Nothing in that range; now the range that actually has the page.
         let hb = VirtAddr(BASE).huge_base();
         assert!(s.policy.prepare_collapse(&mut s.machine, pid, hb));
         assert!(
-            !s.policy.is_managed(pid, VirtAddr(BASE)),
+            !s.policy.is_managed(&s.machine, pid, VirtAddr(BASE)),
             "sub-page fake-unmerged"
         );
         assert!(s.policy.stats().collapse_unmerges >= 1);
@@ -1274,9 +1217,92 @@ mod tests {
         let (mut s, a, _v) = system(small_cfg());
         s.write_page(a, VirtAddr(BASE), &page(13));
         settle(&mut s);
-        assert!(s.policy.is_managed(a, VirtAddr(BASE)));
+        assert!(s.policy.is_managed(&s.machine, a, VirtAddr(BASE)));
         let hb = VirtAddr(BASE).huge_base();
         assert!(!s.policy.prepare_collapse(&mut s.machine, a, hb));
-        assert!(s.policy.is_managed(a, VirtAddr(BASE)), "page stays managed");
+        assert!(
+            s.policy.is_managed(&s.machine, a, VirtAddr(BASE)),
+            "page stays managed"
+        );
+    }
+
+    /// Checks that the page tables and the tree agree on which pages are
+    /// managed: a candidate page is managed exactly when its leaf is
+    /// trapped onto a node whose mapping list holds it, and the tree holds
+    /// one mapping per managed page, `tree.len() + saved` in all (the
+    /// count the scan's all-managed fast-out reads).
+    fn assert_managed_identity(s: &mut System<VUsion>, step: &str) {
+        let mut listed = std::collections::BTreeMap::new();
+        for node in s.policy.tree.ids() {
+            let frame = s.policy.tree.frame(node);
+            for &(pid, va) in s.policy.tree.value_mut(node).iter() {
+                assert!(
+                    listed.insert((pid, va), frame).is_none(),
+                    "{step}: {pid:?} {va:?} listed twice"
+                );
+            }
+        }
+        let mut managed = 0;
+        for (pid, va) in mapping::candidate_pages(&s.machine, true) {
+            let trapped_onto = s
+                .machine
+                .leaf(pid, va)
+                .filter(|l| l.pte.is_trapped())
+                .map(|l| l.pte.frame());
+            let on_its_node =
+                trapped_onto.is_some() && listed.get(&(pid, va)) == trapped_onto.as_ref();
+            assert_eq!(
+                s.policy.is_managed(&s.machine, pid, va),
+                on_its_node,
+                "{step}: {pid:?} {va:?}"
+            );
+            managed += u64::from(on_its_node);
+        }
+        assert_eq!(managed, listed.len() as u64, "{step}: listed pages");
+        assert_eq!(
+            managed,
+            s.policy.tree.len() as u64 + s.policy.saved,
+            "{step}: managed count"
+        );
+    }
+
+    #[test]
+    fn managed_pages_are_the_trapped_tree_mappings() {
+        let (mut s, a, v) = system(VUsionConfig {
+            pool_frames: 256,
+            thp_enhancements: true,
+            ..Default::default()
+        });
+        for (pid, pg, fill) in [
+            (a, 0, 1),
+            (v, 0, 1),
+            (a, 1, 2),
+            (a, 2, 3),
+            (v, 2, 3),
+            (v, 3, 3),
+        ] {
+            s.write_page(pid, VirtAddr(BASE + pg * PAGE_SIZE), &page(fill));
+        }
+        settle(&mut s);
+        let counts = s.machine.stats().scan;
+        assert!(counts.pages_merged >= 3 && counts.pages_fake_merged >= 2);
+        assert_managed_identity(&mut s, "settle");
+        s.read(a, VirtAddr(BASE));
+        assert_managed_identity(&mut s, "copy-on-access read");
+        s.write(v, VirtAddr(BASE + 2 * PAGE_SIZE), 0xEE);
+        assert_eq!(s.policy.stats().coa_unmerges, 2);
+        assert_managed_identity(&mut s, "copy-on-access write");
+        let (rounds, moved) = (s.policy.stats().full_rounds, s.policy.stats().rerandomized);
+        while s.policy.stats().full_rounds < rounds + 2 {
+            s.force_scans(1);
+        }
+        assert!(s.policy.stats().rerandomized > moved);
+        assert_managed_identity(&mut s, "re-randomization");
+        let hb = VirtAddr(BASE).huge_base();
+        for pid in [a, v] {
+            assert!(s.policy.prepare_collapse(&mut s.machine, pid, hb));
+        }
+        assert!(s.policy.stats().collapse_unmerges >= 4);
+        assert_managed_identity(&mut s, "collapse unmerges");
     }
 }

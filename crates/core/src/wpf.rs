@@ -27,11 +27,11 @@ use vusion_kernel::{
     FusionPolicy, Machine, PageFault, Pid, ScanGrant, SpanKind, SurfaceTransition, COSTS,
 };
 use vusion_mem::{
-    CrashSite, FrameAllocator, FrameId, LinearAllocator, MmError, PageType, VirtAddr, PAGE_SIZE,
+    CrashSite, FrameAllocator, FrameId, LinearAllocator, MmError, PageType, VirtAddr,
 };
-use vusion_mmu::{Pte, PteFlags};
+use vusion_mmu::PteFlags;
 
-use crate::content_index::{ContentIndex, NodeId};
+use crate::content_index::ContentIndex;
 use crate::mapping;
 use crate::scan_cache::{self, CandidateCache, DirtyTracker};
 use crate::TagCounts;
@@ -159,41 +159,6 @@ impl Wpf {
         &self.last_pass_frames
     }
 
-    /// Repoints `(pid, va)` at tree frame `tree_frame`, taking a
-    /// reference to it and releasing its old frame to the system. Changes
-    /// nothing but the retry count if the PTE write fails.
-    fn merge_onto(
-        &mut self,
-        m: &mut Machine,
-        pid: Pid,
-        va: VirtAddr,
-        old: FrameId,
-        tree_frame: FrameId,
-    ) {
-        m.mem_mut().info_mut(tree_frame).get();
-        if m.set_leaf(
-            pid,
-            va,
-            Pte::new(tree_frame, PteFlags::PRESENT | PteFlags::USER),
-        )
-        .is_err()
-        {
-            m.mem_mut().info_mut(tree_frame).put();
-            m.note_scan_retry();
-            return;
-        }
-        let (tag, _) = mapping::vma_info(m, pid, va);
-        if mapping::evict_cached_copy(m, pid, va, old) {
-            let _ = m.put_frame(old);
-        }
-        let _ = m.put_frame(old);
-        m.scan_cost(COSTS.pte_update + COSTS.buddy_interaction);
-        m.surface_transition(SurfaceTransition::Merge);
-        self.tags.record(tag);
-        self.merged_live += 1;
-        m.scan_counts_mut().pages_merged += 1;
-    }
-
     /// Step 1 of a pass: enumerates the candidate pages of every process
     /// (no opt-in), read-only, and notes whether each is clean since the
     /// last completed pass. The page enumeration is cached against the
@@ -218,9 +183,7 @@ impl Wpf {
             if self.tree.contains_frame(frame) {
                 continue; // Already fused.
             }
-            let (_, cache_key) = mapping::vma_info(m, pid, va);
-            let max_refs = if cache_key.is_some() { 2 } else { 1 };
-            if m.mem().info(frame).refcount > max_refs {
+            if mapping::sole_owner(m, pid, va, frame).is_none() {
                 continue;
             }
             all_clean = all_clean && self.dirty.is_clean(m.mem(), pid, va, frame);
@@ -428,8 +391,13 @@ impl Wpf {
                     .leaf(pid, va)
                     .map(|l| l.pte.is_present() && l.pte.frame() == old)
                     .unwrap_or(false);
-                if still {
-                    self.merge_onto(m, pid, va, old, tree_frame);
+                if !still {
+                    continue;
+                }
+                let flags = PteFlags::PRESENT | PteFlags::USER;
+                if let Some(tag) = mapping::merge_onto(m, pid, va, old, tree_frame, flags) {
+                    self.tags.record(tag);
+                    self.merged_live += 1;
                 }
             }
             if let Some(node) = new_node {
@@ -478,69 +446,32 @@ impl Wpf {
     fn unmerge(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
         // An unmerge can shrink the tree the candidate walk consults.
         self.clean = None;
-        let Some(leaf) = m.leaf(fault.pid, fault.va) else {
-            return false;
-        };
-        let tree_frame = leaf.pte.frame();
-        let Some(node) = self.tree.node_of(tree_frame) else {
-            return false;
-        };
-        let Some(vma) = m.process(fault.pid).space.find_vma(fault.va).copied() else {
+        let Some((tree_frame, node, writable)) = mapping::fused_page(m, fault, &self.tree) else {
             return false;
         };
         // The page is ours: from here on the work is an unmerge attempt
         // (span opened only now, so foreign CoW faults never pollute it).
         m.trace_begin("wpf", SpanKind::Unmerge);
-        let handled = self.unmerge_owned(m, fault, tree_frame, node, vma);
+        let copied = mapping::cow_copy(m, fault, tree_frame, writable);
+        if copied {
+            if m.mem_mut().info_mut(tree_frame).put() {
+                // Last sharer gone: the frame goes back to the linear
+                // allocator and will be re-reserved, from the end of
+                // memory, on the next pass (Figure 3). Removal goes by
+                // node, not by content, so it also works after a Rowhammer
+                // flip changed the page in place (the §5.2 attack does
+                // exactly this).
+                self.tree.remove(node);
+                m.mem_mut().info_mut(tree_frame).on_free();
+                m.mem_mut().zero_page(tree_frame);
+                let _ = self.linear.free(tree_frame);
+            }
+            self.merged_live -= 1;
+            m.surface_transition(SurfaceTransition::Unmerge);
+            self.stats.unmerged += 1;
+        }
         m.trace_end(SpanKind::Unmerge);
-        handled
-    }
-
-    /// The unmerge proper, once ownership is established.
-    fn unmerge_owned(
-        &mut self,
-        m: &mut Machine,
-        fault: &PageFault,
-        tree_frame: FrameId,
-        node: NodeId,
-        vma: vusion_mmu::Vma,
-    ) -> bool {
-        let Ok(new) = m.alloc_frame(PageType::Anon) else {
-            return false; // OOM: stay merged; the access retries later.
-        };
-        if m.crash_now(CrashSite::MidUnmerge) {
-            // Died after allocating the private copy: recovery frees it;
-            // the page is still merged and the access simply retries.
-            let _ = m.put_frame(new);
-            return false;
-        }
-        m.mem_mut().copy_page(tree_frame, new);
-        m.charge(COSTS.copy_page + COSTS.pte_update + COSTS.buddy_interaction);
-        let mut flags = PteFlags::PRESENT | PteFlags::USER | PteFlags::ACCESSED | PteFlags::DIRTY;
-        if vma.prot.write {
-            flags |= PteFlags::WRITABLE;
-        }
-        if m.set_leaf(fault.pid, fault.va.page_base(), Pte::new(new, flags))
-            .is_err()
-        {
-            let _ = m.put_frame(new);
-            return false;
-        }
-        if m.mem_mut().info_mut(tree_frame).put() {
-            // Last sharer gone: the frame goes back to the linear
-            // allocator and will be re-reserved, from the end of memory,
-            // on the next pass (Figure 3). Removal goes by node, not by
-            // content, so it also works after a Rowhammer flip changed the
-            // page in place (the §5.2 attack does exactly this).
-            self.tree.remove(node);
-            m.mem_mut().info_mut(tree_frame).on_free();
-            m.mem_mut().zero_page(tree_frame);
-            let _ = self.linear.free(tree_frame);
-        }
-        self.merged_live -= 1;
-        m.surface_transition(SurfaceTransition::Unmerge);
-        self.stats.unmerged += 1;
-        true
+        copied
     }
 }
 
@@ -662,15 +593,7 @@ impl FusionPolicy for Wpf {
     }
 
     fn prepare_collapse(&mut self, m: &mut Machine, pid: Pid, huge_base: VirtAddr) -> bool {
-        for i in 0..vusion_mem::HUGE_PAGE_FRAMES {
-            let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
-            if let Some(leaf) = m.leaf(pid, va) {
-                if self.tree.contains_frame(leaf.pte.frame()) {
-                    return false;
-                }
-            }
-        }
-        true
+        !mapping::range_holds(m, pid, huge_base, &self.tree)
     }
 
     fn pages_saved(&self) -> u64 {
@@ -698,6 +621,7 @@ mod tests {
     use super::*;
     use crate::engine::tests::{assert_restore_refuses, point_past_memory};
     use vusion_kernel::{MachineConfig, System};
+    use vusion_mem::PAGE_SIZE;
     use vusion_mmu::{Protection, Vma};
 
     const BASE: u64 = 0x10000;

@@ -9,7 +9,6 @@
 //! the fault dispatcher, deferred-queue refill in the RA pool.
 
 use crate::addr::{FrameId, VirtAddr};
-use vusion_snapshot::{Reader, SnapshotError, Writer};
 
 /// Errors surfaced by the memory-management substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +36,6 @@ pub enum MmError {
     /// A page-table invariant was violated (walking an entry that is not a
     /// table, mapping over an existing mapping, misaligned huge mapping).
     BadPageTable(VirtAddr),
-    /// A content checksum did not match between two reads of the same page
-    /// during a scan — the page is volatile (or the read was corrupted by
-    /// fault injection) and must not be merged this round.
-    ChecksumMismatch(FrameId),
     /// A page fault could not be resolved by any handler (the simulated
     /// equivalent of SIGSEGV).
     UnresolvableFault(VirtAddr),
@@ -74,9 +69,6 @@ impl std::fmt::Display for MmError {
             MmError::BadPageTable(va) => {
                 write!(f, "page-table invariant violated at {:#x}", va.0)
             }
-            MmError::ChecksumMismatch(frame) => {
-                write!(f, "checksum mismatch on frame {}", frame.0)
-            }
             MmError::UnresolvableFault(va) => {
                 write!(f, "unresolvable fault (SIGSEGV) at {:#x}", va.0)
             }
@@ -89,73 +81,6 @@ impl std::fmt::Display for MmError {
 }
 
 impl std::error::Error for MmError {}
-
-impl MmError {
-    /// Serializes the error for inclusion in a failure bundle, so the
-    /// typed cause of a chaos failure survives the trip to disk.
-    pub fn save(&self, w: &mut Writer) {
-        match *self {
-            MmError::OutOfFrames => w.u8(0),
-            MmError::PoolExhausted => w.u8(1),
-            MmError::DoubleFree(f) => {
-                w.u8(2);
-                w.u64(f.0);
-            }
-            MmError::ForeignFrame(f) => {
-                w.u8(3);
-                w.u64(f.0);
-            }
-            MmError::OrderMismatch {
-                frame,
-                recorded,
-                claimed,
-            } => {
-                w.u8(4);
-                w.u64(frame.0);
-                w.u8(recorded);
-                w.u8(claimed);
-            }
-            MmError::BadPageTable(va) => {
-                w.u8(5);
-                w.u64(va.0);
-            }
-            MmError::ChecksumMismatch(f) => {
-                w.u8(6);
-                w.u64(f.0);
-            }
-            MmError::UnresolvableFault(va) => {
-                w.u8(7);
-                w.u64(va.0);
-            }
-            MmError::FaultLivelock(va) => {
-                w.u8(8);
-                w.u64(va.0);
-            }
-            MmError::MissingReservedRegion => w.u8(9),
-        }
-    }
-
-    /// Reads an error previously written by [`Self::save`].
-    pub fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => MmError::OutOfFrames,
-            1 => MmError::PoolExhausted,
-            2 => MmError::DoubleFree(FrameId(r.u64()?)),
-            3 => MmError::ForeignFrame(FrameId(r.u64()?)),
-            4 => MmError::OrderMismatch {
-                frame: FrameId(r.u64()?),
-                recorded: r.u8()?,
-                claimed: r.u8()?,
-            },
-            5 => MmError::BadPageTable(VirtAddr(r.u64()?)),
-            6 => MmError::ChecksumMismatch(FrameId(r.u64()?)),
-            7 => MmError::UnresolvableFault(VirtAddr(r.u64()?)),
-            8 => MmError::FaultLivelock(VirtAddr(r.u64()?)),
-            9 => MmError::MissingReservedRegion,
-            _ => return Err(SnapshotError::Corrupt("unknown MmError variant")),
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -193,9 +118,6 @@ mod tests {
         assert!(MmError::FaultLivelock(VirtAddr(0x3000))
             .to_string()
             .contains("livelock"));
-        assert!(MmError::ChecksumMismatch(FrameId(5))
-            .to_string()
-            .contains("checksum"));
         assert!(MmError::ForeignFrame(FrameId(9)).to_string().contains('9'));
         assert!(MmError::MissingReservedRegion
             .to_string()
@@ -214,31 +136,10 @@ mod tests {
                 claimed: 0,
             },
             MmError::BadPageTable(VirtAddr(0xdead_b000)),
-            MmError::ChecksumMismatch(FrameId(123)),
             MmError::UnresolvableFault(VirtAddr(0x1000)),
             MmError::FaultLivelock(VirtAddr(0x7fff_f000)),
             MmError::MissingReservedRegion,
         ]
-    }
-
-    #[test]
-    fn every_variant_round_trips_through_snapshot_encoding() {
-        for e in all_variants() {
-            let mut w = Writer::new();
-            e.save(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(MmError::load(&mut r).expect("load"), e);
-            assert!(r.is_empty(), "{e:?} left trailing bytes");
-        }
-    }
-
-    #[test]
-    fn unknown_variant_tag_is_rejected() {
-        let mut w = Writer::new();
-        w.u8(200);
-        let bytes = w.into_bytes();
-        assert!(MmError::load(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -11,13 +11,6 @@
 //! refills it from the backing allocator; every free inserts the frame at a
 //! random slot and evicts a random resident back to the backing allocator,
 //! so recently freed frames enjoy no reuse preference whatsoever.
-//!
-//! The RA guarantee must survive memory pressure: even when the backing
-//! allocator fails (genuinely or through fault injection),
-//! [`RandomPool::alloc_random_excluding`] never hands back the frame the
-//! caller just released — exhaustion is reported as
-//! [`MmError::PoolExhausted`] instead of quietly recycling the one frame an
-//! attacker may have templated.
 
 use vusion_rng::rngs::StdRng;
 use vusion_rng::{RngExt, SeedableRng};
@@ -63,80 +56,19 @@ impl RandomPool {
         self.pool.len()
     }
 
-    /// Configured capacity (bits of entropy = log2(capacity)).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Tops the pool back up toward `capacity` from `backing` (used after
-    /// the deferred-free queue is drained under memory pressure). Returns
-    /// how many frames were absorbed.
-    pub fn refill(&mut self, backing: &mut dyn FrameAllocator) -> usize {
-        let mut absorbed = 0;
-        while self.pool.len() < self.capacity {
-            match backing.alloc() {
-                Ok(f) => {
-                    // Insert at a random slot so refilled frames enjoy no
-                    // positional bias either.
-                    let idx = self.rng.random_range(0..=self.pool.len());
-                    self.pool.push(f);
-                    let last = self.pool.len() - 1;
-                    self.pool.swap(idx, last);
-                    absorbed += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        absorbed
-    }
-
     /// Draws a uniformly random frame, refilling the slot from `backing`.
+    /// While the backing allocator fails the pool shrinks; once it is
+    /// empty the draw falls through to `backing`, and fails with
+    /// [`MmError::PoolExhausted`] when that has nothing either.
     pub fn alloc_random(&mut self, backing: &mut dyn FrameAllocator) -> Result<FrameId, MmError> {
-        self.alloc_random_excluding(backing, None)
-    }
-
-    /// Draws a uniformly random frame that is guaranteed not to be
-    /// `exclude` (the frame the caller just released — handing it back
-    /// would reintroduce exactly the predictable reuse RA exists to
-    /// prevent). Fails with [`MmError::PoolExhausted`] when neither the
-    /// pool nor the backing allocator can supply an admissible frame.
-    pub fn alloc_random_excluding(
-        &mut self,
-        backing: &mut dyn FrameAllocator,
-        exclude: Option<FrameId>,
-    ) -> Result<FrameId, MmError> {
-        let only_excluded = self.pool.len() == 1 && Some(self.pool[0]) == exclude;
-        if self.pool.is_empty() || only_excluded {
-            return self.alloc_from_backing(backing, exclude);
+        if self.pool.is_empty() {
+            return backing.alloc().map_err(|_| MmError::PoolExhausted);
         }
-        let mut idx = self.rng.random_range(0..self.pool.len());
-        if Some(self.pool[idx]) == exclude {
-            // Redraw uniformly over the remaining slots.
-            let step = 1 + self.rng.random_range(0..self.pool.len() - 1);
-            idx = (idx + step) % self.pool.len();
-        }
+        let idx = self.rng.random_range(0..self.pool.len());
         match backing.alloc() {
             Ok(refill) => Ok(std::mem::replace(&mut self.pool[idx], refill)),
             Err(_) => Ok(self.pool.swap_remove(idx)),
         }
-    }
-
-    /// Last-resort path: the pool cannot supply an admissible frame, so
-    /// allocate straight from `backing`, still honoring `exclude`.
-    fn alloc_from_backing(
-        &mut self,
-        backing: &mut dyn FrameAllocator,
-        exclude: Option<FrameId>,
-    ) -> Result<FrameId, MmError> {
-        let first = backing.alloc().map_err(|_| MmError::PoolExhausted)?;
-        if Some(first) != exclude {
-            return Ok(first);
-        }
-        // The backing allocator (LIFO buddy) handed back exactly the frame
-        // we must not reuse. Take a second frame and return the first.
-        let second = backing.alloc();
-        backing.free(first)?;
-        second.map_err(|_| MmError::PoolExhausted)
     }
 
     /// Returns a frame: it is inserted at a random pool slot; if the pool is
@@ -158,11 +90,6 @@ impl RandomPool {
             let evicted = std::mem::replace(&mut self.pool[idx], frame);
             backing.free(evicted)
         }
-    }
-
-    /// Whether a frame is currently resident in the pool (test helper).
-    pub fn contains(&self, frame: FrameId) -> bool {
-        self.pool.contains(&frame)
     }
 }
 
@@ -304,56 +231,5 @@ mod tests {
         p.free_random(extra, &mut b).expect("free");
         assert_eq!(p.resident(), 8, "pool stays at capacity");
         assert_eq!(b.free_frames(), before + 1, "one frame evicted to backing");
-    }
-
-    #[test]
-    fn refill_tops_up_from_backing() {
-        let mut b = BuddyAllocator::new(FrameId(0), 64);
-        let mut p = RandomPool::new(16, &mut b, 5);
-        // Drain half the pool with the backing allocator exhausted.
-        let held: Vec<FrameId> = (0..48).map(|_| b.alloc().expect("frame")).collect();
-        for _ in 0..8 {
-            p.alloc_random(&mut b).expect("frame");
-        }
-        assert_eq!(p.resident(), 8);
-        for f in held {
-            b.free(f).expect("free");
-        }
-        assert_eq!(p.refill(&mut b), 8);
-        assert_eq!(p.resident(), 16);
-    }
-
-    #[test]
-    fn exclusion_holds_even_under_backing_failure() {
-        // Exhaust the backing allocator so the pool is the only source,
-        // then verify the excluded frame is never drawn.
-        let mut b = BuddyAllocator::new(FrameId(0), 8);
-        let mut p = RandomPool::new(8, &mut b, 11);
-        assert_eq!(b.free_frames(), 0);
-        let marked = p.alloc_random(&mut b).expect("frame");
-        p.free_random(marked, &mut b).expect("free");
-        for _ in 0..200 {
-            let f = p
-                .alloc_random_excluding(&mut b, Some(marked))
-                .expect("frame");
-            assert_ne!(f, marked, "excluded frame handed back");
-            p.free_random(f, &mut b).expect("free");
-        }
-    }
-
-    #[test]
-    fn exclusion_with_single_frame_reports_exhaustion() {
-        // One frame total, and it is the excluded one: the pool must
-        // report exhaustion rather than recycle the templated frame.
-        let mut b = BuddyAllocator::new(FrameId(0), 1);
-        let mut p = RandomPool::new(1, &mut b, 13);
-        let only = p.alloc_random(&mut b).expect("frame");
-        p.free_random(only, &mut b).expect("free");
-        assert_eq!(
-            p.alloc_random_excluding(&mut b, Some(only)),
-            Err(MmError::PoolExhausted)
-        );
-        // The frame is still accounted for (not leaked).
-        assert_eq!(p.resident() + b.free_frames(), 1);
     }
 }

@@ -59,7 +59,9 @@ use std::fmt;
 /// DRAM row size; KSM's engine blob lost its scan period and VUsion's its
 /// scan period and pages per wake; failure bundles lost the weak-row
 /// fraction, and their digest covers the whole sealed system snapshot.
-pub const FORMAT_VERSION: u32 = 10;
+/// v11: VUsion's engine blob lost its list of trapped pages (pid, page,
+/// node), which the page tables and the tree's mapping lists hold.
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Magic bytes opening every sealed snapshot or failure bundle.
 pub const MAGIC: &[u8; 4] = b"VSNP";
@@ -713,10 +715,14 @@ mod tests {
         assert_eq!(xxh64(&bytes[..47]), 0x0D98_83A0_3E7B_FBB8);
     }
 
+    /// The sealed bytes of a fixed payload: magic, version, payload and
+    /// checksum. The version field, and with it the checksum, moves with
+    /// each `FORMAT_VERSION` bump and nothing else; it was last re-pinned
+    /// at 11, when VUsion's engine blob lost its list of trapped pages.
     #[test]
     fn seal_layout_is_pinned() {
-        let mut want = b"VSNP\x0a\x00\x00\x00abc".to_vec();
-        want.extend_from_slice(&[0xc2, 0xd7, 0x0f, 0x42, 0x0d, 0xea, 0xfd, 0x56]);
+        let mut want = b"VSNP\x0b\x00\x00\x00abc".to_vec();
+        want.extend_from_slice(&[0x45, 0x51, 0x5d, 0x78, 0x8d, 0x3f, 0xc6, 0x95]);
         assert_eq!(seal(b"abc"), want);
     }
 

@@ -323,7 +323,7 @@ fn critical_probe() -> (System<VUsion>, Pid, Vec<VirtAddr>, Guard) {
         &sys,
         (0..VICTIM_PAGES).all(|i| {
             sys.policy
-                .is_managed(victim, VirtAddr(BASE + i * PAGE_SIZE))
+                .is_managed(&sys.machine, victim, VirtAddr(BASE + i * PAGE_SIZE))
         }),
         "every victim page must be in the content tree before the hog",
     );
@@ -370,7 +370,7 @@ fn sb_holds_at_critical_pressure() {
     );
     let managed: Vec<bool> = guesses
         .iter()
-        .map(|&va| sys.policy.is_managed(attacker, va))
+        .map(|&va| sys.policy.is_managed(&sys.machine, attacker, va))
         .collect();
     guard.check(
         &sys,
